@@ -166,14 +166,15 @@ func (br *Broker) SubscribeExpr(x Expr, h func(ev Event)) (*BrokerSubscription, 
 }
 
 // Publish routes an event to all matching subscriptions; it returns how
-// many subscriptions it was enqueued for and never blocks on slow
-// consumers.
+// many subscriptions it matched and never blocks on slow consumers (a
+// subscriber whose queue is full drops the event — see Dropped — without
+// lowering the result).
 func (br *Broker) Publish(ev Event) (int, error) { return br.b.Publish(ev) }
 
 // PublishBatch routes a batch of events in one pass: the broker's lock
 // and the engine's matching fan-out are taken once for the whole batch,
 // so per-event overhead is amortised across it. It returns the
-// per-event enqueue counts,
+// per-event matched-subscription counts,
 // aligned with evs — each entry is exactly what Publish of that event
 // would have returned — and, like Publish, never blocks on slow
 // consumers.

@@ -11,10 +11,11 @@
 //	ncbench -exp cover                      # aggregation + covering vs popularity skew (C1)
 //	ncbench -exp million                    # covering-DAG vs flat aggregation to 1M subs (M1 (million))
 //	ncbench -exp federate                   # TCP-federated broker tree vs node count (F1)
-//	ncbench -exp cover -json                # machine-readable series (BENCH_*.json)
-//	ncbench -exp hotpath                    # publish-spine stage costs (H1)
-//	ncbench -exp hotpath -regress BENCH_PR10.json   # perf gate vs recorded trajectory
+//	ncbench -exp cover -json                # machine-readable series
 //	ncbench -list                           # experiment inventory
+//
+// The PR-to-PR performance trajectory is not measured here: see
+// BENCHMARK.json and _benchmark/ (sh _benchmark/run.sh).
 //
 // -scale 1 reproduces the paper's subscription counts (the DNF baselines
 // then need multi-gigabyte memory — which is the paper's point).
@@ -48,8 +49,6 @@ func run(args []string, out io.Writer) error {
 		seed    = fs.Int64("seed", 1, "workload seed")
 		csv     = fs.Bool("csv", false, "CSV output")
 		jsonOut = fs.Bool("json", false, "JSON output (experiment id + measurement series; single -exp only)")
-		regress = fs.String("regress", "", "BENCH_*.json trajectory to gate the H1 run against (use with -exp hotpath)")
-		regTol  = fs.Float64("regress-tol", bench.DefaultRegressTolerancePct, "ns/op regression tolerance in percent")
 		swap    = fs.Bool("swap", false, "apply the page-swap cost model (experiment M2)")
 		budget  = fs.Int("swap-budget-mb", 512, "swap model memory budget in MiB")
 		penalty = fs.Float64("swap-penalty", memmodel.DefaultPenalty, "swap model slowdown factor")
@@ -77,16 +76,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *swap {
 		cfg.Swap = &memmodel.SwapModel{BudgetBytes: *budget << 20, Penalty: *penalty}
-	}
-	if *regress != "" {
-		if *exp != "hotpath" {
-			return fmt.Errorf("-regress gates the H1 hot-path benchmark; use it with -exp hotpath")
-		}
-		doc, err := os.ReadFile(*regress)
-		if err != nil {
-			return fmt.Errorf("read baseline: %w", err)
-		}
-		return bench.RunRegress(cfg, doc, *regTol)
 	}
 	if *exp == "all" {
 		if *jsonOut {

@@ -97,7 +97,7 @@ func run(out io.Writer, addr string, pairs []string, count int, interval time.Du
 			fmt.Fprintf(out, "published %s -> %d subscription(s)\n", ev, counts[j])
 			total += counts[j]
 		}
-		fmt.Fprintf(out, "batch of %d -> %d enqueue(s)\n", n, total)
+		fmt.Fprintf(out, "batch of %d -> %d match(es)\n", n, total)
 		if interval > 0 && i+batch < count {
 			time.Sleep(interval)
 		}

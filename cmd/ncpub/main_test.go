@@ -109,7 +109,7 @@ func TestRunBatchAgainstLiveBroker(t *testing.T) {
 		t.Fatalf("published lines = %d, want 5:\n%s", got, out)
 	}
 	// 5 events in batches of 2 → batches of 2, 2, 1.
-	for _, want := range []string{"batch of 2 -> 2 enqueue(s)", "batch of 1 -> 1 enqueue(s)"} {
+	for _, want := range []string{"batch of 2 -> 2 match(es)", "batch of 1 -> 1 match(es)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in output:\n%s", want, out)
 		}

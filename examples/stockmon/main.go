@@ -60,7 +60,7 @@ func main() {
 	}
 	br.Close() // drain deliveries before reading counters
 
-	fmt.Printf("published %d quotes, %d deliveries enqueued\n\n", quotes, matchedTotal)
+	fmt.Printf("published %d quotes, %d subscription matches\n\n", quotes, matchedTotal)
 	for _, tr := range traders {
 		fmt.Printf("%-16s %6d quotes   (%s)\n", tr.name, tr.received.Load(), tr.sub)
 	}

@@ -10,7 +10,7 @@ package arch
 //
 // Layers, bottom to top (labels are documentation; the edges are the law):
 //
-//	kernel     value, intern, index/btree, memmodel, substore
+//	kernel     value, intern, index/btree, memmodel
 //	model      event, predicate
 //	expr       boolexpr, subtree, matcher, cover, sublang, workload
 //	engine     core, counting, index, shard
@@ -75,10 +75,9 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	// The symbol table is process-global leaf state: nothing below it, and
 	// it must stay pure compute like the rest of the kernel so interned
 	// matching remains embeddable anywhere.
-	"internal/intern":       {Layer: "kernel", ForbidStd: pureStd},
+	"internal/intern":      {Layer: "kernel", ForbidStd: pureStd},
 	"internal/index/btree": {Layer: "kernel", ForbidStd: pureStd},
 	"internal/memmodel":    {Layer: "kernel", ForbidStd: pureStd},
-	"internal/substore":    {Layer: "kernel"}, // file-backed store: os allowed
 
 	// --- model ---
 	"internal/event": {Layer: "model", ForbidStd: pureStd,
@@ -149,7 +148,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	// --- app: commands reach internals only through their declared
 	// service entry points (or the facade); engine guts are off limits ---
 	"internal/bench": {Layer: "app",
-		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/predicate", "internal/shard", "internal/subtree", "internal/wire", "internal/workload"}},
+		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/predicate", "internal/shard", "internal/subtree", "internal/workload"}},
 	// Fault-injection plumbing (stallable TCP relay + delivery oracle) for
 	// chaos experiments and transport tests; pure stdlib, no module deps.
 	"internal/chaos": {Layer: "app"},

@@ -104,7 +104,6 @@ func Experiments() []Experiment {
 		Experiment{ID: "federate", Title: "F1: federated broker tree over loopback TCP — events/s and flood msgs vs node count (± cover)", Run: RunFederate},
 		Experiment{ID: "chaos", Title: "FC1: chaos federation — bounded spill queues, shedding and slow-peer eviction under a stalled link", Run: RunChaos},
 		Experiment{ID: "obs", Title: "O1: metrics overhead on the broker publish path (base vs instrumented, latency quantiles)", Run: RunObs},
-		Experiment{ID: "hotpath", Title: "H1: publish-spine stage costs — decode (copy vs alias), match, publish; ns/op, allocs/op, events/s-per-core", Run: RunHotpath},
 	)
 	return exps
 }

@@ -10,8 +10,7 @@ import (
 
 // JSONResult is the machine-readable envelope emitted by `ncbench -json`:
 // the experiment ID plus its measurement series, one object per sweep
-// point, numeric where the value parses as a number. It is the format of
-// the per-PR perf trajectory files (BENCH_*.json).
+// point, numeric where the value parses as a number.
 type JSONResult struct {
 	Experiment string           `json:"experiment"`
 	Points     []map[string]any `json:"points"`

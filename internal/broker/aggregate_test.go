@@ -72,7 +72,7 @@ func TestAggregateSharesEngineEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n != 5 {
-		t.Errorf("Publish enqueued for %d subscribers, want 5", n)
+		t.Errorf("Publish matched %d subscribers, want 5", n)
 	}
 	b.Close()
 	mu.Lock()
@@ -304,7 +304,7 @@ func TestAggregateDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					if np != na {
-						t.Fatalf("step %d: plain enqueued %d, aggregated %d", step, np, na)
+						t.Fatalf("step %d: plain matched %d, aggregated %d", step, np, na)
 					}
 				}
 			}

@@ -232,7 +232,6 @@ type Subscription struct {
 	g       *filterGroup // owning group; guarded by b.mu
 	gidx    int          // index in its filterGroup's members; guarded by b.mu
 	queue   chan event.Event
-	out     chan event.Event // non-nil for channel subscriptions
 	dropped atomic.Uint64
 
 	// congested flips on when a publish drops for this subscription and
@@ -324,20 +323,7 @@ func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (*Subscription, error)
 	if h == nil {
 		return nil, fmt.Errorf("broker: nil handler")
 	}
-	s, err := b.subscribe(expr, nil)
-	if err != nil {
-		return nil, err
-	}
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		for ev := range s.queue {
-			h(ev)
-			b.delivered.Inc()
-			s.maybeClearCongested()
-		}
-	}()
-	return s, nil
+	return b.subscribe(expr, h, nil)
 }
 
 // SubscribeChan registers an expression and returns a receive channel. The
@@ -345,24 +331,17 @@ func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (*Subscription, error)
 // are drained.
 func (b *Broker) SubscribeChan(expr boolexpr.Expr) (*Subscription, <-chan event.Event, error) {
 	out := make(chan event.Event, b.opts.QueueSize)
-	s, err := b.subscribe(expr, out)
+	s, err := b.subscribe(expr, func(ev event.Event) { out <- ev }, func() { close(out) })
 	if err != nil {
 		return nil, nil, err
 	}
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		defer close(out)
-		for ev := range s.queue {
-			out <- ev
-			b.delivered.Inc()
-			s.maybeClearCongested()
-		}
-	}()
 	return s, out, nil
 }
 
-func (b *Broker) subscribe(expr boolexpr.Expr, out chan event.Event) (*Subscription, error) {
+// subscribe registers expr and starts the subscription's delivery
+// goroutine, which hands queued events to h until the queue closes and then
+// runs done (if any).
+func (b *Broker) subscribe(expr boolexpr.Expr, h Handler, done func()) (*Subscription, error) {
 	var key string
 	if b.opts.Aggregate || b.opts.AggregateDAG {
 		// Key computation walks the expression; do it outside the lock.
@@ -403,13 +382,24 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out chan event.Event) (*Subscript
 		g:     g,
 		gidx:  len(g.members),
 		queue: make(chan event.Event, b.opts.QueueSize),
-		out:   out,
 	}
 	g.members = append(g.members, s)
 	b.nsubs++
 	if b.dag != nil && !g.node.Frontier() {
 		b.covered++
 	}
+	b.wg.Add(1)
+	go func() {
+		defer b.wg.Done()
+		if done != nil {
+			defer done()
+		}
+		for ev := range s.queue {
+			h(ev)
+			b.delivered.Inc()
+			s.maybeClearCongested()
+		}
+	}()
 	return s, nil
 }
 
@@ -541,9 +531,12 @@ func (b *Broker) unsubscribeDAG(g *filterGroup) error {
 }
 
 // Publish matches the event and enqueues it to every matching subscriber.
-// It returns the number of subscribers the event was enqueued for and
-// never blocks on slow consumers. Publish runs entirely under read locks,
-// so any number of publishers proceed concurrently.
+// It returns the number of subscribers the event matched and never blocks
+// on slow consumers: a matched subscriber whose queue is full misses the
+// event, which is counted where drops always were (Subscription.Dropped,
+// Stats.Dropped, the congestion gauge), not subtracted from the result.
+// Publish runs entirely under read locks, so any number of publishers
+// proceed concurrently.
 //
 //nclint:hotpath
 func (b *Broker) Publish(ev event.Event) (int, error) {
@@ -563,43 +556,62 @@ func (b *Broker) Publish(ev event.Event) (int, error) {
 		return 0, ErrClosed
 	}
 	b.published.Inc()
-	n := 0
-	var visited map[*dag.Node]bool
 	mb, _ := b.matchPool.Get().(*matchBuf)
 	if mb == nil {
 		mb = &matchBuf{}
 	}
-	matched := b.eng.MatchInto(ev, mb.ids[:0])
+	mb.ids = b.eng.MatchInto(ev, mb.ids[:0])
 	if timed {
 		b.matchLatency.Observe(time.Since(start))
 	}
-	for _, id := range matched {
+	n := b.deliverMatched(ev, mb.ids)
+	b.matchPool.Put(mb)
+	if timed {
+		b.publishLatency.Observe(time.Since(start))
+	}
+	return n, nil
+}
+
+// deliverMatched fans one event out to the subscribers behind its matched
+// engine entries — each entry's own group, then the matching covered
+// descendants of its poset node — and returns how many subscribers that
+// is. Both publish entry points end here; the caller holds the read lock.
+//
+//nclint:hotpath
+func (b *Broker) deliverMatched(ev event.Event, ids []matcher.SubID) int {
+	n := 0
+	var visited map[*dag.Node]bool // shared across this event's roots only
+	for _, id := range ids {
 		g, ok := b.groups[id]
 		if !ok {
 			continue
 		}
-		for _, s := range g.members {
-			select {
-			case s.queue <- ev:
-				n++
-			default:
-				s.dropped.Add(1)
-				b.dropped.Inc()
-				s.markCongested()
-			}
-		}
+		n += b.enqueue(g, ev)
 		if g.node != nil && len(g.node.Children()) > 0 {
 			var dn int
 			dn, visited = b.enqueueCovered(g.node, ev, visited)
 			n += dn
 		}
 	}
-	mb.ids = matched
-	b.matchPool.Put(mb)
-	if timed {
-		b.publishLatency.Observe(time.Since(start))
+	return n
+}
+
+// enqueue offers ev to every member of g without blocking and returns the
+// member count: a full queue drops the event for that subscriber and marks
+// it congested. Caller holds the read lock.
+//
+//nclint:hotpath
+func (b *Broker) enqueue(g *filterGroup, ev event.Event) int {
+	for _, s := range g.members {
+		select {
+		case s.queue <- ev:
+		default:
+			s.dropped.Add(1)
+			b.dropped.Inc()
+			s.markCongested()
+		}
 	}
-	return n, nil
+	return len(g.members)
 }
 
 // enqueueCovered fans a frontier match out to the matching covered
@@ -631,17 +643,7 @@ func (b *Broker) enqueueCovered(root *dag.Node, ev event.Event, visited map[*dag
 		if !c.Expr().Eval(ev) {
 			continue
 		}
-		g := c.Data.(*filterGroup)
-		for _, s := range g.members {
-			select {
-			case s.queue <- ev:
-				n++
-			default:
-				s.dropped.Add(1)
-				b.dropped.Inc()
-				s.markCongested()
-			}
-		}
+		n += b.enqueue(c.Data.(*filterGroup), ev)
 		stack = append(stack, c.Children()...)
 	}
 	return n, visited
@@ -653,10 +655,10 @@ func (b *Broker) enqueueCovered(root *dag.Node, ev event.Event, visited map[*dag
 // event) are taken once for the whole batch, and every event's matches
 // are enqueued from that single pass.
 //
-// It returns the per-event enqueue counts, aligned with evs; counts[i]
-// equals what Publish(evs[i]) would have returned. Like Publish it never
-// blocks on slow consumers: events beyond a subscriber's queue are
-// dropped and counted (Subscription.Dropped, Stats.Dropped), and
+// It returns the per-event matched-subscriber counts, aligned with evs;
+// counts[i] equals what Publish(evs[i]) would have returned. Like Publish
+// it never blocks on slow consumers: events beyond a subscriber's queue
+// are dropped and counted (Subscription.Dropped, Stats.Dropped), and
 // Stats.Published grows by len(evs).
 //
 //nclint:hotpath
@@ -687,29 +689,7 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 		// Like Publish: a borrowed event must own its strings before the
 		// first enqueue (free for owned events). Only matched events pay
 		// even the check.
-		ev := evs[i].Retain()
-		var visited map[*dag.Node]bool // per event, shared across its roots
-		for _, id := range ids {
-			g, ok := b.groups[id]
-			if !ok {
-				continue
-			}
-			for _, s := range g.members {
-				select {
-				case s.queue <- ev:
-					counts[i]++
-				default:
-					s.dropped.Add(1)
-					b.dropped.Inc()
-					s.markCongested()
-				}
-			}
-			if g.node != nil && len(g.node.Children()) > 0 {
-				var dn int
-				dn, visited = b.enqueueCovered(g.node, ev, visited)
-				counts[i] += dn
-			}
-		}
+		counts[i] = b.deliverMatched(evs[i].Retain(), ids)
 	}
 	if b.timed {
 		// One observation per batch call: batch latency is the quantity a

@@ -92,7 +92,7 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n, _ := b.Publish(event.New().Set("a", 1)); n != 0 {
-		t.Errorf("Publish after unsubscribe enqueued %d", n)
+		t.Errorf("Publish after unsubscribe matched %d", n)
 	}
 	if b.NumSubscriptions() != 0 {
 		t.Errorf("NumSubscriptions = %d", b.NumSubscriptions())
@@ -174,6 +174,50 @@ func TestSlowConsumerDropsNotBlocks(t *testing.T) {
 	}, "handled+dropped should account for all events")
 	if st := b.Stats(); st.Dropped != sub.Dropped() {
 		t.Errorf("broker dropped %d, subscription %d", st.Dropped, sub.Dropped())
+	}
+}
+
+// TestPublishReturnsMatchedNotEnqueued pins the Publish contract: the
+// result counts the subscribers the event matched, and a full queue shows
+// up in Dropped — not as a smaller result.
+func TestPublishReturnsMatchedNotEnqueued(t *testing.T) {
+	b := New(Options{QueueSize: 1})
+	defer b.Close()
+
+	entered := make(chan struct{})
+	block := make(chan struct{})
+	defer close(block)
+	first := true
+	sub, err := b.Subscribe(boolexpr.Pred("a", predicate.Eq, 1), func(event.Event) {
+		if first { // delivery goroutine only: no synchronisation needed
+			first = false
+			close(entered)
+		}
+		<-block
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := event.New().Set("a", 1)
+	if n, err := b.Publish(ev); err != nil || n != 1 {
+		t.Fatalf("first Publish = %d, %v; want 1", n, err)
+	}
+	<-entered // the handler holds the first event; the one-slot queue is empty
+	for i := 0; i < 3; i++ {
+		if n, err := b.Publish(ev); err != nil || n != 1 {
+			t.Fatalf("Publish %d with a blocked subscriber = %d, %v; want 1 (matched)", i, n, err)
+		}
+	}
+	// One of the three fills the queue, the other two are dropped.
+	if got := sub.Dropped(); got != 2 {
+		t.Errorf("Dropped = %d, want 2", got)
+	}
+	counts, err := b.PublishBatch([]event.Event{ev, event.New().Set("a", 2)})
+	if err != nil || counts[0] != 1 || counts[1] != 0 {
+		t.Errorf("PublishBatch = %v, %v; want [1 0]", counts, err)
+	}
+	if got := b.Stats().Dropped; got != 3 {
+		t.Errorf("Stats.Dropped = %d, want 3", got)
 	}
 }
 

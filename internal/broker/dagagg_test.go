@@ -34,7 +34,7 @@ func dagChurnFilter(rng *rand.Rand) boolexpr.Expr {
 // key-interning broker and a flat broker through one interleaved
 // subscribe/unsubscribe/publish script, with a naive boolexpr oracle
 // (evaluate every live subscription's filter against every event) as
-// ground truth: per-event enqueue counts and final (subscriber, event)
+// ground truth: per-event matched counts and final (subscriber, event)
 // delivery multisets must be identical across all four.
 func TestDAGAggregateDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4} {

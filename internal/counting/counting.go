@@ -329,6 +329,33 @@ func (e *Engine) MatchPredicatesAlg(alg Algorithm, fulfilled []predicate.ID) []m
 	return e.matchClassicLocked(fulfilled)
 }
 
+// InstrumentedMatch counts phase-two work instead of matching — the
+// counting-side twin of core.Engine.InstrumentedMatch. increments is the
+// number of hit-counter increments (the same for both algorithms) and
+// compares the number of units whose counter is then inspected: every unit
+// slot for Classic, only the touched units for Variant.
+func (e *Engine) InstrumentedMatch(alg Algorithm, fulfilled []predicate.ID) (increments, compares int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.candBuf = e.candBuf[:0]
+	for _, pid := range fulfilled {
+		for _, u := range e.assocOf(pid) {
+			if e.hits[u] == 0 {
+				e.candBuf = append(e.candBuf, u)
+			}
+			e.hits[u]++
+			increments++
+		}
+	}
+	for _, u := range e.candBuf {
+		e.hits[u] = 0
+	}
+	if alg == Classic {
+		return increments, len(e.hits)
+	}
+	return increments, len(e.candBuf)
+}
+
 func (e *Engine) matchPredicatesLocked(fulfilled []predicate.ID) []matcher.SubID {
 	if e.opts.Algorithm == Variant {
 		return e.matchVariantLocked(fulfilled)

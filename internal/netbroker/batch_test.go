@@ -1,7 +1,6 @@
 package netbroker
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -13,18 +12,6 @@ import (
 	"noncanon/internal/event"
 	"noncanon/internal/wire"
 )
-
-func waitFor(t *testing.T, cond func() bool, msg string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal(msg)
-}
 
 // TestPublishBatchPartialCounts pins the per-event reply accounting: a
 // batch whose events match one, zero and two subscriptions respectively
@@ -77,8 +64,7 @@ func TestPublishBatchPartialCounts(t *testing.T) {
 // one frame's event limit is split transparently with counts for every
 // event.
 func TestPublishBatchEmptyAndChunked(t *testing.T) {
-	// The queue must hold the whole batch: enqueue counts only reach
-	// len(evs) when nothing is dropped on a full subscriber queue.
+	// The queue holds the whole batch so the subscriber loses nothing.
 	addr, _ := startServer(t, ServerOptions{Broker: broker.Options{QueueSize: 2 * wire.MaxBatchEvents}})
 	cli, err := Dial(addr)
 	if err != nil {
@@ -310,110 +296,6 @@ func TestBatchInterleavedWithConcurrentSubscribers(t *testing.T) {
 	}
 }
 
-// TestBatchPublisherFlushAndThresholds covers the auto-flushing writer:
-// a size-threshold flush happens without waiting for the timer, a
-// sub-threshold batch flushes after MaxDelay, Flush forces the rest out,
-// and Close is terminal.
-func TestBatchPublisherFlushAndThresholds(t *testing.T) {
-	addr, srv := startServer(t, ServerOptions{})
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Subscribe(`n >= 0`); err != nil {
-		t.Fatal(err)
-	}
-
-	pub := NewBatchPublisher(cli, BatchPublisherOptions{MaxBatch: 4, MaxDelay: 50 * time.Millisecond})
-	published := func() uint64 { return pub.Published() }
-
-	// Size threshold: 4 events flush promptly, well inside MaxDelay.
-	for i := 0; i < 4; i++ {
-		if err := pub.Publish(event.New().Set("n", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, func() bool { return published() == 4 }, "size-threshold flush did not happen")
-
-	// Latency threshold: a lone event flushes after ~MaxDelay.
-	if err := pub.Publish(event.New().Set("n", 99)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return published() == 5 }, "latency-threshold flush did not happen")
-
-	// Flush forces pending events out immediately.
-	if err := pub.Publish(event.New().Set("n", 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := published(); got != 6 {
-		t.Fatalf("after Flush: published = %d, want 6", got)
-	}
-
-	if err := pub.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.Publish(event.New().Set("n", 101)); !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("Publish after Close = %v, want ErrClientClosed", err)
-	}
-	if err := pub.Flush(); !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("Flush after Close = %v, want ErrClientClosed", err)
-	}
-	if err := pub.Close(); err != nil {
-		t.Fatalf("second Close = %v", err)
-	}
-
-	// All six events reached the broker.
-	if got := srv.Broker().Stats().Published; got != 6 {
-		t.Fatalf("broker saw %d events, want 6", got)
-	}
-}
-
-// TestBatchPublisherCloseFlushesPending: events accepted before Close are
-// delivered by it, and concurrent publishers hammering one BatchPublisher
-// under -race stay consistent.
-func TestBatchPublisherCloseFlushesPending(t *testing.T) {
-	addr, srv := startServer(t, ServerOptions{})
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	pub := NewBatchPublisher(cli, BatchPublisherOptions{MaxBatch: 32, MaxDelay: time.Hour, QueueSize: 4096})
-	const workers, perWorker = 4, 100
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				if err := pub.Publish(event.New().Set("w", w).Set("i", i)); err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := pub.Close(); err != nil {
-		t.Fatal(err)
-	}
-	want := uint64(workers*perWorker) - pub.Dropped()
-	if got := pub.Published(); got != want {
-		t.Fatalf("published %d, want %d (dropped %d)", got, want, pub.Dropped())
-	}
-	if got := srv.Broker().Stats().Published; got != want {
-		t.Fatalf("broker saw %d events, want %d", got, want)
-	}
-	if pub.Dropped() != 0 {
-		t.Logf("note: %d events dropped on intake (queue sized to avoid this)", pub.Dropped())
-	}
-}
-
 // TestPublishBatchChunksBySize: a batch whose encoded form exceeds one
 // frame must split by payload size, not just event count, and still come
 // back fully counted.
@@ -447,40 +329,5 @@ func TestPublishBatchChunksBySize(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("count[%d] = %d, want 1", i, c)
 		}
-	}
-}
-
-// TestBatchPublisherLostAccounting: when a flush fails, events the broker
-// never acknowledged are counted as Lost, and accepted events reconcile
-// across Published+Dropped+Lost.
-func TestBatchPublisherLostAccounting(t *testing.T) {
-	addr, _ := startServer(t, ServerOptions{})
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	pub := NewBatchPublisher(cli, BatchPublisherOptions{MaxBatch: 64, MaxDelay: time.Hour})
-	const accepted = 5
-	for i := 0; i < accepted; i++ {
-		if err := pub.Publish(event.New().Set("n", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Kill the connection under the publisher, then force a flush.
-	cli.Close()
-	if err := pub.Flush(); err == nil {
-		t.Fatal("Flush over a dead client reported success")
-	}
-	if err := pub.Close(); err == nil {
-		t.Fatal("Close after failed flush reported success")
-	}
-	got := pub.Published() + pub.Dropped() + pub.Lost()
-	if got != accepted {
-		t.Fatalf("Published %d + Dropped %d + Lost %d = %d, want %d",
-			pub.Published(), pub.Dropped(), pub.Lost(), got, accepted)
-	}
-	if pub.Lost() == 0 {
-		t.Fatal("failed flush recorded no Lost events")
 	}
 }

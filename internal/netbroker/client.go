@@ -317,7 +317,7 @@ func (c *Client) Publish(ev event.Event) (int, error) {
 //
 // On error the returned counts are still valid for the events already
 // acknowledged — a prefix of evs — so callers can account for what the
-// broker actually enqueued before the failure.
+// broker actually matched before the failure.
 func (c *Client) PublishBatch(evs []event.Event) ([]int, error) {
 	if len(evs) == 0 {
 		return nil, nil

@@ -771,8 +771,6 @@ func (b *Broker) run() {
 			case router.Unsub:
 				b.rt.HandleUnsubscribe(m.m.SubID, m.from)
 			case router.Event:
-				// HandleEventMsg, not HandleEvent: the message may carry a
-				// trace, which must survive into the forwarded copies.
 				b.rt.HandleEventMsg(m.m, m.from)
 			}
 		case <-b.quit:
@@ -800,14 +798,7 @@ func (t *brokerTransport) Send(link int, m router.Msg) {
 		return
 	}
 	if p := b.links[link]; p != nil {
-		// Events are sheddable under congestion; control traffic
-		// (subscriptions, retractions) never is, so routing state stays
-		// consistent however slow the peer.
-		if m.Kind == router.Event {
-			p.out.Offer(m)
-			return
-		}
-		p.out.Push(m)
+		router.EnqueueMsg(p.out, m)
 	}
 }
 

@@ -59,7 +59,7 @@ func (b *Broker) handshake(nc net.Conn, dialer bool) (uint32, error) {
 		return wire.WriteFrame(nc, wire.MsgHello, wire.AppendHello(nil, wire.FederationVersion, b.opts.NodeID))
 	}
 	recvHello := func() (uint32, error) {
-		typ, payload, err := wire.ReadFrame(nc)
+		typ, payload, _, err := wire.ReadFrameInto(nc, nil)
 		if err != nil {
 			return 0, fmt.Errorf("%w: %v", ErrHandshake, err)
 		}

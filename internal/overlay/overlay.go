@@ -495,22 +495,16 @@ func (nw *Network) Close() {
 }
 
 // nodeTransport adapts a node's spill queues to the router's non-blocking
-// Transport: Send only ever pushes to a local flow-controlled queue.
-// Control traffic (subscriptions, retractions) always enqueues so routing
-// state stays consistent; events go through Offer and are shed-and-counted
-// when the link is out of credit.
+// Transport: Send only ever enqueues on a local flow-controlled queue
+// (router.EnqueueMsg decides what a congested link sheds).
 type nodeTransport node
 
 func (t *nodeTransport) Send(link int, m router.Msg) {
 	nd := (*node)(t)
 	nd.net.track(1)
-	if m.Kind == router.Event {
-		if !nd.out[link].Offer(m) {
-			nd.net.track(-1)
-		}
-		return
+	if !router.EnqueueMsg(nd.out[link], m) {
+		nd.net.track(-1)
 	}
-	nd.out[link].Push(m)
 }
 
 // run is the broker goroutine: it drains the inbox through the router and
@@ -566,7 +560,7 @@ func (nd *node) handle(msg message) {
 	case router.Unsub:
 		nd.rt.HandleUnsubscribe(msg.m.SubID, msg.from)
 	case router.Event:
-		nd.rt.HandleEvent(msg.m.Ev, msg.m.Hops, msg.from)
+		nd.rt.HandleEventMsg(msg.m, msg.from)
 	}
 }
 

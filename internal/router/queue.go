@@ -71,20 +71,10 @@ type QueueStats struct {
 	Congested bool
 }
 
-// NewQueue builds an empty open queue without flow control: Offer behaves
-// like Push and the queue never reports congestion. Broker-to-peer paths
-// must use NewFlowQueue instead.
-func NewQueue[T any]() *Queue[T] {
-	q := &Queue[T]{}
-	q.nonEmpty = sync.NewCond(&q.mu)
-	return q
-}
-
 // NewFlowQueue builds an empty open queue with credit-based flow control.
-// sizeOf estimates one item's accounted bytes (nil counts every item as 1,
-// making the watermarks message counts). The queue turns congested when the
-// accounted bytes reach high (default DefaultHighWater) and clears once
-// they drain below low (default high/2).
+// sizeOf estimates one item's accounted bytes. The queue turns congested
+// when the accounted bytes reach high (default DefaultHighWater) and clears
+// once they drain below low (default high/2).
 func NewFlowQueue[T any](sizeOf func(T) int, high, low int) *Queue[T] {
 	if high <= 0 {
 		high = DefaultHighWater
@@ -95,14 +85,6 @@ func NewFlowQueue[T any](sizeOf func(T) int, high, low int) *Queue[T] {
 	q := &Queue[T]{sizeOf: sizeOf, high: high, low: low}
 	q.nonEmpty = sync.NewCond(&q.mu)
 	return q
-}
-
-// size returns one item's accounted bytes.
-func (q *Queue[T]) size(item T) int {
-	if q.sizeOf == nil {
-		return 1
-	}
-	return q.sizeOf(item)
 }
 
 // enqueueLocked appends item to the ring, growing the backing array only
@@ -120,7 +102,7 @@ func (q *Queue[T]) enqueueLocked(item T, sz int) {
 	q.bytes += sz
 	q.pushed++
 	q.spilledBytes += uint64(sz)
-	if q.high > 0 && !q.congested && q.bytes >= q.high {
+	if !q.congested && q.bytes >= q.high {
 		q.congested = true
 		q.congestedSince = time.Now()
 	}
@@ -134,7 +116,7 @@ func (q *Queue[T]) enqueueLocked(item T, sz int) {
 func (q *Queue[T]) Push(item T) {
 	q.mu.Lock()
 	if !q.closed {
-		q.enqueueLocked(item, q.size(item))
+		q.enqueueLocked(item, q.sizeOf(item))
 	}
 	q.mu.Unlock()
 }
@@ -152,7 +134,7 @@ func (q *Queue[T]) Offer(item T) bool {
 		q.shed++
 		return false
 	}
-	q.enqueueLocked(item, q.size(item))
+	q.enqueueLocked(item, q.sizeOf(item))
 	return true
 }
 
@@ -175,7 +157,7 @@ func (q *Queue[T]) Pop() (item T, ok bool) {
 	q.buf[q.head] = zero
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
-	q.bytes -= q.size(item)
+	q.bytes -= q.sizeOf(item)
 	if q.congested && q.bytes < q.low {
 		q.congested = false
 	}
@@ -248,4 +230,18 @@ func EstimateMsgBytes(m Msg) int {
 	default:
 		return msgOverheadBytes
 	}
+}
+
+// EnqueueMsg puts one routing message on a link's spill queue and is the
+// one place that knows which traffic may be shed: events go through Offer
+// and are dropped-and-counted while the link is out of credit; control
+// traffic (subscriptions, retractions) goes through Push and always
+// enqueues, so routing state stays consistent however slow the peer. It
+// reports false when an event was shed.
+func EnqueueMsg(q *Queue[Msg], m Msg) bool {
+	if m.Kind == Event {
+		return q.Offer(m)
+	}
+	q.Push(m)
+	return true
 }

@@ -119,7 +119,7 @@ func TestQueueCloseEdges(t *testing.T) {
 
 func TestQueueRingWrapsFIFO(t *testing.T) {
 	// Interleave pushes and pops so head wraps around the ring repeatedly.
-	q := NewQueue[int]()
+	q := flowQueue(0, 0) // Push only: never shed
 	next, want := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 3; i++ {

@@ -183,6 +183,11 @@ type Router struct {
 	// (broker-goroutine-owned, like the rest of the routing state).
 	coverCache map[coverPair]bool
 
+	// matchBuf is HandleEventMsg's recycled match-result buffer; the single
+	// owning goroutine makes a plain field enough (handlers must not call
+	// back into the router).
+	matchBuf []matcher.SubID
+
 	forwarded     *obs.Counter
 	delivered     *obs.Counter
 	subMsgs       *obs.Counter
@@ -476,27 +481,22 @@ func (r *Router) unsubOverLink(i int, subID uint64) {
 	r.tr.Send(i, Msg{Kind: Unsub, SubID: subID})
 }
 
-// HandleEvent matches an event arriving on link `from` (-1 for the
-// broker's own API), delivers to local subscribers and forwards one copy
-// per distinct next-hop link.
-func (r *Router) HandleEvent(ev event.Event, hops, from int) {
-	r.HandleEventMsg(Msg{Kind: Event, Ev: ev, Hops: hops}, from)
-}
-
-// HandleEventMsg is HandleEvent taking the full routing message, so
-// per-message extras — today the trace — survive the forward instead of
-// being flattened away at every hop.
+// HandleEventMsg matches an event (m.Ev, having travelled m.Hops)
+// arriving on link `from` (-1 for the broker's own API), delivers to local
+// subscribers and forwards one copy per distinct next-hop link. It takes
+// the full routing message so per-message extras — today the trace —
+// survive the forward instead of being flattened away at every hop.
 func (r *Router) HandleEventMsg(m Msg, from int) {
 	ev, hops := m.Ev, m.Hops
 	if hops >= MaxHops {
 		r.hopDropped.Inc()
 		return
 	}
-	matched := r.eng.Match(ev)
+	r.matchBuf = r.eng.MatchInto(ev, r.matchBuf[:0])
 	// Deliver locally; collect distinct next-hop links.
 	var hopSet uint64 // bitset over link indexes; brokers here have < 64 links
 	var bigHops map[int]bool
-	for _, engineID := range matched {
+	for _, engineID := range r.matchBuf {
 		rt, ok := r.byEngine[engineID]
 		if !ok {
 			continue

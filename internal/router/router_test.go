@@ -126,13 +126,14 @@ func TestEventRoutesToNextHopsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.sent = nil
-	r.HandleEvent(bandEvent(1, 10), 0, 2)
+	trace := Trace{ID: 0xbeef, OriginNanos: 42}
+	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 10), Trace: trace}, 2)
 	evs := tr.ofKind(Event)
 	if len(evs) != 1 || evs[0].link != 1 {
 		t.Fatalf("event forwards = %+v, want exactly one over link 1", evs)
 	}
-	if evs[0].m.Hops != 1 {
-		t.Errorf("forwarded hops = %d, want 1", evs[0].m.Hops)
+	if evs[0].m.Hops != 1 || evs[0].m.Trace != trace {
+		t.Errorf("forwarded copy = hops %d trace %+v, want hops 1 trace %+v", evs[0].m.Hops, evs[0].m.Trace, trace)
 	}
 	if local != 1 {
 		t.Errorf("local deliveries = %d, want 1", local)
@@ -148,7 +149,7 @@ func TestMaxHopsDropIsCounted(t *testing.T) {
 	if _, err := r.HandleSubscribe(1, band(1, 100), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	r.HandleEvent(bandEvent(1, 10), MaxHops, 1)
+	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 10), Hops: MaxHops}, 1)
 	if got := r.Counts().HopDropped; got != 1 {
 		t.Errorf("HopDropped = %d, want 1", got)
 	}
@@ -256,7 +257,7 @@ func TestRemoveLinkRetractsLearnedRoutes(t *testing.T) {
 }
 
 func TestQueueFIFOAndClose(t *testing.T) {
-	q := NewQueue[int]()
+	q := flowQueue(0, 0) // Push only: never shed
 	for i := 0; i < 100; i++ {
 		q.Push(i)
 	}
@@ -308,7 +309,7 @@ func TestQueueFIFOAndClose(t *testing.T) {
 }
 
 func TestQueueConcurrentProducers(t *testing.T) {
-	q := NewQueue[int]()
+	q := flowQueue(0, 0) // Push only: never shed
 	const producers, per = 8, 1000
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -451,11 +452,11 @@ func TestHandleEventMsgPreservesTrace(t *testing.T) {
 	if got := fwds[0].m; got.Trace != trace || got.Hops != 3 {
 		t.Errorf("forwarded msg = %+v, want trace %+v hops 3", got, trace)
 	}
-	// The wrapper sends untraced messages, zero Trace.
-	r.HandleEvent(bandEvent(1, 5), 0, -1)
+	// An untraced message stays untraced.
+	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 5)}, -1)
 	fwds = tr.ofKind(Event)
 	if len(fwds) != 2 || fwds[1].m.Trace != (Trace{}) {
-		t.Fatalf("HandleEvent wrapper attached a trace: %+v", fwds[len(fwds)-1].m)
+		t.Fatalf("untraced event was forwarded with a trace: %+v", fwds[len(fwds)-1].m)
 	}
 }
 

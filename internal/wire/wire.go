@@ -347,38 +347,19 @@ func ReadUnsubForward(b []byte) (subID uint64, err error) {
 	return subID, nil
 }
 
-// AppendEventForward appends a MsgEventForward payload: the hop count the
-// event has already travelled plus the event itself.
-func AppendEventForward(b []byte, hops uint8, ev event.Event) []byte {
-	b = append(b, hops)
-	return AppendEvent(b, ev)
-}
-
-// ReadEventForward consumes a MsgEventForward payload.
-func ReadEventForward(b []byte) (hops uint8, ev event.Event, err error) {
-	if len(b) < 1 {
-		return 0, event.Event{}, fmt.Errorf("%w: short event-forward header", ErrMalformed)
-	}
-	hops = b[0]
-	ev, _, err = ReadEvent(b[1:])
-	if err != nil {
-		return 0, event.Event{}, err
-	}
-	return hops, ev, nil
-}
-
-// AppendEventForwardTrace appends a MsgEventForward payload with the
-// optional trace suffix: after the event, a non-zero trace ID and the
-// event's origin timestamp (UnixNano). A zero traceID appends nothing and
-// the frame is byte-identical to AppendEventForward's.
+// AppendEventForwardTrace appends a MsgEventForward payload: the hop count
+// the event has already travelled, the event itself, and the optional
+// trace suffix — a non-zero trace ID and the event's origin timestamp
+// (UnixNano). A zero traceID appends nothing, which is the untraced frame
+// of federation version 1 byte for byte.
 //
 // The suffix is the protocol's versioning seam for event forwards:
-// ReadEventForward deliberately ignores bytes after the event, so a
-// version-1 peer that predates tracing parses a traced frame correctly
-// (it just drops the trace), and a traced peer reading an untraced frame
-// sees no suffix and reports traceID 0. No FederationVersion bump — the
-// handshake is exact-match, and absence-by-default is what keeps mixed
-// fleets interoperable. Future suffix fields must extend the same way:
+// readers deliberately ignore bytes after the event, so a version-1 peer
+// that predates tracing parses a traced frame correctly (it just drops
+// the trace), and a traced peer reading an untraced frame sees no suffix
+// and reports traceID 0. No FederationVersion bump — the handshake is
+// exact-match, and absence-by-default is what keeps mixed fleets
+// interoperable. Future suffix fields must extend the same way:
 // append-only, ignored when absent.
 func AppendEventForwardTrace(b []byte, hops uint8, ev event.Event, traceID uint64, originNanos int64) []byte {
 	b = append(b, hops)
@@ -390,26 +371,17 @@ func AppendEventForwardTrace(b []byte, hops uint8, ev event.Event, traceID uint6
 	return b
 }
 
-// ReadEventForwardTrace consumes a MsgEventForward payload including the
-// optional trace suffix; traceID is 0 when the sender attached none.
-func ReadEventForwardTrace(b []byte) (hops uint8, ev event.Event, traceID uint64, originNanos int64, err error) {
-	return readEventForwardTrace(b, false)
-}
-
-// ReadEventForwardTraceAlias is ReadEventForwardTrace in zero-copy mode:
-// the event is borrowed (see ReadEventAlias) and must be Retained before
+// ReadEventForwardTraceAlias consumes a MsgEventForward payload including
+// the optional trace suffix; traceID is 0 when the sender attached none.
+// The event is borrowed (see ReadEventAlias) and must be Retained before
 // the frame buffer is reused.
 func ReadEventForwardTraceAlias(b []byte) (hops uint8, ev event.Event, traceID uint64, originNanos int64, err error) {
-	return readEventForwardTrace(b, true)
-}
-
-func readEventForwardTrace(b []byte, alias bool) (hops uint8, ev event.Event, traceID uint64, originNanos int64, err error) {
 	if len(b) < 1 {
 		return 0, event.Event{}, 0, 0, fmt.Errorf("%w: short event-forward header", ErrMalformed)
 	}
 	hops = b[0]
 	var rest []byte
-	ev, rest, err = readEvent(b[1:], alias)
+	ev, rest, err = ReadEventAlias(b[1:])
 	if err != nil {
 		return 0, event.Event{}, 0, 0, err
 	}

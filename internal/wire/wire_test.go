@@ -300,12 +300,12 @@ func TestFederationPayloadRoundTrips(t *testing.T) {
 	}
 
 	ev := event.New().Set("sym", "ACME").Set("price", int64(7)).Set("hot", true)
-	hops, got, err := ReadEventForward(AppendEventForward(nil, 3, ev))
+	hops, got, traceID, _, err := ReadEventForwardTraceAlias(AppendEventForwardTrace(nil, 3, ev, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hops != 3 {
-		t.Errorf("hops = %d, want 3", hops)
+	if hops != 3 || traceID != 0 {
+		t.Errorf("hops = %d, trace %d, want 3 and no trace", hops, traceID)
 	}
 	if !got.Equal(ev) {
 		t.Errorf("event round trip: got %v, want %v", got, ev)
@@ -344,20 +344,22 @@ func TestFederationPayloadShortInputs(t *testing.T) {
 	if _, err := ReadUnsubForward([]byte{1, 2, 3}); !errors.Is(err, ErrMalformed) {
 		t.Errorf("short unsub err = %v", err)
 	}
-	if _, _, err := ReadEventForward(nil); !errors.Is(err, ErrMalformed) {
+	if _, _, _, _, err := ReadEventForwardTraceAlias(nil); !errors.Is(err, ErrMalformed) {
 		t.Errorf("empty event forward err = %v", err)
 	}
-	if _, _, err := ReadEventForward([]byte{1, 0}); !errors.Is(err, ErrMalformed) {
+	if _, _, _, _, err := ReadEventForwardTraceAlias([]byte{1, 0}); !errors.Is(err, ErrMalformed) {
 		t.Errorf("truncated event forward err = %v", err)
 	}
 }
 
 func TestEventForwardTraceRoundTrip(t *testing.T) {
 	ev := event.New().Set("sym", "ACME").Set("price", int64(7))
+	// The version-1 frame that predates tracing: hop count, then the event.
+	untraced := func(hops uint8) []byte { return AppendEvent([]byte{hops}, ev) }
 
 	// Traced frame round-trips all four fields.
 	b := AppendEventForwardTrace(nil, 2, ev, 0xabcdef0123456789, -5e9)
-	hops, got, traceID, origin, err := ReadEventForwardTrace(b)
+	hops, got, traceID, origin, err := ReadEventForwardTraceAlias(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,17 +370,18 @@ func TestEventForwardTraceRoundTrip(t *testing.T) {
 		t.Errorf("trace = %#x origin %d", traceID, origin)
 	}
 
-	// Backward compatibility both ways. An old reader parses a traced
-	// frame, silently dropping the suffix...
-	oldHops, oldEv, err := ReadEventForward(b)
+	// Backward compatibility both ways. A version-1 reader (hop byte, then
+	// an event decode that ignores what follows) parses a traced frame,
+	// silently dropping the suffix...
+	oldEv, _, err := ReadEvent(b[1:])
 	if err != nil {
 		t.Fatalf("old reader rejected traced frame: %v", err)
 	}
-	if oldHops != 2 || !oldEv.Equal(ev) {
-		t.Errorf("old reader on traced frame = %d %v", oldHops, oldEv)
+	if b[0] != 2 || !oldEv.Equal(ev) {
+		t.Errorf("old reader on traced frame = %d %v", b[0], oldEv)
 	}
 	// ...and a traced reader reports no trace on an old frame.
-	hops, got, traceID, origin, err = ReadEventForwardTrace(AppendEventForward(nil, 3, ev))
+	hops, got, traceID, origin, err = ReadEventForwardTraceAlias(untraced(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,18 +390,16 @@ func TestEventForwardTraceRoundTrip(t *testing.T) {
 	}
 
 	// A zero trace ID encodes byte-identically to the untraced form.
-	plain := AppendEventForward(nil, 3, ev)
-	traced := AppendEventForwardTrace(nil, 3, ev, 0, 12345)
-	if string(plain) != string(traced) {
+	if traced := AppendEventForwardTrace(nil, 3, ev, 0, 12345); string(untraced(3)) != string(traced) {
 		t.Errorf("zero-trace frame differs from plain frame")
 	}
 
 	// A partial suffix (future field, or truncation past the event) is
 	// ignored, not an error — same contract as trailing bytes today.
-	if _, _, traceID, _, err = ReadEventForwardTrace(append(AppendEventForward(nil, 1, ev), 1, 2, 3)); err != nil || traceID != 0 {
+	if _, _, traceID, _, err = ReadEventForwardTraceAlias(append(untraced(1), 1, 2, 3)); err != nil || traceID != 0 {
 		t.Errorf("short suffix: trace %d err %v", traceID, err)
 	}
-	if _, _, _, _, err = ReadEventForwardTrace(nil); !errors.Is(err, ErrMalformed) {
+	if _, _, _, _, err = ReadEventForwardTraceAlias(nil); !errors.Is(err, ErrMalformed) {
 		t.Errorf("empty traced forward err = %v", err)
 	}
 }
