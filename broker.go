@@ -25,9 +25,10 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // match in parallel — the underlying engine serialises matching only
 // against subscription changes, never against other matches.
 //
-// Delivery never blocks publishers: each subscription owns a bounded queue
-// drained by its own goroutine, and events beyond the queue are dropped and
-// counted (BrokerSubscription.Dropped).
+// Delivery never blocks publishers: each subscription's consumer — its
+// handler or channel — holds a bounded queue, events beyond it are dropped
+// and counted (BrokerSubscription.Dropped), and a subscription with nothing
+// queued owns no goroutine.
 type Broker struct {
 	b *broker.Broker
 }
@@ -130,10 +131,11 @@ func NewBroker(opts ...BrokerOption) *Broker {
 }
 
 // Subscribe parses and registers a textual subscription with a handler. The
-// handler runs on the subscription's delivery goroutine.
+// subscription's events reach the handler one at a time, in publish order,
+// on a goroutine that exists only while some are queued.
 //
 // Ownership: events a handler receives are always owned — the broker
-// calls Retain before enqueueing, so even an event decoded in the wire
+// calls Retain before queueing, so even an event decoded in the wire
 // layer's zero-copy aliasing mode no longer references any network
 // buffer by the time it reaches a subscriber. Handlers may keep a
 // delivered Event indefinitely; Events are immutable and safe to share.
@@ -146,8 +148,9 @@ func (br *Broker) Subscribe(sub string, h func(ev Event)) (*BrokerSubscription, 
 }
 
 // SubscribeChan parses and registers a textual subscription, returning the
-// event stream. The channel closes after Unsubscribe (or broker Close) once
-// queued events drain.
+// event stream: a channel of the configured queue size that Publish sends to
+// directly, dropping (and counting) what finds it full. Unsubscribe (or
+// broker Close) closes it behind the last event sent.
 func (br *Broker) SubscribeChan(sub string) (*BrokerSubscription, <-chan Event, error) {
 	x, err := Parse(sub)
 	if err != nil {

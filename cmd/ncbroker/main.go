@@ -58,7 +58,7 @@ func parseArgs(args []string, errOut io.Writer) (config, error) {
 	fs.SetOutput(errOut)
 	var (
 		addr      = fs.String("addr", ":7070", "listen address")
-		queue     = fs.Int("queue", broker.DefaultQueueSize, "per-subscription delivery queue size")
+		queue     = fs.Int("queue", broker.DefaultQueueSize, "undelivered events held per subscription: a connection with n subscriptions buffers up to n times this many before dropping")
 		shards    = fs.Int("shards", 1, "partition subscriptions across this many engine shards (see internal/shard)")
 		aggregate = fs.Bool("aggregate", false, "intern identical filters: one engine entry per distinct filter (see internal/cover)")
 		aggDAG    = fs.Bool("aggregate-dag", false, "aggregate covered filters too: one engine entry per covering-frontier filter (see internal/cover/dag)")

@@ -137,7 +137,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	"internal/wire": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/event", "internal/intern", "internal/value"}},
 	"internal/netbroker": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
-		Allow: []string{"internal/broker", "internal/event", "internal/sublang", "internal/wire"}},
+		Allow: []string{"internal/broker", "internal/event", "internal/obs", "internal/sublang", "internal/wire"}},
 	"internal/netoverlay": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/boolexpr", "internal/core", "internal/event", "internal/index", "internal/obs", "internal/predicate", "internal/router", "internal/sublang", "internal/subtree", "internal/wire"}},
 

@@ -85,11 +85,11 @@ func millionRanks(rng *rand.Rand, skew float64, n, pool int) []int {
 // shape (coverFilter), so within a category every broader band provably
 // covers the narrower ones.
 func millionBrokerRun(cfg Config, ranks []int, pool int, dagMode bool) (pt MillionPoint, err error) {
-	// QueueSize 1 keeps the per-subscriber fixed cost (queue buffer +
-	// delivery goroutine) as small as possible: at 1M subscribers that
-	// fixed cost dominates the heap reading, and it is identical across
-	// the two modes, so the flat-vs-DAG heap delta isolates the engine
-	// and poset structures.
+	// QueueSize 1 keeps what a burst can queue per subscriber as small as
+	// possible; the per-subscriber fixed cost (subscription and handler
+	// sink, no goroutine or queue while idle) is identical across the two
+	// modes, so the flat-vs-DAG heap delta isolates the engine and poset
+	// structures.
 	br := broker.New(broker.Options{QueueSize: 1, Aggregate: !dagMode, AggregateDAG: dagMode})
 	defer br.Close()
 	noop := func(event.Event) {}

@@ -2,12 +2,16 @@
 // top of the non-canonical matching engine: subscribers register Boolean
 // subscriptions and receive matching events asynchronously.
 //
-// Delivery model: every subscriber owns a bounded queue drained by a
-// dedicated goroutine. Publish never blocks on a slow subscriber — when a
-// queue is full the event is dropped for that subscriber and counted
-// (Subscription.Dropped), which is the standard back-pressure posture for
-// notification services. Close stops intake and waits for all delivery
-// goroutines to drain.
+// Delivery model (sink.go): a subscription is a (sink, handle) pair and the
+// sink is the consumer — one per TCP connection (netbroker's), one per
+// in-process handler, one per SubscribeChan channel. Publish makes one
+// non-blocking Sink.Deliver call per matched subscription and never waits
+// on a consumer: a sink holds at most Options.QueueSize undelivered
+// deliveries per live subscription, and a refusal beyond that is counted
+// (Subscription.Dropped, Stats.Dropped) and feeds the congestion signal —
+// the standard back-pressure posture for notification services. An idle
+// handler subscription owns neither goroutine nor queue; Close stops intake
+// and waits for the handler goroutines still draining.
 //
 // Concurrency: Publish holds only read locks end to end — the broker's
 // subscriber map and the engine's subscription store are both
@@ -69,7 +73,8 @@ import (
 // ErrClosed is returned by operations on a closed broker.
 var ErrClosed = errors.New("broker: closed")
 
-// DefaultQueueSize is the per-subscriber event queue capacity.
+// DefaultQueueSize is the default number of undelivered deliveries a sink
+// may hold for each of its live subscriptions.
 const DefaultQueueSize = 64
 
 // MaxShards re-exports the largest permitted shard count, so broker
@@ -89,15 +94,18 @@ func EngineConfig(compact, reorder bool) core.Options {
 	return core.Options{Encoding: enc, Reorder: reorder}
 }
 
-// Handler consumes delivered events. Handlers run on the subscription's
-// delivery goroutine; a slow handler delays (and eventually drops) only its
-// own subscription's events.
+// Handler consumes delivered events. A subscription's events reach its
+// handler one at a time, in publish order, on a goroutine of its own; a
+// slow handler delays (and eventually drops) only its own subscription's
+// events.
 type Handler func(ev event.Event)
 
 // Options configures a broker.
 type Options struct {
-	// QueueSize is the per-subscriber queue capacity
-	// (default DefaultQueueSize).
+	// QueueSize bounds what a sink may hold undelivered: this many
+	// deliveries for each of its live subscriptions, so a handler's queue
+	// holds QueueSize events and a TCP connection with n subscriptions
+	// QueueSize × n deliveries (default DefaultQueueSize).
 	QueueSize int
 	// Shards partitions subscriptions across this many independent engine
 	// shards (default 1: a single non-canonical engine). See
@@ -153,6 +161,10 @@ type Broker struct {
 	byKey  map[string]*filterGroup        // intern table (Aggregate without DAG)
 	dag    *dag.DAG                       // covering poset (AggregateDAG only)
 	nsubs  int                            // live subscriber count
+	// keepers is the number of live subscriptions whose sink queues the
+	// event itself (handlers, channels): while it is non-zero Publish must
+	// Retain a borrowed event once, before the first of them sees it.
+	keepers int
 	// covered is the number of live subscribers attached to non-frontier
 	// poset nodes (AggregateDAG only); guarded by mu.
 	covered int
@@ -168,8 +180,8 @@ type Broker struct {
 	dropped    *obs.Counter
 	aggregated *obs.Counter // subscribes deduped onto an existing filter
 
-	// congestedSubs gauges how many live subscriptions are currently
-	// congested (dropped an event and have not yet drained); Congested
+	// congestedSubs gauges how many live subscriptions sit on a congested
+	// sink (one that refused a delivery and has not yet drained); Congested
 	// derives the broker-wide backpressure signal from it.
 	congestedSubs *obs.Gauge
 
@@ -226,42 +238,26 @@ func (g *filterGroup) remove(s *Subscription) bool {
 	return true
 }
 
-// Subscription is a live registration with its delivery pipeline.
+// Subscription is a live registration: a filter in the engine and the
+// (sink, handle) pair its matches are delivered to.
 type Subscription struct {
 	b       *Broker
 	g       *filterGroup // owning group; guarded by b.mu
 	gidx    int          // index in its filterGroup's members; guarded by b.mu
-	queue   chan event.Event
+	out     *Outlet
+	handle  uint64 // the sink's name for this subscription
 	dropped atomic.Uint64
-
-	// congested flips on when a publish drops for this subscription and
-	// off once the delivery goroutine drains the queue to a quarter of its
-	// capacity (hysteresis, so the gauge doesn't flap at the boundary).
-	congested atomic.Bool
 
 	cancelOnce sync.Once
 }
 
-// markCongested records a queue-full drop in the broker-wide gauge.
-func (s *Subscription) markCongested() {
-	if s.congested.CompareAndSwap(false, true) {
-		s.b.congestedSubs.Add(1)
-	}
-}
-
-// maybeClearCongested drops the congestion mark once the queue has drained
-// below a quarter of its capacity; called from the delivery goroutine.
-func (s *Subscription) maybeClearCongested() {
-	if s.congested.Load() && len(s.queue) <= cap(s.queue)/4 {
-		s.clearCongested()
-	}
-}
-
-// clearCongested unconditionally removes this subscription from the gauge
-// (drain threshold reached, unsubscribe, or broker close).
-func (s *Subscription) clearCongested() {
-	if s.congested.CompareAndSwap(true, false) {
-		s.b.congestedSubs.Add(-1)
+// detach runs once the subscription has left its group, when no publisher
+// can reach it any more: its share of the sink's capacity goes, and a
+// SubscribeChan channel closes behind its last event.
+func (s *Subscription) detach() {
+	s.out.adjust(-1)
+	if c, ok := s.out.sink.(*chanSink); ok {
+		close(c.ch)
 	}
 }
 
@@ -317,31 +313,32 @@ func New(opts Options) *Broker {
 	return b
 }
 
-// Subscribe registers an expression with a handler. The handler runs on a
-// dedicated goroutine owned by the subscription.
+// Subscribe registers an expression with a handler. Matching events queue
+// in the subscription's own sink and the handler runs on a goroutine that
+// lives only while that queue is non-empty.
 func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (*Subscription, error) {
 	if h == nil {
 		return nil, fmt.Errorf("broker: nil handler")
 	}
-	return b.subscribe(expr, h, nil)
+	return b.subscribe(expr, newHandlerSink(b, h), 0)
 }
 
-// SubscribeChan registers an expression and returns a receive channel. The
-// channel is closed after Unsubscribe (or broker Close) once queued events
-// are drained.
+// SubscribeChan registers an expression and returns a receive channel of
+// Options.QueueSize slots that Publish sends to directly; an event that
+// finds it full is dropped and counted. The channel is closed by
+// Unsubscribe (or broker Close), behind the last event sent.
 func (b *Broker) SubscribeChan(expr boolexpr.Expr) (*Subscription, <-chan event.Event, error) {
-	out := make(chan event.Event, b.opts.QueueSize)
-	s, err := b.subscribe(expr, func(ev event.Event) { out <- ev }, func() { close(out) })
+	c := &chanSink{ch: make(chan event.Event, b.opts.QueueSize)}
+	c.out = &Outlet{b: b, sink: c, keeps: true}
+	s, err := b.subscribe(expr, c.out, 0)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s, out, nil
+	return s, c.ch, nil
 }
 
-// subscribe registers expr and starts the subscription's delivery
-// goroutine, which hands queued events to h until the queue closes and then
-// runs done (if any).
-func (b *Broker) subscribe(expr boolexpr.Expr, h Handler, done func()) (*Subscription, error) {
+// subscribe registers expr for delivery through out's sink as handle.
+func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Subscription, error) {
 	var key string
 	if b.opts.Aggregate || b.opts.AggregateDAG {
 		// Key computation walks the expression; do it outside the lock.
@@ -377,29 +374,16 @@ func (b *Broker) subscribe(expr boolexpr.Expr, h Handler, done func()) (*Subscri
 	if err != nil {
 		return nil, err
 	}
-	s := &Subscription{
-		b:     b,
-		g:     g,
-		gidx:  len(g.members),
-		queue: make(chan event.Event, b.opts.QueueSize),
-	}
+	s := &Subscription{b: b, g: g, gidx: len(g.members), out: out, handle: handle}
+	out.adjust(1) // capacity before the first publisher can find s
 	g.members = append(g.members, s)
 	b.nsubs++
+	if out.keeps {
+		b.keepers++
+	}
 	if b.dag != nil && !g.node.Frontier() {
 		b.covered++
 	}
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		if done != nil {
-			defer done()
-		}
-		for ev := range s.queue {
-			h(ev)
-			b.delivered.Inc()
-			s.maybeClearCongested()
-		}
-	}()
 	return s, nil
 }
 
@@ -453,11 +437,11 @@ func (s *Subscription) ID() matcher.SubID {
 }
 
 // Dropped returns how many events were discarded because this
-// subscription's queue was full.
+// subscription's sink refused them.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
-// Unsubscribe removes the subscription and ends its delivery goroutine
-// after draining queued events. Under aggregation the shared engine entry
+// Unsubscribe removes the subscription; events its sink already holds are
+// still delivered. Under aggregation the shared engine entry
 // is detached only when the last attached subscriber unsubscribes; under
 // DAG aggregation a dying frontier filter first promotes its orphaned
 // covered descendants into the engine, then retracts, so matching never
@@ -470,9 +454,12 @@ func (s *Subscription) Unsubscribe() error {
 		b := s.b
 		b.mu.Lock()
 		// After Close the broker already detached everyone; skip the
-		// bookkeeping (Close's own cancelOnce pass handles the queue).
+		// bookkeeping (Close's own cancelOnce pass handles the sink).
 		if !b.closed && s.g.remove(s) {
 			b.nsubs--
+			if s.out.keeps {
+				b.keepers--
+			}
 			g := s.g
 			if b.dag != nil {
 				err = b.unsubscribeDAG(g)
@@ -485,10 +472,9 @@ func (s *Subscription) Unsubscribe() error {
 			}
 		}
 		b.mu.Unlock()
-		// No publisher can hold s.queue once the group membership is gone
-		// (Publish enqueues under the read lock), so closing is safe.
-		close(s.queue)
-		s.clearCongested()
+		// No publisher can be inside the sink on s's behalf once the group
+		// membership is gone (Publish delivers under the read lock).
+		s.detach()
 	})
 	if !didCancel {
 		return nil
@@ -530,10 +516,10 @@ func (b *Broker) unsubscribeDAG(g *filterGroup) error {
 	return err
 }
 
-// Publish matches the event and enqueues it to every matching subscriber.
-// It returns the number of subscribers the event matched and never blocks
-// on slow consumers: a matched subscriber whose queue is full misses the
-// event, which is counted where drops always were (Subscription.Dropped,
+// Publish matches the event and offers it to every matching subscriber's
+// sink. It returns the number of subscribers the event matched and never
+// blocks on slow consumers: a matched subscriber whose sink is full misses
+// the event, which is counted where drops always were (Subscription.Dropped,
 // Stats.Dropped, the congestion gauge), not subtracted from the result.
 // Publish runs entirely under read locks, so any number of publishers
 // proceed concurrently.
@@ -545,15 +531,17 @@ func (b *Broker) Publish(ev event.Event) (int, error) {
 	if timed {
 		start = time.Now()
 	}
-	// Subscriber queues outlive any frame buffer, so a borrowed event
-	// (zero-copy wire decode) must take ownership of its strings before
-	// the first enqueue. For owned events — the common case — Retain is a
-	// free no-op.
-	ev = ev.Retain()
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {
 		return 0, ErrClosed
+	}
+	if b.keepers > 0 {
+		// Handler and channel sinks queue the event itself, past any frame
+		// buffer: a borrowed event (zero-copy wire decode) takes ownership
+		// of its strings once, before the first of them sees it. Free for
+		// owned events; sinks that encode inside the call need nothing.
+		ev = ev.Retain()
 	}
 	b.published.Inc()
 	mb, _ := b.matchPool.Get().(*matchBuf)
@@ -596,19 +584,16 @@ func (b *Broker) deliverMatched(ev event.Event, ids []matcher.SubID) int {
 	return n
 }
 
-// enqueue offers ev to every member of g without blocking and returns the
-// member count: a full queue drops the event for that subscriber and marks
-// it congested. Caller holds the read lock.
+// enqueue offers ev to the sink of every member of g without blocking and
+// returns the member count: a refusal drops the event for that subscriber
+// (the sink has marked itself congested). Caller holds the read lock.
 //
 //nclint:hotpath
 func (b *Broker) enqueue(g *filterGroup, ev event.Event) int {
 	for _, s := range g.members {
-		select {
-		case s.queue <- ev:
-		default:
+		if !s.out.sink.Deliver(s.handle, ev) {
 			s.dropped.Add(1)
 			b.dropped.Inc()
-			s.markCongested()
 		}
 	}
 	return len(g.members)
@@ -686,10 +671,13 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 		if len(ids) == 0 {
 			continue
 		}
-		// Like Publish: a borrowed event must own its strings before the
-		// first enqueue (free for owned events). Only matched events pay
-		// even the check.
-		counts[i] = b.deliverMatched(evs[i].Retain(), ids)
+		// Like Publish: a borrowed event must own its strings before a
+		// sink queues it. Only matched events pay even the check.
+		ev := evs[i]
+		if b.keepers > 0 {
+			ev = ev.Retain()
+		}
+		counts[i] = b.deliverMatched(ev, ids)
 	}
 	if b.timed {
 		// One observation per batch call: batch latency is the quantity a
@@ -701,8 +689,8 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 }
 
 // Congested reports whether the broker as a whole is backed up: at least
-// one subscription is congested and congested subscriptions are at least
-// half the live population. One slow subscriber among many is its own
+// one sink is congested and the subscriptions on congested sinks are at
+// least half the live population. One slow subscriber among many is its own
 // problem (its events drop, others flow); when congestion is the norm the
 // broker is oversubscribed and publishers should back off — frontends
 // (netbroker) translate this into a busy/retry-after reply.
@@ -727,7 +715,8 @@ func (b *Broker) NumSubscriptions() int {
 
 // Stats is a broker activity snapshot. Published counts events (a batch
 // of n grows it by n); Batches counts PublishBatch calls; Dropped counts
-// per-subscriber queue-full discards from both publish paths.
+// deliveries a sink refused, from both publish paths, and deliveries a sink
+// still held when its consumer went away.
 //
 // The two filter gauges answer different questions and only coincide in
 // some modes:
@@ -756,7 +745,7 @@ type Stats struct {
 	Delivered             uint64
 	Dropped               uint64
 	// CongestedSubscribers is the current number of subscriptions whose
-	// queue overflowed and has not yet drained; see Broker.Congested.
+	// sink refused a delivery and has not yet drained; see Broker.Congested.
 	CongestedSubscribers int
 }
 
@@ -819,15 +808,11 @@ func (b *Broker) Close() error {
 	if b.dag != nil {
 		b.dag = dag.New()
 	}
-	b.nsubs = 0
-	b.covered = 0
+	b.nsubs, b.keepers, b.covered = 0, 0, 0
 	b.mu.Unlock()
 
 	for _, s := range remaining {
-		s.cancelOnce.Do(func() {
-			close(s.queue)
-			s.clearCongested()
-		})
+		s.cancelOnce.Do(s.detach)
 	}
 	b.wg.Wait()
 	return nil

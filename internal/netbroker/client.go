@@ -1,6 +1,7 @@
 package netbroker
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -108,9 +109,11 @@ func NewClient(nc net.Conn) *Client {
 
 func (c *Client) readLoop() {
 	defer c.wg.Done()
+	// The broker writes a burst of pushed events in one go; read it in one.
+	br := bufio.NewReaderSize(c.nc, 16<<10)
 	var buf []byte // reused frame buffer; payloads below alias it
 	for {
-		typ, payload, bufOut, err := wire.ReadFrameInto(c.nc, buf)
+		typ, payload, bufOut, err := wire.ReadFrameInto(br, buf)
 		buf = bufOut
 		if err != nil {
 			c.failAll(err)
@@ -185,65 +188,73 @@ func (c *Client) failAll(err error) {
 	}
 }
 
-// roundTrip sends a request frame and waits for its response.
-func (c *Client) roundTrip(typ byte, build func(reqID uint32) []byte) (response, error) {
+// gone is the error of a connection that can take no more requests. Caller
+// holds c.mu.
+func (c *Client) gone() error {
+	if c.readErr != nil {
+		return c.readErr
+	}
+	return ErrClientClosed
+}
+
+// roundTrip sends one request — its ID, then whatever body appends — and
+// returns the payload of the reply, which must be of type want: error and
+// busy replies, and any other type, come back as errors.
+func (c *Client) roundTrip(typ, want byte, body func(b []byte) []byte) ([]byte, error) {
 	id := c.reqID.Add(1)
 	ch := make(chan response, 1)
 
 	c.mu.Lock()
 	if c.closed || c.readErr != nil {
-		err := c.readErr
+		err := c.gone()
 		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
-		return response{}, err
+		return nil, err
 	}
 	c.pending[id] = ch
 	c.mu.Unlock()
 
+	req := wire.AppendU32(nil, id)
+	if body != nil {
+		req = body(req)
+	}
 	c.wmu.Lock()
-	err := wire.WriteFrame(c.nc, typ, build(id))
+	err := wire.WriteFrame(c.nc, typ, req)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return response{}, fmt.Errorf("netbroker: send: %w", err)
+		return nil, fmt.Errorf("netbroker: send: %w", err)
 	}
 	resp, ok := <-ch
-	if !ok {
+	switch {
+	case !ok:
 		c.mu.Lock()
-		err := c.readErr
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
-		return response{}, err
-	}
-	if resp.typ == wire.MsgError {
-		msg, _, merr := wire.ReadString(resp.payload)
-		if merr != nil {
+		defer c.mu.Unlock()
+		return nil, c.gone()
+	case resp.typ == want:
+		return resp.payload, nil
+	case resp.typ == wire.MsgBusy:
+		return nil, busyError(resp.payload)
+	case resp.typ == wire.MsgError:
+		msg, _, err := wire.ReadString(resp.payload)
+		if err != nil {
 			msg = "unreadable error payload"
 		}
-		return response{}, fmt.Errorf("%w: %s", ErrRemote, msg)
+		return nil, fmt.Errorf("%w: %s", ErrRemote, msg)
 	}
-	return resp, nil
+	return nil, fmt.Errorf("%w: unexpected response type 0x%02x", ErrRemote, resp.typ)
 }
 
 // Subscribe registers a textual subscription and returns the event stream.
 func (c *Client) Subscribe(sub string) (*ClientSub, error) {
-	resp, err := c.roundTrip(wire.MsgSubscribe, func(id uint32) []byte {
-		b := wire.AppendU32(nil, id)
+	resp, err := c.roundTrip(wire.MsgSubscribe, wire.MsgSubscribed, func(b []byte) []byte {
 		return wire.AppendString(b, sub)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if resp.typ != wire.MsgSubscribed {
-		return nil, fmt.Errorf("%w: unexpected response type 0x%02x", ErrRemote, resp.typ)
-	}
-	subID, _, err := wire.ReadU64(resp.payload)
+	subID, _, err := wire.ReadU64(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -273,8 +284,7 @@ func (s *ClientSub) Unsubscribe() error {
 		delete(s.c.subs, s.id)
 		s.c.mu.Unlock()
 		if live {
-			_, err = s.c.roundTrip(wire.MsgUnsubscribe, func(id uint32) []byte {
-				b := wire.AppendU32(nil, id)
+			_, err = s.c.roundTrip(wire.MsgUnsubscribe, wire.MsgOK, func(b []byte) []byte {
 				return wire.AppendU64(b, s.id)
 			})
 			close(s.ch)
@@ -286,20 +296,13 @@ func (s *ClientSub) Unsubscribe() error {
 // Publish sends an event and returns the number of subscriptions it matched
 // at the broker.
 func (c *Client) Publish(ev event.Event) (int, error) {
-	resp, err := c.roundTrip(wire.MsgPublish, func(id uint32) []byte {
-		b := wire.AppendU32(nil, id)
+	resp, err := c.roundTrip(wire.MsgPublish, wire.MsgPublished, func(b []byte) []byte {
 		return wire.AppendEvent(b, ev)
 	})
 	if err != nil {
 		return 0, err
 	}
-	if resp.typ == wire.MsgBusy {
-		return 0, busyError(resp.payload)
-	}
-	if resp.typ != wire.MsgPublished {
-		return 0, fmt.Errorf("%w: unexpected response type 0x%02x", ErrRemote, resp.typ)
-	}
-	n, _, err := wire.ReadU32(resp.payload)
+	n, _, err := wire.ReadU32(resp)
 	return int(n), err
 }
 
@@ -359,21 +362,13 @@ func (c *Client) PublishBatch(evs []event.Event) ([]int, error) {
 // publishChunk round-trips one MsgPublishBatch frame carrying n
 // pre-encoded events.
 func (c *Client) publishChunk(n int, body []byte) ([]int, error) {
-	resp, err := c.roundTrip(wire.MsgPublishBatch, func(id uint32) []byte {
-		b := wire.AppendU32(make([]byte, 0, 8+len(body)), id)
-		b = wire.AppendU32(b, uint32(n))
-		return append(b, body...)
+	resp, err := c.roundTrip(wire.MsgPublishBatch, wire.MsgPublishedBatch, func(b []byte) []byte {
+		return append(wire.AppendU32(b, uint32(n)), body...)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if resp.typ == wire.MsgBusy {
-		return nil, busyError(resp.payload)
-	}
-	if resp.typ != wire.MsgPublishedBatch {
-		return nil, fmt.Errorf("%w: unexpected response type 0x%02x", ErrRemote, resp.typ)
-	}
-	got, rest, err := wire.ReadU32(resp.payload)
+	got, rest, err := wire.ReadU32(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -394,16 +389,8 @@ func (c *Client) publishChunk(n int, body []byte) ([]int, error) {
 
 // Ping round-trips a no-op request.
 func (c *Client) Ping() error {
-	resp, err := c.roundTrip(wire.MsgPing, func(id uint32) []byte {
-		return wire.AppendU32(nil, id)
-	})
-	if err != nil {
-		return err
-	}
-	if resp.typ != wire.MsgPong {
-		return fmt.Errorf("%w: unexpected response type 0x%02x", ErrRemote, resp.typ)
-	}
-	return nil
+	_, err := c.roundTrip(wire.MsgPing, wire.MsgPong, nil)
+	return err
 }
 
 // Close tears down the connection; pending requests fail and subscription

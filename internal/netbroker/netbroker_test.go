@@ -205,9 +205,7 @@ func TestUnknownMessageTypeGetsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	resp, err := cli.roundTrip(0x7F, func(id uint32) []byte {
-		return wire.AppendU32(nil, id)
-	})
+	resp, err := cli.roundTrip(0x7F, wire.MsgOK, nil)
 	if !errors.Is(err, ErrRemote) {
 		t.Errorf("unknown type resp=%+v err = %v", resp, err)
 	}

@@ -6,9 +6,13 @@
 // path runs entirely under read locks, so publications from different
 // clients are matched concurrently — the server never funnels matching
 // through an exclusive engine lock.
+//
+// Each connection is also one broker.Sink with one writer at a time: see
+// conn.
 package netbroker
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -17,6 +21,7 @@ import (
 
 	"noncanon/internal/broker"
 	"noncanon/internal/event"
+	"noncanon/internal/obs"
 	"noncanon/internal/sublang"
 	"noncanon/internal/wire"
 )
@@ -24,9 +29,17 @@ import (
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("netbroker: server closed")
 
-// writeTimeout bounds how long a slow client can stall one of its own
-// delivery goroutines.
+// writeTimeout bounds how long a client that does not read can hold its
+// connection's writer before the connection is dropped.
 const writeTimeout = 10 * time.Second
+
+// readBuffer sizes a connection's buffered reader: pipelined requests
+// arrive in one read, larger frames pass it by. maxSpare is the largest
+// written buffer a connection keeps for its next swap.
+const (
+	readBuffer = 4 << 10
+	maxSpare   = 64 << 10
+)
 
 // ServerOptions configures a broker server.
 type ServerOptions struct {
@@ -52,6 +65,14 @@ type Server struct {
 	conns  map[*conn]struct{}
 	closed bool
 	wg     sync.WaitGroup
+
+	// Writer-side instruments, moved once per write; frames ÷ flushes is
+	// the coalescing factor.
+	connections *obs.Gauge
+	frames      *obs.Counter
+	flushes     *obs.Counter
+	bytes       *obs.Counter
+	refused     *obs.Counter
 }
 
 // NewServer builds a server with an embedded broker.
@@ -59,10 +80,19 @@ func NewServer(opts ServerOptions) *Server {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
+	reg := opts.Broker.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	return &Server{
-		opts:  opts,
-		br:    broker.New(opts.Broker),
-		conns: make(map[*conn]struct{}),
+		opts:        opts,
+		br:          broker.New(opts.Broker),
+		conns:       make(map[*conn]struct{}),
+		connections: reg.Gauge("netbroker_connections"),
+		frames:      reg.Counter("netbroker_frames_written_total"),
+		flushes:     reg.Counter("netbroker_flushes_total"),
+		bytes:       reg.Counter("netbroker_bytes_written_total"),
+		refused:     reg.Counter("netbroker_delivery_refused_total"),
 	}
 }
 
@@ -92,7 +122,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return fmt.Errorf("netbroker: accept: %w", err)
 		}
-		c := &conn{srv: s, nc: nc, subs: make(map[uint64]*broker.Subscription)}
+		c := newConn(s, nc)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -104,7 +134,9 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
+			s.connections.Add(1)
 			c.serve()
+			s.connections.Add(-1)
 			s.mu.Lock()
 			delete(s.conns, c)
 			s.mu.Unlock()
@@ -147,31 +179,63 @@ func (s *Server) Close() error {
 	return s.br.Close()
 }
 
-// conn is one client connection.
+// conn is one client connection and the sink of every subscription made on
+// it. Everything it sends waits in out: publishers append matched events
+// (Deliver), its reader appends replies, and whoever holds wmu swaps out
+// away and writes it whole, under one deadline, until nothing waits — so a
+// burst of deliveries costs a few writes and one wake-up, and frames leave
+// in the order they were appended. The reader flushes inline once it has no
+// further request buffered; a publisher may not wait on a socket, so it
+// starts a goroutine, at most one at a time.
 type conn struct {
-	srv *Server
-	nc  net.Conn
+	srv  *Server
+	nc   net.Conn
+	br   *bufio.Reader
+	sink *broker.Outlet
 
-	wmu sync.Mutex // serialises response and event writes
-	enc []byte     // event-push encode buffer; guarded by wmu
+	wmu sync.Mutex // the writer role
 
-	smu     sync.Mutex
+	mu       sync.Mutex
+	out      []byte // frames not yet handed to the socket
+	spare    []byte // the buffer last written, for the next swap
+	frames   int    // frames in out
+	events   int    // deliveries among them
+	inflight int    // deliveries in the buffer being written
+	kicked   bool   // a started writer has yet to find out empty
+	closed   bool   // the socket failed or the reader is gone
+	// The event body last encoded into out, for the next delivery of the
+	// same event: events are immutable, so the same attribute array is the
+	// same bytes, and holding body keeps the array from being recycled for
+	// another event. A swap forgets it.
+	body           *event.Attr
+	bodyLen        int
+	bodyAt, bodyTo int
+
+	writers sync.WaitGroup // started writers
+	kick    func()         // bound once, so starting a writer allocates nothing
+
+	// Reader-loop state, touched only by serve's goroutine.
 	nextSub uint64 // connection-local subscription handle source
 	subs    map[uint64]*broker.Subscription
-
-	// Reader-loop state, touched only by serve's goroutine: the reused
-	// frame buffer and the recycled batch slice for alias decode.
-	rbuf    []byte
+	rbuf    []byte // reused frame buffer
+	rep     []byte // reply scratch
 	evBatch []event.Event
+}
+
+func newConn(s *Server, nc net.Conn) *conn {
+	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, readBuffer), subs: make(map[uint64]*broker.Subscription)}
+	c.sink = s.br.Attach(c)
+	c.kick = func() { c.flush(); c.writers.Done() }
+	return c
 }
 
 func (c *conn) serve() {
 	defer c.cleanup()
 	for {
 		// The frame buffer is reused across iterations: handle must not
-		// keep payload (or anything aliasing it) past its return. Events
-		// go through broker.Publish, which Retains before enqueueing.
-		typ, payload, buf, err := wire.ReadFrameInto(c.nc, c.rbuf)
+		// keep payload (or anything aliasing it) past its return. Events go
+		// through broker.Publish, whose sinks encode or Retain inside it.
+		typ, payload, buf, err := wire.ReadFrameInto(c.br, c.rbuf)
 		c.rbuf = buf
 		if err != nil {
 			return // disconnect (clean EOF or protocol error)
@@ -180,23 +244,139 @@ func (c *conn) serve() {
 			c.srv.opts.Logf("netbroker: %s: %v", c.nc.RemoteAddr(), err)
 			return
 		}
+		// Replies wait for the next request's if that is already here; the
+		// read buffer's size bounds how many can pile up.
+		if !wire.FrameBuffered(c.br) {
+			c.flush()
+		}
 	}
 }
 
 func (c *conn) cleanup() {
 	c.nc.Close()
-	c.smu.Lock()
-	subs := make([]*broker.Subscription, 0, len(c.subs))
 	for _, sub := range c.subs {
-		subs = append(subs, sub)
-	}
-	c.subs = map[uint64]*broker.Subscription{}
-	c.smu.Unlock()
-	for _, sub := range subs {
 		if err := sub.Unsubscribe(); err != nil {
 			c.srv.opts.Logf("netbroker: cleanup unsubscribe: %v", err)
 		}
 	}
+	c.mu.Lock()
+	c.shut()
+	c.mu.Unlock()
+	c.writers.Wait()
+}
+
+// shut marks the connection dead: Deliver refuses from here on, and the
+// deliveries still waiting are counted dropped. Caller holds c.mu.
+func (c *conn) shut() {
+	if !c.closed {
+		c.closed = true
+		c.sink.Lost(c.events)
+		c.out, c.frames, c.events = nil, 0, 0
+	}
+}
+
+// Deliver appends one MsgEvent frame for the subscription the client knows
+// as handle. It runs inside Publish: the body is encoded here, once per run
+// of deliveries of one event and copied for the rest, so nothing borrowed
+// outlives the call, and the socket is never touched.
+//
+//nclint:hotpath
+func (c *conn) Deliver(handle uint64, ev event.Event) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false
+	}
+	if c.events+c.inflight >= c.sink.Capacity() {
+		c.sink.Refuse()
+		c.srv.refused.Inc()
+		return false
+	}
+	at := len(c.out)
+	c.out = wire.AppendU64(wire.BeginFrame(c.out, wire.MsgEvent), handle)
+	if attrs := ev.All(); len(attrs) > 0 && &attrs[0] == c.body && len(attrs) == c.bodyLen {
+		c.out = append(c.out, c.out[c.bodyAt:c.bodyTo]...)
+	} else {
+		c.bodyAt, c.body, c.bodyLen = len(c.out), nil, len(attrs)
+		c.out = wire.AppendEvent(c.out, ev)
+		if c.bodyTo = len(c.out); len(attrs) > 0 {
+			c.body = &attrs[0]
+		}
+	}
+	var err error
+	if c.out, err = wire.EndFrame(c.out, at); err != nil {
+		c.body = nil
+		return false // an event no frame can carry
+	}
+	c.frames++
+	c.events++
+	if !c.kicked {
+		c.kicked = true
+		c.writers.Add(1)
+		go c.kick()
+	}
+	return true
+}
+
+// flush takes the writer role and hands everything waiting to the socket,
+// one Write and one deadline per round, until nothing waits. Emptiness is
+// observed under the lock appends happen under, so a frame appended behind
+// a kicked writer is never left without one.
+//
+//nclint:hotpath
+func (c *conn) flush() {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.out) > 0 {
+		buf, frames := c.out, c.frames
+		c.out, c.spare, c.body = c.spare[:0], nil, nil
+		c.inflight, c.frames, c.events = c.events, 0, 0
+		c.mu.Unlock()
+		err := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if err == nil {
+			_, err = c.nc.Write(buf)
+		}
+		c.srv.flushes.Inc()
+		c.srv.frames.Add(uint64(frames))
+		c.srv.bytes.Add(uint64(len(buf)))
+		c.mu.Lock()
+		if err != nil {
+			c.srv.opts.Logf("netbroker: write to %s: %v", c.nc.RemoteAddr(), err)
+			c.sink.Lost(c.inflight)
+			c.shut()
+			c.nc.Close() // the reader will clean up
+		} else {
+			c.sink.Sent(c.inflight, c.events)
+		}
+		if c.inflight = 0; cap(buf) <= maxSpare {
+			c.spare = buf
+		}
+	}
+	c.kicked = false
+}
+
+// reply appends one response frame for serve to flush.
+func (c *conn) reply(typ byte, payload []byte) {
+	c.rep = payload[:0]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return
+	}
+	var err error
+	if c.out, err = wire.EndFrame(append(wire.BeginFrame(c.out, typ), payload...), len(c.out)); err != nil {
+		c.srv.opts.Logf("netbroker: reply to %s: %v", c.nc.RemoteAddr(), err)
+		c.shut()
+		c.nc.Close()
+		return
+	}
+	c.frames++
+}
+
+func (c *conn) replyError(reqID uint32, msg string) {
+	c.reply(wire.MsgError, wire.AppendString(wire.AppendU32(c.rep, reqID), msg))
 }
 
 func (c *conn) handle(typ byte, payload []byte) error {
@@ -206,102 +386,95 @@ func (c *conn) handle(typ byte, payload []byte) error {
 	}
 	switch typ {
 	case wire.MsgSubscribe:
-		return c.handleSubscribe(reqID, rest)
+		c.handleSubscribe(reqID, rest)
 	case wire.MsgUnsubscribe:
-		return c.handleUnsubscribe(reqID, rest)
+		c.handleUnsubscribe(reqID, rest)
 	case wire.MsgPublish:
-		return c.handlePublish(reqID, rest)
+		c.handlePublish(reqID, rest)
 	case wire.MsgPublishBatch:
-		return c.handlePublishBatch(reqID, rest)
+		c.handlePublishBatch(reqID, rest)
 	case wire.MsgPing:
-		return c.write(wire.MsgPong, wire.AppendU32(nil, reqID))
+		c.reply(wire.MsgPong, wire.AppendU32(c.rep, reqID))
 	default:
-		return c.writeError(reqID, fmt.Sprintf("unknown message type 0x%02x", typ))
+		c.replyError(reqID, fmt.Sprintf("unknown message type 0x%02x", typ))
 	}
+	return nil
 }
 
-func (c *conn) handleSubscribe(reqID uint32, rest []byte) error {
+func (c *conn) handleSubscribe(reqID uint32, rest []byte) {
 	text, _, err := wire.ReadString(rest)
 	if err != nil {
-		return c.writeError(reqID, "malformed subscribe: "+err.Error())
+		c.replyError(reqID, "malformed subscribe: "+err.Error())
+		return
 	}
 	expr, err := sublang.Parse(text)
 	if err != nil {
-		return c.writeError(reqID, err.Error())
+		c.replyError(reqID, err.Error())
+		return
 	}
 	// Subscriptions are identified on the wire by a connection-local
 	// handle, never by the engine ID: with broker aggregation two
 	// identical filters on one connection share an engine entry, and the
 	// handle keeps them separately addressable.
-	c.smu.Lock()
 	c.nextSub++
-	handle := c.nextSub
-	c.smu.Unlock()
-	sub, err := c.srv.br.Subscribe(expr, func(ev event.Event) {
-		c.deliverFor(handle, ev)
-	})
+	sub, err := c.sink.Subscribe(expr, c.nextSub)
 	if err != nil {
-		return c.writeError(reqID, err.Error())
+		c.replyError(reqID, err.Error())
+		return
 	}
-	c.smu.Lock()
-	c.subs[handle] = sub
-	c.smu.Unlock()
-	resp := wire.AppendU32(nil, reqID)
-	resp = wire.AppendU64(resp, handle)
-	return c.write(wire.MsgSubscribed, resp)
+	c.subs[c.nextSub] = sub
+	c.reply(wire.MsgSubscribed, wire.AppendU64(wire.AppendU32(c.rep, reqID), c.nextSub))
 }
 
-func (c *conn) handleUnsubscribe(reqID uint32, rest []byte) error {
+func (c *conn) handleUnsubscribe(reqID uint32, rest []byte) {
 	id, _, err := wire.ReadU64(rest)
 	if err != nil {
-		return c.writeError(reqID, "malformed unsubscribe: "+err.Error())
+		c.replyError(reqID, "malformed unsubscribe: "+err.Error())
+		return
 	}
-	c.smu.Lock()
 	sub, ok := c.subs[id]
-	delete(c.subs, id)
-	c.smu.Unlock()
 	if !ok {
-		return c.writeError(reqID, fmt.Sprintf("unknown subscription %d", id))
+		c.replyError(reqID, fmt.Sprintf("unknown subscription %d", id))
+		return
 	}
+	delete(c.subs, id)
 	if err := sub.Unsubscribe(); err != nil {
-		return c.writeError(reqID, err.Error())
+		c.replyError(reqID, err.Error())
+		return
 	}
-	return c.write(wire.MsgOK, wire.AppendU32(nil, reqID))
+	c.reply(wire.MsgOK, wire.AppendU32(c.rep, reqID))
 }
 
-// writeBusyIfCongested sends the MsgBusy backpressure reply when the server
-// has RetryAfter configured and the broker is congested, reporting whether
-// it did so (in which case the publish request must not proceed).
-func (c *conn) writeBusyIfCongested(reqID uint32) (bool, error) {
+// busy sends the MsgBusy backpressure reply when the server has RetryAfter
+// configured and the broker is congested, reporting whether it did so (in
+// which case the publish request must not proceed).
+func (c *conn) busy(reqID uint32) bool {
 	if c.srv.opts.RetryAfter <= 0 || !c.srv.br.Congested() {
-		return false, nil
+		return false
 	}
-	millis := uint32(c.srv.opts.RetryAfter / time.Millisecond)
-	if millis == 0 {
-		millis = 1
-	}
-	return true, c.write(wire.MsgBusy, wire.AppendBusy(nil, reqID, millis))
+	millis := max(uint32(c.srv.opts.RetryAfter/time.Millisecond), 1)
+	c.reply(wire.MsgBusy, wire.AppendBusy(c.rep, reqID, millis))
+	return true
 }
 
-func (c *conn) handlePublish(reqID uint32, rest []byte) error {
+func (c *conn) handlePublish(reqID uint32, rest []byte) {
 	// Alias decode: the event borrows the reader-loop frame buffer, which
 	// stays untouched until the next ReadFrameInto — after this handler
-	// returns. Publish Retains before any enqueue, so nothing escaping
-	// this call still references the buffer.
+	// returns — and Publish's sinks encode or Retain inside the call.
 	ev, _, err := wire.ReadEventAlias(rest)
 	if err != nil {
-		return c.writeError(reqID, "malformed event: "+err.Error())
+		c.replyError(reqID, "malformed event: "+err.Error())
+		return
 	}
-	if busy, err := c.writeBusyIfCongested(reqID); busy || err != nil {
-		return err
+	if c.busy(reqID) {
+		return
 	}
 	n, err := c.srv.br.Publish(ev)
 	if err != nil {
-		return c.writeError(reqID, err.Error())
+		c.replyError(reqID, err.Error())
+		return
 	}
-	resp := wire.AppendU32(nil, reqID)
-	resp = wire.AppendU32(resp, uint32(n))
-	return c.write(wire.MsgPublished, resp)
+	c.reply(wire.MsgPublished, wire.AppendU32(wire.AppendU32(c.rep, reqID), uint32(n)))
 }
 
 // handlePublishBatch feeds a whole event batch to the broker in one
@@ -309,65 +482,25 @@ func (c *conn) handlePublish(reqID uint32, rest []byte) error {
 // the decoder rejects — malformed bytes or more than wire.MaxBatchEvents
 // events — earn an error reply, not a disconnect: the frame itself was
 // well-delimited, so the connection state is intact.
-func (c *conn) handlePublishBatch(reqID uint32, rest []byte) error {
-	// Alias decode into the connection's recycled batch slice; see
-	// handlePublish for the buffer-lifetime argument (PublishBatch
-	// Retains every event it enqueues).
+func (c *conn) handlePublishBatch(reqID uint32, rest []byte) {
+	// Alias decode into the recycled batch slice; see handlePublish.
 	evs, _, err := wire.ReadEventBatchAlias(rest, c.evBatch)
 	if err != nil {
-		return c.writeError(reqID, "malformed batch: "+err.Error())
+		c.replyError(reqID, "malformed batch: "+err.Error())
+		return
 	}
 	c.evBatch = evs[:0]
-	if busy, err := c.writeBusyIfCongested(reqID); busy || err != nil {
-		return err
+	if c.busy(reqID) {
+		return
 	}
 	counts, err := c.srv.br.PublishBatch(evs)
 	if err != nil {
-		return c.writeError(reqID, err.Error())
+		c.replyError(reqID, err.Error())
+		return
 	}
-	resp := wire.AppendU32(nil, reqID)
-	resp = wire.AppendU32(resp, uint32(len(counts)))
+	resp := wire.AppendU32(wire.AppendU32(c.rep, reqID), uint32(len(counts)))
 	for _, n := range counts {
 		resp = wire.AppendU32(resp, uint32(n))
 	}
-	return c.write(wire.MsgPublishedBatch, resp)
-}
-
-// deliverFor pushes one matched event to the client, tagged with the
-// connection-local handle of the subscription it matched. It runs on the
-// broker's per-subscription delivery goroutine; the event is owned (the
-// broker Retained it before enqueueing — that is the subscriber-side half
-// of the Retain contract), so encoding here never touches a frame buffer.
-// The encode buffer is recycled under the write lock, making steady-state
-// delivery allocation-free.
-func (c *conn) deliverFor(handle uint64, ev event.Event) {
-	c.wmu.Lock()
-	buf := wire.AppendU64(c.enc[:0], handle)
-	buf = wire.AppendEvent(buf, ev)
-	c.enc = buf
-	err := c.writeLocked(wire.MsgEvent, buf)
-	c.wmu.Unlock()
-	if err != nil {
-		c.srv.opts.Logf("netbroker: push to %s: %v", c.nc.RemoteAddr(), err)
-		c.nc.Close() // reader will clean up
-	}
-}
-
-func (c *conn) write(typ byte, payload []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return c.writeLocked(typ, payload)
-}
-
-func (c *conn) writeLocked(typ byte, payload []byte) error {
-	if err := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-		return err
-	}
-	return wire.WriteFrame(c.nc, typ, payload)
-}
-
-func (c *conn) writeError(reqID uint32, msg string) error {
-	payload := wire.AppendU32(nil, reqID)
-	payload = wire.AppendString(payload, msg)
-	return c.write(wire.MsgError, payload)
+	c.reply(wire.MsgPublishedBatch, resp)
 }

@@ -1,6 +1,7 @@
 package netoverlay
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"strconv"
@@ -217,6 +218,8 @@ func (p *peer) shutdown() {
 // broker goroutine (which drains the inbox) never waits on it.
 func (p *peer) readLoop() {
 	defer p.b.wg.Done()
+	// Small on purpose: every link endpoint of a node holds one for life.
+	br := bufio.NewReaderSize(p.nc, 4<<10)
 	var buf []byte // reused frame buffer; payloads below alias it
 	for {
 		// A half-open peer (no FIN — machine death, pulled cable, frozen
@@ -226,7 +229,7 @@ func (p *peer) readLoop() {
 		if p.b.opts.ReadIdleTimeout > 0 {
 			p.nc.SetReadDeadline(time.Now().Add(p.b.opts.ReadIdleTimeout))
 		}
-		typ, payload, bufOut, err := wire.ReadFrameInto(p.nc, buf)
+		typ, payload, bufOut, err := wire.ReadFrameInto(br, buf)
 		buf = bufOut
 		if err != nil {
 			p.detach(err)

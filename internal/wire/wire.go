@@ -23,11 +23,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"unsafe"
 
 	"noncanon/internal/event"
@@ -104,21 +106,45 @@ var (
 	ErrBatchTooLarge = errors.New("wire: batch exceeds event limit")
 )
 
-// WriteFrame writes one frame.
+// BeginFrame appends the header of a frame of type typ to b with the length
+// left open. The caller appends the payload and then calls EndFrame with
+// the offset the frame began at (len(b) before this call), so a frame is
+// built where it will be written from, next to its neighbours.
+func BeginFrame(b []byte, typ byte) []byte { return append(b, 0, 0, 0, 0, typ) }
+
+// EndFrame closes the frame begun at offset at by patching its length. A
+// frame over MaxFrameSize is cut off again: b comes back as it was before
+// BeginFrame, with ErrFrameTooLarge.
+func EndFrame(b []byte, at int) ([]byte, error) {
+	n := len(b) - at - 4
+	if n > MaxFrameSize {
+		return b[:at], fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(b[at:], uint32(n))
+	return b, nil
+}
+
+// framePool recycles WriteFrame's scratch, so a frame costs no allocation
+// and an idle writer retains no buffer of its own. Scratch a large frame
+// grew past maxPooledFrame is left to the collector.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 64 << 10
+
+// WriteFrame writes one frame in one Write: with TCP_NODELAY a header
+// written apart from its payload is a system call and a segment of its own.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload)+1 > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload)+1)
+	bp := framePool.Get().(*[]byte)
+	b, err := EndFrame(append(BeginFrame((*bp)[:0], typ), payload...), 0)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write header: %w", err)
+	if cap(b) <= maxPooledFrame {
+		*bp = b[:0]
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return fmt.Errorf("wire: write payload: %w", err)
-		}
+	framePool.Put(bp)
+	if err != nil {
+		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
 }
@@ -158,6 +184,18 @@ func ReadFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, bufOut []
 		return 0, nil, buf, fmt.Errorf("wire: read payload: %w", err)
 	}
 	return buf[0], buf[1:], buf, nil
+}
+
+// FrameBuffered reports whether r holds its next frame whole, so that
+// reading it cannot wait on the peer: a reader that batches its replies
+// flushes them before a read that might.
+func FrameBuffered(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return n-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // --- payload primitives ---
