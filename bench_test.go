@@ -72,7 +72,7 @@ func getEnv(b *testing.B, subs, preds, fulfilled int) *benchEnv {
 		reg:    predicate.NewRegistry(),
 		idx:    index.New(),
 	}
-	env.nc = core.New(env.reg, env.idx, core.Options{})
+	env.nc = core.New(env.reg, env.idx, core.Options{PaperAssociation: true})
 	env.cnt = counting.New(env.reg, env.idx, counting.Options{})
 	for i := 0; i < subs; i++ {
 		expr := params.Sub(i)
@@ -190,9 +190,10 @@ func BenchmarkCrossoverSmallN(b *testing.B) {
 }
 
 // ablationEnv builds a non-canonical engine over the Table 1 workload with
-// specific compile options.
+// specific compile options and the paper's association.
 func ablationEnv(b *testing.B, opts core.Options) (*core.Engine, [][]predicate.ID) {
 	b.Helper()
+	opts.PaperAssociation = true
 	params := workload.Params{NumSubscriptions: benchSubs, PredsPerSub: 10, FulfilledPerEvent: 5000, Seed: 1}
 	reg := predicate.NewRegistry()
 	idx := index.New()

@@ -51,7 +51,7 @@ func MeasureAblationReorder(cfg Config) (AblationReorderResult, error) {
 	build := func(reorder bool) (*core.Engine, *predicate.Registry) {
 		reg := predicate.NewRegistry()
 		idx := index.New()
-		eng := core.New(reg, idx, core.Options{Reorder: reorder})
+		eng := core.New(reg, idx, core.Options{Reorder: reorder, PaperAssociation: true})
 		return eng, reg
 	}
 	plain, _ := build(false)
@@ -165,7 +165,7 @@ func MeasureAblationEncoding(cfg Config) (AblationEncodingResult, error) {
 	build := func(enc subtree.Encoding) (*core.Engine, error) {
 		reg := predicate.NewRegistry()
 		idx := index.New()
-		eng := core.New(reg, idx, core.Options{Encoding: enc})
+		eng := core.New(reg, idx, core.Options{Encoding: enc, PaperAssociation: true})
 		for i := 0; i < subs; i++ {
 			if _, err := eng.Subscribe(params.Sub(i)); err != nil {
 				return nil, err
@@ -216,5 +216,90 @@ func RunAblationEncoding(cfg Config) error {
 	if res.PaperBytes > 0 {
 		fmt.Fprintf(w, "\ncompact/paper size ratio: %.2f\n\n", float64(res.CompactBytes)/float64(res.PaperBytes))
 	}
+	return nil
+}
+
+// AccessPoint is one |p| row of the A3 comparison: phase-two work per event
+// and association-table size per subscription under one listing.
+type AccessPoint struct {
+	PredsPerSub   int
+	Listing       string // "paper" or "access"
+	Candidates    float64
+	Leaves        float64
+	EntriesPerSub float64
+}
+
+// MeasureAblationAccess builds the Table 1 workload at |p| = 6, 8 and 10
+// twice — once with the paper's association (every tree under every
+// predicate), once with the default access-clause listing — and counts
+// phase-two work on the same fulfilled draws. Nothing is timed: the
+// columns are counted work, so they describe the code, not the machine.
+func MeasureAblationAccess(cfg Config) ([]AccessPoint, error) {
+	cfg = cfg.withDefaults()
+	subs := scaleCount(500_000, cfg.Scale)
+	var out []AccessPoint
+	for _, preds := range []int{6, 8, 10} {
+		params := workload.Params{
+			NumSubscriptions:  subs,
+			PredsPerSub:       preds,
+			FulfilledPerEvent: subs * preds / 1000, // the paper's 5 000 of 5 M
+			Seed:              cfg.Seed,
+		}
+		if params.FulfilledPerEvent < 1 {
+			params.FulfilledPerEvent = 1
+		}
+		rng := rand.New(rand.NewSource(cfg.Seed + 5))
+		draws := make([][]predicate.ID, cfg.Trials)
+		for t := range draws {
+			draws[t] = params.FulfilledDraw(rng)
+		}
+		for _, l := range []struct {
+			name  string
+			paper bool
+		}{{"paper", true}, {"access", false}} {
+			eng := core.New(predicate.NewRegistry(), index.New(), core.Options{PaperAssociation: l.paper})
+			for i := 0; i < subs; i++ {
+				if _, err := eng.Subscribe(params.Sub(i)); err != nil {
+					return nil, err
+				}
+			}
+			pt := AccessPoint{
+				PredsPerSub:   preds,
+				Listing:       l.name,
+				EntriesPerSub: float64(eng.AssocEntries()) / float64(subs),
+			}
+			for _, d := range draws {
+				leaves, evals := eng.InstrumentedMatch(d)
+				pt.Leaves += float64(leaves) / float64(len(draws))
+				pt.Candidates += float64(evals) / float64(len(draws))
+			}
+			out = append(out, pt)
+		}
+	}
+	return out, nil
+}
+
+// RunAblationAccess prints the A3 comparison.
+func RunAblationAccess(cfg Config) error {
+	cfg = cfg.withDefaults()
+	pts, err := MeasureAblationAccess(cfg)
+	if err != nil {
+		return err
+	}
+	w := cfg.Out
+	if cfg.CSV {
+		fmt.Fprintln(w, "preds_per_sub,listing,candidates_per_event,leaves_per_event,assoc_entries_per_sub")
+		for _, p := range pts {
+			fmt.Fprintf(w, "%d,%s,%.2f,%.2f,%.2f\n", p.PredsPerSub, p.Listing, p.Candidates, p.Leaves, p.EntriesPerSub)
+		}
+		return nil
+	}
+	fmt.Fprintf(w, "A3: access-clause vs paper candidacy (Table 1 workload, %d subscriptions, counted work)\n\n",
+		scaleCount(500_000, cfg.Scale))
+	fmt.Fprintf(w, "%-5s %-8s %-18s %-16s %-18s\n", "|p|", "listing", "candidates/event", "leaves/event", "assoc entries/sub")
+	for _, p := range pts {
+		fmt.Fprintf(w, "%-5d %-8s %-18.2f %-16.2f %-18.2f\n", p.PredsPerSub, p.Listing, p.Candidates, p.Leaves, p.EntriesPerSub)
+	}
+	fmt.Fprintln(w)
 	return nil
 }

@@ -10,6 +10,7 @@
 //	crossover         fine-grained small-N sweep (C4)
 //	ablation-reorder  child-reordering effect (A1)
 //	ablation-encoding paper vs compact tree encoding (A2)
+//	ablation-access   access-clause vs paper candidacy, counted work (A3)
 //
 // All sweeps measure phase two (subscription matching) only, exactly like
 // the paper: phase one is shared between the algorithms. Sizes scale with
@@ -96,6 +97,7 @@ func Experiments() []Experiment {
 		Experiment{ID: "crossover", Title: "C4: small-N crossover, counting vs non-canonical", Run: RunCrossover},
 		Experiment{ID: "ablation-reorder", Title: "A1: subscription-tree child reordering", Run: RunAblationReorder},
 		Experiment{ID: "ablation-encoding", Title: "A2: paper vs compact tree encoding", Run: RunAblationEncoding},
+		Experiment{ID: "ablation-access", Title: "A3: access-clause vs paper candidacy (counted work)", Run: RunAblationAccess},
 		Experiment{ID: "parallel", Title: "P1: concurrent match throughput vs workers (RWMutex vs single lock)", Run: RunParallel},
 		Experiment{ID: "shard", Title: "S1: sharded matching throughput and p99 vs shard count (± churn)", Run: RunShard},
 		Experiment{ID: "batch", Title: "B1: batched publish events/s and p50/p99 vs batch size over TCP (± churn)", Run: RunBatch},
@@ -199,7 +201,9 @@ func uniqueInts(in []int) []int {
 }
 
 // engines bundles the three measured algorithms over shared phase-one
-// structures.
+// structures. The non-canonical engine runs the paper's association
+// (every tree listed under every predicate), so the counted and timed
+// columns are the paper's algorithm.
 type engines struct {
 	reg *predicate.Registry
 	idx *index.Index
@@ -208,6 +212,7 @@ type engines struct {
 }
 
 func newEngines(coreOpts core.Options) *engines {
+	coreOpts.PaperAssociation = true
 	reg := predicate.NewRegistry()
 	idx := index.New()
 	return &engines{

@@ -23,7 +23,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	wantIDs := []string{
 		"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f",
 		"memory", "crossover", "ablation-reorder", "ablation-encoding",
-		"parallel", "shard", "batch", "cover", "million", "federate", "chaos",
+		"ablation-access", "parallel", "shard", "batch", "cover", "million", "federate", "chaos",
 		"obs",
 	}
 	if len(exps) != len(wantIDs) {
@@ -312,6 +312,43 @@ func TestMeasureAblationEncoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "encoding") {
+		t.Errorf("ablation output:\n%s", buf.String())
+	}
+}
+
+// TestMeasureAblationAccess asserts A3's shape on counted work: at every
+// |p| the paper listing holds |p| entries per subscription and the access
+// listing 2 (one OR-pair), and the access listing evaluates fewer
+// candidates and inspects fewer leaves.
+func TestMeasureAblationAccess(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := tinyConfig(&buf)
+	cfg.Scale = 0.004 // 2 000 subscriptions, a few fulfilled predicates per draw
+	pts, err := MeasureAblationAccess(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 6 {
+		t.Fatalf("%d rows, want 6 (|p| 6/8/10 × two listings)", len(pts))
+	}
+	for i := 0; i < len(pts); i += 2 {
+		paper, access := pts[i], pts[i+1]
+		if paper.Listing != "paper" || access.Listing != "access" || paper.PredsPerSub != access.PredsPerSub {
+			t.Fatalf("rows %d-%d: %+v, %+v", i, i+1, paper, access)
+		}
+		if paper.EntriesPerSub != float64(paper.PredsPerSub) || access.EntriesPerSub != 2 {
+			t.Errorf("|p|=%d: entries/sub paper %.2f access %.2f, want %d and 2",
+				paper.PredsPerSub, paper.EntriesPerSub, access.EntriesPerSub, paper.PredsPerSub)
+		}
+		if paper.Candidates == 0 || access.Candidates >= paper.Candidates || access.Leaves >= paper.Leaves {
+			t.Errorf("|p|=%d: access candidates %.2f leaves %.2f, want below paper's %.2f and %.2f",
+				paper.PredsPerSub, access.Candidates, access.Leaves, paper.Candidates, paper.Leaves)
+		}
+	}
+	if err := RunAblationAccess(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "access") {
 		t.Errorf("ablation output:\n%s", buf.String())
 	}
 }

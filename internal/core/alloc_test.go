@@ -11,10 +11,12 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/event"
+	"noncanon/internal/matcher"
 	"noncanon/internal/predicate"
 )
 
@@ -128,4 +130,48 @@ func TestMatchPredicatesAllocBudget(t *testing.T) {
 	if avg > budget {
 		t.Errorf("MatchPredicates allocates %.1f per run, budget %d", avg, budget)
 	}
+}
+
+// TestAccessAllocBudgets: choosing an access clause costs no per-subscribe
+// garbage — a Subscribe/Unsubscribe pair allocates no more than under the
+// paper's listing — and MatchInto stays allocation-free under both.
+func TestAccessAllocBudgets(t *testing.T) {
+	filters, nextEvent := selectiveShape(rand.New(rand.NewSource(6)), 800)
+	extra := filters[0]
+	allocs := map[string]float64{}
+	for _, l := range listings {
+		e, _, _ := newEngine(Options{PaperAssociation: l.paper})
+		for _, f := range filters[1:] {
+			if _, err := e.Subscribe(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs[l.name] = testing.AllocsPerRun(200, func() {
+			id, err := e.Subscribe(extra)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Unsubscribe(id); err != nil {
+				t.Fatal(err)
+			}
+		})
+		var buf []matcher.SubID
+		evs := make([]event.Event, 64)
+		for i := range evs {
+			evs[i] = nextEvent()
+			buf = e.MatchInto(evs[i], buf[:0]) // warm the scratch and buffer
+		}
+		i := 0
+		if avg := testing.AllocsPerRun(200, func() {
+			buf = e.MatchInto(evs[i%len(evs)], buf[:0])
+			i++
+		}); avg > 0 {
+			t.Errorf("%s listing: MatchInto allocates %.1f per run, budget 0", l.name, avg)
+		}
+	}
+	if allocs["access"] > allocs["paper"] {
+		t.Errorf("Subscribe+Unsubscribe allocates %.1f under the access listing, %.1f under the paper's",
+			allocs["access"], allocs["paper"])
+	}
+	t.Logf("Subscribe+Unsubscribe allocations: access %.1f, paper %.1f", allocs["access"], allocs["paper"])
 }

@@ -8,11 +8,28 @@
 //  4. encoded subscription trees (internal/subtree).
 //
 // Event filtering (paper §3.2): phase one determines the fulfilled
-// predicates via the indexes; phase two collects candidate subscriptions —
-// those containing at least one fulfilled predicate — through the
-// association table, locates their encoded trees through the location
-// table, and evaluates each candidate's Boolean expression over the
-// fulfilled set.
+// predicates via the indexes; phase two collects candidate subscriptions
+// through the association table, locates their encoded trees through the
+// location table, and evaluates each candidate's Boolean expression over
+// the fulfilled set.
+//
+// Which subscriptions a fulfilled predicate makes candidates is where this
+// engine departs from the paper by default. The paper lists every tree
+// under every predicate it contains, so a tree is a candidate as soon as
+// any of its predicates is fulfilled. Here a tree whose root is an And is
+// listed only under the predicates of one access clause: a top-level
+// conjunct (nested top-level Ands flattened) that is false when none of
+// its predicates is fulfilled. A matching tree makes its access clause
+// true, so one of that clause's predicates is fulfilled and the tree is a
+// candidate — for any fulfilled set, including one given to
+// MatchPredicates. Among the eligible conjuncts the one with the lowest
+// fixed selectivity estimate wins (per leaf: = 1, ranges and substrings 3,
+// != and exists 9), ties going to fewer leaves and then to the lower
+// summed registry refcount. The estimate is fixed on purpose: ranking by
+// current list length reinforces itself, because lists nobody chose stay
+// empty and look cheap. Trees without an And root keep the paper's
+// listing. Options.PaperAssociation restores the paper's listing for every
+// tree; the paper's experiments (internal/bench) run with it.
 //
 // One correctness extension beyond the paper: subscriptions whose expression
 // is satisfiable with zero fulfilled predicates (possible once NOT is
@@ -23,6 +40,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"noncanon/internal/boolexpr"
@@ -42,6 +60,11 @@ type Options struct {
 	Reorder bool
 	// Simplify applies boolexpr.Simplify before compilation.
 	Simplify bool
+	// PaperAssociation lists every subscription under every predicate it
+	// contains, as paper §3.2 does, instead of under one access clause
+	// (see the package comment). Matches are identical either way; only
+	// the number of candidates evaluated per event differs.
+	PaperAssociation bool
 }
 
 // Engine is the non-canonical matcher. It is safe for concurrent use, and
@@ -82,6 +105,13 @@ type Engine struct {
 
 	// scratch pools *matchScratch values for the read path.
 	scratch sync.Pool
+
+	// Subscribe's access-clause working buffers, reused under the write
+	// lock so choosing a clause allocates nothing once they have grown:
+	// conjunct offsets, the conjunct being scored, and the best so far.
+	conjBuf   []int
+	clauseBuf []predicate.ID
+	accessBuf []predicate.ID
 }
 
 type slot struct {
@@ -163,7 +193,7 @@ func (e *Engine) Subscribe(expr boolexpr.Expr) (matcher.SubID, error) {
 	e.gen++
 	e.memTrees += compiled.MemBytes()
 
-	for _, pid := range compiled.PredIDs {
+	for _, pid := range e.listingLocked(compiled) {
 		i := int(pid) - 1
 		if i >= len(e.assoc) {
 			e.assoc = append(e.assoc, make([][]matcher.SubID, i+1-len(e.assoc))...)
@@ -174,6 +204,62 @@ func (e *Engine) Subscribe(expr boolexpr.Expr) (matcher.SubID, error) {
 		e.always = append(e.always, id)
 	}
 	return id, nil
+}
+
+// listingLocked returns the predicates a newly compiled tree is listed
+// under in the association table: all of them under PaperAssociation or
+// when the root is not an And, none for a zero-satisfiable tree (it is on
+// the always list), and otherwise the deduplicated leaves of its access
+// clause. The result may alias the engine's buffers; caller holds the
+// write lock and consumes it before the next Subscribe.
+func (e *Engine) listingLocked(c subtree.Compiled) []predicate.ID {
+	if e.opts.PaperAssociation {
+		return c.PredIDs
+	}
+	if c.ZeroSat {
+		return nil
+	}
+	e.conjBuf = subtree.Conjuncts(c.Code, e.conjBuf[:0])
+	var best []predicate.ID // nil until an eligible conjunct is scored
+	bestCost, bestRefs := 0, 0
+	for _, off := range e.conjBuf {
+		if subtree.EvalMarkedAt(c.Code, off, nil, 1) {
+			continue // holds with nothing fulfilled: not necessary
+		}
+		leaves := subtree.AppendLeaves(c.Code, off, e.clauseBuf[:0])
+		slices.Sort(leaves)
+		leaves = slices.Compact(leaves)
+		cost, refs := 0, 0
+		for _, pid := range leaves {
+			p, _ := e.reg.Get(pid) // live: the tree being added holds it
+			cost += selectivity(p.Op)
+			refs += int(e.reg.Refs(pid))
+		}
+		if best == nil || cost < bestCost ||
+			cost == bestCost && (len(leaves) < len(best) || len(leaves) == len(best) && refs < bestRefs) {
+			best, bestCost, bestRefs = leaves, cost, refs
+			e.clauseBuf, e.accessBuf = e.accessBuf, leaves
+			continue
+		}
+		e.clauseBuf = leaves
+	}
+	if best == nil { // the root is not an And
+		return c.PredIDs
+	}
+	return best
+}
+
+// selectivity is a fixed per-operator estimate of how many events fulfil a
+// predicate, relative to equality.
+func selectivity(op predicate.Op) int {
+	switch op {
+	case predicate.Eq:
+		return 1
+	case predicate.Ne, predicate.Exists:
+		return 9
+	default: // ranges and substrings
+		return 3
+	}
 }
 
 // internLocked interns p in the shared registry and indexes it on first use.
@@ -206,10 +292,13 @@ func (e *Engine) Unsubscribe(id matcher.SubID) error {
 	}
 	s := &e.slots[id-1]
 	for _, pid := range s.compiled.PredIDs {
-		i := int(pid) - 1
-		e.assoc[i] = removeSub(e.assoc[i], id)
-		if len(e.assoc[i]) == 0 {
-			e.assoc[i] = nil // release backing storage for dead predicates
+		// The tree may be listed under only some of its predicates (access
+		// clause); removing it from a list it is not on changes nothing.
+		if i := int(pid) - 1; i < len(e.assoc) {
+			e.assoc[i] = removeSub(e.assoc[i], id)
+			if len(e.assoc[i]) == 0 {
+				e.assoc[i] = nil // release backing storage for dead predicates
+			}
 		}
 		p, err := e.reg.Get(pid)
 		if err != nil {
@@ -347,9 +436,10 @@ func (e *Engine) getScratchRLocked() *matchScratch {
 }
 
 // prepare stamps the fulfilled set into the scratch's predMark and collects
-// the deduplicated candidate subscriptions into its candBuf (paper §3.2,
-// step two: "subscriptions including at least one of the matching
-// predicates"). Caller holds at least the read lock.
+// into its candBuf, deduplicated, every subscription phase two evaluates:
+// those listed under a fulfilled predicate (paper §3.2, step two, narrowed
+// to access clauses unless PaperAssociation), then the always-evaluate
+// list. Caller holds at least the read lock.
 //
 //nclint:hotpath
 func (e *Engine) prepare(sc *matchScratch, fulfilled []predicate.ID) (epoch uint32) {
@@ -373,15 +463,24 @@ func (e *Engine) prepare(sc *matchScratch, fulfilled []predicate.ID) (epoch uint
 		if i >= len(e.assoc) {
 			continue // predicate registered by another engine only
 		}
-		for _, sid := range e.assoc[i] {
-			if sc.subMark[sid-1] == epoch {
-				continue
-			}
-			sc.subMark[sid-1] = epoch
-			sc.candBuf = append(sc.candBuf, sid)
-		}
+		sc.enlist(e.assoc[i], epoch)
 	}
+	// Zero-satisfiable subscriptions are evaluated even without candidacy.
+	sc.enlist(e.always, epoch)
 	return epoch
+}
+
+// enlist appends to candBuf each of ids not yet stamped this epoch.
+//
+//nclint:hotpath
+func (sc *matchScratch) enlist(ids []matcher.SubID, epoch uint32) {
+	for _, sid := range ids {
+		if sc.subMark[sid-1] == epoch {
+			continue
+		}
+		sc.subMark[sid-1] = epoch
+		sc.candBuf = append(sc.candBuf, sid)
+	}
 }
 
 // matchScratched runs phase two over the given scratch. Caller holds at
@@ -392,16 +491,16 @@ func (e *Engine) prepare(sc *matchScratch, fulfilled []predicate.ID) (epoch uint
 //nclint:hotpath
 func (e *Engine) matchScratched(sc *matchScratch, fulfilled []predicate.ID) []matcher.SubID {
 	epoch := e.prepare(sc, fulfilled)
-	if len(sc.candBuf) == 0 && len(e.always) == 0 {
+	if len(sc.candBuf) == 0 {
 		return nil
 	}
-	out := make([]matcher.SubID, 0, len(sc.candBuf)+len(e.always))
+	out := make([]matcher.SubID, 0, len(sc.candBuf))
 	return e.evalPrepared(sc, epoch, out)
 }
 
-// evalPrepared evaluates the candidates prepared into sc (plus the
-// always-evaluate list), appending matches to out. Caller holds at least
-// the read lock and owns out; nothing is allocated here unless out grows.
+// evalPrepared evaluates the subscriptions prepared into sc, appending
+// matches to out. Caller holds at least the read lock and owns out;
+// nothing is allocated here unless out grows.
 //
 //nclint:hotpath
 func (e *Engine) evalPrepared(sc *matchScratch, epoch uint32, out []matcher.SubID) []matcher.SubID {
@@ -410,23 +509,14 @@ func (e *Engine) evalPrepared(sc *matchScratch, epoch uint32, out []matcher.SubI
 			out = append(out, sid)
 		}
 	}
-	// Zero-satisfiable subscriptions are evaluated even without candidacy.
-	for _, sid := range e.always {
-		if sc.subMark[sid-1] == epoch {
-			continue // already evaluated as a candidate
-		}
-		sc.subMark[sid-1] = epoch
-		if subtree.EvalMarked(e.slots[sid-1].compiled.Code, sc.predMark, epoch) {
-			out = append(out, sid)
-		}
-	}
 	return out
 }
 
 // InstrumentedMatch runs phase two like MatchPredicates but returns the
-// total number of leaf predicates inspected and the number of candidate
-// evaluations performed, instead of the match set. The A1 ablation uses it
-// to quantify how much work child reordering saves.
+// total number of leaf predicates inspected and the number of tree
+// evaluations performed — candidates and the always-evaluate list, exactly
+// the set MatchPredicates evaluates — instead of the match set. The A1 and
+// access-clause ablations use it to count phase-two work.
 func (e *Engine) InstrumentedMatch(fulfilled []predicate.ID) (leaves, evals int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -440,9 +530,8 @@ func (e *Engine) InstrumentedMatch(fulfilled []predicate.ID) (leaves, evals int)
 	for _, sid := range sc.candBuf {
 		_, n := subtree.CountEvaluatedLeaves(e.slots[sid-1].compiled.Code, matched)
 		leaves += n
-		evals++
 	}
-	return leaves, evals
+	return leaves, len(sc.candBuf)
 }
 
 // TreeBytes returns the total encoded size of all live subscription trees —
@@ -457,6 +546,18 @@ func (e *Engine) TreeBytes() int {
 		}
 	}
 	return total
+}
+
+// AssocEntries returns the number of (predicate, subscription) entries in
+// the association table: how many lists the live trees are listed on.
+func (e *Engine) AssocEntries() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	n := 0
+	for _, subs := range e.assoc {
+		n += len(subs)
+	}
+	return n
 }
 
 // NumSubscriptions implements matcher.Matcher.

@@ -46,8 +46,16 @@ func raceEvent(rng *rand.Rand) event.Event {
 // Every Match result, projected onto the stable population, must equal the
 // naive per-expression evaluation of the event — regardless of concurrent
 // store mutation.
-func TestConcurrentMatchCrossCheck(t *testing.T) {
-	e, _, _ := newEngine(Options{})
+func TestConcurrentMatchCrossCheck(t *testing.T) { concurrentCrossCheck(t, Options{}) }
+
+// TestConcurrentMatchCrossCheckPaperAssociation is the same storm under
+// the paper's every-predicate listing.
+func TestConcurrentMatchCrossCheckPaperAssociation(t *testing.T) {
+	concurrentCrossCheck(t, Options{PaperAssociation: true})
+}
+
+func concurrentCrossCheck(t *testing.T, opts Options) {
+	e, _, _ := newEngine(opts)
 	rng := rand.New(rand.NewSource(7))
 
 	const stableN = 200

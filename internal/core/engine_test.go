@@ -325,6 +325,8 @@ func TestMatchAgainstASTProperty(t *testing.T) {
 		{Reorder: true},
 		{Encoding: subtree.CompactEncoding},
 		{Simplify: true},
+		{PaperAssociation: true},
+		{PaperAssociation: true, Encoding: subtree.CompactEncoding},
 	} {
 		e, _, _ := newEngine(opts)
 		exprs := make(map[matcher.SubID]boolexpr.Expr)

@@ -20,8 +20,8 @@ import (
 // engines returns every Matcher implementation over its own fresh
 // registry/index pair.
 func engines() map[string]matcher.Matcher {
-	newNC := func() matcher.Matcher {
-		return core.New(predicate.NewRegistry(), index.New(), core.Options{})
+	newNC := func(opts core.Options) matcher.Matcher {
+		return core.New(predicate.NewRegistry(), index.New(), opts)
 	}
 	newCnt := func(alg counting.Algorithm) matcher.Matcher {
 		return counting.New(predicate.NewRegistry(), index.New(), counting.Options{
@@ -29,7 +29,8 @@ func engines() map[string]matcher.Matcher {
 		})
 	}
 	return map[string]matcher.Matcher{
-		"non-canonical":    newNC(),
+		"non-canonical":    newNC(core.Options{}),
+		"nc-paper-assoc":   newNC(core.Options{PaperAssociation: true}),
 		"counting":         newCnt(counting.Classic),
 		"counting-variant": newCnt(counting.Variant),
 		"sharded-1":        shard.New(shard.Options{Shards: 1}),

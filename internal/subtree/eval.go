@@ -88,11 +88,20 @@ func EvalMarked(code []byte, marks []uint32, epoch uint32) bool {
 	if len(code) < 2 {
 		return false
 	}
+	return EvalMarkedAt(code, 1, marks, epoch)
+}
+
+// EvalMarkedAt is EvalMarked for the subtree rooted at byte offset off of
+// code (1 is the whole tree; Conjuncts yields the others). Against an empty
+// mark table it reports whether the subtree holds with nothing fulfilled.
+//
+//nclint:hotpath
+func EvalMarkedAt(code []byte, off int, marks []uint32, epoch uint32) bool {
 	switch code[0] {
 	case headerPaper:
-		return evalPaperMarked(code, 1, marks, epoch)
+		return evalPaperMarked(code, off, marks, epoch)
 	case headerCompact:
-		return evalCompactMarked(code, 1, marks, epoch)
+		return evalCompactMarked(code, off, marks, epoch)
 	default:
 		return false
 	}
