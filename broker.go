@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"noncanon/internal/broker"
-	"noncanon/internal/core"
 	"noncanon/internal/obs"
-	"noncanon/internal/subtree"
 )
 
 // Metrics is a namespaced registry of zero-allocation instruments
@@ -43,12 +41,9 @@ type BrokerStats = broker.Stats
 type BrokerOption func(*brokerConfig)
 
 type brokerConfig struct {
-	queueSize    int
-	shards       int
-	aggregate    bool
-	aggregateDAG bool
-	engine       core.Options
-	metrics      *obs.Registry
+	queueSize int
+	aggregate bool
+	metrics   *obs.Registry
 }
 
 // WithQueueSize sets the per-subscription delivery queue capacity.
@@ -56,53 +51,21 @@ func WithQueueSize(n int) BrokerOption {
 	return func(c *brokerConfig) { c.queueSize = n }
 }
 
-// WithBrokerShards partitions the broker's subscriptions across n
-// independent engine shards: Subscribe/Unsubscribe then write-lock a
-// single shard (churn stalls only 1/n of each publication's matching),
-// and one Publish matches on up to GOMAXPROCS cores. The shard index
-// lives in the high bits of every subscription ID (see internal/shard).
-func WithBrokerShards(n int) BrokerOption {
-	return func(c *brokerConfig) { c.shards = n }
-}
-
-// WithBrokerAggregation interns filters by canonical key: subscribers with
-// identical filters (modulo operand/operator-order normalisation, see
-// internal/cover) share one engine subscription fanning out to all of
-// them, so engine size — and matching cost — tracks the number of
-// distinct filters instead of the number of subscribers. Unsubscribe
-// detaches the shared engine entry only when its last subscriber leaves.
-// Delivery semantics are unchanged.
+// WithBrokerAggregation shares engine entries between subscribers: live
+// filters are arranged in an incrementally maintained covering poset
+// (internal/cover/dag). Identical filters (modulo operand/operator-order
+// normalisation, see internal/cover) share one entry, and only the
+// frontier — filters no other live filter provably covers — occupies
+// engine entries. A subscription whose filter is covered attaches beneath
+// its coverer with no engine mutation at all; matched events descend from
+// frontier entries through covered filters, re-evaluating each, so
+// delivery semantics are unchanged. Unsubscribing a frontier filter's last
+// subscriber promotes newly uncovered descendants into the engine before
+// the dying entry is retracted, so matching never gaps. Engine size — and
+// matching cost — then tracks the covering frontier rather than the number
+// of subscribers (see BrokerStats.FrontierFilters).
 func WithBrokerAggregation() BrokerOption {
 	return func(c *brokerConfig) { c.aggregate = true }
-}
-
-// WithBrokerDAGAggregation extends aggregation from identical filters to
-// provably covered ones: live filters are arranged in an incrementally
-// maintained covering poset (internal/cover/dag), and only the frontier —
-// filters no other live filter provably covers — occupies engine entries.
-// A subscription whose filter is covered attaches beneath its coverer with
-// no engine mutation at all; matched events descend from frontier entries
-// through covered filters, re-evaluating each, so delivery semantics are
-// unchanged. Unsubscribing a frontier filter promotes newly uncovered
-// descendants into the engine before the dying entry is retracted, so
-// matching never gaps. Engine size — and matching cost — then tracks the
-// covering frontier rather than the number of distinct filters (see
-// BrokerStats.FrontierFilters). Takes precedence over
-// WithBrokerAggregation when both are set.
-func WithBrokerDAGAggregation() BrokerOption {
-	return func(c *brokerConfig) { c.aggregateDAG = true }
-}
-
-// WithBrokerCompactEncoding stores subscription trees in the compact varint
-// encoding.
-func WithBrokerCompactEncoding() BrokerOption {
-	return func(c *brokerConfig) { c.engine.Encoding = subtree.CompactEncoding }
-}
-
-// WithBrokerReorder enables cheapest-first subscription-tree child
-// reordering.
-func WithBrokerReorder() BrokerOption {
-	return func(c *brokerConfig) { c.engine.Reorder = true }
 }
 
 // WithBrokerMetrics registers the broker's instruments — publish and
@@ -121,12 +84,9 @@ func NewBroker(opts ...BrokerOption) *Broker {
 		o(&cfg)
 	}
 	return &Broker{b: broker.New(broker.Options{
-		QueueSize:    cfg.queueSize,
-		Shards:       cfg.shards,
-		Aggregate:    cfg.aggregate,
-		AggregateDAG: cfg.aggregateDAG,
-		Engine:       cfg.engine,
-		Metrics:      cfg.metrics,
+		QueueSize: cfg.queueSize,
+		Aggregate: cfg.aggregate,
+		Metrics:   cfg.metrics,
 	})}
 }
 
@@ -174,13 +134,13 @@ func (br *Broker) SubscribeExpr(x Expr, h func(ev Event)) (*BrokerSubscription, 
 // lowering the result).
 func (br *Broker) Publish(ev Event) (int, error) { return br.b.Publish(ev) }
 
-// PublishBatch routes a batch of events in one pass: the broker's lock
-// and the engine's matching fan-out are taken once for the whole batch,
-// so per-event overhead is amortised across it. It returns the
-// per-event matched-subscription counts,
-// aligned with evs — each entry is exactly what Publish of that event
-// would have returned — and, like Publish, never blocks on slow
-// consumers.
+// PublishBatch routes a batch of events in one pass: the broker's read
+// lock is taken once for the whole batch, so per-event overhead is
+// amortised across it, and because subscription changes need the write
+// lock, every event of the batch sees the same subscriptions. It returns
+// the per-event matched-subscription counts, aligned with evs — each entry
+// is exactly what Publish of that event would have returned — and, like
+// Publish, never blocks on slow consumers.
 func (br *Broker) PublishBatch(evs []Event) ([]int, error) { return br.b.PublishBatch(evs) }
 
 // Stats returns an activity snapshot.

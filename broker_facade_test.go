@@ -36,7 +36,7 @@ func TestBrokerHandler(t *testing.T) {
 }
 
 func TestBrokerChannel(t *testing.T) {
-	br := noncanon.NewBroker(noncanon.WithQueueSize(8), noncanon.WithBrokerCompactEncoding(), noncanon.WithBrokerReorder())
+	br := noncanon.NewBroker(noncanon.WithQueueSize(8))
 	defer br.Close()
 
 	_, ch, err := br.SubscribeChan(`sym = "A" and not halted = true`)
@@ -87,33 +87,8 @@ func TestBrokerSubscribeExpr(t *testing.T) {
 	}
 }
 
-func TestBrokerSharded(t *testing.T) {
-	br := noncanon.NewBroker(noncanon.WithBrokerShards(4), noncanon.WithQueueSize(16))
-	defer br.Close()
-
-	var got atomic.Int64
-	for i := 0; i < 8; i++ {
-		if _, err := br.Subscribe(`price > 100`, func(ev noncanon.Event) { got.Add(1) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n, err := br.Publish(noncanon.NewEvent().Set("price", 150)); err != nil || n != 8 {
-		t.Fatalf("Publish = %d, %v, want 8", n, err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for got.Load() != 8 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got.Load() != 8 {
-		t.Fatalf("delivered = %d, want 8", got.Load())
-	}
-	if s := br.Stats(); s.Subscriptions != 8 {
-		t.Errorf("Stats.Subscriptions = %d, want 8", s.Subscriptions)
-	}
-}
-
 func TestBrokerPublishBatch(t *testing.T) {
-	br := noncanon.NewBroker(noncanon.WithBrokerShards(2), noncanon.WithQueueSize(64))
+	br := noncanon.NewBroker(noncanon.WithQueueSize(64))
 	defer br.Close()
 
 	var got atomic.Int64
@@ -140,22 +115,6 @@ func TestBrokerPublishBatch(t *testing.T) {
 	}
 	if st := br.Stats(); st.Published != 3 || st.Batches != 1 {
 		t.Errorf("Stats = %+v, want Published 3 Batches 1", st)
-	}
-}
-
-func TestEngineMatchBatch(t *testing.T) {
-	eng := noncanon.NewEngine()
-	id, err := eng.Subscribe(`(price < 20 or price > 90) and sym = "ACME"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := []noncanon.Event{
-		noncanon.NewEvent().Set("price", 95).Set("sym", "ACME"),
-		noncanon.NewEvent().Set("price", 50).Set("sym", "ACME"),
-	}
-	got := eng.MatchBatch(evs)
-	if len(got) != 2 || len(got[0]) != 1 || got[0][0] != id || len(got[1]) != 0 {
-		t.Fatalf("MatchBatch = %v, want [[%d] []]", got, id)
 	}
 }
 
@@ -202,7 +161,7 @@ func TestBrokerAggregation(t *testing.T) {
 }
 
 func TestBrokerDAGAggregation(t *testing.T) {
-	br := noncanon.NewBroker(noncanon.WithBrokerDAGAggregation(), noncanon.WithQueueSize(16))
+	br := noncanon.NewBroker(noncanon.WithBrokerAggregation(), noncanon.WithQueueSize(16))
 	defer br.Close()
 
 	var got atomic.Int64

@@ -1,26 +1,20 @@
 // Command ncbroker runs a TCP publish/subscribe broker speaking the wire
 // protocol (see internal/wire). Clients connect with ncsub and ncpub.
 // Publications from different connections are matched concurrently by the
-// broker's non-canonical engine, and -shards N partitions the subscription
-// store across N independent engine shards so subscription churn stalls
-// only 1/N of the matching work (see internal/shard).
+// broker's non-canonical engine, which the broker builds itself: commands
+// never configure an engine.
 //
-// With -aggregate, subscribers with identical filters share one engine
-// subscription (see internal/cover): engine size tracks distinct filters,
-// not connection count, and the shutdown report shows how much was saved.
-//
-// With -aggregate-dag, aggregation extends to provably covered filters
-// (see internal/cover/dag): only the covering frontier occupies engine
-// entries, covered filters attach beneath their coverers and are
-// re-evaluated during delivery, and the shutdown report additionally
-// shows the frontier size and how many subscribers rode along covered.
+// With -aggregate, subscribers share engine entries (see
+// internal/cover/dag): identical filters intern to one entry, only the
+// covering frontier occupies engine entries, covered filters attach
+// beneath their coverers and are re-evaluated during delivery, and the
+// shutdown report shows the distinct and frontier filter counts and how
+// many subscribers rode along covered.
 //
 // Usage:
 //
 //	ncbroker -addr :7070
-//	ncbroker -addr :7070 -shards 8
 //	ncbroker -addr :7070 -aggregate
-//	ncbroker -addr :7070 -aggregate-dag
 //	ncbroker -addr :7070 -metrics-addr 127.0.0.1:9090
 //
 // With -metrics-addr, an operational endpoint serves Prometheus text on
@@ -59,11 +53,7 @@ func parseArgs(args []string, errOut io.Writer) (config, error) {
 	var (
 		addr      = fs.String("addr", ":7070", "listen address")
 		queue     = fs.Int("queue", broker.DefaultQueueSize, "undelivered events held per subscription: a connection with n subscriptions buffers up to n times this many before dropping")
-		shards    = fs.Int("shards", 1, "partition subscriptions across this many engine shards (see internal/shard)")
-		aggregate = fs.Bool("aggregate", false, "intern identical filters: one engine entry per distinct filter (see internal/cover)")
-		aggDAG    = fs.Bool("aggregate-dag", false, "aggregate covered filters too: one engine entry per covering-frontier filter (see internal/cover/dag)")
-		compact   = fs.Bool("compact", false, "use the compact subscription-tree encoding")
-		reorder   = fs.Bool("reorder", false, "reorder subscription-tree children cheapest-first")
+		aggregate = fs.Bool("aggregate", false, "share engine entries: one per covering-frontier filter, identical and covered filters attach beneath it (see internal/cover/dag)")
 		retry     = fs.Duration("retry-after", 0, "reply Busy with this retry hint instead of accepting publishes while most subscription queues are backed up (0 disables)")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address (also enables latency histograms)")
 		quiet     = fs.Bool("quiet", false, "suppress connection diagnostics")
@@ -76,10 +66,6 @@ func parseArgs(args []string, errOut io.Writer) (config, error) {
 		fs.Usage()
 		return config{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
-	if *shards < 1 || *shards > broker.MaxShards {
-		fmt.Fprintf(errOut, "ncbroker: -shards must be in [1, %d], got %d\n", broker.MaxShards, *shards)
-		return config{}, fmt.Errorf("invalid -shards %d", *shards)
-	}
 
 	cfg := config{
 		addr:        *addr,
@@ -87,11 +73,8 @@ func parseArgs(args []string, errOut io.Writer) (config, error) {
 		opts: netbroker.ServerOptions{
 			RetryAfter: *retry,
 			Broker: broker.Options{
-				QueueSize:    *queue,
-				Shards:       *shards,
-				Aggregate:    *aggregate,
-				AggregateDAG: *aggDAG,
-				Engine:       broker.EngineConfig(*compact, *reorder),
+				QueueSize: *queue,
+				Aggregate: *aggregate,
 			},
 		},
 	}
@@ -144,7 +127,7 @@ func main() {
 // DistinctFilters counts distinct live canonical filters,
 // AggregatedSubscribers the subscribes deduplicated onto an existing
 // filter, FrontierFilters the engine entry count (equal to
-// DistinctFilters unless DAG aggregation shrinks the frontier below it),
+// DistinctFilters unless covering shrinks the frontier below it),
 // and CoveredSubscribers the subscribers attached beneath a covering
 // filter with no engine entry of their own.
 func logStats(st broker.Stats) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"noncanon/internal/broker"
-	"noncanon/internal/subtree"
 )
 
 func TestParseArgsDefaults(t *testing.T) {
@@ -22,20 +21,8 @@ func TestParseArgsDefaults(t *testing.T) {
 	if cfg.opts.Broker.QueueSize != broker.DefaultQueueSize {
 		t.Errorf("queue = %d, want %d", cfg.opts.Broker.QueueSize, broker.DefaultQueueSize)
 	}
-	if cfg.opts.Broker.Engine.Encoding != subtree.PaperEncoding {
-		t.Errorf("encoding = %v, want paper", cfg.opts.Broker.Engine.Encoding)
-	}
-	if cfg.opts.Broker.Engine.Reorder {
-		t.Error("reorder on by default")
-	}
-	if cfg.opts.Broker.Shards != 1 {
-		t.Errorf("shards = %d, want 1", cfg.opts.Broker.Shards)
-	}
 	if cfg.opts.Broker.Aggregate {
 		t.Error("aggregation on by default")
-	}
-	if cfg.opts.Broker.AggregateDAG {
-		t.Error("DAG aggregation on by default")
 	}
 	if cfg.opts.RetryAfter != 0 {
 		t.Errorf("retry-after = %v, want disabled", cfg.opts.RetryAfter)
@@ -47,7 +34,7 @@ func TestParseArgsDefaults(t *testing.T) {
 
 func TestParseArgsFlags(t *testing.T) {
 	var errOut bytes.Buffer
-	cfg, err := parseArgs([]string{"-addr", ":9000", "-queue", "128", "-shards", "8", "-aggregate", "-aggregate-dag", "-compact", "-reorder", "-retry-after", "250ms", "-quiet"}, &errOut)
+	cfg, err := parseArgs([]string{"-addr", ":9000", "-queue", "128", "-aggregate", "-retry-after", "250ms", "-quiet"}, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,20 +44,8 @@ func TestParseArgsFlags(t *testing.T) {
 	if cfg.opts.Broker.QueueSize != 128 {
 		t.Errorf("queue = %d", cfg.opts.Broker.QueueSize)
 	}
-	if cfg.opts.Broker.Engine.Encoding != subtree.CompactEncoding {
-		t.Errorf("encoding = %v, want compact", cfg.opts.Broker.Engine.Encoding)
-	}
-	if !cfg.opts.Broker.Engine.Reorder {
-		t.Error("reorder not set")
-	}
-	if cfg.opts.Broker.Shards != 8 {
-		t.Errorf("shards = %d, want 8", cfg.opts.Broker.Shards)
-	}
 	if !cfg.opts.Broker.Aggregate {
 		t.Error("-aggregate not set")
-	}
-	if !cfg.opts.Broker.AggregateDAG {
-		t.Error("-aggregate-dag not set")
 	}
 	if cfg.opts.RetryAfter != 250*time.Millisecond {
 		t.Errorf("retry-after = %v, want 250ms", cfg.opts.RetryAfter)
@@ -92,13 +67,6 @@ func TestParseArgsErrors(t *testing.T) {
 	if _, err := parseArgs([]string{"stray"}, &errOut); err == nil {
 		t.Error("stray positional argument accepted")
 	}
-	errOut.Reset()
-	if _, err := parseArgs([]string{"-shards", "0"}, &errOut); err == nil {
-		t.Error("-shards 0 accepted")
-	}
-	if !strings.Contains(errOut.String(), "-shards") {
-		t.Errorf("no -shards diagnostic: %q", errOut.String())
-	}
 }
 
 func TestParseArgsHelp(t *testing.T) {
@@ -107,7 +75,7 @@ func TestParseArgsHelp(t *testing.T) {
 	if err == nil {
 		t.Fatal("-h should return flag.ErrHelp")
 	}
-	for _, flagName := range []string{"-addr", "-queue", "-shards", "-aggregate", "-aggregate-dag", "-compact", "-reorder", "-retry-after", "-quiet"} {
+	for _, flagName := range []string{"-addr", "-queue", "-aggregate", "-retry-after", "-metrics-addr", "-quiet"} {
 		if !strings.Contains(errOut.String(), flagName) {
 			t.Errorf("help output missing %s: %q", flagName, errOut.String())
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // CheckHotPaths lints every function annotated `//nclint:hotpath` (the
-// Match/MatchBatch/PublishBatch spine) against known-allocating
+// MatchInto/Publish/PublishBatch spine) against known-allocating
 // constructs, so the roadmap's allocation-free-hot-path work starts from
 // a gated baseline instead of a moving target:
 //

@@ -130,7 +130,7 @@ func TestDefaultPolicyInvariants(t *testing.T) {
 			}
 		}
 	}
-	for _, rel := range []string{"internal/value", "internal/core", "internal/matcher", "internal/subtree", "internal/index", "internal/shard"} {
+	for _, rel := range []string{"internal/value", "internal/core", "internal/matcher", "internal/subtree", "internal/index"} {
 		rule, ok := DefaultPolicy.Packages[rel]
 		if !ok {
 			t.Errorf("pure-compute package %s missing from policy", rel)

@@ -13,7 +13,7 @@ package arch
 //	kernel     value, intern, index/btree, memmodel
 //	model      event, predicate
 //	expr       boolexpr, subtree, matcher, cover, sublang, workload
-//	engine     core, counting, index, shard
+//	engine     core, counting, index
 //	infra      obs (metrics/tracing; importable by service and above)
 //	service    broker, router, overlay
 //	transport  wire, netbroker, netoverlay
@@ -111,8 +111,6 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 		Allow: []string{"internal/boolexpr", "internal/event", "internal/index", "internal/matcher", "internal/predicate", "internal/subtree"}},
 	"internal/counting": {Layer: "engine", ForbidStd: pureStd,
 		Allow: []string{"internal/boolexpr", "internal/event", "internal/index", "internal/matcher", "internal/predicate"}},
-	"internal/shard": {Layer: "engine", ForbidStd: pureStd,
-		Allow: []string{"internal/boolexpr", "internal/core", "internal/event", "internal/index", "internal/matcher", "internal/predicate"}},
 
 	// --- infra ---
 	// The observability subsystem is the one non-command package allowed
@@ -123,7 +121,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 
 	// --- service ---
 	"internal/broker": {Layer: "service", ForbidStd: []string{"net"},
-		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/index", "internal/matcher", "internal/obs", "internal/predicate", "internal/shard", "internal/subtree"}},
+		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/index", "internal/matcher", "internal/obs", "internal/predicate"}},
 	"internal/router": {Layer: "service", ForbidStd: []string{"net"},
 		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/event", "internal/matcher", "internal/obs"},
 		Deny: map[string]string{
@@ -148,15 +146,15 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	// --- app: commands reach internals only through their declared
 	// service entry points (or the facade); engine guts are off limits ---
 	"internal/bench": {Layer: "app",
-		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/predicate", "internal/shard", "internal/subtree", "internal/workload"}},
+		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/predicate", "internal/subtree", "internal/workload"}},
 	// Fault-injection plumbing (stallable TCP relay + delivery oracle) for
 	// chaos experiments and transport tests; pure stdlib, no module deps.
 	"internal/chaos": {Layer: "app"},
 	"cmd/ncbroker": {Layer: "app",
 		Allow: []string{"internal/broker", "internal/netbroker", "internal/obs"},
 		Deny: map[string]string{
-			"internal/core":    "commands configure engines through broker.EngineConfig, not core.Options",
-			"internal/subtree": "encoding selection is broker configuration, not command business",
+			"internal/core":    "commands never configure an engine: the broker builds its own",
+			"internal/subtree": "tree encoding is an engine setting, and commands never configure an engine",
 		}},
 	"cmd/ncoverlay": {Layer: "app",
 		Allow: []string{"internal/event", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/workload"}},

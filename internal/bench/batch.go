@@ -181,8 +181,7 @@ func publishLatency(cli *netbroker.Client, seed int64, events, size, buckets int
 }
 
 // brokerChurner drives one goroutine of maximal Subscribe/Unsubscribe
-// load against the embedded broker, like the shard experiment's churner
-// does against a bare engine.
+// load against the embedded broker.
 type brokerChurner struct {
 	ops  atomic.Int64
 	quit chan struct{}

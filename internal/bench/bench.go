@@ -6,7 +6,7 @@
 //	table1            echo the workload parameters (Table 1)
 //	fig3a … fig3f     subscription-matching time sweeps (Fig. 3 a-f)
 //	memory            per-engine memory, capacity within 512 MB (M1)
-//	million           engine entries vs subscriber count, DAG vs flat aggregation (M1 (million))
+//	million           engine entries vs subscriber count: covering frontier vs distinct filters (M1 (million))
 //	crossover         fine-grained small-N sweep (C4)
 //	ablation-reorder  child-reordering effect (A1)
 //	ablation-encoding paper vs compact tree encoding (A2)
@@ -99,10 +99,9 @@ func Experiments() []Experiment {
 		Experiment{ID: "ablation-encoding", Title: "A2: paper vs compact tree encoding", Run: RunAblationEncoding},
 		Experiment{ID: "ablation-access", Title: "A3: access-clause vs paper candidacy (counted work)", Run: RunAblationAccess},
 		Experiment{ID: "parallel", Title: "P1: concurrent match throughput vs workers (RWMutex vs single lock)", Run: RunParallel},
-		Experiment{ID: "shard", Title: "S1: sharded matching throughput and p99 vs shard count (± churn)", Run: RunShard},
 		Experiment{ID: "batch", Title: "B1: batched publish events/s and p50/p99 vs batch size over TCP (± churn)", Run: RunBatch},
 		Experiment{ID: "cover", Title: "C1: filter aggregation + covering flood pruning vs popularity skew", Run: RunCover},
-		Experiment{ID: "million", Title: "M1 (million): engine entries track the covering frontier — DAG vs flat aggregation to 1M subscribers", Run: RunMillion},
+		Experiment{ID: "million", Title: "M1 (million): engine entries track the covering frontier, not the distinct filters, to 1M subscribers", Run: RunMillion},
 		Experiment{ID: "federate", Title: "F1: federated broker tree over loopback TCP — events/s and flood msgs vs node count (± cover)", Run: RunFederate},
 		Experiment{ID: "chaos", Title: "FC1: chaos federation — bounded spill queues, shedding and slow-peer eviction under a stalled link", Run: RunChaos},
 		Experiment{ID: "obs", Title: "O1: metrics overhead on the broker publish path (base vs instrumented, latency quantiles)", Run: RunObs},
@@ -250,6 +249,26 @@ func timeMatch(fn func([]predicate.ID) []matcher.SubID, draws [][]predicate.ID) 
 		fn(d)
 	}
 	return time.Duration(int64(time.Since(start)) / int64(len(draws)))
+}
+
+// percentile returns the p-th percentile of sorted durations (nearest
+// rank).
+func percentile(sorted []time.Duration, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	rank := (len(sorted)*p + 99) / 100
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > len(sorted) {
+		rank = len(sorted)
+	}
+	return sorted[rank-1]
+}
+
+func fmtDur(d time.Duration) string {
+	return d.Round(time.Microsecond).String()
 }
 
 // Fig3Point is one x-position of a Fig. 3 subplot.

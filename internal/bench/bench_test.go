@@ -23,7 +23,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	wantIDs := []string{
 		"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f",
 		"memory", "crossover", "ablation-reorder", "ablation-encoding",
-		"ablation-access", "parallel", "shard", "batch", "cover", "million", "federate", "chaos",
+		"ablation-access", "parallel", "batch", "cover", "million", "federate", "chaos",
 		"obs",
 	}
 	if len(exps) != len(wantIDs) {
@@ -413,47 +413,6 @@ func TestMeasureParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "workers,concurrent_ev_s") {
-		t.Errorf("CSV output missing header: %q", buf.String())
-	}
-}
-
-func TestMeasureShard(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	res, err := MeasureShard(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) < 2 {
-		t.Fatalf("want at least shard counts 1 and 2, got %+v", res.Points)
-	}
-	if res.Points[0].Shards != 1 {
-		t.Errorf("first point shards = %d, want 1", res.Points[0].Shards)
-	}
-	for _, p := range res.Points {
-		if p.EventsPerSec <= 0 || p.ChurnEventsPerSec <= 0 {
-			t.Errorf("non-positive throughput at %d shards: %+v", p.Shards, p)
-		}
-		if p.P99 < p.P50 || p.ChurnP99 < p.ChurnP50 {
-			t.Errorf("p99 below p50 at %d shards: %+v", p.Shards, p)
-		}
-		if p.ChurnOpsPerSec <= 0 {
-			t.Errorf("churner made no progress at %d shards", p.Shards)
-		}
-	}
-	// Output paths: text and CSV.
-	if err := RunShard(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "shards") {
-		t.Errorf("text output missing header: %q", buf.String())
-	}
-	buf.Reset()
-	cfg.CSV = true
-	if err := RunShard(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "shards,quiet_ev_s") {
 		t.Errorf("CSV output missing header: %q", buf.String())
 	}
 }

@@ -20,8 +20,9 @@ import (
 type CoverPoint struct {
 	Skew float64
 
-	// Broker with and without Options.Aggregate: engine entries after all
-	// subscribes, subscribe throughput, and publish latency.
+	// Broker with and without Options.Aggregate (covering aggregation):
+	// engine entries after all subscribes, subscribe throughput, and
+	// publish latency.
 	EngineOff     int
 	EngineOn      int
 	SubsPerSecOff float64
@@ -100,10 +101,11 @@ func coverSkews() []float64 { return []float64{0, 1.1, 1.5, 2.0} }
 // throughput, publish latency) and flooded through a covering and a plain
 // overlay (subscription link messages).
 //
-// The headline effects: with aggregation the engine grows with the number
-// of *distinct* filters drawn, not with the subscriber count, and with
-// covering the overlay forwards a fraction of the subscription messages —
-// both improving as the skew concentrates popularity on broad filters.
+// The headline effects: with aggregation the engine grows with the
+// covering frontier of the filters drawn, not with the subscriber count,
+// and with covering the overlay forwards a fraction of the subscription
+// messages — both improving as the skew concentrates popularity on broad
+// filters.
 func MeasureCover(cfg Config) (CoverResult, error) {
 	cfg = cfg.withDefaults()
 	subs := scaleCount(200_000, cfg.Scale)
@@ -170,7 +172,7 @@ func coverBrokerRun(cfg Config, ranks []int, pool int, aggregate bool) (engineEn
 		subDur = time.Nanosecond
 	}
 	subsPerSec = float64(len(ranks)) / subDur.Seconds()
-	engineEntries = br.Stats().DistinctFilters
+	engineEntries = br.Stats().FrontierFilters
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 77))
 	publishes := 64 * cfg.Trials

@@ -13,29 +13,23 @@ import (
 )
 
 // MillionPoint is one (subscriber count, skew) cell of the M1 (million)
-// sweep: the same power-law filter draw registered into a flat-aggregating
-// broker (Options.Aggregate: one engine entry per distinct filter) and a
-// DAG-aggregating broker (Options.AggregateDAG: one engine entry per
-// covering-frontier filter).
+// sweep: one power-law filter draw registered into an aggregating broker
+// (Options.Aggregate: one engine entry per covering-frontier filter).
 type MillionPoint struct {
 	Subs int
 	Skew float64
 
-	// Flat aggregation: engine entries equal distinct filters.
-	FlatEngine  int
-	FlatSubsSec float64
-	FlatP50     time.Duration
-	FlatP99     time.Duration
-	FlatHeap    int
-
-	// DAG aggregation: engine entries equal the covering frontier.
-	DAGEngine   int // frontier filters — the engine entry count
-	DAGDistinct int // poset nodes (distinct live filters)
-	DAGCovered  int // subscribers attached beneath a coverer
-	DAGSubsSec  float64
-	DAGP50      time.Duration
-	DAGP99      time.Duration
-	DAGHeap     int
+	// FlatEngine is the number of distinct live filters: the engine entries
+	// identical-filter interning alone would hold.
+	FlatEngine int
+	// DAGEngine is the covering frontier: the engine entries the broker
+	// holds.
+	DAGEngine  int
+	DAGCovered int // subscribers attached beneath a coverer
+	SubsSec    float64
+	P50        time.Duration
+	P99        time.Duration
+	Heap       int
 }
 
 // MillionResult is the regenerated M1 (million) sweep.
@@ -79,18 +73,17 @@ func millionRanks(rng *rand.Rand, skew float64, n, pool int) []int {
 	return ranks
 }
 
-// millionBrokerRun registers the drawn filters into a fresh broker and
-// measures engine entries, subscribe throughput, live heap after
-// registration, and publish latency. The pool reuses the C1 nested-band
-// shape (coverFilter), so within a category every broader band provably
-// covers the narrower ones.
-func millionBrokerRun(cfg Config, ranks []int, pool int, dagMode bool) (pt MillionPoint, err error) {
+// millionBrokerRun registers the drawn filters into a fresh aggregating
+// broker and measures engine entries, subscribe throughput, live heap
+// after registration, and publish latency. The pool reuses the C1
+// nested-band shape (coverFilter), so within a category every broader band
+// provably covers the narrower ones.
+func millionBrokerRun(cfg Config, ranks []int, pool int) (pt MillionPoint, err error) {
 	// QueueSize 1 keeps what a burst can queue per subscriber as small as
-	// possible; the per-subscriber fixed cost (subscription and handler
-	// sink, no goroutine or queue while idle) is identical across the two
-	// modes, so the flat-vs-DAG heap delta isolates the engine and poset
-	// structures.
-	br := broker.New(broker.Options{QueueSize: 1, Aggregate: !dagMode, AggregateDAG: dagMode})
+	// possible: the heap column is the engine, the poset and the
+	// per-subscriber fixed cost (subscription and handler sink, no
+	// goroutine or queue while idle).
+	br := broker.New(broker.Options{QueueSize: 1, Aggregate: true})
 	defer br.Close()
 	noop := func(event.Event) {}
 
@@ -105,7 +98,7 @@ func millionBrokerRun(cfg Config, ranks []int, pool int, dagMode bool) (pt Milli
 		subDur = time.Nanosecond
 	}
 	st := br.Stats()
-	heap := memmodel.HeapInuseBytes()
+	pt.Heap = memmodel.HeapInuseBytes()
 
 	rng := rand.New(rand.NewSource(cfg.Seed + 77))
 	publishes := 64 * cfg.Trials
@@ -123,27 +116,21 @@ func millionBrokerRun(cfg Config, ranks []int, pool int, dagMode bool) (pt Milli
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 
-	subsSec := float64(len(ranks)) / subDur.Seconds()
-	p50, p99 := percentile(durs, 50), percentile(durs, 99)
-	if dagMode {
-		pt.DAGEngine = st.FrontierFilters
-		pt.DAGDistinct = st.DistinctFilters
-		pt.DAGCovered = st.CoveredSubscribers
-		pt.DAGSubsSec, pt.DAGP50, pt.DAGP99, pt.DAGHeap = subsSec, p50, p99, heap
-	} else {
-		pt.FlatEngine = st.DistinctFilters
-		pt.FlatSubsSec, pt.FlatP50, pt.FlatP99, pt.FlatHeap = subsSec, p50, p99, heap
-	}
+	pt.FlatEngine = st.DistinctFilters
+	pt.DAGEngine = st.FrontierFilters
+	pt.DAGCovered = st.CoveredSubscribers
+	pt.SubsSec = float64(len(ranks)) / subDur.Seconds()
+	pt.P50, pt.P99 = percentile(durs, 50), percentile(durs, 99)
 	return pt, nil
 }
 
 // MeasureMillion measures how engine size scales with subscriber count
-// under the two aggregation modes (experiment M1 (million)). For every
-// (count, skew) cell, one power-law draw over a nested-band filter pool is
-// registered into a flat-aggregating and a DAG-aggregating broker. The
-// headline claim: flat engine entries track the number of distinct filters
-// drawn — which keeps growing with the subscriber count until the pool is
-// exhausted — while DAG engine entries track the covering frontier, which
+// under covering aggregation (experiment M1 (million)). For every (count,
+// skew) cell, one power-law draw over a nested-band filter pool is
+// registered into an aggregating broker. The headline claim: the distinct
+// filters drawn — what identical-filter interning alone would keep in the
+// engine — keep growing with the subscriber count until the pool is
+// exhausted, while the engine entries track the covering frontier, which
 // is bounded by the pool's band structure and goes sublinear much earlier,
 // the more so the more the skew concentrates draws on broad filters.
 func MeasureMillion(cfg Config) (MillionResult, error) {
@@ -157,19 +144,11 @@ func MeasureMillion(cfg Config) (MillionResult, error) {
 		for _, skew := range millionSkews() {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(subs) + int64(skew*1000)))
 			ranks := millionRanks(rng, skew, subs, pool)
-
-			flat, err := millionBrokerRun(cfg, ranks, pool, false)
+			pt, err := millionBrokerRun(cfg, ranks, pool)
 			if err != nil {
 				return MillionResult{}, err
 			}
-			dag, err := millionBrokerRun(cfg, ranks, pool, true)
-			if err != nil {
-				return MillionResult{}, err
-			}
-			pt := dag
 			pt.Subs, pt.Skew = subs, skew
-			pt.FlatEngine, pt.FlatSubsSec, pt.FlatHeap = flat.FlatEngine, flat.FlatSubsSec, flat.FlatHeap
-			pt.FlatP50, pt.FlatP99 = flat.FlatP50, flat.FlatP99
 			res.Points = append(res.Points, pt)
 		}
 	}
@@ -185,28 +164,23 @@ func RunMillion(cfg Config) error {
 	}
 	w := cfg.Out
 	if cfg.CSV {
-		fmt.Fprintf(w, "subs,skew,flat_engine,dag_engine,dag_distinct,dag_covered,flat_subs_s,dag_subs_s,flat_pub_p50_s,flat_pub_p99_s,dag_pub_p50_s,dag_pub_p99_s,flat_heap_bytes,dag_heap_bytes\n")
+		fmt.Fprintf(w, "subs,skew,flat_engine,dag_engine,dag_covered,subs_s,pub_p50_s,pub_p99_s,heap_bytes\n")
 		for _, p := range res.Points {
-			fmt.Fprintf(w, "%d,%.2f,%d,%d,%d,%d,%.1f,%.1f,%.9f,%.9f,%.9f,%.9f,%d,%d\n",
-				p.Subs, p.Skew, p.FlatEngine, p.DAGEngine, p.DAGDistinct, p.DAGCovered,
-				p.FlatSubsSec, p.DAGSubsSec,
-				p.FlatP50.Seconds(), p.FlatP99.Seconds(), p.DAGP50.Seconds(), p.DAGP99.Seconds(),
-				p.FlatHeap, p.DAGHeap)
+			fmt.Fprintf(w, "%d,%.2f,%d,%d,%d,%.1f,%.9f,%.9f,%d\n",
+				p.Subs, p.Skew, p.FlatEngine, p.DAGEngine, p.DAGCovered,
+				p.SubsSec, p.P50.Seconds(), p.P99.Seconds(), p.Heap)
 		}
 		return nil
 	}
-	fmt.Fprintf(w, "M1 (million): engine size under flat vs covering-DAG aggregation\n")
+	fmt.Fprintf(w, "M1 (million): engine size under covering aggregation\n")
 	fmt.Fprintf(w, "workload: power-law draws over nested band pools (pool = subs/16, %d categories);\n", coverCategories)
-	fmt.Fprintf(w, "flat = one engine entry per distinct filter, dag = one per covering-frontier filter\n\n")
-	fmt.Fprintf(w, "%-9s %-5s| %-16s %-9s %-8s| %-21s| %-33s| %s\n",
-		"subs", "skew", "engine flat/dag", "distinct", "covered", "subscribe ops/s", "publish p50/p99", "heap flat/dag")
+	fmt.Fprintf(w, "flat = distinct filters (what identical-filter interning would hold), dag = covering-frontier engine entries\n\n")
+	fmt.Fprintf(w, "%-9s %-5s| %-16s %-8s| %-12s| %-17s| %s\n",
+		"subs", "skew", "engine flat/dag", "covered", "subscribe/s", "publish p50/p99", "heap")
 	for _, p := range res.Points {
-		flatLat := fmtDur(p.FlatP50) + "/" + fmtDur(p.FlatP99)
-		dagLat := fmtDur(p.DAGP50) + "/" + fmtDur(p.DAGP99)
-		fmt.Fprintf(w, "%-9d %-5.2f| %-7d %-8d %-9d %-8d| %-10.0f %-10.0f| %-16s %-16s| %s / %s\n",
-			p.Subs, p.Skew, p.FlatEngine, p.DAGEngine, p.DAGDistinct, p.DAGCovered,
-			p.FlatSubsSec, p.DAGSubsSec, flatLat, dagLat,
-			memmodel.FormatBytes(p.FlatHeap), memmodel.FormatBytes(p.DAGHeap))
+		fmt.Fprintf(w, "%-9d %-5.2f| %-7d %-8d %-8d| %-12.0f| %-17s| %s\n",
+			p.Subs, p.Skew, p.FlatEngine, p.DAGEngine, p.DAGCovered,
+			p.SubsSec, fmtDur(p.P50)+"/"+fmtDur(p.P99), memmodel.FormatBytes(p.Heap))
 	}
 	fmt.Fprintln(w)
 	return nil

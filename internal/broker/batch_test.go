@@ -10,8 +10,8 @@ import (
 	"noncanon/internal/event"
 )
 
-// The batched-publish differential property: over any workload —
-// sharded or unsharded, with subscribe/unsubscribe churn interleaved —
+// The batched-publish differential property: over any workload — in
+// every broker mode, with subscribe/unsubscribe churn interleaved —
 // PublishBatch delivers exactly the same multiset of (subscriber, event)
 // pairs as sequential Publish, and returns the same per-event counts.
 //
@@ -19,6 +19,16 @@ import (
 // queues are sized so nothing is dropped (drops are timing-dependent and
 // would make the multisets incomparable), and the zero-drop assumption is
 // asserted at the end.
+
+// brokerModes is every broker configuration the differentials run
+// against.
+var brokerModes = []struct {
+	name string
+	opts Options
+}{
+	{"plain", Options{}},
+	{"aggregate", Options{Aggregate: true}},
+}
 
 // delivery is one delivered (logical subscriber, event sequence) pair.
 type delivery struct {
@@ -130,12 +140,13 @@ func compare(t *testing.T, batched, single *recordingBroker) {
 // PublishBatch on one broker and sequential Publish on another, and
 // requires identical per-event counts and identical delivered multisets.
 func TestPublishBatchDifferential(t *testing.T) {
-	for _, shards := range []int{1, 4} {
+	for _, mode := range brokerModes {
 		for _, seed := range []int64{1, 2} {
-			shards, seed := shards, seed
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+			mode, seed := mode, seed
+			t.Run(fmt.Sprintf("%s/seed=%d", mode.name, seed), func(t *testing.T) {
 				t.Parallel()
-				opts := Options{QueueSize: 4096, Shards: shards}
+				opts := mode.opts
+				opts.QueueSize = 4096
 				batched := newRecordingBroker(opts)
 				single := newRecordingBroker(opts)
 				rng := rand.New(rand.NewSource(seed))
@@ -190,67 +201,73 @@ func TestPublishBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestPublishBatchConcurrentDifferential runs the same property with
-// several goroutines batching concurrently (the store quiescent during
-// the publish phase, so counts stay comparable): every goroutine's
-// batches go through PublishBatch on one broker and sequential Publish on
-// the other, under -race.
+// TestPublishBatchConcurrentDifferential runs the same property, in every
+// broker mode, with several goroutines batching concurrently (the store
+// quiescent during the publish phase, so counts stay comparable): every
+// goroutine's batches go through PublishBatch on one broker and sequential
+// Publish on the other, under -race.
 func TestPublishBatchConcurrentDifferential(t *testing.T) {
-	opts := Options{QueueSize: 4096, Shards: 4}
-	batched := newRecordingBroker(opts)
-	single := newRecordingBroker(opts)
-	rng := rand.New(rand.NewSource(7))
-	cfg := boolexpr.RandomConfig{MaxDepth: 3, MaxFanout: 3, AllowNot: true}
-	for i := 0; i < 50; i++ {
-		x := boolexpr.RandomExpr(rng, cfg)
-		batched.subscribe(t, x)
-		single.subscribe(t, x)
-	}
-
-	const workers, batchesPerWorker, batchSize = 4, 12, 16
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(100 + int64(w)))
-			for bi := 0; bi < batchesPerWorker; bi++ {
-				evs := make([]event.Event, batchSize)
-				for i := range evs {
-					// Disjoint per-worker sequence spaces keep seqs unique.
-					seq := int64(w)*1_000_000 + int64(bi)*batchSize + int64(i)
-					evs[i] = diffEvent(rng, seq)
-				}
-				counts, err := batched.b.PublishBatch(evs)
-				if err != nil {
-					t.Errorf("worker %d: PublishBatch: %v", w, err)
-					return
-				}
-				for i, ev := range evs {
-					n, err := single.b.Publish(ev)
-					if err != nil {
-						t.Errorf("worker %d: Publish: %v", w, err)
-						return
-					}
-					if n != counts[i] {
-						t.Errorf("worker %d batch %d event %d: batch count %d, single %d", w, bi, i, counts[i], n)
-						return
-					}
-				}
+	for _, mode := range brokerModes {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := mode.opts
+			opts.QueueSize = 4096
+			batched := newRecordingBroker(opts)
+			single := newRecordingBroker(opts)
+			rng := rand.New(rand.NewSource(7))
+			cfg := boolexpr.RandomConfig{MaxDepth: 3, MaxFanout: 3, AllowNot: true}
+			for i := 0; i < 50; i++ {
+				x := boolexpr.RandomExpr(rng, cfg)
+				batched.subscribe(t, x)
+				single.subscribe(t, x)
 			}
-		}(w)
+
+			const workers, batchesPerWorker, batchSize = 4, 12, 16
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(100 + int64(w)))
+					for bi := 0; bi < batchesPerWorker; bi++ {
+						evs := make([]event.Event, batchSize)
+						for i := range evs {
+							// Disjoint per-worker sequence spaces keep seqs unique.
+							seq := int64(w)*1_000_000 + int64(bi)*batchSize + int64(i)
+							evs[i] = diffEvent(rng, seq)
+						}
+						counts, err := batched.b.PublishBatch(evs)
+						if err != nil {
+							t.Errorf("worker %d: PublishBatch: %v", w, err)
+							return
+						}
+						for i, ev := range evs {
+							n, err := single.b.Publish(ev)
+							if err != nil {
+								t.Errorf("worker %d: Publish: %v", w, err)
+								return
+							}
+							if n != counts[i] {
+								t.Errorf("worker %d batch %d event %d: batch count %d, single %d", w, bi, i, counts[i], n)
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			compare(t, batched, single)
+		})
 	}
-	wg.Wait()
-	compare(t, batched, single)
 }
 
 // TestPublishBatchUnderChurnRace exercises PublishBatch racing real
-// Subscribe/Unsubscribe churn and plain Publish on the same broker. With
+// Subscribe/Unsubscribe churn and plain Publish on the same aggregating
+// broker, so poset mutation races the batch's delivery walk too. With
 // a mutating store no exact multiset is defined; the test pins the parts
 // that are: per-batch result shape, monotone bookkeeping, and (via -race)
 // the absence of data races on the coalesced enqueue path.
 func TestPublishBatchUnderChurnRace(t *testing.T) {
-	b := New(Options{QueueSize: 64, Shards: 4})
+	b := New(Options{QueueSize: 64, Aggregate: true})
 	defer b.Close()
 	rng := rand.New(rand.NewSource(3))
 	cfg := boolexpr.RandomConfig{MaxDepth: 3, MaxFanout: 3, AllowNot: true}

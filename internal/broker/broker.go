@@ -18,36 +18,23 @@
 // RWMutex-guarded — so concurrent publishers match and enqueue in parallel;
 // Subscribe/Unsubscribe briefly exclude them while mutating the store.
 //
-// Scaling: with Options.Shards > 1 the broker partitions its subscriptions
-// across that many independent engine shards (internal/shard).
-// Subscribe/Unsubscribe then write-lock a single shard, so subscription
-// churn stalls only 1/N of each publication's matching work, and a single
-// Publish matches on up to GOMAXPROCS cores.
-//
-// Aggregation: with Options.Aggregate the broker interns filters by their
-// canonical key (internal/cover): subscribers with identical filters share
-// one engine subscription fanning out to all of them, so engine size — and
-// therefore matching work — tracks the number of *distinct* filters rather
-// than the number of subscribers. Unsubscribe decrements the share count
-// and only the last subscriber detaches the engine entry. Under
-// filter-popularity skew (many users wanting the same feeds) this is the
-// difference between an engine of millions of entries and one of
-// thousands; Stats.DistinctFilters and Stats.AggregatedSubscribers make
-// the effect observable.
-//
-// DAG aggregation: Options.AggregateDAG goes further and maintains the
-// covering poset of live filters (internal/cover/dag): a subscription whose
-// filter is provably covered by a live one (cover.Covers) attaches beneath
-// it without touching the engine, so engine size tracks the covering
-// *frontier* — the uncovered-maximal filters — rather than even the
-// distinct-filter count. Delivery stays exact: events matching a frontier
-// entry are re-checked against each covered descendant's own filter (with
-// sound subtree pruning — an event that fails a filter fails everything it
-// covers) before fan-out. Unsubscribing a frontier filter promotes its
-// orphaned descendants back into the engine *before* the dying entry is
+// Aggregation: with Options.Aggregate the broker maintains the covering
+// poset of live filters (internal/cover/dag). Subscribers whose filters
+// intern to one canonical key (cover.Key) share one poset node, and a node
+// whose filter is provably covered by a live one (cover.Covers) attaches
+// beneath it without touching the engine, so engine size — and therefore
+// matching work — tracks the covering *frontier*, the uncovered-maximal
+// filters, rather than the number of subscribers. A poset with no covering
+// edges is plain identical-filter interning. Delivery stays exact: events
+// matching a frontier entry are re-checked against each covered
+// descendant's own filter (with sound subtree pruning — an event that fails
+// a filter fails everything it covers) before fan-out. Unsubscribe drops
+// one share; when a frontier filter's last subscriber leaves, its orphaned
+// descendants are promoted into the engine *before* the dying entry is
 // retracted, mirroring the overlay's re-flood-before-retract rule, so
-// matching never gaps. Stats.FrontierFilters and Stats.CoveredSubscribers
-// make the additional saving observable.
+// matching never gaps. Stats.DistinctFilters, Stats.FrontierFilters,
+// Stats.AggregatedSubscribers and Stats.CoveredSubscribers make the saving
+// observable.
 package broker
 
 import (
@@ -66,8 +53,6 @@ import (
 	"noncanon/internal/matcher"
 	"noncanon/internal/obs"
 	"noncanon/internal/predicate"
-	"noncanon/internal/shard"
-	"noncanon/internal/subtree"
 )
 
 // ErrClosed is returned by operations on a closed broker.
@@ -76,23 +61,6 @@ var ErrClosed = errors.New("broker: closed")
 // DefaultQueueSize is the default number of undelivered deliveries a sink
 // may hold for each of its live subscriptions.
 const DefaultQueueSize = 64
-
-// MaxShards re-exports the largest permitted shard count, so broker
-// frontends can validate Options.Shards without reaching into the engine
-// layers themselves.
-const MaxShards = shard.MaxShards
-
-// EngineConfig builds the engine options for Options.Engine from the two
-// user-facing knobs, keeping subtree encodings and core options a broker
-// concern: commands and servers configure engines through this function
-// instead of importing internal/core and internal/subtree.
-func EngineConfig(compact, reorder bool) core.Options {
-	enc := subtree.PaperEncoding
-	if compact {
-		enc = subtree.CompactEncoding
-	}
-	return core.Options{Encoding: enc, Reorder: reorder}
-}
 
 // Handler consumes delivered events. A subscription's events reach its
 // handler one at a time, in publish order, on a goroutine of its own; a
@@ -107,41 +75,20 @@ type Options struct {
 	// holds QueueSize events and a TCP connection with n subscriptions
 	// QueueSize × n deliveries (default DefaultQueueSize).
 	QueueSize int
-	// Shards partitions subscriptions across this many independent engine
-	// shards (default 1: a single non-canonical engine). See
-	// internal/shard for the SubID layout and concurrency win.
-	Shards int
-	// Aggregate interns filters by canonical key (cover.Key): subscribers
-	// with identical filters share one engine subscription, so engine size
-	// tracks distinct filters instead of subscriber count. Delivery
-	// semantics are unchanged — every subscriber still receives every
-	// matching event on its own queue.
+	// Aggregate maintains the covering poset of live filters
+	// (internal/cover/dag): identical filters share one entry, only
+	// frontier (uncovered-maximal) filters occupy engine entries, and
+	// covered subscriptions attach beneath them and are re-checked against
+	// their own filter at delivery. Delivery semantics are unchanged —
+	// every subscriber still receives every matching event through its own
+	// sink.
 	Aggregate bool
-	// AggregateDAG additionally maintains the covering poset of live
-	// filters (internal/cover/dag): only frontier (uncovered-maximal)
-	// filters occupy engine entries, covered subscriptions attach beneath
-	// them and are re-checked against their own filter at delivery.
-	// Implies Aggregate's key interning. Delivery semantics are unchanged.
-	AggregateDAG bool
-	// Engine configures the underlying non-canonical engine(s).
-	Engine core.Options
 	// Metrics, when set, is the obs registry the broker's instruments live
 	// in (counters, live gauges, and the match/publish latency
 	// histograms). Nil keeps a private registry: Stats still works, the
 	// counters cost exactly what they always did (one atomic add), and the
 	// latency clock — two time.Now calls per publish — stays off.
 	Metrics *obs.Registry
-}
-
-// engine is the subset of matcher.Matcher the broker drives; both
-// core.Engine and shard.Engine satisfy it.
-type engine interface {
-	Subscribe(expr boolexpr.Expr) (matcher.SubID, error)
-	Unsubscribe(id matcher.SubID) error
-	Match(ev event.Event) []matcher.SubID
-	MatchInto(ev event.Event, out []matcher.SubID) []matcher.SubID
-	MatchBatch(evs []event.Event) [][]matcher.SubID
-	NumSubscriptions() int
 }
 
 // matchBuf is the pooled result buffer of the publish path: MatchInto
@@ -154,19 +101,18 @@ type matchBuf struct {
 // Broker routes published events to matching subscribers.
 type Broker struct {
 	opts Options
-	eng  engine
+	eng  *core.Engine
 
 	mu     sync.RWMutex
 	groups map[matcher.SubID]*filterGroup // engine entry → attached subscribers
-	byKey  map[string]*filterGroup        // intern table (Aggregate without DAG)
-	dag    *dag.DAG                       // covering poset (AggregateDAG only)
+	dag    *dag.DAG                       // covering poset (Aggregate only)
 	nsubs  int                            // live subscriber count
 	// keepers is the number of live subscriptions whose sink queues the
 	// event itself (handlers, channels): while it is non-zero Publish must
 	// Retain a borrowed event once, before the first of them sees it.
 	keepers int
 	// covered is the number of live subscribers attached to non-frontier
-	// poset nodes (AggregateDAG only); guarded by mu.
+	// poset nodes (Aggregate only); guarded by mu.
 	covered int
 	closed  bool
 
@@ -208,14 +154,12 @@ const latencySampleEvery = 8
 
 // filterGroup is the fan-out set of every subscriber that registered the
 // (canonically) same filter. Without aggregation each group has exactly
-// one member. Under plain aggregation each group owns one engine entry;
-// under DAG aggregation the group hangs off its poset node (node.Data
-// points back here) and id names an engine entry only while the node is
-// on the covering frontier.
+// one member and owns one engine entry. Under aggregation the group hangs
+// off its poset node (node.Data points back here) and id names an engine
+// entry only while the node is on the covering frontier.
 type filterGroup struct {
 	id      matcher.SubID
-	key     string    // intern key; "" when aggregation is off
-	node    *dag.Node // covering-poset node (AggregateDAG only)
+	node    *dag.Node // covering-poset node (Aggregate only)
 	members []*Subscription
 }
 
@@ -266,21 +210,13 @@ func New(opts Options) *Broker {
 	if opts.QueueSize <= 0 {
 		opts.QueueSize = DefaultQueueSize
 	}
-	var eng engine
-	if opts.Shards > 1 {
-		eng = shard.New(shard.Options{Shards: opts.Shards, Engine: opts.Engine})
-	} else {
-		eng = core.New(predicate.NewRegistry(), index.New(), opts.Engine)
-	}
 	b := &Broker{
 		opts:   opts,
-		eng:    eng,
+		eng:    core.New(predicate.NewRegistry(), index.New(), core.Options{}),
 		groups: make(map[matcher.SubID]*filterGroup, 64),
 	}
-	if opts.AggregateDAG {
-		b.dag = dag.New() // the poset owns the intern table in this mode
-	} else if opts.Aggregate {
-		b.byKey = make(map[string]*filterGroup, 64)
+	if opts.Aggregate {
+		b.dag = dag.New()
 	}
 	reg := opts.Metrics
 	if reg == nil {
@@ -306,8 +242,7 @@ func New(opts Options) *Broker {
 			return int64(b.NumSubscriptions())
 		})
 		reg.GaugeFunc("broker_engine_entries", func() int64 {
-			st := b.Stats()
-			return int64(st.FrontierFilters)
+			return int64(b.Stats().FrontierFilters)
 		})
 	}
 	return b
@@ -340,7 +275,7 @@ func (b *Broker) SubscribeChan(expr boolexpr.Expr) (*Subscription, <-chan event.
 // subscribe registers expr for delivery through out's sink as handle.
 func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Subscription, error) {
 	var key string
-	if b.opts.Aggregate || b.opts.AggregateDAG {
+	if b.opts.Aggregate {
 		// Key computation walks the expression; do it outside the lock.
 		key = cover.Key(expr)
 	}
@@ -354,21 +289,10 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Sub
 	if b.dag != nil {
 		g, err = b.subscribeDAG(key, expr)
 	} else {
-		if b.opts.Aggregate {
-			g = b.byKey[key]
-		}
-		if g == nil {
-			var id matcher.SubID
-			id, err = b.eng.Subscribe(expr)
-			if err == nil {
-				g = &filterGroup{id: id, key: key}
-				b.groups[id] = g
-				if b.opts.Aggregate {
-					b.byKey[key] = g
-				}
-			}
-		} else {
-			b.aggregated.Inc()
+		var id matcher.SubID
+		if id, err = b.eng.Subscribe(expr); err == nil {
+			g = &filterGroup{id: id}
+			b.groups[id] = g
 		}
 	}
 	if err != nil {
@@ -396,7 +320,7 @@ func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr) (*filterGroup, err
 	res := b.dag.AddKeyed(key, expr)
 	g, _ := res.Node.Data.(*filterGroup)
 	if g == nil {
-		g = &filterGroup{key: key, node: res.Node}
+		g = &filterGroup{node: res.Node}
 		res.Node.Data = g
 	}
 	if res.New && res.Frontier {
@@ -427,9 +351,9 @@ func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr) (*filterGroup, err
 
 // ID returns the engine subscription ID. With Options.Aggregate,
 // subscribers sharing a filter share the ID — it names the engine entry,
-// not the subscriber. With Options.AggregateDAG a covered subscription has
-// no engine entry of its own and ID reports 0 until (if ever) its filter
-// is promoted to the covering frontier.
+// not the subscriber — and a covered subscription has no engine entry of
+// its own: ID reports 0 until (if ever) its filter is promoted to the
+// covering frontier.
 func (s *Subscription) ID() matcher.SubID {
 	s.b.mu.RLock()
 	defer s.b.mu.RUnlock()
@@ -441,11 +365,10 @@ func (s *Subscription) ID() matcher.SubID {
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // Unsubscribe removes the subscription; events its sink already holds are
-// still delivered. Under aggregation the shared engine entry
-// is detached only when the last attached subscriber unsubscribes; under
-// DAG aggregation a dying frontier filter first promotes its orphaned
-// covered descendants into the engine, then retracts, so matching never
-// gaps. It is idempotent.
+// still delivered. Under aggregation the shared engine entry is detached
+// only when the last attached subscriber unsubscribes, and a dying
+// frontier filter first promotes its orphaned covered descendants into the
+// engine, then retracts, so matching never gaps. It is idempotent.
 func (s *Subscription) Unsubscribe() error {
 	var err error
 	didCancel := false
@@ -460,15 +383,11 @@ func (s *Subscription) Unsubscribe() error {
 			if s.out.keeps {
 				b.keepers--
 			}
-			g := s.g
 			if b.dag != nil {
-				err = b.unsubscribeDAG(g)
-			} else if len(g.members) == 0 {
-				delete(b.groups, g.id)
-				if g.key != "" {
-					delete(b.byKey, g.key)
-				}
-				err = b.eng.Unsubscribe(g.id)
+				err = b.unsubscribeDAG(s.g)
+			} else { // s was its group's only member
+				delete(b.groups, s.g.id)
+				err = b.eng.Unsubscribe(s.g.id)
 			}
 		}
 		b.mu.Unlock()
@@ -635,10 +554,11 @@ func (b *Broker) enqueueCovered(root *dag.Node, ev event.Event, visited map[*dag
 }
 
 // PublishBatch matches and enqueues a batch of events, amortising the
-// per-event envelope: the broker's read lock and the engine's matching
-// pass (for the sharded engine, one shard fan-out instead of one per
-// event) are taken once for the whole batch, and every event's matches
-// are enqueued from that single pass.
+// per-event envelope: the broker's read lock is taken once for the whole
+// batch, every event is matched into one pooled buffer, and every event's
+// matches are then enqueued from it. Subscribe and Unsubscribe take the
+// broker's write lock before they touch the engine, so the held read lock
+// is what makes every event of a batch see one store state.
 //
 // It returns the per-event matched-subscriber counts, aligned with evs;
 // counts[i] equals what Publish(evs[i]) would have returned. Like Publish
@@ -663,22 +583,36 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 	}
 	b.published.Add(uint64(len(evs)))
 	b.batches.Inc()
-	matches := b.eng.MatchBatch(evs)
+	// The batch's matches go back to back into one buffer; until delivery
+	// overwrites it, counts[i] is where event i's matches end.
+	mb, _ := b.matchPool.Get().(*matchBuf)
+	if mb == nil {
+		mb = &matchBuf{}
+	}
+	mb.ids = mb.ids[:0]
+	for i, ev := range evs {
+		mb.ids = b.eng.MatchInto(ev, mb.ids)
+		counts[i] = len(mb.ids)
+	}
 	if b.timed {
 		b.matchLatency.Observe(time.Since(start))
 	}
-	for i, ids := range matches {
-		if len(ids) == 0 {
+	lo := 0
+	for i, ev := range evs {
+		hi := counts[i]
+		counts[i] = 0
+		if hi == lo {
 			continue
 		}
 		// Like Publish: a borrowed event must own its strings before a
 		// sink queues it. Only matched events pay even the check.
-		ev := evs[i]
 		if b.keepers > 0 {
 			ev = ev.Retain()
 		}
-		counts[i] = b.deliverMatched(ev, ids)
+		counts[i] = b.deliverMatched(ev, mb.ids[lo:hi])
+		lo = hi
 	}
+	b.matchPool.Put(mb)
 	if b.timed {
 		// One observation per batch call: batch latency is the quantity a
 		// batch-tuning operator wants, and per-event division is done better
@@ -706,7 +640,7 @@ func (b *Broker) Congested() bool {
 }
 
 // NumSubscriptions returns the live subscriber count (not the engine entry
-// count; see Stats.DistinctFilters for that).
+// count; see Stats.FrontierFilters for that).
 func (b *Broker) NumSubscriptions() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -718,22 +652,19 @@ func (b *Broker) NumSubscriptions() int {
 // deliveries a sink refused, from both publish paths, and deliveries a sink
 // still held when its consumer went away.
 //
-// The two filter gauges answer different questions and only coincide in
-// some modes:
+// The two filter gauges answer different questions and coincide only
+// without aggregation, where both equal Subscriptions:
 //
 //   - DistinctFilters counts live canonically-distinct filters (one per
-//     cover.Key class, with provably-equivalent classes merged under DAG
-//     aggregation). Without any aggregation it equals Subscriptions.
-//   - FrontierFilters counts live engine entries. With plain aggregation
-//     it equals DistinctFilters (every distinct filter is an entry); with
-//     DAG aggregation it counts only the covering frontier, and
-//     DistinctFilters − FrontierFilters is the number of distinct filters
-//     riding covered beneath it.
+//     cover.Key class, with provably-equivalent classes merged).
+//   - FrontierFilters counts live engine entries. Under aggregation that
+//     is only the covering frontier, and DistinctFilters − FrontierFilters
+//     is the number of distinct filters riding covered beneath it.
 //
 // AggregatedSubscribers counts Subscribe calls over the broker's lifetime
-// that were deduplicated onto an already-live filter (identical or, under
-// DAG aggregation, provably equivalent). CoveredSubscribers is the current
-// number of subscribers attached to covered (non-frontier) filters.
+// that were deduplicated onto an already-live filter (identical or
+// provably equivalent). CoveredSubscribers is the current number of
+// subscribers attached to covered (non-frontier) filters.
 type Stats struct {
 	Subscriptions         int
 	DistinctFilters       int
@@ -802,9 +733,6 @@ func (b *Broker) Close() error {
 	// Publish is locked out for good (closed flag), so the groups can go;
 	// in-flight Unsubscribe calls see the closed flag and no-op.
 	b.groups = make(map[matcher.SubID]*filterGroup)
-	if b.byKey != nil {
-		b.byKey = make(map[string]*filterGroup)
-	}
 	if b.dag != nil {
 		b.dag = dag.New()
 	}

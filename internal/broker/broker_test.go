@@ -323,80 +323,3 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		t.Errorf("NumSubscriptions = %d, want 200", b.NumSubscriptions())
 	}
 }
-
-// TestShardedBrokerDelivery pins the Shards option end to end: a sharded
-// broker delivers exactly like a single-engine broker, with churn and
-// publishes racing across shards.
-func TestShardedBrokerDelivery(t *testing.T) {
-	b := New(Options{QueueSize: 256, Shards: 4})
-	defer b.Close()
-
-	var hits [8]atomic.Int64
-	for i := range hits {
-		i := i
-		if _, err := b.Subscribe(boolexpr.Pred("k", predicate.Eq, i), func(event.Event) {
-			hits[i].Add(1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.NumSubscriptions() != len(hits) {
-		t.Fatalf("NumSubscriptions = %d, want %d", b.NumSubscriptions(), len(hits))
-	}
-	for i := range hits {
-		if n, err := b.Publish(event.New().Set("k", i)); err != nil || n != 1 {
-			t.Fatalf("Publish k=%d = %d, %v", i, n, err)
-		}
-	}
-	for i := range hits {
-		i := i
-		waitFor(t, func() bool { return hits[i].Load() == 1 },
-			"sharded delivery missing for k="+string(rune('0'+i)))
-	}
-}
-
-// TestShardedBrokerConcurrentChurn is TestConcurrentPublishSubscribe over
-// a sharded engine: subscription churn on some shards must never corrupt
-// delivery bookkeeping on others.
-func TestShardedBrokerConcurrentChurn(t *testing.T) {
-	b := New(Options{QueueSize: 256, Shards: 4})
-	defer b.Close()
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				sub, err := b.Subscribe(boolexpr.Pred("x", predicate.Gt, w*100+i), func(event.Event) {})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if i%2 == 0 {
-					if err := sub.Unsubscribe(); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if _, err := b.Publish(event.New().Set("x", i)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b.NumSubscriptions() != 200 {
-		t.Errorf("NumSubscriptions = %d, want 200", b.NumSubscriptions())
-	}
-}

@@ -30,27 +30,25 @@ func dagChurnFilter(rng *rand.Rand) boolexpr.Expr {
 	return aggFilter(pickSkewed(rng))
 }
 
-// TestDAGAggregateDifferential drives a DAG-aggregated broker, a
-// key-interning broker and a flat broker through one interleaved
-// subscribe/unsubscribe/publish script, with a naive boolexpr oracle
-// (evaluate every live subscription's filter against every event) as
-// ground truth: per-event matched counts and final (subscriber, event)
-// delivery multisets must be identical across all four.
+// TestDAGAggregateDifferential drives each broker mode through one
+// interleaved subscribe/unsubscribe/publish script of covering chains and
+// identical duplicates, with a naive boolexpr oracle (evaluate every live
+// subscription's filter against every event) as ground truth: per-event
+// matched counts and the final (subscriber, event) delivery multiset must
+// equal the oracle's.
 func TestDAGAggregateDifferential(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			plain := New(Options{QueueSize: 4096, Shards: shards})
-			agg := New(Options{QueueSize: 4096, Shards: shards, Aggregate: true})
-			dagb := New(Options{QueueSize: 4096, Shards: shards, AggregateDAG: true})
-			defer plain.Close()
-			defer agg.Close()
-			defer dagb.Close()
+	for _, mode := range brokerModes {
+		t.Run(mode.name, func(t *testing.T) {
+			opts := mode.opts
+			opts.QueueSize = 4096
+			b := New(opts)
+			defer b.Close()
 
-			var recPlain, recAgg, recDAG recorder
+			var rec recorder
 			rng := rand.New(rand.NewSource(77))
 			type entry struct {
-				p, a, d *Subscription
-				expr    boolexpr.Expr
+				s    *Subscription
+				expr boolexpr.Expr
 			}
 			live := map[string]entry{}
 			var liveTags []string
@@ -58,35 +56,20 @@ func TestDAGAggregateDifferential(t *testing.T) {
 			seq := int64(0)
 
 			publish := func(step int, evs ...event.Event) {
-				var np, na, nd int
+				got := 0
 				if len(evs) == 1 {
-					var err error
-					if np, err = plain.Publish(evs[0]); err != nil {
+					n, err := b.Publish(evs[0])
+					if err != nil {
 						t.Fatal(err)
 					}
-					if na, err = agg.Publish(evs[0]); err != nil {
-						t.Fatal(err)
-					}
-					if nd, err = dagb.Publish(evs[0]); err != nil {
-						t.Fatal(err)
-					}
+					got = n
 				} else {
-					cp, err := plain.PublishBatch(evs)
+					counts, err := b.PublishBatch(evs)
 					if err != nil {
 						t.Fatal(err)
 					}
-					ca, err := agg.PublishBatch(evs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cd, err := dagb.PublishBatch(evs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range evs {
-						np += cp[i]
-						na += ca[i]
-						nd += cd[i]
+					for _, n := range counts {
+						got += n
 					}
 				}
 				want := 0
@@ -99,9 +82,8 @@ func TestDAGAggregateDifferential(t *testing.T) {
 						}
 					}
 				}
-				if np != want || na != want || nd != want {
-					t.Fatalf("step %d: oracle wants %d deliveries; plain %d, agg %d, dag %d",
-						step, want, np, na, nd)
+				if got != want {
+					t.Fatalf("step %d: oracle wants %d deliveries, broker matched %d", step, want, got)
 				}
 			}
 
@@ -110,19 +92,11 @@ func TestDAGAggregateDifferential(t *testing.T) {
 				case op < 4: // subscribe
 					tag := fmt.Sprintf("s%d", step)
 					f := dagChurnFilter(rng)
-					sp, err := plain.Subscribe(f, recPlain.handler(tag))
+					s, err := b.Subscribe(f, rec.handler(tag))
 					if err != nil {
 						t.Fatal(err)
 					}
-					sa, err := agg.Subscribe(f, recAgg.handler(tag))
-					if err != nil {
-						t.Fatal(err)
-					}
-					sd, err := dagb.Subscribe(f, recDAG.handler(tag))
-					if err != nil {
-						t.Fatal(err)
-					}
-					live[tag] = entry{p: sp, a: sa, d: sd, expr: f}
+					live[tag] = entry{s: s, expr: f}
 					liveTags = append(liveTags, tag)
 				case op < 6 && len(liveTags) > 0: // unsubscribe
 					i := rng.Intn(len(liveTags))
@@ -131,10 +105,8 @@ func TestDAGAggregateDifferential(t *testing.T) {
 					liveTags = liveTags[:len(liveTags)-1]
 					e := live[tag]
 					delete(live, tag)
-					for _, s := range []*Subscription{e.p, e.a, e.d} {
-						if err := s.Unsubscribe(); err != nil {
-							t.Fatal(err)
-						}
+					if err := e.s.Unsubscribe(); err != nil {
+						t.Fatal(err)
 					}
 				case op < 7: // publish a small batch
 					evs := make([]event.Event, 3)
@@ -155,7 +127,7 @@ func TestDAGAggregateDifferential(t *testing.T) {
 				}
 			}
 
-			st := dagb.Stats()
+			st := b.Stats()
 			if st.Dropped != 0 {
 				t.Fatalf("drops invalidate the multiset comparison: %d", st.Dropped)
 			}
@@ -165,23 +137,19 @@ func TestDAGAggregateDifferential(t *testing.T) {
 			if st.DistinctFilters > st.Subscriptions {
 				t.Errorf("DistinctFilters %d > Subscriptions %d", st.DistinctFilters, st.Subscriptions)
 			}
-			if st.Subscriptions > 20 && st.FrontierFilters == st.DistinctFilters {
+			if opts.Aggregate && st.Subscriptions > 20 && st.FrontierFilters == st.DistinctFilters {
 				t.Error("covering never attached a subscription; the script lost its teeth")
 			}
 
-			plain.Close()
-			agg.Close()
-			dagb.Close()
+			b.Close()
 			want := (&recorder{seen: oracle}).sorted()
-			for name, rec := range map[string]*recorder{"plain": &recPlain, "agg": &recAgg, "dag": &recDAG} {
-				got := rec.sorted()
-				if len(got) != len(want) {
-					t.Fatalf("%s delivered %d events, oracle wants %d", name, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s delivery %d = %+v, oracle wants %+v", name, i, got[i], want[i])
-					}
+			got := rec.sorted()
+			if len(got) != len(want) {
+				t.Fatalf("delivered %d events, oracle wants %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("delivery %d = %+v, oracle wants %+v", i, got[i], want[i])
 				}
 			}
 		})
@@ -193,7 +161,7 @@ func TestDAGAggregateDifferential(t *testing.T) {
 // locking around poset mutation, promotion and the delivery walk, and the
 // final state must be empty.
 func TestDAGAggregateConcurrentChurn(t *testing.T) {
-	b := New(Options{QueueSize: 256, AggregateDAG: true})
+	b := New(Options{QueueSize: 256, Aggregate: true})
 	defer b.Close()
 
 	const workers = 8
@@ -233,7 +201,7 @@ func TestDAGAggregateConcurrentChurn(t *testing.T) {
 // covered subscription keeps receiving matching events across the
 // unsubscribe of the frontier filter that covered it.
 func TestDAGPromoteBeforeRetract(t *testing.T) {
-	b := New(Options{AggregateDAG: true})
+	b := New(Options{Aggregate: true})
 	defer b.Close()
 
 	var mu sync.Mutex
@@ -296,9 +264,10 @@ func TestDAGPromoteBeforeRetract(t *testing.T) {
 }
 
 // TestStatsFilterAccountingSplit pins the DistinctFilters/FrontierFilters
-// split across the three aggregation modes: without aggregation both equal
-// the subscriber count; with key interning both equal the distinct-filter
-// count; with DAG aggregation DistinctFilters keeps counting distinct live
+// split: without aggregation both equal the subscriber count; under
+// aggregation identical filters intern to one distinct filter and, with no
+// covering among them, every distinct filter is an engine entry; once
+// filters cover each other DistinctFilters keeps counting distinct live
 // filters while FrontierFilters counts only engine entries.
 func TestStatsFilterAccountingSplit(t *testing.T) {
 	t.Run("off", func(t *testing.T) {
@@ -334,7 +303,7 @@ func TestStatsFilterAccountingSplit(t *testing.T) {
 		}
 	})
 	t.Run("dag", func(t *testing.T) {
-		b := New(Options{AggregateDAG: true})
+		b := New(Options{Aggregate: true})
 		defer b.Close()
 		// One covering chain (3 distinct filters, 1 frontier) plus one
 		// duplicate of the narrowest (interned, not a new filter).

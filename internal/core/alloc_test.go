@@ -79,29 +79,6 @@ func TestMatchIntoAllocBudget(t *testing.T) {
 	}
 }
 
-// TestMatchBatchAllocBudget: a batch performs two allocations regardless
-// of batch size — the outer row index and one shared result arena whose
-// capacity is remembered across batches (rows are capped sub-slices of
-// it, see matcher.Matcher).
-func TestMatchBatchAllocBudget(t *testing.T) {
-	e, ev := warmedEngine(t, 200)
-	const batch = 16
-	evs := make([]event.Event, batch)
-	for i := range evs {
-		evs[i] = ev
-	}
-	e.MatchBatch(evs) // warm the arena capacity hint
-	const budget = 2
-	avg := testing.AllocsPerRun(100, func() {
-		if len(e.MatchBatch(evs)) != batch {
-			t.Fatal("batch result misaligned")
-		}
-	})
-	if avg > budget {
-		t.Errorf("MatchBatch(%d) allocates %.1f per run, budget %d", batch, avg, budget)
-	}
-}
-
 // TestMatchPredicatesAllocBudget: phase two alone has the same single-
 // allocation profile as Match.
 func TestMatchPredicatesAllocBudget(t *testing.T) {

@@ -133,7 +133,6 @@ type matchScratch struct {
 	subMark  []uint32 // indexed by SubID-1: epoch when enlisted as candidate
 	predBuf  []predicate.ID
 	candBuf  []matcher.SubID
-	batchCap int // high-water result-arena capacity for MatchBatch presizing
 }
 
 var _ matcher.Matcher = (*Engine)(nil)
@@ -364,42 +363,6 @@ func (e *Engine) MatchInto(ev event.Event, out []matcher.SubID) []matcher.SubID 
 	sc.predBuf = e.idx.Match(ev, sc.predBuf[:0])
 	epoch := e.prepare(sc, sc.predBuf)
 	return e.evalPrepared(sc, epoch, out)
-}
-
-// MatchBatch runs both filtering phases for every event under a single
-// read-lock acquisition with a single pooled scratch, so a batch pays the
-// per-call envelope once. Every event in the batch matches against the
-// same store state. The per-event rows share one arena allocation whose
-// capacity is remembered across batches (see matcher.Matcher: rows are
-// caller-owned but may share backing storage), so a steady-state batch
-// costs two allocations regardless of batch size.
-//
-//nclint:hotpath
-func (e *Engine) MatchBatch(evs []event.Event) [][]matcher.SubID {
-	if len(evs) == 0 {
-		return nil
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	sc := e.getScratchRLocked()
-	defer e.scratch.Put(sc)
-	out := make([][]matcher.SubID, len(evs))
-	arena := make([]matcher.SubID, 0, sc.batchCap)
-	for i, ev := range evs {
-		sc.predBuf = e.idx.Match(ev, sc.predBuf[:0])
-		epoch := e.prepare(sc, sc.predBuf)
-		start := len(arena)
-		arena = e.evalPrepared(sc, epoch, arena)
-		if len(arena) > start {
-			// Full-slice-expression cap: appending to a row can never
-			// clobber its neighbour, it reallocates instead.
-			out[i] = arena[start:len(arena):len(arena)]
-		}
-	}
-	if cap(arena) > sc.batchCap {
-		sc.batchCap = cap(arena)
-	}
-	return out
 }
 
 // MatchPredicates runs phase two only, concurrently with other readers.

@@ -292,23 +292,6 @@ func (e *Engine) Match(ev event.Event) []matcher.SubID {
 	return e.matchPredicatesLocked(e.predBuf)
 }
 
-// MatchBatch runs both filtering phases for every event under a single
-// lock acquisition; the per-call scratch vectors are reused across the
-// batch like they are across sequential Match calls.
-func (e *Engine) MatchBatch(evs []event.Event) [][]matcher.SubID {
-	if len(evs) == 0 {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([][]matcher.SubID, len(evs))
-	for i, ev := range evs {
-		e.predBuf = e.idx.Match(ev, e.predBuf[:0])
-		out[i] = e.matchPredicatesLocked(e.predBuf)
-	}
-	return out
-}
-
 // MatchPredicates runs phase two only.
 func (e *Engine) MatchPredicates(fulfilled []predicate.ID) []matcher.SubID {
 	e.mu.Lock()

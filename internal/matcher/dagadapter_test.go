@@ -15,12 +15,11 @@ import (
 
 // dagEngine is a test-local Matcher that fronts a core engine with the
 // covering poset of internal/cover/dag, mirroring the broker's
-// AggregateDAG wiring: only frontier (uncovered-maximal) filters occupy
+// Aggregate wiring: only frontier (uncovered-maximal) filters occupy
 // engine entries, covered subscriptions hang off poset nodes and are
 // re-evaluated during the post-match frontier walk. Registering it in
 // engines() makes the whole contract suite exercise the aggregation
-// path: ID stability, fresh-slice aliasing, bookkeeping, and
-// MatchBatch ≡ sequential Match.
+// path: ID stability, fresh-slice aliasing and bookkeeping.
 type dagEngine struct {
 	mu   sync.Mutex
 	eng  matcher.Matcher
@@ -160,16 +159,6 @@ func (m *dagEngine) Match(ev event.Event) []matcher.SubID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.matchLocked(ev)
-}
-
-func (m *dagEngine) MatchBatch(evs []event.Event) [][]matcher.SubID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([][]matcher.SubID, len(evs))
-	for i, ev := range evs {
-		out[i] = m.matchLocked(ev)
-	}
-	return out
 }
 
 // MatchPredicates cannot be supported by the aggregation wrapper: covered

@@ -53,12 +53,6 @@ var (
 // traffic — so code that needs parallel matching must use the non-canonical
 // engine.
 //
-// The sharded engine (internal/shard) partitions subscriptions across N
-// core engines — each with a private registry, index and lock — encoding
-// the shard index in the high bits of SubID. Subscribe/Unsubscribe then
-// write-lock a single shard, and Match fans out over all of them, so
-// churn excludes only 1/N of the matching work.
-//
 // Engines constructed over a *shared* predicate.Registry and index.Index
 // (the benchmarking setup of paper §4) synchronise only their own store:
 // while one sharing engine mutates via Subscribe/Unsubscribe, no other
@@ -77,17 +71,6 @@ type Matcher interface {
 	// Match runs both phases and returns the IDs of all subscriptions the
 	// event fulfils. The returned slice is freshly allocated.
 	Match(ev event.Event) []SubID
-
-	// MatchBatch runs both phases for every event and returns the
-	// per-event match sets, aligned with evs. Results are equivalent to
-	// len(evs) sequential Match calls against an unchanging store, but the
-	// engine amortises its per-call envelope over the batch: one lock
-	// acquisition (and, for the sharded engine, one shard fan-out) covers
-	// all events, so every event in a batch observes the same store state.
-	// The rows are caller-owned but may share one backing arena: appending
-	// to a row is safe (each row's capacity is capped, so growth
-	// reallocates), while writes past a row's length are not.
-	MatchBatch(evs []event.Event) [][]SubID
 
 	// MatchPredicates runs phase two only, taking the fulfilled-predicate
 	// set as input. This is the operation the paper's experiments time.

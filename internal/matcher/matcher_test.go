@@ -14,7 +14,6 @@ import (
 	"noncanon/internal/index"
 	"noncanon/internal/matcher"
 	"noncanon/internal/predicate"
-	"noncanon/internal/shard"
 )
 
 // engines returns every Matcher implementation over its own fresh
@@ -33,8 +32,6 @@ func engines() map[string]matcher.Matcher {
 		"nc-paper-assoc":   newNC(core.Options{PaperAssociation: true}),
 		"counting":         newCnt(counting.Classic),
 		"counting-variant": newCnt(counting.Variant),
-		"sharded-1":        shard.New(shard.Options{Shards: 1}),
-		"sharded-4":        shard.New(shard.Options{Shards: 4, Parallel: 2}),
 		"dag-aggregated":   newDAGEngine(),
 	}
 }
@@ -145,86 +142,6 @@ func equalIDs(a, b []matcher.SubID) bool {
 		}
 	}
 	return true
-}
-
-// batchEvent draws a random event over the attribute pool a0..a5 with the
-// value shapes the random expressions quantify over.
-func batchEvent(rng *rand.Rand) event.Event {
-	ev := event.New()
-	for i := 0; i < 6; i++ {
-		attr := fmt.Sprintf("a%d", i)
-		switch rng.Intn(5) {
-		case 0: // absent
-		case 1:
-			ev = ev.Set(attr, rng.Intn(50))
-		case 2:
-			ev = ev.Set(attr, float64(rng.Intn(50))+0.5)
-		case 3:
-			ev = ev.Set(attr, "s"+fmt.Sprint(rng.Intn(20)))
-		default:
-			ev = ev.Set(attr, rng.Intn(2) == 0)
-		}
-	}
-	return ev
-}
-
-// TestMatchBatchConsistency pins the batch part of the contract: one
-// MatchBatch pass returns exactly what N sequential Match calls return
-// against the same store, for every engine. (The counting engines reject
-// NOT, so the random workload stays within AND/OR.)
-func TestMatchBatchConsistency(t *testing.T) {
-	for name, m := range engines() {
-		rng := rand.New(rand.NewSource(11))
-		cfg := boolexpr.RandomConfig{MaxDepth: 3, MaxFanout: 3}
-		for i := 0; i < 60; i++ {
-			if _, err := m.Subscribe(boolexpr.RandomExpr(rng, cfg)); err != nil {
-				t.Fatalf("%s: subscribe %d: %v", name, i, err)
-			}
-		}
-		evs := make([]event.Event, 32)
-		for i := range evs {
-			evs[i] = batchEvent(rng)
-		}
-		batch := m.MatchBatch(evs)
-		if len(batch) != len(evs) {
-			t.Fatalf("%s: MatchBatch returned %d results for %d events", name, len(batch), len(evs))
-		}
-		anyMatch := false
-		for i, ev := range evs {
-			single := m.Match(ev)
-			if !equalIDs(sortedIDs(batch[i]), sortedIDs(single)) {
-				t.Fatalf("%s: event %d diverged\n  batch:  %v\n  single: %v", name, i, batch[i], single)
-			}
-			anyMatch = anyMatch || len(single) > 0
-		}
-		if !anyMatch {
-			t.Fatalf("%s: workload produced no matches at all; test is vacuous", name)
-		}
-		if got := m.MatchBatch(nil); len(got) != 0 {
-			t.Errorf("%s: MatchBatch(nil) = %v, want empty", name, got)
-		}
-	}
-}
-
-// TestMatchBatchReturnsFreshSlices extends the aliasing contract to
-// batches: neither a later MatchBatch nor a later Match may overwrite a
-// previously returned batch result.
-func TestMatchBatchReturnsFreshSlices(t *testing.T) {
-	for name, m := range engines() {
-		id1, err := m.Subscribe(boolexpr.Pred("a", predicate.Eq, 1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Subscribe(boolexpr.Pred("a", predicate.Eq, 2)); err != nil {
-			t.Fatal(err)
-		}
-		first := m.MatchBatch([]event.Event{event.New().Set("a", 1)})
-		m.MatchBatch([]event.Event{event.New().Set("a", 2)})
-		m.Match(event.New().Set("a", 2))
-		if len(first) != 1 || len(first[0]) != 1 || first[0][0] != id1 {
-			t.Errorf("%s: first batch result corrupted by later calls: %v", name, first)
-		}
-	}
 }
 
 // TestCountingMatchPredicatesAlg covers the counting engine's explicit-

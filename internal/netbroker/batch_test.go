@@ -187,7 +187,7 @@ func TestMalformedBatchRejectedWithoutDisconnect(t *testing.T) {
 // connections. Every batch must come back fully counted, and subscribers
 // that stay put must keep receiving.
 func TestBatchInterleavedWithConcurrentSubscribers(t *testing.T) {
-	addr, _ := startServer(t, ServerOptions{Broker: broker.Options{Shards: 4, QueueSize: 256}})
+	addr, _ := startServer(t, ServerOptions{Broker: broker.Options{QueueSize: 256}})
 
 	stable, err := Dial(addr)
 	if err != nil {

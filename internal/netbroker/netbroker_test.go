@@ -2,7 +2,6 @@ package netbroker
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -372,50 +371,5 @@ func TestClientOverPipe(t *testing.T) {
 	defer cli.Close()
 	if err := cli.Ping(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestShardedServerRoundTrip drives the TCP stack against a sharded
-// broker (the -shards deployment of cmd/ncbroker): subscription IDs carry
-// the shard index in their high bits and must route pushes and
-// unsubscribes unchanged through the wire protocol.
-func TestShardedServerRoundTrip(t *testing.T) {
-	addr, _ := startServer(t, ServerOptions{Broker: broker.Options{Shards: 4}})
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	subs := make([]*ClientSub, 8)
-	for i := range subs {
-		sub, err := cli.Subscribe(fmt.Sprintf("k = %d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs[i] = sub
-	}
-	for i := range subs {
-		n, err := cli.Publish(event.New().Set("k", i))
-		if err != nil || n != 1 {
-			t.Fatalf("Publish k=%d = %d, %v", i, n, err)
-		}
-		ev := recvEvent(t, subs[i].C())
-		if v, _ := ev.Get("k"); v.Int() != int64(i) {
-			t.Fatalf("k=%d received %v", i, ev)
-		}
-	}
-	// Unsubscribe half over the wire; their events must stop.
-	for i := 0; i < len(subs); i += 2 {
-		if err := subs[i].Unsubscribe(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range subs {
-		want := i % 2 // odd IDs still subscribed
-		n, err := cli.Publish(event.New().Set("k", i))
-		if err != nil || n != want {
-			t.Fatalf("post-unsubscribe Publish k=%d = %d, %v (want %d)", i, n, err, want)
-		}
 	}
 }

@@ -122,17 +122,22 @@ func (r *recorder) snapshot() [][]string {
 
 func TestDifferentialAliasDecodeAcrossEngines(t *testing.T) {
 	configs := []struct {
-		name string
-		opts broker.Options
+		name    string
+		opts    broker.Options
+		filters []string
 	}{
-		{"plain", broker.Options{}},
-		{"sharded", broker.Options{Shards: 4}},
-		{"aggregate", broker.Options{Aggregate: true}},
-		{"dag", broker.Options{AggregateDAG: true}},
+		{"plain", broker.Options{}, advFilters()},
+		// Every filter twice: the second copy interns into the first's
+		// poset entry, so half the subscribers share an engine entry.
+		{"aggregate", broker.Options{Aggregate: true}, append(advFilters(), advFilters()...)},
+		// Every filter once: the ones the poset finds covered (exists price
+		// covers each price comparison) hang beneath the frontier and are
+		// re-checked at delivery.
+		{"dag", broker.Options{Aggregate: true}, advFilters()},
 	}
-	filters := advFilters()
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
+			filters := tc.filters
 			opts := tc.opts
 			opts.QueueSize = 4096
 			bCopy := broker.New(opts)
@@ -155,6 +160,13 @@ func TestDifferentialAliasDecodeAcrossEngines(t *testing.T) {
 				}
 				if _, err := bAlias.Subscribe(expr2, recAlias.handler(i)); err != nil {
 					t.Fatal(err)
+				}
+			}
+			if opts.Aggregate {
+				st := bAlias.Stats()
+				if st.DistinctFilters != len(advFilters()) || st.CoveredSubscribers == 0 {
+					t.Fatalf("aggregation not exercised: %d distinct filters (want %d), %d covered subscribers",
+						st.DistinctFilters, len(advFilters()), st.CoveredSubscribers)
 				}
 			}
 

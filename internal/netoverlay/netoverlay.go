@@ -105,8 +105,6 @@ type Options struct {
 	NodeID uint32
 	// Cover enables covering-pruned subscription forwarding.
 	Cover bool
-	// Engine configures the local matching engine.
-	Engine core.Options
 	// Metrics is the registry this broker's instruments register in; nil
 	// means a private registry (same atomic cost, reachable via Metrics()).
 	// Give each broker its own registry: per-broker function instruments
@@ -280,7 +278,7 @@ func NewBroker(opts Options) *Broker {
 	// show more forwards than publishes.
 	b.published = b.reg.Counter("netoverlay_published_total")
 	b.installErrors = b.reg.Counter("netoverlay_install_errors_total")
-	b.eng = core.New(predicate.NewRegistry(), index.New(), opts.Engine)
+	b.eng = core.New(predicate.NewRegistry(), index.New(), core.Options{})
 	b.rt = router.New(router.Config{
 		Cover:     opts.Cover,
 		Engine:    b.eng,
@@ -528,10 +526,7 @@ func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (SubRef, error) {
 	// cannot fail asynchronously, and require the filter to survive the
 	// text round trip it takes across every link.
 	var n predicate.ID
-	if _, err := subtree.Compile(expr, func(predicate.P) predicate.ID { n++; return n }, subtree.Options{
-		Encoding: b.opts.Engine.Encoding,
-		Reorder:  b.opts.Engine.Reorder,
-	}); err != nil {
+	if _, err := subtree.Compile(expr, func(predicate.P) predicate.ID { n++; return n }, subtree.Options{}); err != nil {
 		return SubRef{}, fmt.Errorf("netoverlay: invalid subscription: %w", err)
 	}
 	back, err := sublang.Parse(expr.String())

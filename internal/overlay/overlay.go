@@ -78,8 +78,6 @@ type Config struct {
 	// unsubscribing a coverer re-floods the filters it was shadowing.
 	// Event routing is unaffected; delivery stays exactly-once.
 	Cover bool
-	// Engine configures each broker's matching engine.
-	Engine core.Options
 	// LinkHighWater is the per-link spill-queue congestion threshold in
 	// accounted bytes (default DefaultLinkHighWater). A congested link
 	// sheds event traffic, counted in Stats.Shed; subscription control
@@ -223,7 +221,7 @@ func New(n int, edges [][2]NodeID, cfg Config) (*Network, error) {
 			id:    NodeID(i),
 			net:   nw,
 			inbox: make(chan message, cfg.InboxSize),
-			eng:   core.New(reg, idx, cfg.Engine),
+			eng:   core.New(reg, idx, core.Options{}),
 		}
 	}
 	for _, e := range edges {
@@ -371,10 +369,7 @@ func (nw *Network) Subscribe(at NodeID, expr boolexpr.Expr, h Handler) (SubRef, 
 	// Validate compilability up front (with a throwaway interner) so that
 	// installation cannot fail asynchronously mid-flood.
 	var n predicate.ID
-	if _, err := subtree.Compile(expr, func(predicate.P) predicate.ID { n++; return n }, subtree.Options{
-		Encoding: nw.cfg.Engine.Encoding,
-		Reorder:  nw.cfg.Engine.Reorder,
-	}); err != nil {
+	if _, err := subtree.Compile(expr, func(predicate.P) predicate.ID { n++; return n }, subtree.Options{}); err != nil {
 		return SubRef{}, fmt.Errorf("overlay: invalid subscription: %w", err)
 	}
 	id := nw.nextSub.Add(1)

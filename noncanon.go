@@ -188,12 +188,6 @@ func (e *Engine) Unsubscribe(id SubID) error { return e.m.Unsubscribe(id) }
 // Match returns the IDs of all subscriptions the event fulfils.
 func (e *Engine) Match(ev Event) []SubID { return e.m.Match(ev) }
 
-// MatchBatch matches every event in one pass under a single lock
-// acquisition and returns the per-event match sets, aligned with evs.
-// Results are identical to calling Match per event against an unchanging
-// engine; a batch just pays the per-call envelope once.
-func (e *Engine) MatchBatch(evs []Event) [][]SubID { return e.m.MatchBatch(evs) }
-
 // Algorithm reports the engine's filtering algorithm.
 func (e *Engine) Algorithm() Algorithm { return Algorithm(e.m.Name()) }
 
