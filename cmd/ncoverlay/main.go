@@ -70,7 +70,6 @@ func main() {
 		hold   = flag.Duration("hold", 0, "federation mode: keep serving this long after the local workload")
 
 		highWater = flag.Int("link-highwater", 0, "per-link spill queue byte bound before event shedding starts (0 = default)")
-		lowWater  = flag.Int("link-lowwater", 0, "queue bytes below which a congested link clears (0 = highwater/2)")
 		evict     = flag.Duration("evict-after", 0, "federation mode: evict a peer congested this long, retracting its routes (0 = default, <0 disables)")
 		ping      = flag.Duration("ping", 0, "federation mode: keep-alive ping interval (0 = default, <0 disables)")
 		readIdle  = flag.Duration("read-idle", 0, "federation mode: detach a peer silent this long (0 = default, <0 disables)")
@@ -92,7 +91,6 @@ func main() {
 			Settle:        *settle,
 			Hold:          *hold,
 			LinkHighWater: *highWater,
-			LinkLowWater:  *lowWater,
 			EvictAfter:    *evict,
 			Ping:          *ping,
 			ReadIdle:      *readIdle,
@@ -103,8 +101,8 @@ func main() {
 		err = run(simConfig{
 			Nodes: *nodes, Topology: *topology, Fanout: *fanout,
 			Subs: *subs, Events: *events, Seed: *seed, Cover: *coverOn,
-			LinkHighWater: *highWater, LinkLowWater: *lowWater,
-			MetricsAddr: *metricsAddr,
+			LinkHighWater: *highWater,
+			MetricsAddr:   *metricsAddr,
 		})
 	}
 	if err != nil {
@@ -140,7 +138,6 @@ type fedConfig struct {
 
 	// Flow control and liveness (zero values pick netoverlay defaults).
 	LinkHighWater int
-	LinkLowWater  int
 	EvictAfter    time.Duration
 	Ping          time.Duration
 	ReadIdle      time.Duration
@@ -167,7 +164,6 @@ func runFederated(w io.Writer, cfg fedConfig) error {
 		Cover:              cfg.Cover,
 		TraceSampleEvery:   cfg.TraceEvery,
 		LinkHighWater:      cfg.LinkHighWater,
-		LinkLowWater:       cfg.LinkLowWater,
 		CongestionDeadline: cfg.EvictAfter,
 		PingInterval:       cfg.Ping,
 		ReadIdleTimeout:    cfg.ReadIdle,
@@ -277,7 +273,6 @@ type simConfig struct {
 	Cover    bool
 
 	LinkHighWater int
-	LinkLowWater  int
 	MetricsAddr   string
 }
 
@@ -289,7 +284,6 @@ func run(sc simConfig) error {
 	cfg := overlay.Config{
 		Cover:         sc.Cover,
 		LinkHighWater: sc.LinkHighWater,
-		LinkLowWater:  sc.LinkLowWater,
 	}
 	if sc.MetricsAddr != "" {
 		cfg.Metrics = obs.NewRegistry()

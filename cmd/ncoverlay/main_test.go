@@ -39,7 +39,7 @@ func TestRunSingleNode(t *testing.T) {
 func TestRunCustomWatermarks(t *testing.T) {
 	sc := simConfig{
 		Nodes: 5, Topology: "line", Fanout: 2, Subs: 20, Events: 100, Seed: 1,
-		LinkHighWater: 1 << 20, LinkLowWater: 1 << 19,
+		LinkHighWater: 1 << 20,
 	}
 	if err := run(sc); err != nil {
 		t.Errorf("custom watermarks: %v", err)

@@ -96,7 +96,8 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 		Allow: []string{"internal/boolexpr", "internal/predicate", "internal/value"}},
 	// The covering poset is pure subsumption bookkeeping over expressions:
 	// it must stay compute-only (no net/os) and must not know about
-	// engines or events — the broker maps its frontier onto engine entries.
+	// engines, events or links — the broker maps its frontier onto engine
+	// entries, the router onto the filters each federation link carries.
 	"internal/cover/dag": {Layer: "expr", ForbidStd: pureStd,
 		Allow: []string{"internal/boolexpr", "internal/cover"}},
 	"internal/sublang": {Layer: "expr", ForbidStd: pureStd,
@@ -123,7 +124,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	"internal/broker": {Layer: "service", ForbidStd: []string{"net"},
 		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/index", "internal/matcher", "internal/obs", "internal/predicate"}},
 	"internal/router": {Layer: "service", ForbidStd: []string{"net"},
-		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/event", "internal/matcher", "internal/obs"},
+		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/matcher", "internal/obs"},
 		Deny: map[string]string{
 			"internal/wire":       "router is transport-agnostic; frame encoding belongs to the transports",
 			"internal/netoverlay": "router is transport-agnostic; it must keep serving the in-process overlay too",

@@ -17,8 +17,13 @@
 // prover (see internal/cover/probe.go); dag's differential tests hold it
 // against a scan-everything oracle.
 //
-// The structure is not safe for concurrent use; callers (internal/broker)
-// guard it with their own lock.
+// Two packages drive it: internal/broker maps the frontier onto engine
+// entries (covering aggregation), and internal/router keeps one poset per
+// federation link, whose far side holds the poset's sent nodes, the
+// frontier among them (covering-pruned flooding).
+//
+// The structure is not safe for concurrent use; callers guard it with
+// their own lock (the broker) or own it from one goroutine (the router).
 package dag
 
 import (
@@ -53,7 +58,8 @@ type Node struct {
 	absorbing bool // cover.SelfUnsat: covered by everything
 
 	// Data is an arbitrary caller payload (the broker hangs its fan-out
-	// group here so delivery needs no map lookups).
+	// group here so delivery needs no map lookups; the router, what the
+	// far side of the link knows about the node).
 	Data any
 }
 
@@ -145,6 +151,11 @@ func (d *DAG) Refs() int { return d.refs }
 
 // Nodes returns the live nodes in insertion order (fresh slice).
 func (d *DAG) Nodes() []*Node { return append([]*Node(nil), d.nodes...) }
+
+// Lookup returns the live node key is interned to, or nil.
+func (d *DAG) Lookup(key string) *Node {
+	return d.byKey[key]
+}
 
 // Add interns expr under its cover.Key and returns the resulting node and
 // frontier effects. Equivalent to AddKeyed(cover.Key(expr), expr).

@@ -118,17 +118,12 @@ type Options struct {
 	// byte-identical to the pre-trace wire format, so traced and untraced
 	// brokers interoperate freely.
 	TraceSampleEvery int
-	// InboxSize is the broker inbox capacity (default DefaultInboxSize).
-	InboxSize int
 	// LinkHighWater is the per-peer spill-queue congestion threshold in
 	// accounted bytes (default DefaultLinkHighWater). A peer whose queue
 	// reaches it stops receiving event traffic — events are shed and
-	// counted (Stats.Shed) — until the queue drains below LinkLowWater.
+	// counted (Stats.Shed) — until the queue drains below half of it.
 	// Subscription control traffic is never shed.
 	LinkHighWater int
-	// LinkLowWater is the byte level a congested link must drain below to
-	// regain credit (default LinkHighWater/2).
-	LinkLowWater int
 	// CongestionDeadline is how long a peer may stay continuously
 	// congested before the broker evicts it, retracting every route
 	// learned through it (default DefaultCongestionDeadline; negative
@@ -241,9 +236,6 @@ type inMsg struct {
 
 // NewBroker starts a federated broker (no links yet; see Serve/Connect).
 func NewBroker(opts Options) *Broker {
-	if opts.InboxSize <= 0 {
-		opts.InboxSize = DefaultInboxSize
-	}
 	if opts.LinkHighWater <= 0 {
 		opts.LinkHighWater = DefaultLinkHighWater
 	}
@@ -262,7 +254,7 @@ func NewBroker(opts Options) *Broker {
 	b := &Broker{
 		opts:    opts,
 		quit:    make(chan struct{}),
-		inbox:   make(chan inMsg, opts.InboxSize),
+		inbox:   make(chan inMsg, DefaultInboxSize),
 		peers:   make(map[uint32]*peer),
 		pending: make(map[net.Conn]struct{}),
 	}
@@ -284,6 +276,14 @@ func NewBroker(opts Options) *Broker {
 		Engine:    b.eng,
 		Transport: (*brokerTransport)(b),
 		Metrics:   b.reg,
+	})
+	// The peer gauge registers before the eviction counter, so Snapshot
+	// reads it after. Eviction is counted only once the peer has left the
+	// table, so a Stats showing an eviction never still counts that peer.
+	b.reg.GaugeFunc("netoverlay_peers", func() int64 {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return int64(len(b.peers))
 	})
 	b.evicted = b.reg.Counter("netoverlay_evicted_total")
 	b.hopLatency = b.reg.Histogram("netoverlay_hop_latency_seconds")
@@ -317,11 +317,6 @@ func NewBroker(opts Options) *Broker {
 			s += int64(p.out.Stats().Bytes)
 		}
 		return s
-	})
-	b.reg.GaugeFunc("netoverlay_peers", func() int64 {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return int64(len(b.peers))
 	})
 	b.wg.Add(1)
 	go b.run()
@@ -754,19 +749,8 @@ func (b *Broker) run() {
 				m.ctl()
 				continue
 			}
-			switch m.m.Kind {
-			case router.Sub:
-				installed, err := b.rt.HandleSubscribe(m.m.SubID, m.m.Expr, m.h, m.from)
-				if err != nil {
-					b.anomaly(err)
-				} else if !installed && m.from != -1 {
-					b.anomaly(fmt.Errorf("netoverlay: node %d: duplicate subscription %d flooded in (cycle in federation topology?)",
-						b.opts.NodeID, m.m.SubID))
-				}
-			case router.Unsub:
-				b.rt.HandleUnsubscribe(m.m.SubID, m.from)
-			case router.Event:
-				b.rt.HandleEventMsg(m.m, m.from)
+			if err := b.rt.Handle(m.m, m.h, m.from); err != nil {
+				b.anomaly(err)
 			}
 		case <-b.quit:
 			return

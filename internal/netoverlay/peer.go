@@ -105,7 +105,7 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 		b:      b,
 		nc:     nc,
 		nodeID: peerID,
-		out:    router.NewFlowQueue(router.EstimateMsgBytes, b.opts.LinkHighWater, b.opts.LinkLowWater),
+		out:    router.NewFlowQueue(router.EstimateMsgBytes, b.opts.LinkHighWater, 0),
 		done:   make(chan struct{}),
 	}
 	b.mu.Lock()

@@ -177,10 +177,9 @@ func TestChurnUnsubscribeDuringFlood(t *testing.T) {
 				}
 				if coverOn {
 					for i := 0; i < nd.rt.NumLinks(); i++ {
-						fwd, covered, coverers := nd.rt.CoverState(i)
-						if fwd != 0 || covered != 0 || coverers != 0 {
-							t.Fatalf("node %d link %d covering state leaked: fwd=%d coveredBy=%d coverees=%d",
-								nd.id, i, fwd, covered, coverers)
+						if filters, frontier := nd.rt.CoverState(i); filters != 0 || frontier != 0 {
+							t.Fatalf("node %d link %d covering poset leaked: %d filters, %d frontier",
+								nd.id, i, filters, frontier)
 						}
 					}
 				}

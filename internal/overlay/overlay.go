@@ -80,12 +80,9 @@ type Config struct {
 	Cover bool
 	// LinkHighWater is the per-link spill-queue congestion threshold in
 	// accounted bytes (default DefaultLinkHighWater). A congested link
-	// sheds event traffic, counted in Stats.Shed; subscription control
-	// traffic is never shed.
+	// sheds event traffic, counted in Stats.Shed, until it drains below
+	// half of it; subscription control traffic is never shed.
 	LinkHighWater int
-	// LinkLowWater is the byte level a congested link must drain below to
-	// regain credit (default LinkHighWater/2).
-	LinkLowWater int
 	// OnError, when non-nil, receives routing anomalies (a subscription a
 	// broker failed to install, a duplicate flood suggesting a cycle) that
 	// a federated deployment must observe rather than panic over. Called on
@@ -241,7 +238,7 @@ func New(n int, edges [][2]NodeID, cfg Config) (*Network, error) {
 		})
 		nd.out = make([]*router.Queue[router.Msg], len(nd.neighbors))
 		for i := range nd.out {
-			nd.out[i] = router.NewFlowQueue(router.EstimateMsgBytes, cfg.LinkHighWater, cfg.LinkLowWater)
+			nd.out[i] = router.NewFlowQueue(router.EstimateMsgBytes, cfg.LinkHighWater, 0)
 		}
 	}
 	// Spill-queue aggregates and (for exported registries) per-link depth
@@ -509,7 +506,9 @@ func (nd *node) run() {
 	for {
 		select {
 		case m := <-nd.inbox:
-			nd.handle(m)
+			if err := nd.rt.Handle(m.m, m.handler, m.from); err != nil {
+				nd.anomaly(err)
+			}
 			nd.net.track(-1)
 		case <-nd.net.quit:
 			return
@@ -536,26 +535,6 @@ func (nd *node) drainLink(i int) {
 			nd.net.track(-1)
 			return
 		}
-	}
-}
-
-func (nd *node) handle(msg message) {
-	switch msg.m.Kind {
-	case router.Sub:
-		installed, err := nd.rt.HandleSubscribe(msg.m.SubID, msg.m.Expr, msg.handler, msg.from)
-		if err != nil {
-			nd.anomaly(err)
-			return
-		}
-		if !installed {
-			// Duplicate flood: impossible on a tree, so it means the
-			// topology has a cycle. Defensive rather than fatal.
-			nd.anomaly(fmt.Errorf("overlay: node %d: duplicate subscription %d (cycle in topology?)", nd.id, msg.m.SubID))
-		}
-	case router.Unsub:
-		nd.rt.HandleUnsubscribe(msg.m.SubID, msg.from)
-	case router.Event:
-		nd.rt.HandleEventMsg(msg.m, msg.from)
 	}
 }
 

@@ -12,14 +12,12 @@
 //     delivers every matching subscription exactly once while filtering
 //     prunes all branches without subscribers.
 //
-// With Config.Cover the flood is pruned by subscription covering
-// (internal/cover): a broker does not forward a subscription over a link
-// that already carries one covering it. The suppressed subscription is
-// remembered against its coverer; when the coverer is unsubscribed the
-// broker re-floods the filters it was shadowing over that link — each
-// re-checked against the remaining forwarded set, so a second coverer
-// re-suppresses instead of re-flooding. The re-floods are sent BEFORE the
-// retraction so the far side never carries neither filter.
+// With Config.Cover the flood is pruned by covering: each link has one
+// covering poset (internal/cover/dag) holding every route not learned over
+// it, and the far side holds the link poset's sent nodes. A route is sent
+// only if it creates a frontier node; a sent node stays sent when a broader
+// one demotes it; a dying node's uncovered children are sent BEFORE its
+// retraction, so the far side never carries neither filter.
 //
 // A Router is owned by a single broker goroutine: all Handle* methods must
 // be called from that goroutine. Outbound messages leave through the
@@ -29,12 +27,14 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/core"
 	"noncanon/internal/cover"
+	"noncanon/internal/cover/dag"
 	"noncanon/internal/event"
 	"noncanon/internal/matcher"
 	"noncanon/internal/obs"
@@ -43,6 +43,9 @@ import (
 // MaxHops bounds event forwarding as a safety net; tree routing never
 // reaches it. Drops are counted in Counts.HopDropped rather than silent.
 const MaxHops = 255
+
+// ErrDuplicate marks a flood of an installed subscription ID: a topology cycle.
+var ErrDuplicate = errors.New("duplicate subscription (cycle in topology?)")
 
 // Handler consumes events delivered to a local subscriber. Handlers run on
 // the owning broker's goroutine and must not block.
@@ -121,42 +124,25 @@ type Counts struct {
 	// HopDropped counts events discarded at the MaxHops safety net — on a
 	// tree this staying zero is a routing invariant.
 	HopDropped uint64
-	// CoverCacheHits and CoverCacheMisses count lookups in the memoized
-	// covering test (Config.Cover only): hits skipped a pairwise Covers
-	// proof, misses ran one and cached it.
-	CoverCacheHits   uint64
-	CoverCacheMisses uint64
 }
 
 // route is the broker's view of one overlay subscription.
 type route struct {
 	subID    uint64
 	engineID matcher.SubID
-	expr     boolexpr.Expr // kept for covering re-floods and link syncs
-	key      string        // cover.Key(expr), the memoization key (Cover only)
+	expr     boolexpr.Expr // kept for link syncs and link posets
+	key      string        // cover.Key(expr), its node's key in every link poset (Cover only)
 	handler  Handler       // non-nil only at the subscriber's home broker
 	nextHop  int           // link index toward the subscriber; -1 when local
 }
 
-// fwdEntry is one subscription actually forwarded over a link, with its
-// canonical key alongside so covering checks against it can hit the cache.
-type fwdEntry struct {
-	expr boolexpr.Expr
-	key  string
+// linkNode is a link poset node's Data: whether the far side holds it, and
+// the ID it knows it by — the creating route's, unambiguous after that
+// route is gone because IDs are never reused.
+type linkNode struct {
+	id   uint64
+	sent bool
 }
-
-// coverPair keys one memoized Covers(a, b) verdict by the operands'
-// canonical keys. cover.Key equality implies identical matched-event
-// sets, so a cached true transfers soundly to any expression with the
-// same key; a cached false merely forgoes pruning, which covering is
-// always allowed to do.
-type coverPair struct {
-	a, b string
-}
-
-// coverCacheMax bounds the memo table; churn past it clears and restarts
-// rather than growing without bound (the next storm re-warms it).
-const coverCacheMax = 1 << 16
 
 // Router is the per-broker routing state machine.
 type Router struct {
@@ -171,17 +157,9 @@ type Router struct {
 	// and forwards skip dead links but indexes stay stable.
 	links []bool
 
-	// Covering state (Config.Cover only), indexed by link. fwd[i] holds
-	// the subscriptions this broker actually sent over link i; coveredBy[i]
-	// maps a suppressed subscription to the forwarded one that shadows it,
-	// and coverees[i] is the reverse index consulted on unsubscribe.
-	fwd       []map[uint64]fwdEntry
-	coveredBy []map[uint64]uint64
-	coverees  []map[uint64]map[uint64]struct{}
-
-	// coverCache memoizes pairwise Covers proofs across links and floods
-	// (broker-goroutine-owned, like the rest of the routing state).
-	coverCache map[coverPair]bool
+	// posets[i] (Config.Cover only) holds every route not learned over
+	// link i; nil once the link is dead.
+	posets []*dag.DAG
 
 	// matchBuf is HandleEventMsg's recycled match-result buffer; the single
 	// owning goroutine makes a plain field enough (handlers must not call
@@ -193,8 +171,6 @@ type Router struct {
 	subMsgs       *obs.Counter
 	coverSuppress *obs.Counter
 	hopDropped    *obs.Counter
-	coverHits     *obs.Counter
-	coverMisses   *obs.Counter
 }
 
 // New builds a router over the given engine and transport.
@@ -210,9 +186,6 @@ func New(cfg Config) *Router {
 		routes:   make(map[uint64]*route),
 		byEngine: make(map[matcher.SubID]*route),
 	}
-	if cfg.Cover {
-		r.coverCache = make(map[coverPair]bool)
-	}
 	// Cause-counters before effect-counters: Registry.Snapshot reads in
 	// reverse registration order, so registering subMsgs → … → forwarded
 	// means a snapshot reads forwarded (effect) before the counters whose
@@ -220,8 +193,6 @@ func New(cfg Config) *Router {
 	// register their own cause (overlay's published) must do so before
 	// constructing routers.
 	r.subMsgs = reg.Counter("router_sub_msgs_total")
-	r.coverMisses = reg.Counter("router_cover_cache_misses_total")
-	r.coverHits = reg.Counter("router_cover_cache_hits_total")
 	r.coverSuppress = reg.Counter("router_cover_suppressed_total")
 	r.hopDropped = reg.Counter("router_hop_dropped_total")
 	r.delivered = reg.Counter("router_delivered_total")
@@ -238,33 +209,21 @@ func (r *Router) AddLink() int {
 	i := len(r.links)
 	r.links = append(r.links, true)
 	if r.cover {
-		r.fwd = append(r.fwd, make(map[uint64]fwdEntry))
-		r.coveredBy = append(r.coveredBy, make(map[uint64]uint64))
-		r.coverees = append(r.coverees, make(map[uint64]map[uint64]struct{}))
+		r.posets = append(r.posets, dag.New())
 	}
 	return i
 }
 
 // SyncLink floods every route this broker knows over a freshly added link,
-// covering-pruned like any other flood. Brokers that join an existing
-// federation call it once the link's writer is running, so subscriptions
-// registered before the link existed still attract events across it.
+// covering-pruned like any other flood, once the link's writer is running:
+// subscriptions older than the link then attract events across it.
 func (r *Router) SyncLink(link int) {
-	ids := make([]uint64, 0, len(r.routes))
-	for id := range r.routes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	for _, id := range ids {
-		rt := r.routes[id]
-		if rt.nextHop == link {
-			continue // defensive; a fresh link cannot be a next hop yet
-		}
-		r.sendSubOverLink(link, id, rt.expr, rt.key)
+	for _, rt := range r.sortedRoutes(func(nextHop int) bool { return nextHop != link }) {
+		r.subOverLink(link, rt)
 	}
 }
 
-// RemoveLink declares a link dead: its covering bookkeeping is dropped and
+// RemoveLink declares a link dead: its covering poset is dropped and
 // every route learned through it is retracted locally and from the rest of
 // the network, exactly as if each had been unsubscribed from that side.
 func (r *Router) RemoveLink(link int) {
@@ -273,20 +232,23 @@ func (r *Router) RemoveLink(link int) {
 	}
 	r.links[link] = false
 	if r.cover {
-		r.fwd[link] = make(map[uint64]fwdEntry)
-		r.coveredBy[link] = make(map[uint64]uint64)
-		r.coverees[link] = make(map[uint64]map[uint64]struct{})
+		r.posets[link] = nil
 	}
-	var dead []uint64
-	for id, rt := range r.routes {
-		if rt.nextHop == link {
-			dead = append(dead, id)
+	for _, rt := range r.sortedRoutes(func(nextHop int) bool { return nextHop == link }) {
+		r.HandleUnsubscribe(rt.subID, link)
+	}
+}
+
+// sortedRoutes returns, in ID order, the routes whose next hop passes keep.
+func (r *Router) sortedRoutes(keep func(nextHop int) bool) []*route {
+	var out []*route
+	for _, rt := range r.routes {
+		if keep(rt.nextHop) {
+			out = append(out, rt)
 		}
 	}
-	sort.Slice(dead, func(a, b int) bool { return dead[a] < dead[b] })
-	for _, id := range dead {
-		r.HandleUnsubscribe(id, link)
-	}
+	sort.Slice(out, func(a, b int) bool { return out[a].subID < out[b].subID })
+	return out
 }
 
 // NumLinks reports the registered link count (dead links included).
@@ -301,13 +263,13 @@ func (r *Router) HasRoute(subID uint64) bool {
 	return ok
 }
 
-// CoverState reports the covering bookkeeping sizes for one link; tests use
-// it to assert churn leaves no residue.
-func (r *Router) CoverState(link int) (fwd, covered, coverers int) {
-	if !r.cover {
-		return 0, 0, 0
+// CoverState reports one link poset's distinct filters and frontier size;
+// tests use it to assert churn leaves no residue.
+func (r *Router) CoverState(link int) (filters, frontier int) {
+	if !r.cover || r.posets[link] == nil {
+		return 0, 0
 	}
-	return len(r.fwd[link]), len(r.coveredBy[link]), len(r.coverees[link])
+	return r.posets[link].Len(), r.posets[link].FrontierLen()
 }
 
 // Counts snapshots the activity counters; safe from any goroutine. With a
@@ -315,24 +277,47 @@ func (r *Router) CoverState(link int) (fwd, covered, coverers int) {
 // then reports totals across every router on the registry.
 func (r *Router) Counts() Counts {
 	return Counts{
-		Forwarded:        r.forwarded.Value(),
-		Delivered:        r.delivered.Value(),
-		SubMsgs:          r.subMsgs.Value(),
-		CoverSuppressed:  r.coverSuppress.Value(),
-		HopDropped:       r.hopDropped.Value(),
-		CoverCacheHits:   r.coverHits.Value(),
-		CoverCacheMisses: r.coverMisses.Value(),
+		Forwarded:       r.forwarded.Value(),
+		Delivered:       r.delivered.Value(),
+		SubMsgs:         r.subMsgs.Value(),
+		CoverSuppressed: r.coverSuppress.Value(),
+		HopDropped:      r.hopDropped.Value(),
 	}
+}
+
+// Handle dispatches one routing message arriving on link `from` (-1 for
+// the broker's own API, whose subscriptions carry the handler h). It
+// returns the anomalies a host must surface: an error wrapping ErrDuplicate
+// for a flood of an installed ID, and the engine's install error.
+func (r *Router) Handle(m Msg, h Handler, from int) error {
+	switch m.Kind {
+	case Sub:
+		installed, err := r.HandleSubscribe(m.SubID, m.Expr, h, from)
+		if err == nil && !installed && !r.dead(from) {
+			return fmt.Errorf("router: subscription %d: %w", m.SubID, ErrDuplicate)
+		}
+		return err
+	case Unsub:
+		r.HandleUnsubscribe(m.SubID, from)
+	case Event:
+		r.HandleEventMsg(m, from)
+	}
+	return nil
+}
+
+// dead reports whether link `from` was removed or never added (-1 is live).
+func (r *Router) dead(from int) bool {
+	return from >= len(r.links) || from >= 0 && !r.links[from]
 }
 
 // HandleSubscribe installs a subscription arriving on link `from` (-1 for
 // the broker's own API) and floods it to every other live link. It returns
-// installed=false for a duplicate subscription ID — impossible on a tree,
-// so callers should surface it as a topology anomaly — and a non-nil error
-// when the engine rejects the filter (the route is then not installed and
-// nothing is flooded).
+// installed=false for a duplicate ID (impossible on a tree) and for a
+// subscription arriving on a dead link (a frame its reader held when the
+// link was removed), and a non-nil error when the engine rejects the
+// filter; in all three cases nothing is installed or flooded.
 func (r *Router) HandleSubscribe(subID uint64, expr boolexpr.Expr, h Handler, from int) (installed bool, err error) {
-	if _, dup := r.routes[subID]; dup {
+	if _, dup := r.routes[subID]; dup || r.dead(from) {
 		return false, nil
 	}
 	engineID, err := r.eng.Subscribe(expr)
@@ -349,60 +334,39 @@ func (r *Router) HandleSubscribe(subID uint64, expr boolexpr.Expr, h Handler, fr
 	r.routes[subID] = rt
 	r.byEngine[engineID] = rt
 	for i := range r.links {
-		if i == from || !r.links[i] {
-			continue
+		if i != from && r.links[i] {
+			r.subOverLink(i, rt)
 		}
-		r.sendSubOverLink(i, subID, expr, rt.key)
 	}
 	return true, nil
 }
 
-// coversCached answers cover.Covers(a, b) through the key-pair memo. The
-// proof is recomputed at most once per distinct (Key(a), Key(b)) pair for
-// the cache's lifetime — SyncLink and covering re-floods stop re-proving
-// the same pairs once per link.
-func (r *Router) coversCached(aKey string, a boolexpr.Expr, bKey string, b boolexpr.Expr) bool {
-	p := coverPair{aKey, bKey}
-	if v, ok := r.coverCache[p]; ok {
-		r.coverHits.Inc()
-		return v
-	}
-	if len(r.coverCache) >= coverCacheMax {
-		r.coverCache = make(map[coverPair]bool)
-	}
-	r.coverMisses.Inc()
-	v := cover.Covers(a, b)
-	r.coverCache[p] = v
-	return v
-}
-
-// sendSubOverLink forwards a subscription over one link unless a
-// subscription already forwarded there covers it: the far side then
-// already attracts a superset of the matching events toward this broker, so
-// routing stays exact and the flood is pruned. Suppressions are recorded
-// so an unsubscribe of the coverer can re-flood them.
-func (r *Router) sendSubOverLink(i int, subID uint64, expr boolexpr.Expr, key string) {
+// subOverLink floods a route over one link. With covering it is sent only
+// if it creates a frontier node in the link's poset; otherwise a filter the
+// far side already holds covers it, and the flood is pruned.
+func (r *Router) subOverLink(i int, rt *route) {
 	if !r.cover {
 		r.subMsgs.Inc()
-		r.tr.Send(i, Msg{Kind: Sub, SubID: subID, Expr: expr})
+		r.tr.Send(i, Msg{Kind: Sub, SubID: rt.subID, Expr: rt.expr})
 		return
 	}
-	for tid, te := range r.fwd[i] {
-		if r.coversCached(te.key, te.expr, key, expr) {
-			r.coveredBy[i][subID] = tid
-			set := r.coverees[i][tid]
-			if set == nil {
-				set = make(map[uint64]struct{})
-				r.coverees[i][tid] = set
-			}
-			set[subID] = struct{}{}
-			r.coverSuppress.Inc()
-			return
-		}
+	res := r.posets[i].AddKeyed(rt.key, rt.expr)
+	if res.New {
+		res.Node.Data = &linkNode{id: rt.subID}
 	}
-	r.fwd[i][subID] = fwdEntry{expr: expr, key: key}
+	if res.New && res.Frontier {
+		r.sendNode(i, res.Node)
+	} else {
+		r.coverSuppress.Inc()
+	}
+}
+
+// sendNode floods a link poset node under the ID the far side knows it by.
+func (r *Router) sendNode(i int, n *dag.Node) {
+	ln := n.Data.(*linkNode)
+	ln.sent = true
 	r.subMsgs.Inc()
-	r.tr.Send(i, Msg{Kind: Sub, SubID: subID, Expr: expr})
+	r.tr.Send(i, Msg{Kind: Sub, SubID: ln.id, Expr: n.Expr()})
 }
 
 // HandleUnsubscribe removes a subscription arriving on link `from` (-1 for
@@ -416,69 +380,43 @@ func (r *Router) HandleUnsubscribe(subID uint64, from int) bool {
 	delete(r.routes, subID)
 	delete(r.byEngine, rt.engineID)
 	if err := r.eng.Unsubscribe(rt.engineID); err != nil {
-		// The engine accepted this ID at install time; failure here means
-		// the route tables and engine disagree — corrupted state worth
-		// stopping for even in production brokers.
+		// The engine accepted this ID at install time: failure means route
+		// tables and engine disagree, corrupt state worth stopping for.
 		panic(fmt.Sprintf("router: remove subscription %d: %v", subID, err))
 	}
 	for i := range r.links {
-		if i == from || !r.links[i] {
-			continue
+		if i != from && r.links[i] {
+			r.unsubOverLink(i, rt)
 		}
-		r.unsubOverLink(i, subID)
 	}
 	return true
 }
 
-// unsubOverLink retracts a subscription from one link. Only subscriptions
-// actually forwarded there need a link message; a suppressed one just
-// clears its shadow bookkeeping. Retracting a forwarded subscription
-// re-floods everything it was covering (in deterministic order), each
-// re-checked against the remaining forwarded set so another coverer can
-// re-suppress it.
-//
-// Ordering matters: the re-floods are sent BEFORE the retraction. The far
-// side then briefly carries both the coverer and the re-flooded filters —
-// which routes a single event copy anyway (next-hop links are
-// deduplicated) — whereas the opposite order would open a window carrying
-// neither, dropping events for stable subscribers.
-func (r *Router) unsubOverLink(i int, subID uint64) {
+// unsubOverLink retracts a route from one link. With covering it releases
+// the route's node: children left uncovered are sent first, then the
+// node's retraction if it died and was sent. The far side thus briefly
+// carries both (next-hop links are deduplicated, so an event still crosses
+// once) instead of neither, which would drop events for stable subscribers.
+func (r *Router) unsubOverLink(i int, rt *route) {
 	if !r.cover {
 		r.subMsgs.Inc()
-		r.tr.Send(i, Msg{Kind: Unsub, SubID: subID})
+		r.tr.Send(i, Msg{Kind: Unsub, SubID: rt.subID})
 		return
 	}
-	if _, sent := r.fwd[i][subID]; !sent {
-		if cid, covered := r.coveredBy[i][subID]; covered {
-			delete(r.coveredBy[i], subID)
-			if set := r.coverees[i][cid]; set != nil {
-				delete(set, subID)
-				if len(set) == 0 {
-					delete(r.coverees[i], cid)
-				}
-			}
-		}
-		return
+	n := r.posets[i].Lookup(rt.key)
+	if i == rt.nextHop || n == nil {
+		return // never added here: the route came over this link, or the link is younger than its sync
 	}
-	delete(r.fwd[i], subID) // before re-flooding: no self-covering
-	if shadowed := r.coverees[i][subID]; len(shadowed) > 0 {
-		delete(r.coverees[i], subID)
-		ids := make([]uint64, 0, len(shadowed))
-		for sid := range shadowed {
-			ids = append(ids, sid)
+	res := r.posets[i].Release(n)
+	for _, p := range res.Promoted {
+		if !p.Data.(*linkNode).sent {
+			r.sendNode(i, p)
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, sid := range ids {
-			delete(r.coveredBy[i], sid)
-			if rr, live := r.routes[sid]; live {
-				r.sendSubOverLink(i, sid, rr.expr, rr.key)
-			}
-		}
-	} else {
-		delete(r.coverees[i], subID)
 	}
-	r.subMsgs.Inc()
-	r.tr.Send(i, Msg{Kind: Unsub, SubID: subID})
+	if ln := n.Data.(*linkNode); res.Died && ln.sent {
+		r.subMsgs.Inc()
+		r.tr.Send(i, Msg{Kind: Unsub, SubID: ln.id})
+	}
 }
 
 // HandleEventMsg matches an event (m.Ev, having travelled m.Hops)
