@@ -106,6 +106,25 @@ func TestHalfOpenPeerDetachedByIdleTimeout(t *testing.T) {
 	}
 }
 
+// TestStatsReadsPeersAfterEvictions pins the snapshot order Stats relies
+// on: eviction is counted only after the peer left the table, and
+// Registry.Snapshot reads in reverse registration order, so the peer gauge
+// must be registered before the eviction counter. Otherwise a Stats taken
+// between the two steps shows the eviction and still counts the evicted
+// peer, as TestSlowPeerShedsThenEvicted intermittently saw.
+func TestStatsReadsPeersAfterEvictions(t *testing.T) {
+	b := startBrokerOpts(t, Options{NodeID: 1})
+	pos := map[string]int{}
+	for k, s := range b.Metrics().Snapshot() {
+		pos[s.Name] = k
+	}
+	peers, okP := pos["netoverlay_peers"]
+	evicted, okE := pos["netoverlay_evicted_total"]
+	if !okP || !okE || peers > evicted {
+		t.Fatalf("registration positions: peers %d (%v), evicted %d (%v); want peers first", peers, okP, evicted, okE)
+	}
+}
+
 // TestSlowPeerShedsThenEvicted is the flow-control core in miniature: a
 // stalled peer's spill queue stops growing at the watermark (events shed
 // and counted, queue bytes bounded), and once congested past the deadline

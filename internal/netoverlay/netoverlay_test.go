@@ -397,6 +397,76 @@ func TestPeerDisconnectRetractsRoutes(t *testing.T) {
 	}
 }
 
+// TestCoverRestartedOriginReusesID pins that covering leaves no retired
+// subscription ID on the wire. Broker 4's subscription X creates the hub's
+// link node toward broker 2, and the hub's own identical Y joins it. When
+// 4 dies, broker 2 must come to know that filter by Y's ID, because a
+// broker restarted under node ID 4 numbers its subscriptions from 1 again:
+// its first, a different filter, reuses X's ID. That subscription must be
+// installed everywhere, and retracting it must not retract Y at broker 2.
+func TestCoverRestartedOriginReusesID(t *testing.T) {
+	var anomalies atomic.Int64
+	start := func(id uint32) *Broker {
+		return startBrokerOpts(t, Options{NodeID: id, Cover: true, Logf: t.Logf,
+			OnError: func(error) { anomalies.Add(1) }})
+	}
+	hub, edge, origin := start(1), start(2), start(4)
+	for _, b := range []*Broker{edge, origin} {
+		if err := b.Connect(hub.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := origin.Subscribe(band(1, 100), func(event.Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	Settle(settleIdle, hub, edge, origin)
+	var hubGot atomic.Int64
+	if _, err := hub.Subscribe(band(1, 100), func(event.Event) { hubGot.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	Settle(settleIdle, hub, edge, origin)
+
+	origin.Close()
+	for deadline := time.Now().Add(10 * time.Second); hub.Stats().Peers != 1 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	Settle(settleIdle, hub, edge)
+	restarted := start(4)
+	if err := restarted.Connect(hub.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	var restartedGot atomic.Int64
+	ref, err := restarted.Subscribe(band(2, 100), func(event.Event) { restartedGot.Add(1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	Settle(settleIdle, hub, edge, restarted)
+
+	publish := func(ev event.Event) {
+		t.Helper()
+		if err := edge.Publish(ev); err != nil {
+			t.Fatal(err)
+		}
+		Settle(settleIdle, hub, edge, restarted)
+	}
+	publish(bandEvent(2, 5))
+	publish(bandEvent(1, 5))
+	if got := restartedGot.Load(); got != 1 {
+		t.Errorf("restarted broker's subscription got %d events from the edge, want 1", got)
+	}
+	if err := restarted.Unsubscribe(ref); err != nil {
+		t.Fatal(err)
+	}
+	Settle(settleIdle, hub, edge, restarted)
+	publish(bandEvent(1, 6))
+	if got := hubGot.Load(); got != 2 {
+		t.Errorf("hub's subscription got %d events from the edge, want 2", got)
+	}
+	if n := anomalies.Load(); n != 0 {
+		t.Errorf("%d routing anomalies, want 0", n)
+	}
+}
+
 // TestFederationGoroutineLeak closes a worked federation and requires the
 // goroutine count to return to its pre-test level.
 func TestFederationGoroutineLeak(t *testing.T) {

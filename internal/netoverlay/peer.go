@@ -138,7 +138,9 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 
 	attached := make(chan struct{})
 	ok := b.enqueue(inMsg{ctl: func() {
-		p.link = b.rt.AddLink()
+		// b.links and the router's links grow in step, so the link's index
+		// is known before AddLink floods the known routes over it.
+		p.link = b.rt.NumLinks()
 		b.links = append(b.links, p)
 		b.wg.Add(2)
 		go p.readLoop()
@@ -147,7 +149,7 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 			b.wg.Add(1)
 			go p.pingLoop()
 		}
-		b.rt.SyncLink(p.link)
+		b.rt.AddLink()
 		close(attached)
 	}})
 	if !ok {

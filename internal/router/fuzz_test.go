@@ -1,6 +1,7 @@
 package router
 
 import (
+	"maps"
 	"math"
 	"sort"
 	"testing"
@@ -77,12 +78,14 @@ func matchMask(expr boolexpr.Expr, evs []event.Event) uint64 {
 }
 
 // FuzzRouterCover drives one router through decoded subscribe,
-// unsubscribe, RemoveLink and AddLink+SyncLink ops, with covering on and
-// off, and replays what it sends over each link into a far-side table. After
-// every op: no Sub for an ID the table holds and no Unsub for one it lacks;
-// no route learned over a link appears in its table; an unsubscribe's
-// re-floods precede its retraction; and routing is exact — whenever a route
-// not learned over link i matches a sampled event, some filter in link i's
+// unsubscribe, RemoveLink and AddLink ops, with covering on and off, and
+// replays what it sends over each link into a far-side table. Subscribe ops
+// may reuse a retired ID, as a broker restarted under the same node ID
+// does. After every op: no Sub for an ID the table holds and no Unsub for
+// one it lacks; every Sub names a live route not learned over that link,
+// and every table holds only live routes' IDs; an unsubscribe's re-floods
+// precede its retraction; and routing is exact — whenever a route not
+// learned over link i matches a sampled event, some filter in link i's
 // table matches it too, checked after the op and right after every
 // retraction within it. After draining every route, every table is empty,
 // CoverState is (0, 0) and the engine holds nothing.
@@ -92,6 +95,9 @@ func FuzzRouterCover(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 8, 0, 1, 8, 0, 0, 10, 0, 1, 11, 0, 2, 12, 0, 0, 13, 4, 1, 7, 4, 0})
 	f.Add([]byte{2, 0, 1, 0, 0, 2, 3, 6, 0, 0, 1, 2, 7, 0, 4, 1, 4, 0})
 	f.Add([]byte{3, 0, 1, 3, 0, 2, 2, 0, 3, 1, 0, 0, 0, 0, 4, 6, 0, 1, 7, 0, 0, 9, 5, 1, 4, 2, 7, 6, 3})
+	// An identical local filter joins link 1's node for route 1 from link
+	// 0; link 0 dies, and a different filter reuses ID 1.
+	f.Add([]byte{1, 0, 1, 0, 0, 0, 0, 6, 0, 3, 0, 5, 0})
 
 	pool, evs := coverPool(), coverEvents()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -127,7 +133,7 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 		mask uint64
 	}
 	live := map[uint64]modelRoute{}
-	origin := map[uint64]int{} // every ID ever installed → the link it came over
+	var retired []uint64 // IDs of routes that were live and are gone, reusable
 	alive := make([]bool, r.NumLinks())
 	far := make([]map[uint64]uint64, r.NumLinks()) // link → sent ID → its filter's matches
 	for i := range alive {
@@ -163,7 +169,10 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 	}
 
 	// replay applies one op's sends to the far tables and checks them.
-	replay := func(op string, ordered bool) {
+	// Every Sub must name a route of subbable: the live routes, or for
+	// RemoveLink the routes live before it, whose departing members may
+	// name a node until its death within the op.
+	replay := func(op string, ordered bool, subbable map[uint64]modelRoute) {
 		sent := tr.sent
 		tr.sent = nil
 		retracted := make([]bool, len(alive))
@@ -177,8 +186,8 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 				if _, dup := far[i][id]; dup {
 					t.Fatalf("cover=%v %s: Sub %d over link %d, which already holds it", coverOn, op, id, i)
 				}
-				if o, ok := origin[id]; !ok || o == i {
-					t.Fatalf("cover=%v %s: Sub %d over link %d: an unknown ID, or the link its route came over", coverOn, op, id, i)
+				if rt, ok := subbable[id]; !ok || rt.from == i {
+					t.Fatalf("cover=%v %s: Sub %d over link %d: no live route, or the link its route came over", coverOn, op, id, i)
 				}
 				if ordered && retracted[i] {
 					t.Fatalf("cover=%v %s: Sub %d over link %d after the op's retraction", coverOn, op, id, i)
@@ -209,12 +218,12 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 			if miss := needed(i) &^ held(i); miss != 0 {
 				t.Fatalf("cover=%v %s: link %d misses events %#x", coverOn, op, i, miss)
 			}
-			if !coverOn {
-				for id := range far[i] {
-					if _, ok := live[id]; !ok {
-						t.Fatalf("cover=%v %s: link %d still holds retracted %d", coverOn, op, i, id)
-					}
+			for id := range far[i] {
+				if _, ok := live[id]; !ok {
+					t.Fatalf("cover=%v %s: link %d still holds retired %d", coverOn, op, i, id)
 				}
+			}
+			if !coverOn {
 				continue
 			}
 			// The far side holds exactly the poset's sent nodes, and every
@@ -226,13 +235,13 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 			sent := 0
 			for _, n := range d.Nodes() {
 				ln := n.Data.(*linkNode)
-				if n.Frontier() && !ln.sent {
-					t.Fatalf("cover=%v %s: link %d frontier node %d never sent", coverOn, op, i, ln.id)
+				if n.Frontier() && ln.name == nil {
+					t.Fatalf("cover=%v %s: link %d frontier node %s never sent", coverOn, op, i, n.Expr())
 				}
-				if ln.sent {
+				if ln.name != nil {
 					sent++
-					if _, ok := far[i][ln.id]; !ok {
-						t.Fatalf("cover=%v %s: link %d sent node %d missing from the far table", coverOn, op, i, ln.id)
+					if _, ok := far[i][ln.name.subID]; !ok {
+						t.Fatalf("cover=%v %s: link %d sent node %d missing from the far table", coverOn, op, i, ln.name.subID)
 					}
 				}
 			}
@@ -245,10 +254,11 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 	unsubscribe := func(id uint64) {
 		from := live[id].from
 		delete(live, id)
+		retired = append(retired, id)
 		if err := r.Handle(Msg{Kind: Unsub, SubID: id}, nil, from); err != nil {
 			t.Fatalf("cover=%v: unsubscribe %d: %v", coverOn, id, err)
 		}
-		replay("unsubscribe", true)
+		replay("unsubscribe", true, live)
 	}
 
 	for k < len(data) {
@@ -256,40 +266,49 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 		case op < 4:
 			from := next()%(len(alive)+1) - 1
 			expr := pool[next()%len(pool)]
-			nextID++
-			if err := r.Handle(Msg{Kind: Sub, SubID: nextID, Expr: expr}, nil, from); err != nil {
-				t.Fatalf("cover=%v: subscribe %d: %v", coverOn, nextID, err)
+			var id uint64
+			if op == 3 && len(retired) > 0 {
+				k := next() % len(retired)
+				id = retired[k]
+				retired = append(retired[:k], retired[k+1:]...)
+			} else {
+				nextID++
+				id = nextID
+			}
+			if err := r.Handle(Msg{Kind: Sub, SubID: id, Expr: expr}, nil, from); err != nil {
+				t.Fatalf("cover=%v: subscribe %d: %v", coverOn, id, err)
 			}
 			if from >= 0 && !alive[from] {
-				if r.HasRoute(nextID) {
-					t.Fatalf("cover=%v: subscription %d installed from dead link %d", coverOn, nextID, from)
+				if r.HasRoute(id) {
+					t.Fatalf("cover=%v: subscription %d installed from dead link %d", coverOn, id, from)
 				}
 			} else {
-				live[nextID] = modelRoute{from: from, mask: matchMask(expr, evs)}
-				origin[nextID] = from
+				live[id] = modelRoute{from: from, mask: matchMask(expr, evs)}
 			}
-			replay("subscribe", true)
+			replay("subscribe", true, live)
 		case op < 6:
 			if ids := liveIDs(); len(ids) > 0 {
 				unsubscribe(ids[next()%len(ids)])
 			}
 		case op == 6:
 			link := next() % len(alive)
+			before := maps.Clone(live)
 			r.RemoveLink(link)
 			if alive[link] {
 				alive[link], far[link] = false, nil
-				for id, rt := range live {
-					if rt.from == link {
+				for _, id := range liveIDs() {
+					if live[id].from == link {
 						delete(live, id)
+						retired = append(retired, id)
 					}
 				}
 			}
-			replay("RemoveLink", false)
+			replay("RemoveLink", false, before)
 		default:
 			if len(alive) < fuzzMaxLinks {
 				alive, far = append(alive, true), append(far, map[uint64]uint64{})
-				r.SyncLink(r.AddLink())
-				replay("AddLink+SyncLink", true)
+				r.AddLink()
+				replay("AddLink", true, live)
 			}
 		}
 	}

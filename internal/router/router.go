@@ -17,18 +17,21 @@
 // it, and the far side holds the link poset's sent nodes. A route is sent
 // only if it creates a frontier node; a sent node stays sent when a broader
 // one demotes it; a dying node's uncovered children are sent BEFORE its
-// retraction, so the far side never carries neither filter.
+// retraction, so the far side never carries neither filter. A sent node is
+// known by a live member route's ID: when that route leaves a surviving
+// node, the node is re-announced under another member's ID first, so no
+// retired ID lingers to collide with a restarted broker's reuse of it.
 //
-// A Router is owned by a single broker goroutine: all Handle* methods must
-// be called from that goroutine. Outbound messages leave through the
-// Transport, whose Send must never block — implementations queue (see
-// Queue) so that a broker goroutine can never be wedged by a congested
-// peer. Counters are atomic and may be read from any goroutine.
+// A Router is owned by a single broker goroutine: every method but Counts
+// (atomic counters) must be called from it. Outbound messages leave through
+// the Transport, whose Send must never block — implementations queue (see
+// Queue) so that a broker goroutine can never be wedged by a congested peer.
 package router
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"noncanon/internal/boolexpr"
@@ -136,12 +139,11 @@ type route struct {
 	nextHop  int           // link index toward the subscriber; -1 when local
 }
 
-// linkNode is a link poset node's Data: whether the far side holds it, and
-// the ID it knows it by — the creating route's, unambiguous after that
-// route is gone because IDs are never reused.
+// linkNode is a link poset node's Data: its routes in join order, and the
+// one whose ID the far side knows it by.
 type linkNode struct {
-	id   uint64
-	sent bool
+	routes []*route
+	name   *route // nil while unsent
 }
 
 // Router is the per-broker routing state machine.
@@ -161,7 +163,7 @@ type Router struct {
 	// link i; nil once the link is dead.
 	posets []*dag.DAG
 
-	// matchBuf is HandleEventMsg's recycled match-result buffer; the single
+	// matchBuf is routeEvent's recycled match-result buffer; the single
 	// owning goroutine makes a plain field enough (handlers must not call
 	// back into the router).
 	matchBuf []matcher.SubID
@@ -203,29 +205,24 @@ func New(cfg Config) *Router {
 	return r
 }
 
-// AddLink registers a new link and returns its index. The caller must be
-// ready to receive Transport.Send for the index before calling SyncLink.
+// AddLink registers link NumLinks() and floods every known route over it in
+// ID order, covering-pruned like any other flood, so subscriptions older
+// than the link attract events across it. The caller must be ready for
+// Transport.Send on the new index before calling. It returns the index.
 func (r *Router) AddLink() int {
 	i := len(r.links)
 	r.links = append(r.links, true)
 	if r.cover {
 		r.posets = append(r.posets, dag.New())
 	}
+	for _, rt := range r.sortedRoutes(func(int) bool { return true }) {
+		r.subOverLink(i, rt)
+	}
 	return i
 }
 
-// SyncLink floods every route this broker knows over a freshly added link,
-// covering-pruned like any other flood, once the link's writer is running:
-// subscriptions older than the link then attract events across it.
-func (r *Router) SyncLink(link int) {
-	for _, rt := range r.sortedRoutes(func(nextHop int) bool { return nextHop != link }) {
-		r.subOverLink(link, rt)
-	}
-}
-
-// RemoveLink declares a link dead: its covering poset is dropped and
-// every route learned through it is retracted locally and from the rest of
-// the network, exactly as if each had been unsubscribed from that side.
+// RemoveLink declares a link dead: its covering poset is dropped and every
+// route learned through it is retracted as if unsubscribed from that side.
 func (r *Router) RemoveLink(link int) {
 	if link < 0 || link >= len(r.links) || !r.links[link] {
 		return
@@ -234,9 +231,7 @@ func (r *Router) RemoveLink(link int) {
 	if r.cover {
 		r.posets[link] = nil
 	}
-	for _, rt := range r.sortedRoutes(func(nextHop int) bool { return nextHop == link }) {
-		r.HandleUnsubscribe(rt.subID, link)
-	}
+	r.remove(r.sortedRoutes(func(nextHop int) bool { return nextHop == link }), link)
 }
 
 // sortedRoutes returns, in ID order, the routes whose next hop passes keep.
@@ -258,10 +253,7 @@ func (r *Router) NumLinks() int { return len(r.links) }
 func (r *Router) NumRoutes() int { return len(r.routes) }
 
 // HasRoute reports whether a subscription is installed here.
-func (r *Router) HasRoute(subID uint64) bool {
-	_, ok := r.routes[subID]
-	return ok
-}
+func (r *Router) HasRoute(subID uint64) bool { return r.routes[subID] != nil }
 
 // CoverState reports one link poset's distinct filters and frontier size;
 // tests use it to assert churn leaves no residue.
@@ -292,41 +284,36 @@ func (r *Router) Counts() Counts {
 func (r *Router) Handle(m Msg, h Handler, from int) error {
 	switch m.Kind {
 	case Sub:
-		installed, err := r.HandleSubscribe(m.SubID, m.Expr, h, from)
-		if err == nil && !installed && !r.dead(from) {
-			return fmt.Errorf("router: subscription %d: %w", m.SubID, ErrDuplicate)
-		}
-		return err
+		return r.subscribe(m.SubID, m.Expr, h, from)
 	case Unsub:
-		r.HandleUnsubscribe(m.SubID, from)
+		// An unknown ID's retraction overtook its flood on another branch.
+		if rt, ok := r.routes[m.SubID]; ok {
+			r.remove([]*route{rt}, from)
+		}
 	case Event:
-		r.HandleEventMsg(m, from)
+		r.routeEvent(m, from)
 	}
 	return nil
 }
 
-// dead reports whether link `from` was removed or never added (-1 is live).
-func (r *Router) dead(from int) bool {
-	return from >= len(r.links) || from >= 0 && !r.links[from]
-}
-
-// HandleSubscribe installs a subscription arriving on link `from` (-1 for
-// the broker's own API) and floods it to every other live link. It returns
-// installed=false for a duplicate ID (impossible on a tree) and for a
-// subscription arriving on a dead link (a frame its reader held when the
-// link was removed), and a non-nil error when the engine rejects the
-// filter; in all three cases nothing is installed or flooded.
-func (r *Router) HandleSubscribe(subID uint64, expr boolexpr.Expr, h Handler, from int) (installed bool, err error) {
-	if _, dup := r.routes[subID]; dup || r.dead(from) {
-		return false, nil
+// subscribe installs a subscription arriving on link `from` and floods it
+// to every other live link. It drops one from a dead link (a frame read
+// before the removal) silently, and a duplicate ID or engine rejection
+// with the returned error.
+func (r *Router) subscribe(subID uint64, expr boolexpr.Expr, h Handler, from int) error {
+	if from >= len(r.links) || from >= 0 && !r.links[from] {
+		return nil
+	}
+	if _, dup := r.routes[subID]; dup {
+		return fmt.Errorf("router: subscription %d: %w", subID, ErrDuplicate)
 	}
 	engineID, err := r.eng.Subscribe(expr)
 	if err != nil {
-		return false, fmt.Errorf("router: install subscription %d: %w", subID, err)
+		return fmt.Errorf("router: install subscription %d: %w", subID, err)
 	}
 	rt := &route{subID: subID, engineID: engineID, expr: expr, nextHop: from}
 	if r.cover {
-		rt.key = cover.Key(expr) // once per route, not once per pairwise proof
+		rt.key = cover.Key(expr) // once per route, not once per link
 	}
 	if from == -1 {
 		rt.handler = h
@@ -338,7 +325,7 @@ func (r *Router) HandleSubscribe(subID uint64, expr boolexpr.Expr, h Handler, fr
 			r.subOverLink(i, rt)
 		}
 	}
-	return true, nil
+	return nil
 }
 
 // subOverLink floods a route over one link. With covering it is sent only
@@ -352,51 +339,54 @@ func (r *Router) subOverLink(i int, rt *route) {
 	}
 	res := r.posets[i].AddKeyed(rt.key, rt.expr)
 	if res.New {
-		res.Node.Data = &linkNode{id: rt.subID}
+		res.Node.Data = &linkNode{}
 	}
+	ln := res.Node.Data.(*linkNode)
+	ln.routes = append(ln.routes, rt)
 	if res.New && res.Frontier {
-		r.sendNode(i, res.Node)
+		r.sendNode(i, ln)
 	} else {
 		r.coverSuppress.Inc()
 	}
 }
 
-// sendNode floods a link poset node under the ID the far side knows it by.
-func (r *Router) sendNode(i int, n *dag.Node) {
-	ln := n.Data.(*linkNode)
-	ln.sent = true
+// sendNode floods a link poset node named by its first live route, or its
+// first route if all leave with one RemoveLink (the node then dies in it).
+func (r *Router) sendNode(i int, ln *linkNode) {
+	ln.name = ln.routes[max(0, slices.IndexFunc(ln.routes, r.live))]
 	r.subMsgs.Inc()
-	r.tr.Send(i, Msg{Kind: Sub, SubID: ln.id, Expr: n.Expr()})
+	r.tr.Send(i, Msg{Kind: Sub, SubID: ln.name.subID, Expr: ln.name.expr})
 }
 
-// HandleUnsubscribe removes a subscription arriving on link `from` (-1 for
-// the broker's own API) and propagates the retraction. Unknown IDs are
-// ignored (the retraction may have overtaken the flood on another branch).
-func (r *Router) HandleUnsubscribe(subID uint64, from int) bool {
-	rt, ok := r.routes[subID]
-	if !ok {
-		return false
-	}
-	delete(r.routes, subID)
-	delete(r.byEngine, rt.engineID)
-	if err := r.eng.Unsubscribe(rt.engineID); err != nil {
-		// The engine accepted this ID at install time: failure means route
-		// tables and engine disagree, corrupt state worth stopping for.
-		panic(fmt.Sprintf("router: remove subscription %d: %v", subID, err))
-	}
-	for i := range r.links {
-		if i != from && r.links[i] {
-			r.unsubOverLink(i, rt)
+// live reports whether a route is still in the route table.
+func (r *Router) live(rt *route) bool { return r.routes[rt.subID] == rt }
+
+// remove drops routes from the route table and the engine, then retracts
+// each from every live link but `from` — all dropped first, so a node they
+// share with a survivor is re-announced once, not once per leaving member.
+func (r *Router) remove(routes []*route, from int) {
+	for _, rt := range routes {
+		delete(r.routes, rt.subID)
+		delete(r.byEngine, rt.engineID)
+		if err := r.eng.Unsubscribe(rt.engineID); err != nil {
+			// The engine accepted this ID: route tables and engine disagree.
+			panic(fmt.Sprintf("router: remove subscription %d: %v", rt.subID, err))
 		}
 	}
-	return true
+	for _, rt := range routes {
+		for i := range r.links {
+			if i != from && r.links[i] {
+				r.unsubOverLink(i, rt)
+			}
+		}
+	}
 }
 
-// unsubOverLink retracts a route from one link. With covering it releases
-// the route's node: children left uncovered are sent first, then the
-// node's retraction if it died and was sent. The far side thus briefly
-// carries both (next-hop links are deduplicated, so an event still crosses
-// once) instead of neither, which would drop events for stable subscribers.
+// unsubOverLink retracts a removed route from one link. With covering it
+// leaves and releases its node, sends children left uncovered, then, if
+// the node's name is a removed route, re-announces a surviving node under
+// a live member and retracts the old name. The far side thus briefly
+// carries both (an event still crosses once) instead of neither.
 func (r *Router) unsubOverLink(i int, rt *route) {
 	if !r.cover {
 		r.subMsgs.Inc()
@@ -405,26 +395,36 @@ func (r *Router) unsubOverLink(i int, rt *route) {
 	}
 	n := r.posets[i].Lookup(rt.key)
 	if i == rt.nextHop || n == nil {
-		return // never added here: the route came over this link, or the link is younger than its sync
+		return // never added here: the route came over this link
 	}
+	ln := n.Data.(*linkNode)
+	ln.routes = slices.DeleteFunc(ln.routes, func(x *route) bool { return x == rt })
 	res := r.posets[i].Release(n)
 	for _, p := range res.Promoted {
-		if !p.Data.(*linkNode).sent {
-			r.sendNode(i, p)
+		if pl := p.Data.(*linkNode); pl.name == nil {
+			r.sendNode(i, pl)
 		}
 	}
-	if ln := n.Data.(*linkNode); res.Died && ln.sent {
-		r.subMsgs.Inc()
-		r.tr.Send(i, Msg{Kind: Unsub, SubID: ln.id})
+	old := ln.name
+	if old == nil || r.live(old) {
+		return // the far side never held the node, or knows it by a live member's ID
 	}
+	if !res.Died {
+		if !slices.ContainsFunc(ln.routes, r.live) {
+			return // every member leaves with this RemoveLink; the last retracts old
+		}
+		r.sendNode(i, ln)
+	}
+	r.subMsgs.Inc()
+	r.tr.Send(i, Msg{Kind: Unsub, SubID: old.subID})
 }
 
-// HandleEventMsg matches an event (m.Ev, having travelled m.Hops)
-// arriving on link `from` (-1 for the broker's own API), delivers to local
-// subscribers and forwards one copy per distinct next-hop link. It takes
-// the full routing message so per-message extras — today the trace —
-// survive the forward instead of being flattened away at every hop.
-func (r *Router) HandleEventMsg(m Msg, from int) {
+// routeEvent matches an event (m.Ev, having travelled m.Hops) arriving on
+// link `from`, delivers to local subscribers and forwards one copy per
+// distinct next-hop link. It takes the full routing message so per-message
+// extras — today the trace — survive the forward instead of being
+// flattened away at every hop.
+func (r *Router) routeEvent(m Msg, from int) {
 	ev, hops := m.Ev, m.Hops
 	if hops >= MaxHops {
 		r.hopDropped.Inc()

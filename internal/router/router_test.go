@@ -60,9 +60,8 @@ func newRouter(t *testing.T, links int, coverOn bool) (*Router, *recorder) {
 
 func TestSubscribeFloodsAllOtherLinks(t *testing.T) {
 	r, tr := newRouter(t, 3, false)
-	installed, err := r.HandleSubscribe(1, band(1, 100), func(event.Event) {}, 2)
-	if err != nil || !installed {
-		t.Fatalf("HandleSubscribe = %v, %v", installed, err)
+	if err := r.subscribe(1, band(1, 100), func(event.Event) {}, 2); err != nil {
+		t.Fatal(err)
 	}
 	subs := tr.ofKind(Sub)
 	if len(subs) != 2 {
@@ -80,15 +79,11 @@ func TestSubscribeFloodsAllOtherLinks(t *testing.T) {
 
 func TestDuplicateSubscribeReportsNotInstalled(t *testing.T) {
 	r, _ := newRouter(t, 2, false)
-	if installed, _ := r.HandleSubscribe(7, band(0, 10), nil, 0); !installed {
-		t.Fatal("first install failed")
-	}
-	installed, err := r.HandleSubscribe(7, band(0, 20), nil, 1)
-	if err != nil {
+	if err := r.subscribe(7, band(0, 10), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	if installed {
-		t.Error("duplicate subscription ID installed twice")
+	if err := r.subscribe(7, band(0, 20), nil, 1); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("duplicate subscription ID: err = %v, want ErrDuplicate", err)
 	}
 	if r.NumRoutes() != 1 {
 		t.Errorf("NumRoutes = %d, want 1", r.NumRoutes())
@@ -102,7 +97,7 @@ func TestInstallErrorIsReturnedNotPanicked(t *testing.T) {
 	for i := range xs {
 		xs[i] = boolexpr.Pred("a", predicate.Eq, int64(i))
 	}
-	if _, err := r.HandleSubscribe(1, boolexpr.And{Xs: xs}, nil, -1); err == nil {
+	if err := r.subscribe(1, boolexpr.And{Xs: xs}, nil, -1); err == nil {
 		t.Fatal("uncompilable subscription accepted")
 	}
 	if r.NumRoutes() != 0 {
@@ -116,19 +111,19 @@ func TestInstallErrorIsReturnedNotPanicked(t *testing.T) {
 func TestEventRoutesToNextHopsOnly(t *testing.T) {
 	r, tr := newRouter(t, 3, false)
 	// Two subscriptions toward link 1, one local, none toward link 2.
-	if _, err := r.HandleSubscribe(1, band(1, 100), nil, 1); err != nil {
+	if err := r.subscribe(1, band(1, 100), nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.HandleSubscribe(2, band(1, 50), nil, 1); err != nil {
+	if err := r.subscribe(2, band(1, 50), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	var local int
-	if _, err := r.HandleSubscribe(3, band(1, 30), func(event.Event) { local++ }, -1); err != nil {
+	if err := r.subscribe(3, band(1, 30), func(event.Event) { local++ }, -1); err != nil {
 		t.Fatal(err)
 	}
 	tr.sent = nil
 	trace := Trace{ID: 0xbeef, OriginNanos: 42}
-	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 10), Trace: trace}, 2)
+	r.routeEvent(Msg{Kind: Event, Ev: bandEvent(1, 10), Trace: trace}, 2)
 	evs := tr.ofKind(Event)
 	if len(evs) != 1 || evs[0].link != 1 {
 		t.Fatalf("event forwards = %+v, want exactly one over link 1", evs)
@@ -147,10 +142,10 @@ func TestEventRoutesToNextHopsOnly(t *testing.T) {
 
 func TestMaxHopsDropIsCounted(t *testing.T) {
 	r, tr := newRouter(t, 2, false)
-	if _, err := r.HandleSubscribe(1, band(1, 100), nil, 0); err != nil {
+	if err := r.subscribe(1, band(1, 100), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 10), Hops: MaxHops}, 1)
+	r.routeEvent(Msg{Kind: Event, Ev: bandEvent(1, 10), Hops: MaxHops}, 1)
 	if got := r.Counts().HopDropped; got != 1 {
 		t.Errorf("HopDropped = %d, want 1", got)
 	}
@@ -161,10 +156,10 @@ func TestMaxHopsDropIsCounted(t *testing.T) {
 
 func TestCoverSuppressionAndReflood(t *testing.T) {
 	r, tr := newRouter(t, 1, true)
-	if _, err := r.HandleSubscribe(1, band(1, 100), nil, -1); err != nil {
+	if err := r.subscribe(1, band(1, 100), nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.HandleSubscribe(2, band(1, 10), nil, -1); err != nil {
+	if err := r.subscribe(2, band(1, 10), nil, -1); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tr.ofKind(Sub)); got != 1 {
@@ -176,7 +171,7 @@ func TestCoverSuppressionAndReflood(t *testing.T) {
 	// Retracting the coverer must re-flood the narrow filter BEFORE the
 	// retraction message.
 	tr.sent = nil
-	r.HandleUnsubscribe(1, -1)
+	r.Handle(Msg{Kind: Unsub, SubID: 1}, nil, -1)
 	if len(tr.sent) != 2 {
 		t.Fatalf("unsubscribe emitted %d messages, want 2 (re-flood + retract)", len(tr.sent))
 	}
@@ -193,18 +188,17 @@ func TestCoverSuppressionAndReflood(t *testing.T) {
 
 func TestSyncLinkFloodsExistingRoutes(t *testing.T) {
 	r, tr := newRouter(t, 1, true)
-	if _, err := r.HandleSubscribe(1, band(1, 100), nil, -1); err != nil {
+	if err := r.subscribe(1, band(1, 100), nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.HandleSubscribe(2, band(2, 50), nil, -1); err != nil {
+	if err := r.subscribe(2, band(2, 50), nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.HandleSubscribe(3, band(1, 10), nil, -1); err != nil {
+	if err := r.subscribe(3, band(1, 10), nil, -1); err != nil {
 		t.Fatal(err)
 	}
 	tr.sent = nil
-	link := r.AddLink()
-	r.SyncLink(link)
+	link := r.AddLink() // floods the known routes over the new link
 	subs := tr.ofKind(Sub)
 	// Covering applies on the fresh link too: sub 3 is shadowed by sub 1.
 	if len(subs) != 2 {
@@ -220,11 +214,11 @@ func TestSyncLinkFloodsExistingRoutes(t *testing.T) {
 func TestRemoveLinkRetractsLearnedRoutes(t *testing.T) {
 	r, tr := newRouter(t, 3, false)
 	// Learned over link 0, flooded to links 1 and 2.
-	if _, err := r.HandleSubscribe(1, band(1, 100), nil, 0); err != nil {
+	if err := r.subscribe(1, band(1, 100), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Local subscription survives.
-	if _, err := r.HandleSubscribe(2, band(2, 50), func(event.Event) {}, -1); err != nil {
+	if err := r.subscribe(2, band(2, 50), func(event.Event) {}, -1); err != nil {
 		t.Fatal(err)
 	}
 	tr.sent = nil
@@ -246,7 +240,7 @@ func TestRemoveLinkRetractsLearnedRoutes(t *testing.T) {
 	}
 	// Later floods skip the dead link.
 	tr.sent = nil
-	if _, err := r.HandleSubscribe(3, band(0, 10), nil, -1); err != nil {
+	if err := r.subscribe(3, band(0, 10), nil, -1); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range tr.ofKind(Sub) {
@@ -361,14 +355,14 @@ func TestCoverCacheDifferential(t *testing.T) {
 			for c := 0; c < 4; c++ {
 				for _, hi := range []int{10, 100, 1000} {
 					id++
-					if _, err := r.HandleSubscribe(id, band(c, hi), nil, -1); err != nil {
+					if err := r.subscribe(id, band(c, hi), nil, -1); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 			// Retract the wide filters so their coverees re-flood.
 			for retract := id - 11; retract <= id; retract += 3 {
-				r.HandleUnsubscribe(retract, -1)
+				r.Handle(Msg{Kind: Unsub, SubID: retract}, nil, -1)
 			}
 		}
 		return r, tr
@@ -400,17 +394,17 @@ func TestCoverCacheSuppressionEquivalence(t *testing.T) {
 	r, tr := newRouter(t, 2, true)
 	wide := band(1, 1000)
 	narrow := band(1, 10)
-	if _, err := r.HandleSubscribe(1, wide, nil, -1); err != nil {
+	if err := r.subscribe(1, wide, nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.HandleSubscribe(2, narrow, nil, -1); err != nil {
+	if err := r.subscribe(2, narrow, nil, -1); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(tr.ofKind(Sub)); got != 2 { // one per link for wide only
 		t.Fatalf("subs sent = %d, want 2 (narrow suppressed)", got)
 	}
 	// Same narrow filter again on another ID: it joins narrow's node.
-	if _, err := r.HandleSubscribe(3, band(1, 10), nil, -1); err != nil {
+	if err := r.subscribe(3, band(1, 10), nil, -1); err != nil {
 		t.Fatal(err)
 	}
 	c := r.Counts()
@@ -419,16 +413,49 @@ func TestCoverCacheSuppressionEquivalence(t *testing.T) {
 	}
 }
 
+// TestCoverReannouncesUnderLiveID pins that a link never keeps a retired
+// ID: when the route whose ID names a sent node leaves while an identical
+// route keeps the node alive, the node is re-announced under the survivor's
+// ID before the old one is retracted — once per RemoveLink, not once per
+// departing member. A later subscription reusing the old ID, as a restarted
+// broker's does, then floods like any new one.
+func TestCoverReannouncesUnderLiveID(t *testing.T) {
+	r, tr := newRouter(t, 2, true)
+	for id, from := range []int{0, 0, -1} { // IDs 1 and 2 over link 0, 3 local
+		if err := r.subscribe(uint64(id+1), band(1, 100), nil, from); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.sent = nil
+	r.RemoveLink(0)
+	want := []Msg{{Kind: Sub, SubID: 3}, {Kind: Unsub, SubID: 1}}
+	if len(tr.sent) != len(want) {
+		t.Fatalf("origin death sent %+v, want %+v over link 1", tr.sent, want)
+	}
+	for k, s := range tr.sent {
+		if s.link != 1 || s.m.Kind != want[k].Kind || s.m.SubID != want[k].SubID {
+			t.Errorf("send %d = link %d %+v, want link 1 %+v", k, s.link, s.m, want[k])
+		}
+	}
+	tr.sent = nil
+	if err := r.Handle(Msg{Kind: Sub, SubID: 1, Expr: band(2, 100)}, nil, -1); err != nil {
+		t.Fatalf("reused ID: %v", err)
+	}
+	if subs := tr.ofKind(Sub); len(subs) != 1 || subs[0].m.SubID != 1 {
+		t.Errorf("reused ID flooded %+v, want one Sub 1 over link 1", subs)
+	}
+}
+
 // TestHandleEventMsgPreservesTrace pins that a traced event keeps its
 // trace across a forward — the property the federation's hop records
 // depend on.
 func TestHandleEventMsgPreservesTrace(t *testing.T) {
 	r, tr := newRouter(t, 2, false)
-	if _, err := r.HandleSubscribe(7, band(1, 100), nil, 1); err != nil {
+	if err := r.subscribe(7, band(1, 100), nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	trace := Trace{ID: 0xfeed, OriginNanos: 123456789}
-	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 5), Hops: 2, Trace: trace}, 0)
+	r.routeEvent(Msg{Kind: Event, Ev: bandEvent(1, 5), Hops: 2, Trace: trace}, 0)
 	fwds := tr.ofKind(Event)
 	if len(fwds) != 1 {
 		t.Fatalf("forwards = %d, want 1", len(fwds))
@@ -437,7 +464,7 @@ func TestHandleEventMsgPreservesTrace(t *testing.T) {
 		t.Errorf("forwarded msg = %+v, want trace %+v hops 3", got, trace)
 	}
 	// An untraced message stays untraced.
-	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 5)}, -1)
+	r.routeEvent(Msg{Kind: Event, Ev: bandEvent(1, 5)}, -1)
 	fwds = tr.ofKind(Event)
 	if len(fwds) != 2 || fwds[1].m.Trace != (Trace{}) {
 		t.Fatalf("untraced event was forwarded with a trace: %+v", fwds[len(fwds)-1].m)
@@ -452,10 +479,10 @@ func TestRouterSharedRegistryTotals(t *testing.T) {
 	tr := &recorder{}
 	ra := New(Config{Links: 1, Engine: newEngine(), Transport: tr, Metrics: reg})
 	rb := New(Config{Links: 1, Engine: newEngine(), Transport: tr, Metrics: reg})
-	if _, err := ra.HandleSubscribe(1, band(1, 100), nil, -1); err != nil {
+	if err := ra.subscribe(1, band(1, 100), nil, -1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rb.HandleSubscribe(2, band(1, 100), nil, -1); err != nil {
+	if err := rb.subscribe(2, band(1, 100), nil, -1); err != nil {
 		t.Fatal(err)
 	}
 	if got := ra.Counts().SubMsgs; got != 2 {
@@ -473,10 +500,6 @@ func TestSubscribeOnRemovedLinkIsDropped(t *testing.T) {
 	for _, coverOn := range []bool{false, true} {
 		r, tr := newRouter(t, 3, coverOn)
 		r.RemoveLink(0)
-		installed, err := r.HandleSubscribe(9, band(1, 100), nil, 0)
-		if err != nil || installed {
-			t.Errorf("cover=%v: HandleSubscribe on a removed link = %v, %v; want false, nil", coverOn, installed, err)
-		}
 		if err := r.Handle(Msg{Kind: Sub, SubID: 10, Expr: band(1, 50)}, nil, 0); err != nil {
 			t.Errorf("cover=%v: Handle reported %v for a removed link's frame", coverOn, err)
 		}
