@@ -318,8 +318,9 @@ func TestMeasureAblationEncoding(t *testing.T) {
 
 // TestMeasureAblationAccess asserts A3's shape on counted work: at every
 // |p| the paper listing holds |p| entries per subscription and the access
-// listing 2 (one OR-pair), and the access listing evaluates fewer
-// candidates and inspects fewer leaves.
+// listing 2 (one OR-pair), and the access listing finds about 2/|p| as
+// many predicates in phase one, evaluates fewer candidates and inspects
+// fewer leaves.
 func TestMeasureAblationAccess(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
@@ -343,6 +344,12 @@ func TestMeasureAblationAccess(t *testing.T) {
 		if paper.Candidates == 0 || access.Candidates >= paper.Candidates || access.Leaves >= paper.Leaves {
 			t.Errorf("|p|=%d: access candidates %.2f leaves %.2f, want below paper's %.2f and %.2f",
 				paper.PredsPerSub, access.Candidates, access.Leaves, paper.Candidates, paper.Leaves)
+		}
+		// The paper's phase one finds every fulfilled predicate; the access
+		// partition holds one OR-pair of each tree's |p| predicates.
+		if paper.Phase1 == 0 || access.Phase1 > 1.5*2/float64(paper.PredsPerSub)*paper.Phase1 {
+			t.Errorf("|p|=%d: phase-one predicates/event access %.2f, paper %.2f; want access <= 1.5 × 2/|p| × paper",
+				paper.PredsPerSub, access.Phase1, paper.Phase1)
 		}
 	}
 	if err := RunAblationAccess(cfg); err != nil {

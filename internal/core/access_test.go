@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -250,10 +251,12 @@ func TestAccessCountedWorkSelectiveShape(t *testing.T) {
 	}
 	access, paper := engines[0], engines[1]
 	const events = 200
-	accessEvals, paperEvals := 0, 0
+	accessEvals, paperEvals, accessFound, eagerFound := 0, 0, 0, 0
 	for trial := 0; trial < events; trial++ {
 		ev := nextEvent()
 		fulfilled := access.idx.Match(ev, nil)
+		eagerFound += len(fulfilled)
+		accessFound += len(access.idx.MatchAccess(ev, nil))
 		_, a := access.InstrumentedMatch(fulfilled)
 		_, p := paper.InstrumentedMatch(paper.idx.Match(ev, nil))
 		accessEvals += a
@@ -270,6 +273,14 @@ func TestAccessCountedWorkSelectiveShape(t *testing.T) {
 	}
 	if accessEvals*10 > paperEvals {
 		t.Errorf("access candidates %d not 10× below paper's %d", accessEvals, paperEvals)
+	}
+	// Lazy phase one: the access partition holds the bucket equalities
+	// alone, while the complete index still finds every fulfilled range.
+	if per := float64(accessFound) / events; per > 16 {
+		t.Errorf("MatchAccess finds %.1f predicates per event, want <= 16", per)
+	}
+	if per := float64(eagerFound) / events; per < 1000 {
+		t.Errorf("Match finds %.1f predicates per event, want >= 1000", per)
 	}
 }
 
@@ -302,6 +313,17 @@ func fuzzChurnPool(tb testing.TB, rng *rand.Rand) []boolexpr.Expr {
 		p(`a != 1 and exists b`),
 		p(`exists a and exists b and d != 2`),
 		p(`not a = 1`),
+		// Operands where float ordering and value.Compare part, beside
+		// an access clause so they are decided on demand.
+		boolexpr.NewAnd(boolexpr.Pred("a", predicate.Gt, int64(1<<53)), p(`b != 5 or c > 5`)),
+		boolexpr.NewAnd(p(`a = 1`), boolexpr.NewOr(
+			boolexpr.Pred("b", predicate.Ge, int64(1<<53+1)), boolexpr.Pred("c", predicate.Lt, int64(1<<53+1)))),
+		boolexpr.NewAnd(p(`b = 2`), boolexpr.NewOr(
+			boolexpr.Pred("c", predicate.Le, int64(1<<53)), boolexpr.Pred("d", predicate.Eq, int64(1<<53+1)))),
+		boolexpr.NewAnd(p(`exists a`), boolexpr.NewOr(
+			boolexpr.Pred("d", predicate.Ne, int64(1<<53+1)), boolexpr.Pred("b", predicate.Gt, math.Inf(-1)))),
+		boolexpr.NewAnd(p(`c = 3`), boolexpr.NewNot(boolexpr.Pred("a", predicate.Eq, math.NaN()))),
+		p(`a != 5 and (b > 5 or c <= 5)`),
 	}
 	cfg := boolexpr.RandomConfig{MaxDepth: 4, MaxFanout: 3, AllowNot: true, Attrs: []string{"a", "b", "c", "d"}, Domain: 5}
 	for i := 0; i < 12; i++ {
@@ -310,13 +332,23 @@ func fuzzChurnPool(tb testing.TB, rng *rand.Rand) []boolexpr.Expr {
 	return pool
 }
 
+// churnEdges are the event values where float ordering and value.Compare
+// part.
+var churnEdges = []any{
+	math.NaN(), math.Inf(1), math.Inf(-1),
+	int64(1<<53 - 1), int64(1 << 53), int64(1<<53 + 1),
+	int64(-1<<53 - 1), int64(-1 << 53), int64(-1<<53 + 1), float64(1 << 53),
+}
+
 func churnEvent(rng *rand.Rand) event.Event {
 	ev := event.New()
 	for _, attr := range []string{"a", "b", "c", "d"} {
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 		case 1:
 			ev = ev.Set(attr, "s"+fmt.Sprint(rng.Intn(5)))
+		case 2:
+			ev = ev.Set(attr, churnEdges[rng.Intn(len(churnEdges))])
 		default:
 			ev = ev.Set(attr, rng.Intn(5))
 		}
@@ -325,10 +357,12 @@ func churnEvent(rng *rand.Rand) event.Event {
 }
 
 // FuzzAccessChurn interleaves Subscribe and Unsubscribe from fuzzed bytes
-// on one engine per listing, checks Match against the naive boolexpr
-// evaluator after every step, and requires every structure to drain once
-// everything is unsubscribed (a tree listed twice under a repeated leaf
-// would survive its removal).
+// on one engine per listing. After every step Match (lazy phase one),
+// MatchPredicates over the complete idx.Match (eager phase one) and the
+// naive boolexpr evaluator must agree, on events that include NaN, ±Inf
+// and the neighbours of ±2^53. Every structure must drain once everything
+// is unsubscribed (a tree listed twice under a repeated leaf would survive
+// its removal), and the access partition with it.
 func FuzzAccessChurn(f *testing.F) {
 	f.Add([]byte{0, 2, 4, 6, 8, 1, 3, 5}, int64(1))
 	f.Add([]byte{4, 4, 6, 6, 1, 1, 3, 3}, int64(2))
@@ -356,11 +390,19 @@ func FuzzAccessChurn(f *testing.F) {
 							want = append(want, id)
 						}
 					}
-					got := e.Match(ev)
+					got, eager := e.Match(ev), e.MatchPredicates(idx.Match(ev, nil))
 					slices.Sort(got)
+					slices.Sort(eager)
 					slices.Sort(want)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s step %d: Match(%s) = %v, naive %v", l.name, step, ev, got, want)
+					if !slices.Equal(got, want) || !slices.Equal(eager, want) {
+						t.Fatalf("%s step %d: on %s Match = %v, eager phase one %v, naive %v",
+							l.name, step, ev, got, eager, want)
+					}
+					// The access partition is exactly the listed predicates.
+					for _, pid := range idx.MatchAccess(ev, nil) {
+						if i := int(pid) - 1; i >= len(e.assoc) || len(e.assoc[i]) == 0 {
+							t.Fatalf("%s step %d: MatchAccess(%s) found unlisted predicate %d", l.name, step, ev, pid)
+						}
 					}
 				}
 			}
@@ -397,6 +439,11 @@ func FuzzAccessChurn(f *testing.F) {
 				t.Fatalf("%s: %d predicates, %d indexed, %d always after unsubscribing everything",
 					l.name, reg.Len(), idx.NumPredicates(), len(e.always))
 			}
+			for i := 0; i < 4; i++ {
+				if ev := churnEvent(rng); len(idx.MatchAccess(ev, nil)) != 0 {
+					t.Fatalf("%s: MatchAccess(%s) = %v after unsubscribing everything", l.name, ev, idx.MatchAccess(ev, nil))
+				}
+			}
 			// An empty engine keeps only its grown tables: slot flags, free
 			// IDs and empty association headers.
 			if got, want := e.MemBytes(), empty+len(e.slots)+8*len(e.free)+24*len(e.assoc); got != want {
@@ -405,3 +452,70 @@ func FuzzAccessChurn(f *testing.F) {
 		}
 	})
 }
+
+// TestLazyPhaseOneResolvesOnDemand: Match probes only the access
+// partition, and phase two evaluates each leaf outside it at most once per
+// event — memoised true or false in the mark table — and only when the
+// walk reaches it.
+func TestLazyPhaseOneResolvesOnDemand(t *testing.T) {
+	e, reg, idx := newEngine(Options{})
+	x := func(src string) matcher.SubID {
+		id, err := e.Subscribe(mustParse(t, src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	first := x(`a = 1 and (b > 5 or c = 2)`)
+	second := x(`a = 1 and (b > 5 or d = 3)`)
+	third := x(`a = 1 and not b > 5`)
+	pid := func(src string) predicate.ID {
+		id := reg.Intern(mustParse(t, src).(boolexpr.Leaf).Pred)
+		reg.Release(id)
+		return id
+	}
+	aEq1, bGt5, cEq2, dEq3 := pid(`a = 1`), pid(`b > 5`), pid(`c = 2`), pid(`d = 3`)
+
+	sc := &matchScratch{eng: e}
+	match := func(ev event.Event) []matcher.SubID {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		e.syncScratchRLocked(sc)
+		got := e.evalEvent(sc, ev, e.prepareEvent(sc, ev), nil)
+		slices.Sort(got)
+		return got
+	}
+	for _, tt := range []struct {
+		ev    event.Event
+		want  []matcher.SubID
+		marks map[predicate.ID]uint32 // predMark after the event, relative to its epoch
+	}{
+		// b > 5 holds: resolved true once, c and d never reached.
+		{event.New().Set("a", 1).Set("b", 7).Set("c", 2), []matcher.SubID{first, second},
+			map[predicate.ID]uint32{aEq1: 0, bGt5: 0, cEq2: stale, dEq3: stale}},
+		// b > 5 fails: resolved false once, then c and d each decided.
+		{event.New().Set("a", 1).Set("b", 3).Set("c", 2), []matcher.SubID{first, third},
+			map[predicate.ID]uint32{aEq1: 0, bGt5: resolvedFalse, cEq2: 0, dEq3: resolvedFalse}},
+	} {
+		if got := idx.MatchAccess(tt.ev, nil); !slices.Equal(got, []predicate.ID{aEq1}) {
+			t.Errorf("%s: MatchAccess = %v, want only a = 1 (%d)", tt.ev, got, aEq1)
+		}
+		if got := match(tt.ev); !slices.Equal(got, tt.want) {
+			t.Errorf("%s: matched %v, want %v", tt.ev, got, tt.want)
+		}
+		for id, rel := range tt.marks {
+			got := sc.predMark[id-1]
+			if rel == stale {
+				if got&^resolvedFalse == sc.epoch {
+					t.Errorf("%s: predicate %d decided (%#x) though no walk reached it", tt.ev, id, got)
+				}
+			} else if got != sc.epoch|rel {
+				t.Errorf("%s: predicate %d stamped %#x, want %#x", tt.ev, id, got, sc.epoch|rel)
+			}
+		}
+	}
+}
+
+// stale marks a predicate TestLazyPhaseOneResolvesOnDemand expects to be
+// left undecided.
+const stale = 1

@@ -31,6 +31,20 @@
 // listing. Options.PaperAssociation restores the paper's listing for every
 // tree; the paper's experiments (internal/bench) run with it.
 //
+// Phase one is lazy to match. A fulfilled predicate that no tree is listed
+// under makes nothing a candidate, so Match and MatchInto find only the
+// predicates that can: the index keeps the predicates some tree is listed
+// under in its access partition (the engine moves a predicate in when its
+// association list becomes non-empty and out when it empties), and phase
+// one probes that partition alone. Phase two then decides every leaf the
+// probe did not stamp, on demand and once per event: an access predicate
+// the probe missed is false, and any other predicate is evaluated against
+// the event and the verdict memoised in the epoch-stamped mark table.
+// Under PaperAssociation every predicate is listed, so the probe is the
+// paper's complete phase one and nothing is resolved on demand.
+// MatchPredicates, given a fulfilled set, takes unstamped leaves as false,
+// as the paper does.
+//
 // One correctness extension beyond the paper: subscriptions whose expression
 // is satisfiable with zero fulfilled predicates (possible once NOT is
 // allowed, e.g. `not a = 1`) can match events for which they are never
@@ -62,8 +76,11 @@ type Options struct {
 	Simplify bool
 	// PaperAssociation lists every subscription under every predicate it
 	// contains, as paper §3.2 does, instead of under one access clause
-	// (see the package comment). Matches are identical either way; only
-	// the number of candidates evaluated per event differs.
+	// (see the package comment). Every predicate is then in the index's
+	// access partition, so phase one finds every fulfilled predicate, as
+	// the paper's does. Matches are identical either way; only the
+	// candidates evaluated and the predicates phase one finds per event
+	// differ.
 	PaperAssociation bool
 }
 
@@ -128,16 +145,29 @@ type slot struct {
 // are zeroed.
 type matchScratch struct {
 	gen      uint64   // store generation the tables were last sized for
-	epoch    uint32   // this scratch's private epoch counter
-	predMark []uint32 // indexed by predicate.ID-1: epoch when fulfilled
+	epoch    uint32   // this scratch's private epoch counter, below resolvedFalse
+	predMark []uint32 // indexed by predicate.ID-1: epoch when fulfilled, epoch|resolvedFalse when resolved unfulfilled
 	subMark  []uint32 // indexed by SubID-1: epoch when enlisted as candidate
 	predBuf  []predicate.ID
 	candBuf  []matcher.SubID
+
+	// eng and ev serve Resolve: the engine this scratch is pooled in, and
+	// the event being matched while Match or MatchInto evaluates.
+	eng *Engine
+	ev  event.Event
 }
+
+// resolvedFalse is the predMark bit Resolve sets beside the epoch of an
+// event a predicate was evaluated false for. Epochs stay below it, so a
+// false stamp never reads as fulfilled and a stale one never as false.
+const resolvedFalse = 1 << 31
 
 var _ matcher.Matcher = (*Engine)(nil)
 
-// New builds an engine over the shared registry and index.
+// New builds an engine over the shared registry and index. Counting
+// engines may share both, but an index serves at most one non-canonical
+// engine: which of its partitions holds a predicate is that engine's
+// listing (see the package comment).
 func New(reg *predicate.Registry, idx *index.Index, opts Options) *Engine {
 	if opts.Encoding == 0 {
 		opts.Encoding = subtree.PaperEncoding
@@ -197,6 +227,10 @@ func (e *Engine) Subscribe(expr boolexpr.Expr) (matcher.SubID, error) {
 		if i >= len(e.assoc) {
 			e.assoc = append(e.assoc, make([][]matcher.SubID, i+1-len(e.assoc))...)
 		}
+		if len(e.assoc[i]) == 0 {
+			p, _ := e.reg.Get(pid) // live: the tree being added holds it
+			e.idx.SetAccess(pid, p, true)
+		}
 		e.assoc[i] = append(e.assoc[i], id)
 	}
 	if compiled.ZeroSat {
@@ -222,7 +256,7 @@ func (e *Engine) listingLocked(c subtree.Compiled) []predicate.ID {
 	var best []predicate.ID // nil until an eligible conjunct is scored
 	bestCost, bestRefs := 0, 0
 	for _, off := range e.conjBuf {
-		if subtree.EvalMarkedAt(c.Code, off, nil, 1) {
+		if subtree.EvalMarked(c.Code, off, nil, 1, nil) {
 			continue // holds with nothing fulfilled: not necessary
 		}
 		leaves := subtree.AppendLeaves(c.Code, off, e.clauseBuf[:0])
@@ -291,17 +325,18 @@ func (e *Engine) Unsubscribe(id matcher.SubID) error {
 	}
 	s := &e.slots[id-1]
 	for _, pid := range s.compiled.PredIDs {
-		// The tree may be listed under only some of its predicates (access
-		// clause); removing it from a list it is not on changes nothing.
-		if i := int(pid) - 1; i < len(e.assoc) {
-			e.assoc[i] = removeSub(e.assoc[i], id)
-			if len(e.assoc[i]) == 0 {
-				e.assoc[i] = nil // release backing storage for dead predicates
-			}
-		}
 		p, err := e.reg.Get(pid)
 		if err != nil {
 			return fmt.Errorf("core: unsubscribe %d: %w", id, err)
+		}
+		// The tree may be listed under only some of its predicates (access
+		// clause); removing it from a list it is not on changes nothing.
+		if i := int(pid) - 1; i < len(e.assoc) && len(e.assoc[i]) > 0 {
+			e.assoc[i] = removeSub(e.assoc[i], id)
+			if len(e.assoc[i]) == 0 {
+				e.assoc[i] = nil // release backing storage for dead predicates
+				e.idx.SetAccess(pid, p, false)
+			}
 		}
 		died, err := e.reg.Release(pid)
 		if err != nil {
@@ -345,8 +380,11 @@ func (e *Engine) Match(ev event.Event) []matcher.SubID {
 	defer e.mu.RUnlock()
 	sc := e.getScratchRLocked()
 	defer e.scratch.Put(sc)
-	sc.predBuf = e.idx.Match(ev, sc.predBuf[:0])
-	return e.matchScratched(sc, sc.predBuf)
+	epoch := e.prepareEvent(sc, ev)
+	if len(sc.candBuf) == 0 {
+		return nil
+	}
+	return e.evalEvent(sc, ev, epoch, make([]matcher.SubID, 0, len(sc.candBuf)))
 }
 
 // MatchInto is Match in append style: matching subscription IDs are
@@ -360,9 +398,7 @@ func (e *Engine) MatchInto(ev event.Event, out []matcher.SubID) []matcher.SubID 
 	defer e.mu.RUnlock()
 	sc := e.getScratchRLocked()
 	defer e.scratch.Put(sc)
-	sc.predBuf = e.idx.Match(ev, sc.predBuf[:0])
-	epoch := e.prepare(sc, sc.predBuf)
-	return e.evalPrepared(sc, epoch, out)
+	return e.evalEvent(sc, ev, e.prepareEvent(sc, ev), out)
 }
 
 // MatchPredicates runs phase two only, concurrently with other readers.
@@ -377,25 +413,53 @@ func (e *Engine) MatchPredicates(fulfilled []predicate.ID) []matcher.SubID {
 }
 
 // getScratchRLocked takes a scratch off the pool and syncs it with the
-// store: when the generation moved since the scratch was last used, the
-// subscription mark table is grown to cover every allocated slot (the
-// caller's read lock pins both gen and len(slots)). predMark grows lazily
-// in prepare — fulfilled predicate IDs may exceed the store's own tables
-// when the registry is shared with another engine.
+// store (syncScratchRLocked).
 //
 //nclint:hotpath
 func (e *Engine) getScratchRLocked() *matchScratch {
 	sc, _ := e.scratch.Get().(*matchScratch)
 	if sc == nil {
-		sc = &matchScratch{}
+		sc = &matchScratch{eng: e}
 	}
+	e.syncScratchRLocked(sc)
+	return sc
+}
+
+// syncScratchRLocked: when the generation moved since sc was last used, the
+// subscription mark table is grown to cover every allocated slot and the
+// predicate mark table to cover the registry's ID space (the caller's read
+// lock pins gen, len(slots) and every ID a live tree holds). Sizing here,
+// not during evaluation, keeps the table Resolve stamps the very slice the
+// tree walk reads. predMark also grows in prepare — fulfilled IDs given to
+// MatchPredicates may exceed the store's own when the registry is shared
+// with another engine.
+//
+//nclint:hotpath
+func (e *Engine) syncScratchRLocked(sc *matchScratch) {
 	if sc.gen != e.gen {
-		if n := len(e.slots); len(sc.subMark) < n {
-			sc.subMark = append(sc.subMark, make([]uint32, n-len(sc.subMark))...)
-		}
+		sc.subMark = grow(sc.subMark, len(e.slots))
+		sc.predMark = grow(sc.predMark, e.reg.Cap())
 		sc.gen = e.gen
 	}
-	return sc
+}
+
+// grow extends a mark table with zeroes to at least n entries.
+//
+//nclint:hotpath
+func grow(marks []uint32, n int) []uint32 {
+	if len(marks) >= n {
+		return marks
+	}
+	return append(marks, make([]uint32, n-len(marks))...)
+}
+
+// prepareEvent runs phase one for ev over the index's access partition and
+// prepares phase two as prepare does. Caller holds at least the read lock.
+//
+//nclint:hotpath
+func (e *Engine) prepareEvent(sc *matchScratch, ev event.Event) (epoch uint32) {
+	sc.predBuf = e.idx.MatchAccess(ev, sc.predBuf[:0])
+	return e.prepare(sc, sc.predBuf)
 }
 
 // prepare stamps the fulfilled set into the scratch's predMark and collects
@@ -407,7 +471,7 @@ func (e *Engine) getScratchRLocked() *matchScratch {
 //nclint:hotpath
 func (e *Engine) prepare(sc *matchScratch, fulfilled []predicate.ID) (epoch uint32) {
 	sc.epoch++
-	if sc.epoch == 0 { // wrap-around: stale stamps become ambiguous, clear
+	if sc.epoch == resolvedFalse { // wrap-around: stale stamps become ambiguous, clear
 		clear(sc.predMark)
 		clear(sc.subMark)
 		sc.epoch = 1
@@ -415,9 +479,7 @@ func (e *Engine) prepare(sc *matchScratch, fulfilled []predicate.ID) (epoch uint
 	epoch = sc.epoch
 	for _, pid := range fulfilled {
 		i := int(pid) - 1
-		if i >= len(sc.predMark) {
-			sc.predMark = append(sc.predMark, make([]uint32, i+1-len(sc.predMark))...)
-		}
+		sc.predMark = grow(sc.predMark, i+1)
 		sc.predMark[i] = epoch
 	}
 	sc.candBuf = sc.candBuf[:0]
@@ -458,21 +520,56 @@ func (e *Engine) matchScratched(sc *matchScratch, fulfilled []predicate.ID) []ma
 		return nil
 	}
 	out := make([]matcher.SubID, 0, len(sc.candBuf))
-	return e.evalPrepared(sc, epoch, out)
+	return e.evalPrepared(sc, epoch, nil, out)
+}
+
+// evalEvent evaluates the subscriptions prepareEvent prepared into sc,
+// resolving the leaves phase one left unstamped against ev.
+//
+//nclint:hotpath
+func (e *Engine) evalEvent(sc *matchScratch, ev event.Event, epoch uint32, out []matcher.SubID) []matcher.SubID {
+	sc.ev = ev
+	out = e.evalPrepared(sc, epoch, sc, out)
+	sc.ev = event.Event{} // a pooled scratch must not pin the event's frame
+	return out
 }
 
 // evalPrepared evaluates the subscriptions prepared into sc, appending
-// matches to out. Caller holds at least the read lock and owns out;
-// nothing is allocated here unless out grows.
+// matches to out. Leaves sc.predMark does not stamp are decided by r, or
+// are false when r is nil. Caller holds at least the read lock and owns
+// out; nothing is allocated here unless out grows.
 //
 //nclint:hotpath
-func (e *Engine) evalPrepared(sc *matchScratch, epoch uint32, out []matcher.SubID) []matcher.SubID {
+func (e *Engine) evalPrepared(sc *matchScratch, epoch uint32, r subtree.Resolver, out []matcher.SubID) []matcher.SubID {
 	for _, sid := range sc.candBuf {
-		if subtree.EvalMarked(e.slots[sid-1].compiled.Code, sc.predMark, epoch) {
+		if subtree.EvalMarked(e.slots[sid-1].compiled.Code, 1, sc.predMark, epoch, r) {
 			out = append(out, sid)
 		}
 	}
 	return out
+}
+
+// Resolve decides a leaf phase one did not stamp (subtree.Resolver). An
+// access predicate is false: phase one probed its partition completely.
+// Any other predicate is evaluated against the event once per epoch, and
+// the verdict memoised in predMark — the epoch when true, the epoch with
+// resolvedFalse set when false. Caller holds at least the read lock, and
+// syncScratchRLocked sized predMark past every ID a live tree holds.
+//
+//nclint:hotpath
+func (sc *matchScratch) Resolve(pid predicate.ID) bool {
+	i := int(pid) - 1
+	e := sc.eng
+	if i < len(e.assoc) && len(e.assoc[i]) > 0 || sc.predMark[i] == sc.epoch|resolvedFalse {
+		return false
+	}
+	p, _ := e.reg.Get(pid) // live: a live tree holds it
+	if p.Eval(sc.ev) {
+		sc.predMark[i] = sc.epoch
+		return true
+	}
+	sc.predMark[i] = sc.epoch | resolvedFalse
+	return false
 }
 
 // InstrumentedMatch runs phase two like MatchPredicates but returns the
@@ -509,6 +606,16 @@ func (e *Engine) TreeBytes() int {
 		}
 	}
 	return total
+}
+
+// Listed reports whether some tree is listed under pid, which is to say
+// whether pid is in the index's access partition, where the engine's own
+// phase one looks.
+func (e *Engine) Listed(pid predicate.ID) bool {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	i := int(pid) - 1
+	return i >= 0 && i < len(e.assoc) && len(e.assoc[i]) > 0
 }
 
 // AssocEntries returns the number of (predicate, subscription) entries in

@@ -436,8 +436,9 @@ func TestTreeBytes(t *testing.T) {
 }
 
 func TestEpochWrapAround(t *testing.T) {
-	// Force the uint32 epoch to wrap and verify stale stamps cannot cause
-	// false candidates or false matches.
+	// Force the epoch to wrap and verify stale stamps cannot cause false
+	// candidates, false matches, or — for verdicts phase two resolved
+	// false on demand — false misses.
 	e, reg, _ := newEngine(Options{})
 	id, _ := e.Subscribe(boolexpr.NewAnd(
 		boolexpr.Pred("a", predicate.Eq, 1),
@@ -449,15 +450,19 @@ func TestEpochWrapAround(t *testing.T) {
 	reg.Release(bEq2)
 
 	// Epochs are private to each pooled scratch, so drive one scratch
-	// directly through the phase-two path to control its counter.
-	sc := &matchScratch{}
+	// directly to control its counter.
+	sc := &matchScratch{eng: e}
 	match := func(fulfilled []predicate.ID) []matcher.SubID {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		if n := len(e.slots); len(sc.subMark) < n {
-			sc.subMark = append(sc.subMark, make([]uint32, n-len(sc.subMark))...)
-		}
+		e.syncScratchRLocked(sc)
 		return e.matchScratched(sc, fulfilled)
+	}
+	matchEvent := func(ev event.Event) []matcher.SubID {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		e.syncScratchRLocked(sc)
+		return e.evalEvent(sc, ev, e.prepareEvent(sc, ev), nil)
 	}
 
 	// Seed stamps at the current epoch, then jump the counter to just below
@@ -465,8 +470,8 @@ func TestEpochWrapAround(t *testing.T) {
 	if got := match([]predicate.ID{aEq1}); len(got) != 0 {
 		t.Fatalf("half-match = %v", got)
 	}
-	sc.epoch = ^uint32(0) - 1
-	// Two calls: the second wraps to 0 → clears tables → epoch 1. The old
+	sc.epoch = resolvedFalse - 2
+	// Two calls: the second wraps → clears tables → epoch 1. The old
 	// stamps (from the call above) equal small epochs only if not cleared;
 	// after clearing they are 0 and epoch is 1, so no false positives.
 	if got := match([]predicate.ID{bEq2}); len(got) != 0 {
@@ -478,6 +483,21 @@ func TestEpochWrapAround(t *testing.T) {
 	got := match([]predicate.ID{aEq1, bEq2})
 	if !sameSubs(got, subIDs(id)) {
 		t.Fatalf("full match after wrap = %v, want [%d]", got, id)
+	}
+
+	// Resolved verdicts: b = 2 is outside the access clause, so phase two
+	// evaluates it on demand. Resolve it false at epoch 1, wrap, and ask
+	// again at the new epoch 1 with an event that fulfils it.
+	sc.epoch = 0
+	if got := matchEvent(event.New().Set("a", 1).Set("b", 3)); len(got) != 0 || sc.epoch != 1 {
+		t.Fatalf("b = 3: matched %v at epoch %d, want none at 1", got, sc.epoch)
+	}
+	if i := bEq2 - 1; sc.predMark[i] != 1|resolvedFalse {
+		t.Fatalf("b = 2 stamped %#x, want resolved false at epoch 1", sc.predMark[i])
+	}
+	sc.epoch = resolvedFalse - 1
+	if got := matchEvent(event.New().Set("a", 1).Set("b", 2)); !sameSubs(got, subIDs(id)) || sc.epoch != 1 {
+		t.Fatalf("after wrap: matched %v at epoch %d, want [%d] at 1 (stale false verdict leaked)", got, sc.epoch, id)
 	}
 }
 

@@ -11,18 +11,45 @@
 // value except one, so a list is the natural representation), and substring
 // (contains) predicates by a per-attribute scan list.
 //
+// Every predicate is decided exactly as predicate.P.Eval decides it. The
+// float-keyed structures order a numeric operand correctly against every
+// event value only when it is a number below 2^53 in magnitude: NaN
+// compares equal to every number under value.Compare, and from 2^53 on an
+// Int and its float image part. Such operands, and the operand kinds no
+// structure serves (ranges over booleans, substring tests of non-strings,
+// invalid values), sit on a short per-attribute residual list checked with
+// EvalValue. A NaN event value takes its own branch, which follows
+// value.Compare: every =, <= and >= holds and every !=, < and > fails.
+//
+// The index is split into two disjoint partitions, and every predicate is
+// stored in exactly one. The access partition holds the predicates some
+// subscription tree is listed under; the other holds the rest. Add puts a
+// predicate in the other partition and SetAccess moves it between them.
+// Match probes both, so it finds every fulfilled predicate; MatchAccess
+// probes the access partition only, which is the non-canonical engine's
+// phase one (internal/core). An index nobody calls SetAccess on — the
+// counting engines' — is one structure.
+//
 // Both the non-canonical engine and the counting baselines share this phase:
 // "the first phases use the same indexes in the same way in both
 // approaches" (paper §4).
 package index
 
 import (
+	"math"
+
 	"noncanon/internal/event"
 	"noncanon/internal/intern"
 	"noncanon/internal/predicate"
 	"noncanon/internal/value"
 
 	"noncanon/internal/index/btree"
+)
+
+// The two partitions, as indexes into attrPair.
+const (
+	rest = iota
+	access
 )
 
 // rangeEntry is a B+ tree payload: the predicate and whether its bound is
@@ -38,8 +65,17 @@ type neEntry struct {
 	key value.Key
 }
 
-// attrIndex holds all predicate structures for one attribute.
+// residualEntry is a predicate no operator structure decides exactly.
+type residualEntry struct {
+	id predicate.ID
+	p  predicate.P
+}
+
+// attrIndex holds all predicate structures for one attribute in one
+// partition.
 type attrIndex struct {
+	n int // predicates held
+
 	// eq: point predicates by operand (hash index, Fig. 2).
 	eq map[value.Key][]predicate.ID
 
@@ -73,6 +109,10 @@ type attrIndex struct {
 
 	// exists: predicates fulfilled by attribute presence.
 	exists []predicate.ID
+
+	// residual: predicates checked one by one with EvalValue (see the
+	// package comment).
+	residual []residualEntry
 }
 
 type containsEntry struct {
@@ -92,38 +132,133 @@ func newAttrIndex() *attrIndex {
 	}
 }
 
+// attrPair holds one attribute's structures in each partition. A
+// partition's entry stays nil until it first holds a predicate over the
+// attribute, and is kept once emptied: a predicate moving into the access
+// partition would otherwise rebuild the attribute's other structures every
+// time it was the last one there.
+type attrPair [2]*attrIndex
+
 // Index is the phase-one structure set across all attributes. Attributes
 // are keyed by their interned symbol: Add interns (subscription vocabulary
 // is local and bounded), and Match dispatches on the symbols already
 // carried by the event's attributes, so the per-attribute probe hashes a
 // u32 instead of a string.
 type Index struct {
-	bySym map[intern.Sym]*attrIndex
+	bySym map[intern.Sym]*attrPair
 	n     int // live predicate entries
 }
 
 // New returns an empty predicate index.
 func New() *Index {
-	return &Index{bySym: make(map[intern.Sym]*attrIndex, 64)}
+	return &Index{bySym: make(map[intern.Sym]*attrPair, 64)}
 }
 
 // NumPredicates returns the number of indexed predicate entries.
 func (ix *Index) NumPredicates() int { return ix.n }
 
-// Add indexes predicate p under id. Each (id, p) pair must be added at most
-// once (the predicate registry interns predicates, so engines add a
-// predicate only when its refcount rises from zero).
+// Add indexes predicate p under id, outside the access partition. Each
+// (id, p) pair must be added at most once (the predicate registry interns
+// predicates, so engines add a predicate only when its refcount rises from
+// zero).
 func (ix *Index) Add(id predicate.ID, p predicate.P) {
 	sym := p.Sym
 	if sym == intern.None {
 		sym = intern.Of(p.Attr) // registering a subscription: local vocabulary
 	}
-	ai, ok := ix.bySym[sym]
-	if !ok {
-		ai = newAttrIndex()
-		ix.bySym[sym] = ai
-	}
+	ix.attrIn(sym, rest).add(id, p)
 	ix.n++
+}
+
+// Remove unindexes the (id, p) pair added by Add, from whichever partition
+// holds it. It reports whether the entry was found.
+func (ix *Index) Remove(id predicate.ID, p predicate.P) bool {
+	_, pair := ix.lookup(p)
+	if pair == nil {
+		return false
+	}
+	for _, ai := range pair {
+		if ai != nil && ai.remove(id, p) {
+			ix.n--
+			return true
+		}
+	}
+	return false
+}
+
+// SetAccess moves the (id, p) pair added by Add into the access partition
+// when on, and out of it otherwise. It reports whether the pair was found
+// in the partition it leaves; if not, nothing changes.
+func (ix *Index) SetAccess(id predicate.ID, p predicate.P, on bool) bool {
+	from, to := rest, access
+	if !on {
+		from, to = access, rest
+	}
+	sym, pair := ix.lookup(p)
+	if pair == nil || pair[from] == nil || !pair[from].remove(id, p) {
+		return false
+	}
+	ix.attrIn(sym, to).add(id, p)
+	return true
+}
+
+// lookup returns the symbol of p's attribute and its structures, nil when
+// no predicate over the attribute was ever added.
+func (ix *Index) lookup(p predicate.P) (intern.Sym, *attrPair) {
+	sym := p.Sym
+	if sym == intern.None {
+		// Lookup, not Of: removing a predicate never added must not
+		// grow the symbol table.
+		var ok bool
+		if sym, ok = intern.Lookup(p.Attr); !ok {
+			return sym, nil
+		}
+	}
+	return sym, ix.bySym[sym]
+}
+
+// attrIn returns the structures of attribute sym in partition part,
+// creating them on first use.
+func (ix *Index) attrIn(sym intern.Sym, part int) *attrIndex {
+	pair, ok := ix.bySym[sym]
+	if !ok {
+		pair = new(attrPair)
+		ix.bySym[sym] = pair
+	}
+	if pair[part] == nil {
+		pair[part] = newAttrIndex()
+	}
+	return pair[part]
+}
+
+// residual reports whether p belongs on its attribute's residual list
+// rather than in an operator structure (see the package comment).
+func residual(p predicate.P) bool {
+	switch p.Op {
+	case predicate.Exists:
+		return false
+	case predicate.Prefix, predicate.Suffix, predicate.Contains:
+		return p.Operand.Kind() != value.String
+	case predicate.Eq, predicate.Ne, predicate.Lt, predicate.Le, predicate.Gt, predicate.Ge:
+		switch p.Operand.Kind() {
+		case value.String:
+			return false
+		case value.Bool:
+			return p.Op != predicate.Eq && p.Op != predicate.Ne
+		case value.Int, value.Float:
+			f, _ := p.Operand.AsFloat()
+			return f != f || math.Abs(f) >= 1<<53
+		}
+	}
+	return true
+}
+
+func (ai *attrIndex) add(id predicate.ID, p predicate.P) {
+	ai.n++
+	if residual(p) {
+		ai.residual = append(ai.residual, residualEntry{id: id, p: p})
+		return
+	}
 	switch p.Op {
 	case predicate.Eq:
 		k := p.Operand.Key()
@@ -131,26 +266,26 @@ func (ix *Index) Add(id predicate.ID, p predicate.P) {
 	case predicate.Ne:
 		e := neEntry{id: id, key: p.Operand.Key()}
 		switch p.Operand.Kind() {
-		case value.Int, value.Float:
-			ai.neNum = append(ai.neNum, e)
 		case value.String:
 			ai.neStr = append(ai.neStr, e)
 		case value.Bool:
 			ai.neBool = append(ai.neBool, e)
+		default:
+			ai.neNum = append(ai.neNum, e)
 		}
 	case predicate.Lt, predicate.Le:
-		incl := p.Op == predicate.Le
+		e := rangeEntry{id: id, incl: p.Op == predicate.Le}
 		if f, ok := p.Operand.AsFloat(); ok {
-			ai.upperNum.Insert(f, rangeEntry{id: id, incl: incl})
-		} else if p.Operand.Kind() == value.String {
-			ai.upperStr.Insert(p.Operand.Str(), rangeEntry{id: id, incl: incl})
+			ai.upperNum.Insert(f, e)
+		} else {
+			ai.upperStr.Insert(p.Operand.Str(), e)
 		}
 	case predicate.Gt, predicate.Ge:
-		incl := p.Op == predicate.Ge
+		e := rangeEntry{id: id, incl: p.Op == predicate.Ge}
 		if f, ok := p.Operand.AsFloat(); ok {
-			ai.lowerNum.Insert(f, rangeEntry{id: id, incl: incl})
-		} else if p.Operand.Kind() == value.String {
-			ai.lowerStr.Insert(p.Operand.Str(), rangeEntry{id: id, incl: incl})
+			ai.lowerNum.Insert(f, e)
+		} else {
+			ai.lowerStr.Insert(p.Operand.Str(), e)
 		}
 	case predicate.Prefix:
 		s := p.Operand.Str()
@@ -165,23 +300,21 @@ func (ix *Index) Add(id predicate.ID, p predicate.P) {
 	}
 }
 
-// Remove unindexes the (id, p) pair added by Add. It reports whether the
-// entry was found.
-func (ix *Index) Remove(id predicate.ID, p predicate.P) bool {
-	sym := p.Sym
-	if sym == intern.None {
-		// Lookup, not Of: removing a predicate never added must not
-		// grow the symbol table.
-		var ok bool
-		if sym, ok = intern.Lookup(p.Attr); !ok {
-			return false
+func (ai *attrIndex) remove(id predicate.ID, p predicate.P) (removed bool) {
+	defer func() {
+		if removed {
+			ai.n--
 		}
-	}
-	ai, ok := ix.bySym[sym]
-	if !ok {
+	}()
+	if residual(p) {
+		for i, e := range ai.residual {
+			if e.id == id {
+				ai.residual = append(ai.residual[:i:i], ai.residual[i+1:]...)
+				return true
+			}
+		}
 		return false
 	}
-	removed := false
 	switch p.Op {
 	case predicate.Eq:
 		k := p.Operand.Key()
@@ -191,26 +324,26 @@ func (ix *Index) Remove(id predicate.ID, p predicate.P) bool {
 		}
 	case predicate.Ne:
 		switch p.Operand.Kind() {
-		case value.Int, value.Float:
-			ai.neNum, removed = removeNe(ai.neNum, id)
 		case value.String:
 			ai.neStr, removed = removeNe(ai.neStr, id)
 		case value.Bool:
 			ai.neBool, removed = removeNe(ai.neBool, id)
+		default:
+			ai.neNum, removed = removeNe(ai.neNum, id)
 		}
 	case predicate.Lt, predicate.Le:
-		incl := p.Op == predicate.Le
+		e := rangeEntry{id: id, incl: p.Op == predicate.Le}
 		if f, ok := p.Operand.AsFloat(); ok {
-			removed = ai.upperNum.Delete(f, rangeEntry{id: id, incl: incl})
-		} else if p.Operand.Kind() == value.String {
-			removed = ai.upperStr.Delete(p.Operand.Str(), rangeEntry{id: id, incl: incl})
+			removed = ai.upperNum.Delete(f, e)
+		} else {
+			removed = ai.upperStr.Delete(p.Operand.Str(), e)
 		}
 	case predicate.Gt, predicate.Ge:
-		incl := p.Op == predicate.Ge
+		e := rangeEntry{id: id, incl: p.Op == predicate.Ge}
 		if f, ok := p.Operand.AsFloat(); ok {
-			removed = ai.lowerNum.Delete(f, rangeEntry{id: id, incl: incl})
-		} else if p.Operand.Kind() == value.String {
-			removed = ai.lowerStr.Delete(p.Operand.Str(), rangeEntry{id: id, incl: incl})
+			removed = ai.lowerNum.Delete(f, e)
+		} else {
+			removed = ai.lowerStr.Delete(p.Operand.Str(), e)
 		}
 	case predicate.Prefix:
 		s := p.Operand.Str()
@@ -235,9 +368,6 @@ func (ix *Index) Remove(id predicate.ID, p predicate.P) bool {
 	case predicate.Exists:
 		ai.exists, removed = removeID(ai.exists, id)
 	}
-	if removed {
-		ix.n--
-	}
 	return removed
 }
 
@@ -259,13 +389,28 @@ func removeNe(s []neEntry, id predicate.ID) ([]neEntry, bool) {
 	return s, false
 }
 
-// Match appends the IDs of every predicate fulfilled by e to out and returns
-// the extended slice. Each fulfilled predicate appears exactly once (the
-// registry interns predicates, and each lives in exactly one structure).
-// out is caller-owned: growing it is the caller's capacity contract.
+// Match appends the IDs of every predicate fulfilled by e, in both
+// partitions, to out and returns the extended slice: exactly the
+// predicates p for which p.Eval(e) holds. Each appears once (the registry
+// interns predicates, and each lives in exactly one structure). out is
+// caller-owned: growing it is the caller's capacity contract.
 //
 //nclint:hotpath
 func (ix *Index) Match(e event.Event, out []predicate.ID) []predicate.ID {
+	return ix.match(e, rest, out)
+}
+
+// MatchAccess is Match over the access partition only.
+//
+//nclint:hotpath
+func (ix *Index) MatchAccess(e event.Event, out []predicate.ID) []predicate.ID {
+	return ix.match(e, access, out)
+}
+
+// match probes partitions from through access.
+//
+//nclint:hotpath
+func (ix *Index) match(e event.Event, from int, out []predicate.ID) []predicate.ID {
 	for _, a := range e.All() {
 		sym := a.Sym
 		if sym == intern.None {
@@ -277,8 +422,12 @@ func (ix *Index) Match(e event.Event, out []predicate.ID) []predicate.ID {
 				continue // no subscription ever mentioned this attribute
 			}
 		}
-		if ai, ok := ix.bySym[sym]; ok {
-			out = ai.match(a.Val, out)
+		if pair, ok := ix.bySym[sym]; ok {
+			for _, ai := range pair[from:] {
+				if ai != nil {
+					out = ai.match(a.Val, out)
+				}
+			}
 		}
 	}
 	return out
@@ -290,7 +439,9 @@ func (ai *attrIndex) match(v value.Value, out []predicate.ID) []predicate.ID {
 	out = append(out, ai.eq[v.Key()]...)
 
 	// Range predicates.
-	if f, isNum := v.AsFloat(); isNum {
+	if f, isNum := v.AsFloat(); isNum && f != f {
+		out = ai.matchNaN(out)
+	} else if isNum {
 		// upper bounds: need c > f, or c == f when inclusive.
 		ai.upperNum.ScanFrom(f, func(c float64, es []rangeEntry) bool {
 			strict := c > f
@@ -373,8 +524,37 @@ func (ai *attrIndex) match(v value.Value, out []predicate.ID) []predicate.ID {
 		}
 	}
 
+	for _, e := range ai.residual {
+		if e.p.EvalValue(v) {
+			out = append(out, e.id)
+		}
+	}
+
 	// Presence predicates.
 	out = append(out, ai.exists...)
+	return out
+}
+
+// matchNaN appends the numeric predicates in the operator structures that
+// a NaN event value fulfils. value.Compare orders NaN equal to every
+// number, so every = , <= and >= holds and every !=, < and > fails. The
+// structures hold no NaN operand, so the point probe found nothing.
+func (ai *attrIndex) matchNaN(out []predicate.ID) []predicate.ID {
+	for k, ids := range ai.eq {
+		if k.IsNumeric() {
+			out = append(out, ids...)
+		}
+	}
+	inclusive := func(_ float64, es []rangeEntry) bool {
+		for _, e := range es {
+			if e.incl {
+				out = append(out, e.id)
+			}
+		}
+		return true
+	}
+	ai.upperNum.Scan(inclusive)
+	ai.lowerNum.Scan(inclusive)
 	return out
 }
 
@@ -390,7 +570,8 @@ func containsSub(s, sub string) bool {
 	return false
 }
 
-// MemBytes estimates resident bytes of all index structures (experiment M1).
+// MemBytes estimates resident bytes of the index structures that hold
+// predicates, in both partitions (experiment M1).
 func (ix *Index) MemBytes() int {
 	const (
 		mapEntryOverhead = 48
@@ -399,26 +580,34 @@ func (ix *Index) MemBytes() int {
 		rangeEntrySize   = 8
 	)
 	total := 0
-	for sym, ai := range ix.bySym {
+	for sym, pair := range ix.bySym {
 		total += mapEntryOverhead + len(intern.Name(sym))
-		for _, ids := range ai.eq {
-			total += mapEntryOverhead + len(ids)*idSize
+		for _, ai := range pair {
+			if ai == nil || ai.n == 0 {
+				continue
+			}
+			for _, ids := range ai.eq {
+				total += mapEntryOverhead + len(ids)*idSize
+			}
+			total += ai.upperNum.MemBytes(8, rangeEntrySize)
+			total += ai.lowerNum.MemBytes(8, rangeEntrySize)
+			total += ai.upperStr.MemBytes(16, rangeEntrySize)
+			total += ai.lowerStr.MemBytes(16, rangeEntrySize)
+			total += (len(ai.neNum) + len(ai.neStr) + len(ai.neBool)) * neEntrySize
+			for s, ids := range ai.prefix {
+				total += mapEntryOverhead + len(s) + len(ids)*idSize
+			}
+			for s, ids := range ai.suffix {
+				total += mapEntryOverhead + len(s) + len(ids)*idSize
+			}
+			for _, ce := range ai.contains {
+				total += 24 + len(ce.sub)
+			}
+			total += len(ai.exists) * idSize
+			for _, e := range ai.residual {
+				total += idSize + e.p.MemBytes()
+			}
 		}
-		total += ai.upperNum.MemBytes(8, rangeEntrySize)
-		total += ai.lowerNum.MemBytes(8, rangeEntrySize)
-		total += ai.upperStr.MemBytes(16, rangeEntrySize)
-		total += ai.lowerStr.MemBytes(16, rangeEntrySize)
-		total += (len(ai.neNum) + len(ai.neStr) + len(ai.neBool)) * neEntrySize
-		for s, ids := range ai.prefix {
-			total += mapEntryOverhead + len(s) + len(ids)*idSize
-		}
-		for s, ids := range ai.suffix {
-			total += mapEntryOverhead + len(s) + len(ids)*idSize
-		}
-		for _, ce := range ai.contains {
-			total += 24 + len(ce.sub)
-		}
-		total += len(ai.exists) * idSize
 	}
 	return total
 }

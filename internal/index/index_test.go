@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -321,4 +322,182 @@ func TestMemBytes(t *testing.T) {
 	if full := ix.MemBytes(); full <= empty {
 		t.Errorf("MemBytes did not grow: %d -> %d", empty, full)
 	}
+}
+
+// Numeric operands and event values where float ordering and
+// value.Compare part: NaN, ±Inf and the neighbours of ±2^53.
+const two53 = 1 << 53
+
+var edgeNumbers = []any{
+	math.NaN(), math.Inf(1), math.Inf(-1),
+	int64(two53), int64(two53 + 1), int64(two53 - 1), int64(-two53), int64(-two53 - 1), int64(-two53 + 1),
+	float64(two53), float64(-two53), float64(two53 - 1),
+	0, 5, 5.0, 5.5, -0.0, math.MaxInt64, math.MinInt64,
+}
+
+// TestMatchEdgeNumbersAgreeWithEval: for every operator and every edge
+// operand, an index holding the single predicate `x OP c` answers each
+// edge event value exactly as predicate.Eval does.
+func TestMatchEdgeNumbersAgreeWithEval(t *testing.T) {
+	ops := []predicate.Op{predicate.Eq, predicate.Ne, predicate.Lt, predicate.Le, predicate.Gt, predicate.Ge}
+	for _, op := range ops {
+		for _, c := range edgeNumbers {
+			p := predicate.New("x", op, c)
+			ix := New()
+			ix.Add(1, p)
+			for _, v := range edgeNumbers {
+				ev := event.New().Set("x", v)
+				want := p.Eval(ev)
+				if got := len(ix.Match(ev, nil)) == 1; got != want {
+					t.Errorf("x %s %v on %v: index %v, Eval %v", op, p.Operand, ev, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEdgeNumbersPinned pins the cases where phase one used to
+// disagree with Eval.
+func TestEdgeNumbersPinned(t *testing.T) {
+	for _, tc := range []struct {
+		op   predicate.Op
+		c, v any
+		want bool
+	}{
+		{predicate.Gt, int64(two53), int64(two53 + 1), true},
+		{predicate.Ge, int64(two53 + 1), int64(two53), false},
+		{predicate.Lt, int64(two53 + 1), int64(two53), true},
+		{predicate.Le, int64(two53), int64(two53 + 1), false},
+		{predicate.Eq, int64(two53 + 1), float64(two53), true},
+		{predicate.Ne, int64(two53 + 1), float64(two53), false},
+		{predicate.Ne, 5, math.NaN(), false},
+		{predicate.Gt, 5, math.NaN(), false},
+		{predicate.Gt, math.Inf(-1), math.NaN(), false},
+		{predicate.Eq, 5, math.NaN(), true},
+		{predicate.Le, 5, math.NaN(), true},
+	} {
+		p := predicate.New("x", tc.op, tc.c)
+		ix := New()
+		ix.Add(1, p)
+		ev := event.New().Set("x", tc.v)
+		if got := len(ix.Match(ev, nil)) == 1; got != tc.want || p.Eval(ev) != tc.want {
+			t.Errorf("x %s %v on %v: index %v, Eval %v, want %v", tc.op, p.Operand, ev, got, p.Eval(ev), tc.want)
+		}
+	}
+}
+
+// TestAccessPartitions: SetAccess moves a predicate between partitions without
+// storing it twice; Match sees both, MatchAccess only the access one, and
+// Remove finds a predicate in either.
+func TestAccessPartitions(t *testing.T) {
+	ix := New()
+	a, b := predicate.New("x", predicate.Gt, 1), predicate.New("x", predicate.Eq, 5)
+	ix.Add(1, a)
+	ix.Add(2, b)
+	before := ix.MemBytes()
+	ev := event.New().Set("x", 5)
+	if got := ix.MatchAccess(ev, nil); len(got) != 0 {
+		t.Fatalf("MatchAccess before SetAccess = %v", got)
+	}
+	if !ix.SetAccess(2, b, true) || ix.SetAccess(2, b, true) {
+		t.Fatal("SetAccess(on) must move the predicate exactly once")
+	}
+	if got := ix.MatchAccess(ev, nil); !sameIDs(got, ids(2)) {
+		t.Errorf("MatchAccess = %v, want [2]", got)
+	}
+	if got := ix.Match(ev, nil); !sameIDs(got, ids(1, 2)) {
+		t.Errorf("Match = %v, want [1 2]", got)
+	}
+	if ix.NumPredicates() != 2 {
+		t.Errorf("after the move: %d predicates, want 2", ix.NumPredicates())
+	}
+	if !ix.SetAccess(2, b, false) || ix.SetAccess(2, b, false) {
+		t.Fatal("SetAccess(off) must move the predicate exactly once")
+	}
+	if ix.MemBytes() != before {
+		t.Errorf("after moving back: %d bytes, want %d (the emptied partition's structures uncounted)", ix.MemBytes(), before)
+	}
+	if got := ix.MatchAccess(ev, nil); len(got) != 0 {
+		t.Errorf("MatchAccess after SetAccess(off) = %v", got)
+	}
+	ix.SetAccess(1, a, true)
+	if !ix.Remove(1, a) || !ix.Remove(2, b) || ix.NumPredicates() != 0 {
+		t.Fatalf("Remove from both partitions failed: %d left", ix.NumPredicates())
+	}
+	if ix.SetAccess(1, a, true) {
+		t.Error("SetAccess of a removed predicate reported a move")
+	}
+}
+
+// FuzzIndexAgreesWithEval: over fuzzed predicate sets split between the
+// partitions and fuzzed events, Match returns exactly {p : p.Eval(ev)}
+// and MatchAccess exactly the access predicates among them.
+func FuzzIndexAgreesWithEval(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{0, 1, 2, 3})
+	f.Add([]byte{10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110}, []byte{9, 10, 11, 12})
+	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1}, []byte{200, 100, 50, 25})
+	ops := []predicate.Op{
+		predicate.Eq, predicate.Ne, predicate.Lt, predicate.Le, predicate.Gt, predicate.Ge,
+		predicate.Prefix, predicate.Suffix, predicate.Contains, predicate.Exists,
+	}
+	operands := append([]any{"", "a", "ab", "b", "ba", true, false, nil}, edgeNumbers...)
+	attrs := []string{"x", "y"}
+	f.Fuzz(func(t *testing.T, preds, evs []byte) {
+		if len(preds) > 96 {
+			preds = preds[:96]
+		}
+		ix := New()
+		var regd []predicate.P
+		access := map[predicate.ID]bool{}
+		seen := map[string]bool{}
+		for i := 0; i+1 < len(preds); i += 2 {
+			b, c := preds[i], preds[i+1]
+			p := predicate.New(attrs[int(b>>7)], ops[int(b&0x7f)%len(ops)], operands[int(c&0x7f)%len(operands)])
+			if k := p.String() + p.Operand.GoString(); seen[k] {
+				continue // the registry interns: each predicate is added once
+			} else {
+				seen[k] = true
+			}
+			regd = append(regd, p)
+			id := predicate.ID(len(regd))
+			ix.Add(id, p)
+			if c&0x80 != 0 {
+				ix.SetAccess(id, p, true)
+				access[id] = true
+			}
+		}
+		// Remove every fifth predicate to exercise both partitions' deletes.
+		removed := map[predicate.ID]bool{}
+		for i := 4; i < len(regd); i += 5 {
+			id := predicate.ID(i + 1)
+			if !ix.Remove(id, regd[i]) {
+				t.Fatalf("Remove(%d, %s) failed", id, regd[i])
+			}
+			removed[id] = true
+		}
+		for i := 0; i+1 < len(evs); i += 2 {
+			ev := event.New()
+			for j, a := range attrs {
+				if b := evs[i+j]; b != 0 {
+					ev = ev.Set(a, operands[int(b)%len(operands)])
+				}
+			}
+			var want, wantAccess []predicate.ID
+			for j, p := range regd {
+				id := predicate.ID(j + 1)
+				if !removed[id] && p.Eval(ev) {
+					want = append(want, id)
+					if access[id] {
+						wantAccess = append(wantAccess, id)
+					}
+				}
+			}
+			if got := ix.Match(ev, nil); !sameIDs(got, want) {
+				t.Fatalf("Match(%s)\n got %v\nwant %v", ev, sortedIDs(got), want)
+			}
+			if got := ix.MatchAccess(ev, nil); !sameIDs(got, wantAccess) {
+				t.Fatalf("MatchAccess(%s)\n got %v\nwant %v", ev, sortedIDs(got), wantAccess)
+			}
+		}
+	})
 }

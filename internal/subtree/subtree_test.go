@@ -204,10 +204,27 @@ func TestEvalMatchesASTProperty(t *testing.T) {
 	}
 }
 
+// checkResolver answers from a set and fails the test when asked about a
+// leaf the mark table already stamps.
+type checkResolver struct {
+	t     *testing.T
+	set   map[predicate.ID]bool
+	marks []uint32
+	epoch uint32
+}
+
+func (r checkResolver) Resolve(id predicate.ID) bool {
+	if r.marks[id-1] == r.epoch {
+		r.t.Fatalf("resolver asked about stamped leaf %d", id)
+	}
+	return r.set[id]
+}
+
 func TestEvalMarkedMatchesEvalProperty(t *testing.T) {
 	// The engine fast path (EvalMarked over an epoch-stamped mark table)
 	// must agree with the closure-based Eval on random expressions and
-	// fulfilled sets, for both encodings.
+	// fulfilled sets, for both encodings — with a nil resolver, and with a
+	// resolver deciding the fulfilled leaves the table leaves unstamped.
 	rng := rand.New(rand.NewSource(44))
 	cfg := boolexpr.RandomConfig{MaxDepth: 5, MaxFanout: 4, AllowNot: true}
 	for _, enc := range []Encoding{PaperEncoding, CompactEncoding} {
@@ -228,16 +245,26 @@ func TestEvalMarkedMatchesEvalProperty(t *testing.T) {
 						set[id] = true
 					}
 				}
-				got := EvalMarked(c.Code, marks, epoch)
+				got := EvalMarked(c.Code, 1, marks, epoch, nil)
 				want := Eval(c.Code, func(id predicate.ID) bool { return set[id] })
 				if got != want {
 					t.Fatalf("enc=%s iter=%d: EvalMarked=%v Eval=%v\nexpr: %s", enc, i, got, want, e)
+				}
+				// Unstamp some fulfilled leaves; the resolver supplies them.
+				for id := range set {
+					if rng.Intn(2) == 0 {
+						marks[id-1] = 0
+					}
+				}
+				r := checkResolver{t: t, set: set, marks: marks, epoch: epoch}
+				if got := EvalMarked(c.Code, 1, marks, epoch, r); got != want {
+					t.Fatalf("enc=%s iter=%d: resolved EvalMarked=%v Eval=%v\nexpr: %s", enc, i, got, want, e)
 				}
 			}
 		}
 	}
 	// Degenerate inputs.
-	if EvalMarked(nil, nil, 1) || EvalMarked([]byte{headerPaper}, nil, 1) {
+	if EvalMarked(nil, 1, nil, 1, nil) || EvalMarked([]byte{headerPaper}, 1, nil, 1, nil) {
 		t.Error("EvalMarked of short code must be false")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Ands flattened into their parent, so `(a and (b or c)) and d` yields a,
 // (b or c) and d. A tree whose root is not an And has no conjuncts and
 // leaves dst unchanged. The offsets are the node arguments of
-// AppendLeaves and EvalMarkedAt.
+// AppendLeaves and EvalMarked.
 func Conjuncts(code []byte, dst []int) []int {
 	if len(code) < 2 || code[1] != opAnd {
 		return dst

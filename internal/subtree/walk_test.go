@@ -11,7 +11,7 @@ import (
 // TestConjunctsAndLeaves walks `(a and (b or not c)) and (d or a)` in both
 // encodings: nested top-level Ands flatten into three conjuncts, each
 // conjunct's leaves come back in encoding order with repeats, and
-// EvalMarkedAt on an empty mark table tells the zero-satisfiable conjunct
+// EvalMarked on an empty mark table tells the zero-satisfiable conjunct
 // apart.
 func TestConjunctsAndLeaves(t *testing.T) {
 	a := boolexpr.Pred("a", predicate.Eq, 1)
@@ -38,7 +38,7 @@ func TestConjunctsAndLeaves(t *testing.T) {
 			if got := AppendLeaves(comp.Code, off, nil); !slices.Equal(got, want[i]) {
 				t.Errorf("%s: conjunct %d leaves %v, want %v", enc, i, got, want[i])
 			}
-			if zero := EvalMarkedAt(comp.Code, off, nil, 1); zero != (i == 1) {
+			if zero := EvalMarked(comp.Code, off, nil, 1, nil); zero != (i == 1) {
 				t.Errorf("%s: conjunct %d holds with nothing fulfilled = %v", enc, i, zero)
 			}
 		}

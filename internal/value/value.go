@@ -234,6 +234,9 @@ type Key struct {
 	str  string
 }
 
+// IsNumeric reports whether k is the key of an Int or Float value.
+func (k Key) IsNumeric() bool { return k.kind == Int || k.kind == Float }
+
 // KeyString renders the canonical Key as a short prefixed string, for
 // embedding in composite string keys (e.g. subscription-filter interning,
 // internal/cover). Equal Keys always yield equal strings; distinct Keys
