@@ -5,6 +5,8 @@
 //     internal/arch/policy.go exactly (no new edges, no stale allowances,
 //     no net/os/syscall in engine layers, router transport-agnostic);
 //   - api-leak: internal/wire types never appear in engine package APIs;
+//   - engine-owner: among the serving packages only internal/broker and
+//     internal/netoverlay construct a core.Engine;
 //   - lock-blocking: no blocking channel operation lexically between
 //     Lock/Unlock of the same mutex (the PR 5 deadlock shape);
 //   - hotpath: functions annotated //nclint:hotpath are denied

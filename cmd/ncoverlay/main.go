@@ -1,9 +1,10 @@
 // Command ncoverlay runs a broker overlay, in one of two modes.
 //
 // Simulation (default): N brokers in a line/star/tree topology inside one
-// process, random Boolean subscriptions spread over the brokers, random
-// events published at random brokers, routing statistics printed at the
-// end.
+// process (a netoverlay.Network: the federation's brokers and wire
+// protocol, linked by in-memory pipes), random Boolean subscriptions spread
+// over the brokers, random events published at random brokers, routing
+// statistics printed at the end.
 //
 // Federation (-listen / -peer): this process IS one broker, federated with
 // other ncoverlay processes over real TCP using the wire protocol. Links
@@ -29,10 +30,11 @@
 //
 // With -metrics-addr, an operational endpoint serves Prometheus text on
 // /metrics, JSON on /vars, recent hop traces on /traces and pprof on
-// /debug/pprof/ (see internal/obs). In federation mode, -trace-every N
-// stamps every Nth locally published event with a trace ID and origin
-// timestamp that ride the wire: each broker the event crosses records the
-// hop into its hop-latency histogram and trace ring.
+// /debug/pprof/ (see internal/obs). In simulation mode it serves node 1's
+// registry: each simulated broker keeps its own. In federation mode,
+// -trace-every N stamps every Nth locally published event with a trace ID
+// and origin timestamp that ride the wire: each broker the event crosses
+// records the hop into its hop-latency histogram and trace ring.
 package main
 
 import (
@@ -49,7 +51,6 @@ import (
 	"noncanon/internal/event"
 	"noncanon/internal/netoverlay"
 	"noncanon/internal/obs"
-	"noncanon/internal/overlay"
 	"noncanon/internal/workload"
 )
 
@@ -277,44 +278,40 @@ type simConfig struct {
 }
 
 func run(sc simConfig) error {
-	var (
-		nw  *overlay.Network
-		err error
-	)
-	cfg := overlay.Config{
-		Cover:         sc.Cover,
-		LinkHighWater: sc.LinkHighWater,
-	}
-	if sc.MetricsAddr != "" {
-		cfg.Metrics = obs.NewRegistry()
-		ln, err := obs.Serve(sc.MetricsAddr, cfg.Metrics)
-		if err != nil {
-			return fmt.Errorf("metrics: %w", err)
-		}
-		defer ln.Close()
-		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
-	}
+	var edges [][2]int
 	switch sc.Topology {
 	case "line":
-		nw, err = overlay.NewLine(sc.Nodes, cfg)
+		edges = netoverlay.LineEdges(sc.Nodes)
 	case "star":
-		nw, err = overlay.NewStar(sc.Nodes, cfg)
+		edges = netoverlay.StarEdges(sc.Nodes)
 	case "tree":
-		nw, err = overlay.NewTree(sc.Nodes, sc.Fanout, cfg)
+		edges = netoverlay.TreeEdges(sc.Nodes, sc.Fanout)
 	default:
 		return fmt.Errorf("unknown topology %q", sc.Topology)
 	}
+	nw, err := netoverlay.NewNetwork(sc.Nodes, edges, netoverlay.Options{
+		Cover:         sc.Cover,
+		LinkHighWater: sc.LinkHighWater,
+	})
 	if err != nil {
 		return err
 	}
 	defer nw.Close()
+	if sc.MetricsAddr != "" {
+		ln, err := obs.Serve(sc.MetricsAddr, nw.Node(0).Metrics())
+		if err != nil {
+			return fmt.Errorf("metrics: %w", err)
+		}
+		defer ln.Close()
+		fmt.Printf("node 1 metrics on http://%s/metrics\n", ln.Addr())
+	}
 
 	rng := rand.New(rand.NewSource(sc.Seed))
 	var delivered atomic.Int64
 
 	for i := 0; i < sc.Subs; i++ {
-		at := overlay.NodeID(rng.Intn(sc.Nodes))
-		if _, err := nw.Subscribe(at, workload.StockSub(rng), func(event.Event) { delivered.Add(1) }); err != nil {
+		at := rng.Intn(sc.Nodes)
+		if _, err := nw.Node(at).Subscribe(workload.StockSub(rng), func(event.Event) { delivered.Add(1) }); err != nil {
 			return err
 		}
 	}
@@ -322,7 +319,7 @@ func run(sc simConfig) error {
 
 	start := time.Now()
 	for i := 0; i < sc.Events; i++ {
-		if err := nw.Publish(overlay.NodeID(rng.Intn(sc.Nodes)), workload.StockEvent(rng, i)); err != nil {
+		if err := nw.Node(rng.Intn(sc.Nodes)).Publish(workload.StockEvent(rng, i)); err != nil {
 			return err
 		}
 	}

@@ -1,7 +1,8 @@
 // Overlaydemo: a 13-broker overlay routing events to the subscribers'
 // brokers only — the peer-to-peer deployment the paper motivates for
-// resource-constrained filtering nodes. (The overlay simulation lives in an
-// internal package; this example doubles as its usage reference.)
+// resource-constrained filtering nodes. The brokers are federation brokers
+// linked in memory (internal/netoverlay's Network); this example doubles as
+// its usage reference.
 package main
 
 import (
@@ -9,13 +10,15 @@ import (
 	"sync/atomic"
 
 	"noncanon/internal/event"
-	"noncanon/internal/overlay"
+	"noncanon/internal/netoverlay"
 	"noncanon/internal/sublang"
 )
 
+const brokers = 13
+
 func main() {
 	// A binary tree of 13 brokers: 0 is the root, 1..2 its children, etc.
-	nw, err := overlay.NewTree(13, 2, overlay.Config{})
+	nw, err := netoverlay.NewNetwork(brokers, netoverlay.TreeEdges(brokers, 2), netoverlay.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -23,8 +26,8 @@ func main() {
 
 	// Regional subscribers at the leaves.
 	var eu, us atomic.Int64
-	mustSubscribe(nw, 7, `region = "eu" and severity >= 3`, func(event.Event) { eu.Add(1) })
-	mustSubscribe(nw, 12, `region = "us" and (severity >= 3 or service = "payments")`, func(event.Event) { us.Add(1) })
+	mustSubscribe(nw.Node(7), `region = "eu" and severity >= 3`, func(event.Event) { eu.Add(1) })
+	mustSubscribe(nw.Node(12), `region = "us" and (severity >= 3 or service = "payments")`, func(event.Event) { us.Add(1) })
 	nw.Flush()
 
 	// Alerts published at the root flow only toward interested leaves.
@@ -35,7 +38,7 @@ func main() {
 		event.New().Set("region", "apac").Set("severity", 5).Set("service", "db"),
 	}
 	for _, ev := range alerts {
-		if err := nw.Publish(0, ev); err != nil {
+		if err := nw.Node(0).Publish(ev); err != nil {
 			panic(err)
 		}
 	}
@@ -46,15 +49,15 @@ func main() {
 	fmt.Printf("eu deliveries   %d (expected 1)\n", eu.Load())
 	fmt.Printf("us deliveries   %d (expected 1)\n", us.Load())
 	fmt.Printf("link crossings  %d — a broadcast would have needed %d\n",
-		st.Forwarded, len(alerts)*(nw.NumNodes()-1))
+		st.Forwarded, len(alerts)*(brokers-1))
 }
 
-func mustSubscribe(nw *overlay.Network, at overlay.NodeID, sub string, h overlay.Handler) {
+func mustSubscribe(b *netoverlay.Broker, sub string, h netoverlay.Handler) {
 	expr, err := sublang.Parse(sub)
 	if err != nil {
 		panic(err)
 	}
-	if _, err := nw.Subscribe(at, expr, h); err != nil {
+	if _, err := b.Subscribe(expr, h); err != nil {
 		panic(err)
 	}
 }

@@ -11,6 +11,9 @@
 //     the exported API of engine-layer packages, so wire/value semantics
 //     cannot leak across the transport boundary again (the PR 4
 //     interning-bug shape).
+//   - Engine ownership (engines.go): among the serving packages only the
+//     ones the policy marks EngineOwner (broker, netoverlay) construct a
+//     core.Engine; the rest are handed one.
 //   - Lock discipline (locks.go): no blocking channel operation lexically
 //     between Lock()/Unlock() of the same sync mutex (the PR 5
 //     inbox-cycle deadlock shape). sync.Cond.Wait is exempt — it releases
@@ -40,8 +43,8 @@ type Finding struct {
 	// Pos locates the finding; it may be zero for package-level findings
 	// (e.g. an undeclared import edge).
 	Pos token.Position
-	// Rule names the rule family: "layering", "api-leak", "lock-blocking",
-	// "hotpath" or "directive".
+	// Rule names the rule family: "layering", "api-leak", "engine-owner",
+	// "lock-blocking", "hotpath" or "directive".
 	Rule string
 	// Pkg is the import path of the offending package.
 	Pkg string
@@ -81,6 +84,7 @@ func Check(mod *Module) []Finding {
 	var out []Finding
 	out = append(out, CheckLayering(mod, DefaultPolicy)...)
 	out = append(out, CheckAPILeaks(mod, DefaultPolicy)...)
+	out = append(out, CheckEngineOwners(mod, DefaultPolicy)...)
 	out = append(out, CheckLockDiscipline(mod)...)
 	out = append(out, CheckHotPaths(mod)...)
 	SortFindings(out)

@@ -15,7 +15,7 @@ package arch
 //	expr       boolexpr, subtree, matcher, cover, sublang, workload
 //	engine     core, counting, index
 //	infra      obs (metrics/tracing; importable by service and above)
-//	service    broker, router, overlay
+//	service    broker, router
 //	transport  wire, netbroker, netoverlay
 //	facade     . (package noncanon)
 //	app        cmd/*, examples/*, bench
@@ -27,8 +27,12 @@ package arch
 // (the enabling property for the confidentiality- and semantics-aware
 // extensions on the roadmap). internal/router is the transport-agnostic
 // routing state machine: it may not import net, internal/wire or
-// internal/netoverlay, so the same router keeps serving the in-process
-// simulation and the TCP federation.
+// internal/netoverlay, so routing stays a state machine its transports
+// drive.
+//
+// Engine ownership: among the serving packages (service and transport
+// layers) only those marked EngineOwner construct a core.Engine — the
+// broker and the federation node. Everyone else is handed one.
 //
 // Exposition rule: only cmd/* and internal/obs may import net/http. The
 // service and transport layers record into obs instruments; whether those
@@ -56,6 +60,9 @@ type PackageRule struct {
 	// wire package itself and the two TCP transports carry frames in their
 	// signatures; everyone else must keep wire types out of their API.
 	WireInAPI bool
+	// EngineOwner permits a serving package to construct a core.Engine
+	// (see CheckEngineOwners).
+	EngineOwner bool
 }
 
 // Policy is a module's complete layering declaration.
@@ -121,23 +128,21 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	"internal/obs": {Layer: "infra"},
 
 	// --- service ---
-	"internal/broker": {Layer: "service", ForbidStd: []string{"net"},
+	"internal/broker": {Layer: "service", ForbidStd: []string{"net"}, EngineOwner: true,
 		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/index", "internal/matcher", "internal/obs", "internal/predicate"}},
 	"internal/router": {Layer: "service", ForbidStd: []string{"net"},
 		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/matcher", "internal/obs"},
 		Deny: map[string]string{
 			"internal/wire":       "router is transport-agnostic; frame encoding belongs to the transports",
-			"internal/netoverlay": "router is transport-agnostic; it must keep serving the in-process overlay too",
+			"internal/netoverlay": "router is transport-agnostic; its transports drive it, not the other way round",
 		}},
-	"internal/overlay": {Layer: "service", ForbidStd: []string{"net"},
-		Allow: []string{"internal/boolexpr", "internal/core", "internal/event", "internal/index", "internal/obs", "internal/predicate", "internal/router", "internal/subtree"}},
 
 	// --- transport (may dial/listen, but exposition stays in cmd/*) ---
 	"internal/wire": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/event", "internal/intern", "internal/value"}},
 	"internal/netbroker": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/broker", "internal/event", "internal/obs", "internal/sublang", "internal/wire"}},
-	"internal/netoverlay": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
+	"internal/netoverlay": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"}, EngineOwner: true,
 		Allow: []string{"internal/boolexpr", "internal/core", "internal/event", "internal/index", "internal/obs", "internal/predicate", "internal/router", "internal/sublang", "internal/subtree", "internal/wire"}},
 
 	// --- facade ---
@@ -147,7 +152,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	// --- app: commands reach internals only through their declared
 	// service entry points (or the facade); engine guts are off limits ---
 	"internal/bench": {Layer: "app",
-		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/predicate", "internal/subtree", "internal/workload"}},
+		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/predicate", "internal/subtree", "internal/workload"}},
 	// Fault-injection plumbing (stallable TCP relay + delivery oracle) for
 	// chaos experiments and transport tests; pure stdlib, no module deps.
 	"internal/chaos": {Layer: "app"},
@@ -158,7 +163,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 			"internal/subtree": "tree encoding is an engine setting, and commands never configure an engine",
 		}},
 	"cmd/ncoverlay": {Layer: "app",
-		Allow: []string{"internal/event", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/workload"}},
+		Allow: []string{"internal/event", "internal/netoverlay", "internal/obs", "internal/workload"}},
 	"cmd/ncpub": {Layer: "app",
 		Allow: []string{"internal/event", "internal/netbroker"}},
 	"cmd/ncsub": {Layer: "app",
@@ -168,7 +173,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	"examples/quickstart":  {Layer: "app", Allow: []string{"."}},
 	"examples/auction":     {Layer: "app", Allow: []string{"."}},
 	"examples/stockmon":    {Layer: "app", Allow: []string{"."}},
-	"examples/overlaydemo": {Layer: "app", Allow: []string{"internal/event", "internal/overlay", "internal/sublang"}},
+	"examples/overlaydemo": {Layer: "app", Allow: []string{"internal/event", "internal/netoverlay", "internal/sublang"}},
 	"internal/integration": {Layer: "app"}, // test-only package
 
 	// --- tools ---

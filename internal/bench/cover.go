@@ -9,7 +9,7 @@ import (
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/broker"
 	"noncanon/internal/event"
-	"noncanon/internal/overlay"
+	"noncanon/internal/netoverlay"
 	"noncanon/internal/predicate"
 )
 
@@ -32,8 +32,8 @@ type CoverPoint struct {
 	P50On         time.Duration
 	P99On         time.Duration
 
-	// Overlay flood with and without Config.Cover: subscription link
-	// messages for the same registration sequence, and how many forwards
+	// Overlay flood with and without netoverlay.Options.Cover:
+	// subscription link messages for the same registration sequence, and how many forwards
 	// covering pruned.
 	FloodMsgsOff uint64
 	FloodMsgsOn  uint64
@@ -203,7 +203,7 @@ func coverOverlayRun(cfg Config, ranks []int, pool, nodes int, coverOn bool) (fl
 	// The registration storm runs unthrottled: spill-queue forwarding means
 	// a full inbox can delay but never deadlock the flood, so the old
 	// oversized-inbox + periodic-quiescing workaround is gone.
-	nw, err := overlay.NewTree(nodes, 2, overlay.Config{Cover: coverOn})
+	nw, err := netoverlay.NewNetwork(nodes, netoverlay.TreeEdges(nodes, 2), netoverlay.Options{Cover: coverOn})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -211,8 +211,7 @@ func coverOverlayRun(cfg Config, ranks []int, pool, nodes int, coverOn bool) (fl
 	rng := rand.New(rand.NewSource(cfg.Seed + 101))
 	noop := func(event.Event) {}
 	for _, r := range ranks {
-		at := overlay.NodeID(rng.Intn(nodes))
-		if _, err := nw.Subscribe(at, coverFilter(r, pool), noop); err != nil {
+		if _, err := nw.Node(rng.Intn(nodes)).Subscribe(coverFilter(r, pool), noop); err != nil {
 			return 0, 0, fmt.Errorf("bench: cover overlay subscribe: %w", err)
 		}
 	}

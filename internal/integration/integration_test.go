@@ -19,7 +19,7 @@ import (
 	"noncanon/internal/index"
 	"noncanon/internal/matcher"
 	"noncanon/internal/netbroker"
-	"noncanon/internal/overlay"
+	"noncanon/internal/netoverlay"
 	"noncanon/internal/predicate"
 	"noncanon/internal/sublang"
 	"noncanon/internal/workload"
@@ -205,14 +205,8 @@ func TestBrokerOverTCPEndToEnd(t *testing.T) {
 // "network" and a 9-broker tree; delivered counts must be identical — the
 // overlay only changes placement, never matching semantics.
 func TestOverlayVsSingleBroker(t *testing.T) {
-	build := func(nodes int) (*overlay.Network, *atomic.Int64) {
-		var nw *overlay.Network
-		var err error
-		if nodes == 1 {
-			nw, err = overlay.New(1, nil, overlay.Config{})
-		} else {
-			nw, err = overlay.NewTree(nodes, 2, overlay.Config{})
-		}
+	build := func(nodes int) (*netoverlay.Network, *atomic.Int64) {
+		nw, err := netoverlay.NewNetwork(nodes, netoverlay.TreeEdges(nodes, 2), netoverlay.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,8 +220,7 @@ func TestOverlayVsSingleBroker(t *testing.T) {
 					boolexpr.Pred("v", predicate.Gt, 60+rng.Intn(40)),
 				),
 			)
-			at := overlay.NodeID(i % nodes)
-			if _, err := nw.Subscribe(at, expr, func(event.Event) { delivered.Add(1) }); err != nil {
+			if _, err := nw.Node(i%nodes).Subscribe(expr, func(event.Event) { delivered.Add(1) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -242,10 +235,10 @@ func TestOverlayVsSingleBroker(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	for i := 0; i < 300; i++ {
 		ev := event.New().Set("cat", rng.Intn(5)).Set("v", rng.Intn(100))
-		if err := single.Publish(0, ev); err != nil {
+		if err := single.Node(0).Publish(ev); err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.Publish(overlay.NodeID(i%9), ev); err != nil {
+		if err := tree.Node(i % 9).Publish(ev); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,4 +1,4 @@
-package overlay
+package netoverlay
 
 import (
 	"fmt"
@@ -10,7 +10,7 @@ import (
 	"noncanon/internal/event"
 )
 
-// TestChurnStormExactlyOnce subjects the overlay to a subscribe/unsubscribe
+// TestChurnStormExactlyOnce subjects the network to a subscribe/unsubscribe
 // storm interleaved with a publish storm from multiple goroutines and
 // asserts the core routing invariant: subscribers that are stable for the
 // whole run receive every matching event exactly once — never zero, never
@@ -33,7 +33,7 @@ func TestChurnStormExactlyOnce(t *testing.T) {
 				churners   = 3
 				churnIters = 120
 			)
-			nw, err := NewTree(nodes, 2, Config{Cover: cfg.cover, InboxSize: 4096})
+			nw, err := newNetwork(nodes, TreeEdges(nodes, 2), Options{Cover: cfg.cover}, 4096)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestChurnStormExactlyOnce(t *testing.T) {
 			}
 			for i := 0; i < stableSubs; i++ {
 				cm := counters[i]
-				_, err := nw.Subscribe(NodeID(i%nodes), band(i%3, 1000), func(ev event.Event) {
+				_, err := nw.Node(i%nodes).Subscribe(band(i%3, 1000), func(ev event.Event) {
 					v, _ := ev.Get("seq")
 					cm.mu.Lock()
 					cm.seen[v.Int()]++
@@ -74,16 +74,13 @@ func TestChurnStormExactlyOnce(t *testing.T) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(c) + 100))
 					for i := 0; i < churnIters; i++ {
-						ref, err := nw.Subscribe(
-							NodeID(rng.Intn(nodes)),
-							band(rng.Intn(3), 10*(1+rng.Intn(12))),
-							func(event.Event) {},
-						)
+						b := nw.Node(rng.Intn(nodes))
+						ref, err := b.Subscribe(band(rng.Intn(3), 10*(1+rng.Intn(12))), func(event.Event) {})
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						if err := nw.Unsubscribe(ref); err != nil {
+						if err := b.Unsubscribe(ref); err != nil {
 							t.Error(err)
 							return
 						}
@@ -103,7 +100,7 @@ func TestChurnStormExactlyOnce(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
 				for seq := int64(1); seq <= events; seq++ {
 					ev := bandEvent(int(seq)%3, rng.Intn(900)).Set("seq", seq)
-					if err := nw.Publish(NodeID(rng.Intn(nodes)), ev); err != nil {
+					if err := nw.Node(rng.Intn(nodes)).Publish(ev); err != nil {
 						pubErr <- err
 						return
 					}
@@ -149,42 +146,38 @@ func TestChurnStormExactlyOnce(t *testing.T) {
 func TestChurnUnsubscribeDuringFlood(t *testing.T) {
 	for _, coverOn := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cover=%v", coverOn), func(t *testing.T) {
-			nw, err := NewLine(6, Config{Cover: coverOn})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
+			nw := newNet(t, 6, LineEdges(6), Options{Cover: coverOn})
 			var delivered atomic.Int64
 			for i := 0; i < 200; i++ {
-				ref, err := nw.Subscribe(0, band(1, 100+i), func(event.Event) {
+				ref, err := nw.Node(0).Subscribe(band(1, 100+i), func(event.Event) {
 					delivered.Add(1)
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Immediately retract while the flood may still be in flight.
-				if err := nw.Unsubscribe(ref); err != nil {
+				if err := nw.Node(0).Unsubscribe(ref); err != nil {
 					t.Fatal(err)
 				}
 			}
 			nw.Flush()
-			for _, nd := range nw.nodes {
+			for id, nd := range nw.nodes {
 				if n := nd.rt.NumRoutes(); n != 0 {
-					t.Fatalf("node %d still holds %d routes after churn", nd.id, n)
+					t.Fatalf("node %d still holds %d routes after churn", id, n)
 				}
 				if nd.eng.NumSubscriptions() != 0 {
-					t.Fatalf("node %d engine still holds %d subscriptions", nd.id, nd.eng.NumSubscriptions())
+					t.Fatalf("node %d engine still holds %d subscriptions", id, nd.eng.NumSubscriptions())
 				}
 				if coverOn {
 					for i := 0; i < nd.rt.NumLinks(); i++ {
 						if filters, frontier := nd.rt.CoverState(i); filters != 0 || frontier != 0 {
 							t.Fatalf("node %d link %d covering poset leaked: %d filters, %d frontier",
-								nd.id, i, filters, frontier)
+								id, i, filters, frontier)
 						}
 					}
 				}
 			}
-			if err := nw.Publish(5, bandEvent(1, 5)); err != nil {
+			if err := nw.Node(5).Publish(bandEvent(1, 5)); err != nil {
 				t.Fatal(err)
 			}
 			nw.Flush()

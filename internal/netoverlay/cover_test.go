@@ -1,41 +1,20 @@
-package overlay
+package netoverlay
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
-	"noncanon/internal/boolexpr"
 	"noncanon/internal/event"
-	"noncanon/internal/predicate"
 )
 
-// band returns a filter matching cat = c ∧ price < hi. For a fixed c a
-// larger hi covers a smaller one, giving the nested filters covering
-// forwarding prunes.
-func band(c, hi int) boolexpr.Expr {
-	return boolexpr.NewAnd(
-		boolexpr.Pred("cat", predicate.Eq, int64(c)),
-		boolexpr.Pred("price", predicate.Lt, int64(hi)),
-	)
-}
-
-func bandEvent(c, price int) event.Event {
-	return event.New().Set("cat", int64(c)).Set("price", int64(price))
-}
-
 func TestCoverSuppressesFlood(t *testing.T) {
-	nw, err := NewLine(5, Config{Cover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
+	nw := newNet(t, 5, LineEdges(5), Options{Cover: true})
 
 	var wideN, narrowN int
 	var mu sync.Mutex
-	if _, err := nw.Subscribe(0, band(1, 100), func(event.Event) {
+	if _, err := nw.Node(0).Subscribe(band(1, 100), func(event.Event) {
 		mu.Lock()
 		wideN++
 		mu.Unlock()
@@ -50,7 +29,7 @@ func TestCoverSuppressesFlood(t *testing.T) {
 
 	// The narrower subscription must not be flooded at all: node 0's only
 	// link already carries a coverer.
-	if _, err := nw.Subscribe(0, band(1, 10), func(event.Event) {
+	if _, err := nw.Node(0).Subscribe(band(1, 10), func(event.Event) {
 		mu.Lock()
 		narrowN++
 		mu.Unlock()
@@ -69,10 +48,10 @@ func TestCoverSuppressesFlood(t *testing.T) {
 
 	// Events published at the far end still reach the suppressed
 	// subscriber: the wide filter attracts them across the tree.
-	if err := nw.Publish(4, bandEvent(1, 5)); err != nil {
+	if err := nw.Node(4).Publish(bandEvent(1, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Publish(4, bandEvent(1, 50)); err != nil { // wide only
+	if err := nw.Node(4).Publish(bandEvent(1, 50)); err != nil { // wide only
 		t.Fatal(err)
 	}
 	nw.Flush()
@@ -87,20 +66,16 @@ func TestCoverSuppressesFlood(t *testing.T) {
 }
 
 func TestCoverUnsubscribeRefloods(t *testing.T) {
-	nw, err := NewLine(4, Config{Cover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
+	nw := newNet(t, 4, LineEdges(4), Options{Cover: true})
 
 	var narrowN int
 	var mu sync.Mutex
-	wide, err := nw.Subscribe(0, band(1, 100), func(event.Event) {})
+	wide, err := nw.Node(0).Subscribe(band(1, 100), func(event.Event) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Flush()
-	if _, err := nw.Subscribe(0, band(1, 10), func(event.Event) {
+	if _, err := nw.Node(0).Subscribe(band(1, 10), func(event.Event) {
 		mu.Lock()
 		narrowN++
 		mu.Unlock()
@@ -115,7 +90,7 @@ func TestCoverUnsubscribeRefloods(t *testing.T) {
 
 	// Unsubscribing the coverer must re-flood the narrow filter so remote
 	// events keep reaching it.
-	if err := nw.Unsubscribe(wide); err != nil {
+	if err := nw.Node(0).Unsubscribe(wide); err != nil {
 		t.Fatal(err)
 	}
 	nw.Flush()
@@ -125,10 +100,10 @@ func TestCoverUnsubscribeRefloods(t *testing.T) {
 	if got := st.SubscriptionMsgs - preUnsub.SubscriptionMsgs; got != 6 {
 		t.Errorf("re-flood link messages = %d, want 6", got)
 	}
-	if err := nw.Publish(3, bandEvent(1, 5)); err != nil {
+	if err := nw.Node(3).Publish(bandEvent(1, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Publish(3, bandEvent(1, 50)); err != nil { // nobody left
+	if err := nw.Node(3).Publish(bandEvent(1, 50)); err != nil { // nobody left
 		t.Fatal(err)
 	}
 	nw.Flush()
@@ -150,27 +125,23 @@ func TestCoverUnsubscribeRefloods(t *testing.T) {
 // filters wide ⊇ mid ⊇ narrow all homed at node 0, unsubscribing wide must
 // re-flood mid but keep narrow suppressed under mid, not flood it.
 func TestCoverChainedRecovery(t *testing.T) {
-	nw, err := NewLine(3, Config{Cover: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
+	nw := newNet(t, 3, LineEdges(3), Options{Cover: true})
 
 	var midN, narrowN int
 	var mu sync.Mutex
-	wide, err := nw.Subscribe(0, band(1, 100), func(event.Event) {})
+	wide, err := nw.Node(0).Subscribe(band(1, 100), func(event.Event) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Flush()
-	if _, err := nw.Subscribe(0, band(1, 50), func(event.Event) {
+	if _, err := nw.Node(0).Subscribe(band(1, 50), func(event.Event) {
 		mu.Lock()
 		midN++
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Subscribe(0, band(1, 10), func(event.Event) {
+	if _, err := nw.Node(0).Subscribe(band(1, 10), func(event.Event) {
 		mu.Lock()
 		narrowN++
 		mu.Unlock()
@@ -182,7 +153,7 @@ func TestCoverChainedRecovery(t *testing.T) {
 		t.Fatalf("setup: CoverSuppressed = %d, want 2", st.CoverSuppressed)
 	}
 
-	if err := nw.Unsubscribe(wide); err != nil {
+	if err := nw.Node(0).Unsubscribe(wide); err != nil {
 		t.Fatal(err)
 	}
 	nw.Flush()
@@ -195,7 +166,7 @@ func TestCoverChainedRecovery(t *testing.T) {
 	if st.CoverSuppressed != 3 {
 		t.Errorf("CoverSuppressed = %d, want 3", st.CoverSuppressed)
 	}
-	if err := nw.Publish(2, bandEvent(1, 5)); err != nil {
+	if err := nw.Node(2).Publish(bandEvent(1, 5)); err != nil {
 		t.Fatal(err)
 	}
 	nw.Flush()
@@ -206,58 +177,22 @@ func TestCoverChainedRecovery(t *testing.T) {
 	}
 }
 
-// coverRecorder accumulates (subscriber, event-seq) pairs.
-type coverRecorder struct {
-	mu   sync.Mutex
-	seen map[string][]int64
-}
-
-func newCoverRecorder() *coverRecorder {
-	return &coverRecorder{seen: map[string][]int64{}}
-}
-
-func (r *coverRecorder) handler(tag string) Handler {
-	return func(ev event.Event) {
-		v, _ := ev.Get("seq")
-		r.mu.Lock()
-		r.seen[tag] = append(r.seen[tag], v.Int())
-		r.mu.Unlock()
-	}
-}
-
-func (r *coverRecorder) snapshot() map[string][]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string][]int64, len(r.seen))
-	for k, v := range r.seen {
-		s := append([]int64(nil), v...)
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-		out[k] = s
-	}
-	return out
-}
-
-// TestCoverDifferential drives a covering and a plain overlay through the
+// TestCoverDifferential drives a covering and a plain network through the
 // same interleaved subscribe/unsubscribe/publish script (quiescing between
 // phases so both see identical routing states) and requires the exact
 // same (subscriber, event) delivery multisets — while the covering network
 // sends strictly fewer subscription link messages.
 func TestCoverDifferential(t *testing.T) {
 	const nodes = 13
-	mk := func(cover bool) *Network {
-		nw, err := NewTree(nodes, 2, Config{Cover: cover})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
-	}
-	plain, covered := mk(false), mk(true)
-	defer plain.Close()
-	defer covered.Close()
+	plain := newNet(t, nodes, TreeEdges(nodes, 2), Options{})
+	covered := newNet(t, nodes, TreeEdges(nodes, 2), Options{Cover: true})
 
-	recPlain, recCover := newCoverRecorder(), newCoverRecorder()
+	recPlain, recCover := newRecorder(), newRecorder()
 	rng := rand.New(rand.NewSource(17))
-	type pair struct{ p, c SubRef }
+	type pair struct {
+		p, c SubRef
+		at   int
+	}
 	live := map[string]pair{}
 	var tags []string
 	seq := int64(0)
@@ -267,17 +202,17 @@ func TestCoverDifferential(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			if rng.Intn(3) < 2 || len(tags) == 0 {
 				tag := fmt.Sprintf("r%dc%d", round, i)
-				at := NodeID(rng.Intn(nodes))
+				at := rng.Intn(nodes)
 				f := band(rng.Intn(3), 10*(1+rng.Intn(10)))
-				rp, err := plain.Subscribe(at, f, recPlain.handler(tag))
+				rp, err := plain.Node(at).Subscribe(f, recPlain.handler(tag))
 				if err != nil {
 					t.Fatal(err)
 				}
-				rc, err := covered.Subscribe(at, f, recCover.handler(tag))
+				rc, err := covered.Node(at).Subscribe(f, recCover.handler(tag))
 				if err != nil {
 					t.Fatal(err)
 				}
-				live[tag] = pair{p: rp, c: rc}
+				live[tag] = pair{p: rp, c: rc, at: at}
 				tags = append(tags, tag)
 			} else {
 				i := rng.Intn(len(tags))
@@ -286,10 +221,10 @@ func TestCoverDifferential(t *testing.T) {
 				tags = tags[:len(tags)-1]
 				pr := live[tag]
 				delete(live, tag)
-				if err := plain.Unsubscribe(pr.p); err != nil {
+				if err := plain.Node(pr.at).Unsubscribe(pr.p); err != nil {
 					t.Fatal(err)
 				}
-				if err := covered.Unsubscribe(pr.c); err != nil {
+				if err := covered.Node(pr.at).Unsubscribe(pr.c); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -301,11 +236,11 @@ func TestCoverDifferential(t *testing.T) {
 		for i := 0; i < 15; i++ {
 			seq++
 			ev := bandEvent(rng.Intn(3), rng.Intn(110)).Set("seq", seq)
-			at := NodeID(rng.Intn(nodes))
-			if err := plain.Publish(at, ev); err != nil {
+			at := rng.Intn(nodes)
+			if err := plain.Node(at).Publish(ev); err != nil {
 				t.Fatal(err)
 			}
-			if err := covered.Publish(at, ev); err != nil {
+			if err := covered.Node(at).Publish(ev); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -7,19 +7,26 @@
 // when Options.Cover is set), events follow reverse paths and reach every
 // matching subscriber in the federation exactly once.
 //
-// The forwarding discipline is the same one that makes internal/overlay
-// deadlock-free: the broker goroutine never blocks toward a peer. Outbound
-// messages go to a per-peer flow-controlled spill queue drained by a writer
-// goroutine; inbound frames are read by a per-peer reader that feeds the
-// broker inbox. A congested or stalled peer therefore backs traffic up in
-// its own direction only — it can never wedge this broker's loop, and it
-// cannot OOM it either: the spill queue is byte-bounded by credit
-// (Options.LinkHighWater). Past the high watermark the link sheds event
-// traffic (counted in Stats.Shed) while subscription control traffic is
-// never shed, a peer congested past Options.CongestionDeadline is evicted
-// with full route retraction (Stats.Evicted), and a half-open peer that
-// goes silent past Options.ReadIdleTimeout is detached the same way
-// (periodic MsgPing probes keep healthy links audibly alive).
+// This is the peer-to-peer deployment the paper motivates ("in typical
+// real world situations we will find peer-to-peer networks of less
+// equipped machines, such as laptops and mobile devices to perform event
+// filtering", §1). Network simulates it in one process: ordinary Brokers
+// whose links are net.Pipe pairs running the same wire protocol.
+//
+// Forwarding is deadlock-free by construction: the broker goroutine never
+// blocks toward a peer. Outbound messages go to a per-peer flow-controlled
+// spill queue drained by a writer goroutine; inbound frames are read by a
+// per-peer reader that feeds the broker inbox. So the A↔B full-inbox cycle
+// (each broker wedged sending into the other's full inbox) cannot form,
+// however small the inbox. A congested or stalled peer backs traffic up
+// in its own direction only, and it cannot OOM this broker either: the
+// spill queue is byte-bounded by credit (Options.LinkHighWater). Past the
+// high watermark the link sheds event traffic (counted in Stats.Shed)
+// while subscription control traffic is never shed, a peer congested past
+// Options.CongestionDeadline is evicted with full route retraction
+// (Stats.Evicted), and a half-open peer that goes silent past
+// Options.ReadIdleTimeout is detached the same way (periodic MsgPing
+// probes keep healthy links audibly alive).
 //
 // Topology: brokers are identified by operator-assigned node IDs. The
 // handshake rejects self-links, duplicate links to the same peer and
@@ -61,11 +68,9 @@ var (
 	ErrHandshake  = errors.New("netoverlay: handshake failed")
 )
 
-// ErrServerClosed is returned by Serve after Close.
-var ErrServerClosed = errors.New("netoverlay: server closed")
-
-// DefaultInboxSize is the broker inbox capacity. As in internal/overlay,
-// forwarding progress never depends on it.
+// DefaultInboxSize is the broker inbox capacity. Forwarding progress never
+// depends on it (see the package comment); it only bounds how far a
+// broker's unprocessed backlog grows before its peers' readers wait.
 const DefaultInboxSize = 1024
 
 // traceRingSize is the capacity of the ring of recent hop records kept
@@ -212,6 +217,10 @@ type Broker struct {
 	activity  atomic.Uint64
 	traceSeq  atomic.Uint64
 
+	// flight is the in-flight message count shared by a Network's brokers
+	// (nil for a standalone broker); see Network.Flush.
+	flight *flight
+
 	// Observability: every counter below lives in reg (Options.Metrics or
 	// a private registry), so Stats and the exposition endpoint read the
 	// same instruments the hot path increments.
@@ -234,8 +243,12 @@ type inMsg struct {
 	ctl  func()
 }
 
-// NewBroker starts a federated broker (no links yet; see Serve/Connect).
-func NewBroker(opts Options) *Broker {
+// NewBroker starts a federated broker (no links yet; see Listen/Connect).
+func NewBroker(opts Options) *Broker { return newBroker(opts, DefaultInboxSize, nil) }
+
+// newBroker is NewBroker with the inbox capacity and a Network's shared
+// in-flight count (nil outside a Network) as parameters.
+func newBroker(opts Options, inboxSize int, fl *flight) *Broker {
 	if opts.LinkHighWater <= 0 {
 		opts.LinkHighWater = DefaultLinkHighWater
 	}
@@ -254,9 +267,10 @@ func NewBroker(opts Options) *Broker {
 	b := &Broker{
 		opts:    opts,
 		quit:    make(chan struct{}),
-		inbox:   make(chan inMsg, DefaultInboxSize),
+		inbox:   make(chan inMsg, inboxSize),
 		peers:   make(map[uint32]*peer),
 		pending: make(map[net.Conn]struct{}),
+		flight:  fl,
 	}
 	b.reg = opts.Metrics
 	if b.reg == nil {
@@ -376,23 +390,9 @@ func (b *Broker) monitor() {
 // NodeID returns this broker's federation identity.
 func (b *Broker) NodeID() uint32 { return b.opts.NodeID }
 
-// Serve accepts peer links on ln until Close. It always returns a non-nil
-// error; after Close the error is ErrServerClosed.
-func (b *Broker) Serve(ln net.Listener) error {
-	b.mu.Lock()
-	if b.closed.Load() {
-		b.mu.Unlock()
-		ln.Close()
-		return ErrServerClosed
-	}
-	b.ln = ln
-	b.mu.Unlock()
-	return b.acceptLoop(ln)
-}
-
-// Listen binds addr and accepts peer links in the background; unlike Serve
-// it returns once the listener is live, with its (possibly port-resolved)
-// address. Accept-loop failures go to Options.Logf.
+// Listen binds addr and accepts peer links in the background, returning
+// once the listener is live with its (possibly port-resolved) address.
+// Accept failures go to Options.Logf.
 func (b *Broker) Listen(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -407,50 +407,31 @@ func (b *Broker) Listen(addr string) (net.Addr, error) {
 	b.ln = ln
 	b.wg.Add(1)
 	b.mu.Unlock()
-	go func() {
-		defer b.wg.Done()
-		if err := b.acceptLoop(ln); !errors.Is(err, ErrServerClosed) {
-			b.opts.Logf("netoverlay: node %d: accept loop: %v", b.opts.NodeID, err)
-		}
-	}()
+	go b.acceptLoop(ln)
 	return ln.Addr(), nil
 }
 
-func (b *Broker) acceptLoop(ln net.Listener) error {
+func (b *Broker) acceptLoop(ln net.Listener) {
+	defer b.wg.Done()
 	for {
 		nc, err := ln.Accept()
 		if err != nil {
-			if b.closed.Load() {
-				return ErrServerClosed
+			if !b.closed.Load() {
+				b.opts.Logf("netoverlay: node %d: accept: %v", b.opts.NodeID, err)
 			}
-			return fmt.Errorf("netoverlay: accept: %w", err)
+			return
 		}
-		b.mu.Lock()
-		if b.closed.Load() {
-			b.mu.Unlock()
-			nc.Close()
-			return ErrServerClosed
-		}
-		b.pending[nc] = struct{}{}
-		b.wg.Add(1)
-		b.mu.Unlock()
+		b.wg.Add(1) // safe beside Close's Wait: this goroutine holds a count
 		go func() {
 			defer b.wg.Done()
-			b.acceptPeer(nc)
+			if err := b.link(nc, false); err != nil {
+				b.opts.Logf("netoverlay: node %d: peer %s: %v", b.opts.NodeID, nc.RemoteAddr(), err)
+			}
 		}()
 	}
 }
 
-// ListenAndServe listens on addr and serves peer links.
-func (b *Broker) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("netoverlay: listen %s: %w", addr, err)
-	}
-	return b.Serve(ln)
-}
-
-// Addr returns the serving listener address, or nil before Serve.
+// Addr returns the listener address, or nil before Listen.
 func (b *Broker) Addr() net.Addr {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -470,6 +451,13 @@ func (b *Broker) Connect(addr string) error {
 	if err != nil {
 		return fmt.Errorf("netoverlay: dial %s: %w", addr, err)
 	}
+	return b.link(nc, true)
+}
+
+// link runs the handshake over an established connection (the dialer's
+// hello goes first) and attaches it as a peer link, blocking until the
+// link is live. Close closes the connection if it is still handshaking.
+func (b *Broker) link(nc net.Conn, dialer bool) error {
 	b.mu.Lock()
 	if b.closed.Load() {
 		b.mu.Unlock()
@@ -478,30 +466,13 @@ func (b *Broker) Connect(addr string) error {
 	}
 	b.pending[nc] = struct{}{}
 	b.mu.Unlock()
-	peerID, err := b.handshake(nc, true)
+	peerID, err := b.handshake(nc, dialer)
 	if err != nil {
 		b.unpend(nc)
 		nc.Close()
 		return err
 	}
-	if err := b.attach(nc, peerID); err != nil {
-		return err
-	}
-	return nil
-}
-
-// acceptPeer performs the server side of the handshake and attaches.
-func (b *Broker) acceptPeer(nc net.Conn) {
-	peerID, err := b.handshake(nc, false)
-	if err != nil {
-		b.opts.Logf("netoverlay: node %d: reject peer %s: %v", b.opts.NodeID, nc.RemoteAddr(), err)
-		b.unpend(nc)
-		nc.Close()
-		return
-	}
-	if err := b.attach(nc, peerID); err != nil {
-		b.opts.Logf("netoverlay: node %d: attach peer %d: %v", b.opts.NodeID, peerID, err)
-	}
+	return b.attach(nc, peerID)
 }
 
 // Subscribe registers a local subscription. Its filter floods the
@@ -533,7 +504,7 @@ func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (SubRef, error) {
 	}
 	id := uint64(b.opts.NodeID)<<32 | (b.nextSub.Add(1) & 0xffffffff)
 	b.localSubs.Store(id, struct{}{})
-	if !b.enqueue(inMsg{m: router.Msg{Kind: router.Sub, SubID: id, Expr: expr}, from: -1, h: h}) {
+	if !b.send(inMsg{m: router.Msg{Kind: router.Sub, SubID: id, Expr: expr}, from: -1, h: h}) {
 		b.localSubs.Delete(id)
 		return SubRef{}, ErrClosed
 	}
@@ -548,7 +519,7 @@ func (b *Broker) Unsubscribe(ref SubRef) error {
 	if _, ok := b.localSubs.LoadAndDelete(ref.id); !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownSub, ref.id)
 	}
-	if !b.enqueue(inMsg{m: router.Msg{Kind: router.Unsub, SubID: ref.id}, from: -1}) {
+	if !b.send(inMsg{m: router.Msg{Kind: router.Unsub, SubID: ref.id}, from: -1}) {
 		return ErrClosed
 	}
 	return nil
@@ -572,7 +543,7 @@ func (b *Broker) Publish(ev event.Event) error {
 			m.Trace = router.Trace{ID: id, OriginNanos: time.Now().UnixNano()}
 		}
 	}
-	if !b.enqueue(inMsg{m: m, from: -1}) {
+	if !b.send(inMsg{m: m, from: -1}) {
 		return ErrClosed
 	}
 	return nil
@@ -645,11 +616,11 @@ func (b *Broker) idle() bool {
 }
 
 // Settle blocks until the given brokers have been jointly quiet — no
-// activity anywhere, nothing queued — for the idle window. It is the
-// federation analogue of overlay.Flush for brokers sharing a process (tests
-// and benchmarks); it returns early if every broker closes. The window must
-// comfortably exceed the links' one-hop latency; loopback tests are fine
-// with tens of milliseconds.
+// activity anywhere, nothing queued — for the idle window. It is the timed
+// stand-in for Network.Flush when TCP-linked brokers share a process
+// (tests and benchmarks); it returns early if every broker closes. The
+// window must comfortably exceed the links' one-hop latency; loopback
+// tests are fine with tens of milliseconds.
 func Settle(idle time.Duration, brokers ...*Broker) {
 	if idle <= 0 {
 		idle = 50 * time.Millisecond
@@ -702,6 +673,7 @@ func (b *Broker) Close() error {
 		return nil
 	}
 	close(b.quit)
+	b.flight.abort()
 	b.mu.Lock()
 	ln := b.ln
 	peers := make([]*peer, 0, len(b.peers))
@@ -724,6 +696,13 @@ func (b *Broker) Close() error {
 	}
 	b.wg.Wait()
 	return nil
+}
+
+// send enqueues a routing message from the local API, counted in flight
+// until the broker goroutine has handled it.
+func (b *Broker) send(m inMsg) bool {
+	b.flight.add(1)
+	return b.enqueue(m)
 }
 
 // enqueue delivers one message to the broker inbox; false once closed.
@@ -752,6 +731,7 @@ func (b *Broker) run() {
 			if err := b.rt.Handle(m.m, m.h, m.from); err != nil {
 				b.anomaly(err)
 			}
+			b.flight.add(-1)
 		case <-b.quit:
 			return
 		}
@@ -777,7 +757,12 @@ func (t *brokerTransport) Send(link int, m router.Msg) {
 		return
 	}
 	if p := b.links[link]; p != nil {
-		router.EnqueueMsg(p.out, m)
+		// Counted before the push: the far side may handle the message
+		// before EnqueueMsg even returns.
+		b.flight.add(1)
+		if !router.EnqueueMsg(p.out, m) {
+			b.flight.add(-1)
+		}
 	}
 }
 

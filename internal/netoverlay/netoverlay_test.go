@@ -15,7 +15,6 @@ import (
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/event"
 	"noncanon/internal/obs"
-	"noncanon/internal/overlay"
 	"noncanon/internal/predicate"
 	"noncanon/internal/wire"
 )
@@ -66,22 +65,72 @@ func buildTree(t *testing.T, n int, coverOn bool) []*Broker {
 	return brokers
 }
 
-func waitNumGoroutine(want int, deadline time.Duration) int {
+// newNet builds an in-process Network, closed when the test ends.
+func newNet(t *testing.T, n int, edges [][2]int, opts Options) *Network {
+	t.Helper()
+	nw, err := NewNetwork(n, edges, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nw.Close)
+	return nw
+}
+
+// home is the Network index of the node a subscription was made at: its
+// ID carries the home node ID, which is the index plus one.
+func home(ref SubRef) int { return int(ref.id>>32) - 1 }
+
+// recorder accumulates (subscriber, event-seq) pairs.
+type recorder struct {
+	mu   sync.Mutex
+	seen map[string][]int64
+}
+
+func newRecorder() *recorder { return &recorder{seen: map[string][]int64{}} }
+
+func (r *recorder) handler(tag string) Handler {
+	return func(ev event.Event) {
+		v, _ := ev.Get("seq")
+		r.mu.Lock()
+		r.seen[tag] = append(r.seen[tag], v.Int())
+		r.mu.Unlock()
+	}
+}
+
+// snapshot returns each subscriber's deliveries in seq order.
+func (r *recorder) snapshot() map[string][]int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make(map[string][]int64, len(r.seen))
+	for k, v := range r.seen {
+		s := append([]int64(nil), v...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		out[k] = s
+	}
+	return out
+}
+
+// assertNoGoroutineLeak fails the test unless the goroutine count returns
+// to its pre-test level (with slack for runtime helpers); runtime cleanup
+// is asynchronous, so it polls.
+func assertNoGoroutineLeak(t *testing.T, before int) {
+	t.Helper()
+	const slack = 2
 	var n int
-	for end := time.Now().Add(deadline); time.Now().Before(end); {
-		n = runtime.NumGoroutine()
-		if n <= want {
-			return n
+	for end := time.Now().Add(10 * time.Second); time.Now().Before(end); {
+		if n = runtime.NumGoroutine(); n <= before+slack {
+			return
 		}
 		runtime.Gosched()
 		time.Sleep(5 * time.Millisecond)
 	}
-	return n
+	buf := make([]byte, 1<<20)
+	t.Errorf("goroutine leak: %d before, %d after close\n%s", before, n, buf[:runtime.Stack(buf, true)])
 }
 
-// TestFederatedExactlyOnce runs three brokers in a line over loopback TCP
-// and asserts every matching subscriber sees every event exactly once, from
-// every publish origin — and that covering actually prunes the flood.
+// TestFederatedExactlyOnce runs three brokers in a line and asserts every
+// matching subscriber sees every event exactly once, from every publish
+// origin — and that covering actually prunes the flood.
 func TestFederatedExactlyOnce(t *testing.T) {
 	for _, coverOn := range []bool{false, true} {
 		name := "plain"
@@ -89,19 +138,8 @@ func TestFederatedExactlyOnce(t *testing.T) {
 			name = "cover"
 		}
 		t.Run(name, func(t *testing.T) {
-			// Line 0-1-2 (buildTree with n=3 gives 1-0-2, a line too, but be
-			// explicit about the shape).
-			brokers := []*Broker{
-				startBroker(t, 1, coverOn),
-				startBroker(t, 2, coverOn),
-				startBroker(t, 3, coverOn),
-			}
-			if err := brokers[1].Connect(brokers[0].Addr().String()); err != nil {
-				t.Fatal(err)
-			}
-			if err := brokers[2].Connect(brokers[1].Addr().String()); err != nil {
-				t.Fatal(err)
-			}
+			nw := newNet(t, 3, LineEdges(3), Options{Cover: coverOn})
+			brokers := nw.nodes
 
 			type rec struct {
 				mu   sync.Mutex
@@ -127,7 +165,7 @@ func TestFederatedExactlyOnce(t *testing.T) {
 			sub(brokers[0], "narrow@0", band(1, 10))
 			sub(brokers[1], "wide@1", band(1, 100))
 			sub(brokers[2], "narrow@2", band(1, 10))
-			Settle(settleIdle, brokers...)
+			nw.Flush()
 
 			seq := int64(0)
 			for origin := 0; origin < 3; origin++ {
@@ -138,7 +176,7 @@ func TestFederatedExactlyOnce(t *testing.T) {
 					}
 				}
 			}
-			Settle(settleIdle, brokers...)
+			nw.Flush()
 
 			// price 5 (3 events) matches everything; price 50 (3) only the
 			// wide filters; price 500 (3) nothing.
@@ -164,155 +202,123 @@ func TestFederatedExactlyOnce(t *testing.T) {
 				}
 			}
 
-			var totalSuppressed, totalHopDropped, totalAnomalies uint64
-			for _, b := range brokers {
-				st := b.Stats()
-				totalSuppressed += st.CoverSuppressed
-				totalHopDropped += st.HopDropped
-				totalAnomalies += st.InstallErrors
-			}
-			if coverOn && totalSuppressed == 0 {
+			st := nw.Stats()
+			if coverOn && st.CoverSuppressed == 0 {
 				t.Error("CoverSuppressed = 0 with nested filters; covering is not engaged")
 			}
-			if !coverOn && totalSuppressed != 0 {
-				t.Errorf("CoverSuppressed = %d with covering off", totalSuppressed)
+			if !coverOn && st.CoverSuppressed != 0 {
+				t.Errorf("CoverSuppressed = %d with covering off", st.CoverSuppressed)
 			}
-			if totalHopDropped != 0 || totalAnomalies != 0 {
-				t.Errorf("drops/anomalies: hops=%d installErrors=%d", totalHopDropped, totalAnomalies)
+			if st.HopDropped != 0 || st.InstallErrors != 0 {
+				t.Errorf("drops/anomalies: hops=%d installErrors=%d", st.HopDropped, st.InstallErrors)
 			}
 		})
 	}
 }
 
-// TestFederatedDifferentialVsOverlay drives a loopback-TCP federation and
-// an in-process overlay of the same tree topology through one interleaved
-// subscribe/unsubscribe/publish script (settling between phases so both see
-// identical routing states) and requires identical (subscriber, event)
-// delivery multisets — the federation is the simulation made real, not a
-// different routing algorithm.
-func TestFederatedDifferentialVsOverlay(t *testing.T) {
+// oracleFilter draws a filter for TestFederationMatchesOracle: nested
+// price bands (which covering prunes), ORs of two bands, and a band with a
+// price hole, over three categories.
+func oracleFilter(rng *rand.Rand) boolexpr.Expr {
+	c, hi := rng.Intn(3), 10*(1+rng.Intn(10))
+	switch rng.Intn(4) {
+	case 0:
+		return boolexpr.NewOr(band(c, hi), band(rng.Intn(3), 10*(1+rng.Intn(10))))
+	case 1:
+		return boolexpr.NewAnd(
+			boolexpr.Pred("cat", predicate.Eq, int64(c)),
+			boolexpr.NewOr(
+				boolexpr.Pred("price", predicate.Lt, int64(hi)),
+				boolexpr.Pred("price", predicate.Gt, int64(hi+20)),
+			),
+		)
+	default:
+		return band(c, hi)
+	}
+}
+
+// TestFederationMatchesOracle drives a federation through an interleaved
+// subscribe/unsubscribe/publish script and requires the delivered
+// (subscriber, event) multiset to equal the naive oracle's: for each
+// publish, boolexpr's Eval over the subscriptions live at that moment.
+// Flush separates the churn and publish phases, so the expectation is
+// exact with no timing in the test.
+func TestFederationMatchesOracle(t *testing.T) {
 	for _, coverOn := range []bool{false, true} {
 		name := "plain"
 		if coverOn {
 			name = "cover"
 		}
 		t.Run(name, func(t *testing.T) {
-			const nodes = 7
-			brokers := buildTree(t, nodes, coverOn)
-			nw, err := overlay.NewTree(nodes, 2, overlay.Config{Cover: coverOn})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
-
-			type deliveries struct {
-				mu   sync.Mutex
-				seen map[string][]int64
-			}
-			record := func(d *deliveries, tag string) func(ev event.Event) {
-				return func(ev event.Event) {
-					v, _ := ev.Get("seq")
-					d.mu.Lock()
-					d.seen[tag] = append(d.seen[tag], v.Int())
-					d.mu.Unlock()
-				}
-			}
-			dNet := &deliveries{seen: map[string][]int64{}}
-			dSim := &deliveries{seen: map[string][]int64{}}
+			const nodes = 13
+			nw := newNet(t, nodes, TreeEdges(nodes, 2), Options{Cover: coverOn})
+			got := newRecorder()
+			want := map[string][]int64{}
 
 			rng := rand.New(rand.NewSource(23))
-			type pair struct {
-				net SubRef
-				sim overlay.SubRef
+			type sub struct {
+				ref    SubRef
+				filter boolexpr.Expr
 			}
-			live := map[string]pair{}
+			live := map[string]sub{}
 			var tags []string
 			seq := int64(0)
-
-			for round := 0; round < 12; round++ {
-				for i := 0; i < 10; i++ {
+			for round := 0; round < 20; round++ {
+				for i := 0; i < 12; i++ {
 					if rng.Intn(3) < 2 || len(tags) == 0 {
 						tag := fmt.Sprintf("r%dc%d", round, i)
-						at := rng.Intn(nodes)
-						f := band(rng.Intn(3), 10*(1+rng.Intn(10)))
-						rn, err := brokers[at].Subscribe(f, record(dNet, tag))
+						f := oracleFilter(rng)
+						ref, err := nw.Node(rng.Intn(nodes)).Subscribe(f, got.handler(tag))
 						if err != nil {
 							t.Fatal(err)
 						}
-						rs, err := nw.Subscribe(overlay.NodeID(at), f, record(dSim, tag))
-						if err != nil {
-							t.Fatal(err)
-						}
-						live[tag] = pair{net: rn, sim: rs}
+						live[tag] = sub{ref: ref, filter: f}
 						tags = append(tags, tag)
 					} else {
 						j := rng.Intn(len(tags))
 						tag := tags[j]
 						tags[j] = tags[len(tags)-1]
 						tags = tags[:len(tags)-1]
-						pr := live[tag]
+						ref := live[tag].ref
 						delete(live, tag)
-						// The tag owner's broker is identified by the sub ID.
-						if err := brokers[(pr.net.id>>32)-1].Unsubscribe(pr.net); err != nil {
-							t.Fatal(err)
-						}
-						if err := nw.Unsubscribe(pr.sim); err != nil {
+						if err := nw.Node(home(ref)).Unsubscribe(ref); err != nil {
 							t.Fatal(err)
 						}
 					}
 				}
-				Settle(settleIdle, brokers...)
 				nw.Flush()
 
-				for i := 0; i < 12; i++ {
+				for i := 0; i < 15; i++ {
 					seq++
-					ev := bandEvent(rng.Intn(3), rng.Intn(110)).Set("seq", seq)
-					at := rng.Intn(nodes)
-					if err := brokers[at].Publish(ev); err != nil {
-						t.Fatal(err)
+					ev := bandEvent(rng.Intn(3), rng.Intn(130)).Set("seq", seq)
+					for tag, s := range live {
+						if s.filter.Eval(ev) {
+							want[tag] = append(want[tag], seq)
+						}
 					}
-					if err := nw.Publish(overlay.NodeID(at), ev); err != nil {
+					if err := nw.Node(rng.Intn(nodes)).Publish(ev); err != nil {
 						t.Fatal(err)
 					}
 				}
-				Settle(settleIdle, brokers...)
 				nw.Flush()
 			}
 
-			snapshot := func(d *deliveries) map[string][]int64 {
-				d.mu.Lock()
-				defer d.mu.Unlock()
-				out := make(map[string][]int64, len(d.seen))
-				for k, v := range d.seen {
-					s := append([]int64(nil), v...)
-					sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-					out[k] = s
-				}
-				return out
-			}
-			got, want := snapshot(dNet), snapshot(dSim)
-			if len(got) != len(want) {
-				t.Fatalf("subscriber sets differ: federation %d, overlay %d", len(got), len(want))
+			delivered := got.snapshot()
+			if len(delivered) != len(want) {
+				t.Errorf("%d subscribers received events, oracle expects %d", len(delivered), len(want))
 			}
 			for tag, ws := range want {
-				gs := got[tag]
-				if fmt.Sprint(gs) != fmt.Sprint(ws) {
-					t.Fatalf("subscriber %s: federation delivered %v, overlay %v", tag, gs, ws)
+				if gs := delivered[tag]; fmt.Sprint(gs) != fmt.Sprint(ws) {
+					t.Errorf("subscriber %s: delivered %v, oracle %v", tag, gs, ws)
 				}
 			}
-
-			var netSuppressed uint64
-			for _, b := range brokers {
-				st := b.Stats()
-				netSuppressed += st.CoverSuppressed
-				if st.HopDropped != 0 || st.InstallErrors != 0 {
-					t.Errorf("node %d: drops/anomalies %+v", b.NodeID(), st)
-				}
+			st := nw.Stats()
+			if st.HopDropped != 0 || st.InstallErrors != 0 {
+				t.Errorf("drops/anomalies: %+v", st)
 			}
-			if coverOn && netSuppressed == 0 {
-				t.Error("federation never suppressed a flood under -cover")
+			if coverOn && st.CoverSuppressed == 0 {
+				t.Error("federation never suppressed a flood under cover")
 			}
-			t.Logf("federation CoverSuppressed = %d across %d brokers", netSuppressed, nodes)
 		})
 	}
 }
@@ -488,42 +494,26 @@ func TestFederationGoroutineLeak(t *testing.T) {
 	for _, b := range brokers {
 		b.Close()
 	}
-	const slack = 2
-	if n := waitNumGoroutine(before+slack, 10*time.Second); n > before+slack {
-		buf := make([]byte, 1<<20)
-		t.Errorf("goroutine leak: %d before, %d after close\n%s", before, n, buf[:runtime.Stack(buf, true)])
-	}
+	assertNoGoroutineLeak(t, before)
 }
 
 // TestTracePropagationAcrossFederation runs a 3-broker line A—B—C with
-// tracing on at A and a subscriber at C, and checks the trace machinery
+// tracing on, events published at A and a subscriber at C, and checks the trace machinery
 // end to end: every sampled event leaves exactly one hop record at each
 // broker it crossed (B at hop 1, C at hop 2, none at the origin), the
 // records' timestamps are monotone along the path, and the hop-latency
 // histograms fill only where hops were received.
 func TestTracePropagationAcrossFederation(t *testing.T) {
-	newTraced := func(id uint32, every int) *Broker {
-		b := NewBroker(Options{NodeID: id, TraceSampleEvery: every, Logf: t.Logf})
-		if _, err := b.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { b.Close() })
-		return b
-	}
-	a, bb, c := newTraced(1, 2), newTraced(2, 0), newTraced(3, 0)
-	if err := bb.Connect(a.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Connect(bb.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
+	// Only A publishes, so only A's sampling matters.
+	nw := newNet(t, 3, LineEdges(3), Options{TraceSampleEvery: 2})
+	a, bb, c := nw.Node(0), nw.Node(1), nw.Node(2)
 	var delivered atomic.Int64
 	if _, err := c.Subscribe(boolexpr.Pred("n", predicate.Ge, int64(0)), func(event.Event) {
 		delivered.Add(1)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, a, bb, c)
+	nw.Flush()
 
 	const events = 10 // TraceSampleEvery 2 → 5 traced
 	for i := 0; i < events; i++ {
@@ -531,7 +521,7 @@ func TestTracePropagationAcrossFederation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	Settle(settleIdle, a, bb, c)
+	nw.Flush()
 
 	if delivered.Load() != events {
 		t.Fatalf("delivered = %d, want %d", delivered.Load(), events)

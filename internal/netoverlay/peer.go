@@ -20,7 +20,8 @@ func peerInstrument(family string, nodeID uint32) string {
 	return family + `{peer="` + strconv.FormatUint(uint64(nodeID), 10) + `"}`
 }
 
-// peer is one live broker-to-broker TCP link.
+// peer is one live broker-to-broker link: a TCP connection, or one end of a
+// Network's net.Pipe.
 type peer struct {
 	b      *Broker
 	nc     net.Conn
@@ -173,6 +174,9 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 // the federation stops routing events this way.
 func (p *peer) detach(reason error) {
 	p.closeOnce.Do(func() {
+		// Messages queued toward the dead link are gone: a Network's Flush
+		// stops waiting for them.
+		p.b.flight.abort()
 		close(p.done)
 		p.nc.Close()
 		qs := p.out.Stats()
@@ -250,6 +254,7 @@ func (p *peer) readLoop() {
 				// subscriber; count it loudly and keep the link (the peer's
 				// other traffic is fine).
 				p.b.anomaly(fmt.Errorf("netoverlay: unparseable filter from node %d for sub %d: %w", p.nodeID, subID, err))
+				p.b.flight.add(-1)
 				continue
 			}
 			if !p.b.enqueue(inMsg{m: router.Msg{Kind: router.Sub, SubID: subID, Expr: expr}, from: p.link}) {

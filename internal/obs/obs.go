@@ -105,8 +105,8 @@ type instrument struct {
 // Registry is a namespace of instruments. All methods are safe for
 // concurrent use; instrument handles returned by Counter/Gauge/Histogram
 // are get-or-create, so components sharing a registry under the same name
-// share the instrument (the overlay exploits this: every node's router
-// writes the same counters, and network totals are one snapshot read).
+// share the instrument (routers sharing a registry write the same
+// counters, and their totals are one snapshot read).
 type Registry struct {
 	mu      sync.RWMutex
 	byName  map[string]*instrument

@@ -1,6 +1,6 @@
 // Package router is the transport-agnostic core of a content-routed broker:
-// the SIENA-style routing state machine the overlay simulation and the TCP
-// federation both run, specialised to acyclic (tree) broker topologies.
+// the SIENA-style routing state machine every federation node runs (see
+// internal/netoverlay), specialised to acyclic (tree) broker topologies.
 //
 //   - A subscription registered at a broker is flooded through the tree.
 //     Every broker installs it in its local non-canonical engine and
@@ -107,8 +107,8 @@ type Config struct {
 	Transport Transport
 	// Metrics is the registry the router's counters live in; nil gets a
 	// private registry (Counts still works, nothing is exported). Routers
-	// sharing a registry share instruments — the overlay exploits this to
-	// read network totals in one snapshot.
+	// sharing a registry share instruments, so one snapshot reads their
+	// totals.
 	Metrics *obs.Registry
 }
 
@@ -192,7 +192,7 @@ func New(cfg Config) *Router {
 	// reverse registration order, so registering subMsgs → … → forwarded
 	// means a snapshot reads forwarded (effect) before the counters whose
 	// activity produced it, and totals reconcile mid-storm. Callers that
-	// register their own cause (overlay's published) must do so before
+	// register their own cause (netoverlay's published) must do so before
 	// constructing routers.
 	r.subMsgs = reg.Counter("router_sub_msgs_total")
 	r.coverSuppress = reg.Counter("router_cover_suppressed_total")

@@ -147,3 +147,95 @@ func FuzzDecodePublishBatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeFederationFrame covers the broker-federation payload decoders
+// — ReadHello, ReadSubForward, ReadUnsubForward and
+// ReadEventForwardTraceAlias — on the same arbitrary bytes. None may
+// panic. Whatever one accepts is re-encoded canonically and must read back
+// unchanged, and every strict prefix of that encoding must be rejected.
+// Event forwards round-trip at hops 0, 255 and the decoded count, with the
+// trace suffix present and absent; a prefix that only cuts into the suffix
+// reads as an untraced forward, which is the suffix's versioning contract.
+func FuzzDecodeFederationFrame(f *testing.F) {
+	ev := event.New().Set("price", 150).Set("sym", "ACME")
+	f.Add(AppendHello(nil, FederationVersion, 7))
+	f.Add(AppendSubForward(nil, 1<<32|5, `cat = 3 and price < 100`))
+	f.Add(AppendUnsubForward(nil, 1<<32|5))
+	f.Add(AppendEventForwardTrace(nil, 0, ev, 0, 0))
+	f.Add(AppendEventForwardTrace(nil, 255, ev, 0xabcdef, -5e9))
+	f.Add(AppendEventForwardTrace(nil, 1, event.New(), 1, 1)[:5])
+	f.Add([]byte{})
+	f.Add([]byte{0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if ver, id, err := ReadHello(data); err == nil {
+			enc := AppendHello(nil, ver, id)
+			if v2, id2, err := ReadHello(enc); err != nil || v2 != ver || id2 != id {
+				t.Fatalf("hello round trip: (%d, %d) -> (%d, %d, %v)", ver, id, v2, id2, err)
+			}
+			for n := range enc {
+				if _, _, err := ReadHello(enc[:n]); err == nil {
+					t.Fatalf("hello prefix %x accepted", enc[:n])
+				}
+			}
+		}
+		if sub, filter, err := ReadSubForward(data); err == nil {
+			enc := AppendSubForward(nil, sub, filter)
+			if s2, f2, err := ReadSubForward(enc); err != nil || s2 != sub || f2 != filter {
+				t.Fatalf("sub forward round trip: (%d, %q) -> (%d, %q, %v)", sub, filter, s2, f2, err)
+			}
+			for n := range enc {
+				if _, _, err := ReadSubForward(enc[:n]); err == nil {
+					t.Fatalf("sub forward prefix %x accepted", enc[:n])
+				}
+			}
+		}
+		if sub, err := ReadUnsubForward(data); err == nil {
+			enc := AppendUnsubForward(nil, sub)
+			if s2, err := ReadUnsubForward(enc); err != nil || s2 != sub {
+				t.Fatalf("unsub forward round trip: %d -> (%d, %v)", sub, s2, err)
+			}
+			for n := range enc {
+				if _, err := ReadUnsubForward(enc[:n]); err == nil {
+					t.Fatalf("unsub forward prefix %x accepted", enc[:n])
+				}
+			}
+		}
+		hops, ev, traceID, origin, err := ReadEventForwardTraceAlias(data)
+		if err != nil {
+			return
+		}
+		ev = ev.Retain()
+		untraced := len(AppendEventForwardTrace(nil, hops, ev, 0, 0))
+		for _, h := range []uint8{0, 255, hops} {
+			for _, tr := range [][2]int64{{0, 0}, {int64(traceID), origin}, {-1, -5e9}} {
+				id, on := uint64(tr[0]), tr[1]
+				if id == 0 {
+					on = 0 // an untraced frame carries no origin stamp
+				}
+				enc := AppendEventForwardTrace(nil, h, ev, id, on)
+				h2, ev2, id2, on2, err := ReadEventForwardTraceAlias(enc)
+				if err != nil {
+					t.Fatalf("event forward round trip failed: %v (input %x)", err, data)
+				}
+				if h2 != h || id2 != id || on2 != on {
+					t.Fatalf("event forward header (%d, %#x, %d) -> (%d, %#x, %d)", h, id, on, h2, id2, on2)
+				}
+				if !hasNaN(ev) && !ev.Equal(ev2) {
+					t.Fatalf("event forward changed event\n  input: %x\n  first: %s\n  second: %s", data, ev, ev2)
+				}
+				if enc2 := AppendEventForwardTrace(nil, h2, ev2, id2, on2); !bytes.Equal(enc, enc2) {
+					t.Fatalf("event forward encoding not a fixed point\n  enc1: %x\n  enc2: %x", enc, enc2)
+				}
+				for n := range enc {
+					_, _, id3, _, err := ReadEventForwardTraceAlias(enc[:n])
+					switch {
+					case n < untraced && err == nil:
+						t.Fatalf("event forward prefix %x accepted", enc[:n])
+					case n >= untraced && (err != nil || id3 != 0):
+						t.Fatalf("event forward cut inside its trace suffix read as (%#x, %v), want untraced", id3, err)
+					}
+				}
+			}
+		}
+	})
+}

@@ -7,8 +7,8 @@
 // The library reproduces the system of Bittner & Hinze, "On the Benefits of
 // Non-Canonical Filtering in Publish/Subscribe Systems" (ICDCS Workshops
 // 2005), including the canonical counting-algorithm baselines the paper
-// compares against, a local broker, a multi-broker overlay simulation and a
-// TCP broker. See README.md for an overview and EXPERIMENTS.md for the
+// compares against, a local broker, a TCP broker and a federation of
+// brokers, simulated in one process or linked over TCP. See README.md for an overview and EXPERIMENTS.md for the
 // reproduced evaluation.
 //
 // Quick start:
