@@ -3,10 +3,10 @@
 //
 //   - layering: the import graph must match the declared DAG in
 //     internal/arch/policy.go exactly (no new edges, no stale allowances,
-//     no net/os/syscall in engine layers, router transport-agnostic);
+//     no net/os/syscall in engine layers, router transport-agnostic, and
+//     among the serving packages only internal/broker imports
+//     internal/core, so it alone owns an engine);
 //   - api-leak: internal/wire types never appear in engine package APIs;
-//   - engine-owner: among the serving packages only internal/broker and
-//     internal/netoverlay construct a core.Engine;
 //   - lock-blocking: no blocking channel operation lexically between
 //     Lock/Unlock of the same mutex (the PR 5 deadlock shape);
 //   - hotpath: functions annotated //nclint:hotpath are denied

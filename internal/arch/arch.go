@@ -5,15 +5,13 @@
 //   - Layering (imports.go): every package's imports must match the
 //     declared DAG in policy.go exactly — no undeclared edge, no stale
 //     allowance, no forbidden stdlib group (internal/router must stay
-//     transport-agnostic: no net, no internal/wire). Violations name the
-//     forbidden edge.
+//     transport-agnostic: no net, no internal/wire). Among the serving
+//     packages only internal/broker may import internal/core, so it alone
+//     owns an engine. Violations name the forbidden edge.
 //   - API hygiene (apileak.go): internal/wire types must never appear in
 //     the exported API of engine-layer packages, so wire/value semantics
 //     cannot leak across the transport boundary again (the PR 4
 //     interning-bug shape).
-//   - Engine ownership (engines.go): among the serving packages only the
-//     ones the policy marks EngineOwner (broker, netoverlay) construct a
-//     core.Engine; the rest are handed one.
 //   - Lock discipline (locks.go): no blocking channel operation lexically
 //     between Lock()/Unlock() of the same sync mutex (the PR 5
 //     inbox-cycle deadlock shape). sync.Cond.Wait is exempt — it releases
@@ -43,8 +41,8 @@ type Finding struct {
 	// Pos locates the finding; it may be zero for package-level findings
 	// (e.g. an undeclared import edge).
 	Pos token.Position
-	// Rule names the rule family: "layering", "api-leak", "engine-owner",
-	// "lock-blocking", "hotpath" or "directive".
+	// Rule names the rule family: "layering", "api-leak", "lock-blocking",
+	// "hotpath" or "directive".
 	Rule string
 	// Pkg is the import path of the offending package.
 	Pkg string
@@ -84,7 +82,6 @@ func Check(mod *Module) []Finding {
 	var out []Finding
 	out = append(out, CheckLayering(mod, DefaultPolicy)...)
 	out = append(out, CheckAPILeaks(mod, DefaultPolicy)...)
-	out = append(out, CheckEngineOwners(mod, DefaultPolicy)...)
 	out = append(out, CheckLockDiscipline(mod)...)
 	out = append(out, CheckHotPaths(mod)...)
 	SortFindings(out)

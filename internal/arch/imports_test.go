@@ -2,6 +2,7 @@ package arch
 
 import (
 	"go/token"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -161,5 +162,22 @@ func TestDefaultPolicyInvariants(t *testing.T) {
 	}
 	if !hasNet {
 		t.Error("internal/router must forbid stdlib net: it is transport-agnostic")
+	}
+}
+
+// TestEngineOwnersArePinned: among the serving packages (service and
+// transport layers) only internal/broker may import internal/core, so it
+// alone owns an engine; TestLayeringCleanModule holds the real imports to
+// the table.
+func TestEngineOwnersArePinned(t *testing.T) {
+	var owners []string
+	for rel, rule := range DefaultPolicy.Packages {
+		if (rule.Layer == "service" || rule.Layer == "transport") && slices.Contains(rule.Allow, "internal/core") {
+			owners = append(owners, rel)
+		}
+	}
+	slices.Sort(owners)
+	if want := []string{"internal/broker"}; !slices.Equal(owners, want) {
+		t.Errorf("serving packages allowed internal/core = %v, want %v", owners, want)
 	}
 }

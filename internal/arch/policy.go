@@ -31,8 +31,9 @@ package arch
 // drive.
 //
 // Engine ownership: among the serving packages (service and transport
-// layers) only those marked EngineOwner construct a core.Engine — the
-// broker and the federation node. Everyone else is handed one.
+// layers) only internal/broker imports internal/core, so it alone builds
+// and drives an engine. The router and the federation node match through
+// a broker.Broker and are denied core outright.
 //
 // Exposition rule: only cmd/* and internal/obs may import net/http. The
 // service and transport layers record into obs instruments; whether those
@@ -60,9 +61,6 @@ type PackageRule struct {
 	// wire package itself and the two TCP transports carry frames in their
 	// signatures; everyone else must keep wire types out of their API.
 	WireInAPI bool
-	// EngineOwner permits a serving package to construct a core.Engine
-	// (see CheckEngineOwners).
-	EngineOwner bool
 }
 
 // Policy is a module's complete layering declaration.
@@ -128,11 +126,12 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	"internal/obs": {Layer: "infra"},
 
 	// --- service ---
-	"internal/broker": {Layer: "service", ForbidStd: []string{"net"}, EngineOwner: true,
+	"internal/broker": {Layer: "service", ForbidStd: []string{"net"},
 		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/index", "internal/matcher", "internal/obs", "internal/predicate"}},
 	"internal/router": {Layer: "service", ForbidStd: []string{"net"},
-		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/matcher", "internal/obs"},
+		Allow: []string{"internal/boolexpr", "internal/broker", "internal/cover", "internal/cover/dag", "internal/event", "internal/obs"},
 		Deny: map[string]string{
+			"internal/core":       "the router matches through internal/broker, the one serving package that owns an engine",
 			"internal/wire":       "router is transport-agnostic; frame encoding belongs to the transports",
 			"internal/netoverlay": "router is transport-agnostic; its transports drive it, not the other way round",
 		}},
@@ -142,8 +141,11 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 		Allow: []string{"internal/event", "internal/intern", "internal/value"}},
 	"internal/netbroker": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/broker", "internal/event", "internal/obs", "internal/sublang", "internal/wire"}},
-	"internal/netoverlay": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"}, EngineOwner: true,
-		Allow: []string{"internal/boolexpr", "internal/core", "internal/event", "internal/index", "internal/obs", "internal/predicate", "internal/router", "internal/sublang", "internal/subtree", "internal/wire"}},
+	"internal/netoverlay": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
+		Allow: []string{"internal/boolexpr", "internal/broker", "internal/event", "internal/obs", "internal/predicate", "internal/router", "internal/sublang", "internal/subtree", "internal/wire"},
+		Deny: map[string]string{
+			"internal/core": "the federation node matches through internal/broker, the one serving package that owns an engine",
+		}},
 
 	// --- facade ---
 	".": {Layer: "facade", ForbidStd: []string{"net"},

@@ -168,14 +168,14 @@ type filterGroup struct {
 // happens under the broker write lock, so removal must not scan the
 // group's (possibly huge) member list.
 func (g *filterGroup) remove(s *Subscription) bool {
-	i := s.gidx
+	i := int(s.gidx)
 	if i < 0 || i >= len(g.members) || g.members[i] != s {
 		return false
 	}
 	last := len(g.members) - 1
 	moved := g.members[last]
 	g.members[i] = moved
-	moved.gidx = i
+	moved.gidx = int32(i)
 	g.members[last] = nil
 	g.members = g.members[:last]
 	s.gidx = -1
@@ -185,13 +185,14 @@ func (g *filterGroup) remove(s *Subscription) bool {
 // Subscription is a live registration: a filter in the engine and the
 // (sink, handle) pair its matches are delivered to.
 type Subscription struct {
-	b       *Broker
-	g       *filterGroup // owning group; guarded by b.mu
-	gidx    int          // index in its filterGroup's members; guarded by b.mu
-	out     *Outlet
-	handle  uint64 // the sink's name for this subscription
+	g       *filterGroup // owning group; guarded by the broker's mu
+	out     *Outlet      // out.b is the broker
+	handle  uint64       // the sink's name for this subscription
 	dropped atomic.Uint64
 
+	// gidx is the index in its filterGroup's members, guarded by the
+	// broker's mu; 32 bits beside the Once keep the struct at 48 bytes.
+	gidx       int32
 	cancelOnce sync.Once
 }
 
@@ -298,7 +299,7 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Sub
 	if err != nil {
 		return nil, err
 	}
-	s := &Subscription{b: b, g: g, gidx: len(g.members), out: out, handle: handle}
+	s := &Subscription{g: g, out: out, handle: handle, gidx: int32(len(g.members))}
 	out.adjust(1) // capacity before the first publisher can find s
 	g.members = append(g.members, s)
 	b.nsubs++
@@ -355,8 +356,8 @@ func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr) (*filterGroup, err
 // its own: ID reports 0 until (if ever) its filter is promoted to the
 // covering frontier.
 func (s *Subscription) ID() matcher.SubID {
-	s.b.mu.RLock()
-	defer s.b.mu.RUnlock()
+	s.out.b.mu.RLock()
+	defer s.out.b.mu.RUnlock()
 	return s.g.id
 }
 
@@ -374,7 +375,7 @@ func (s *Subscription) Unsubscribe() error {
 	didCancel := false
 	s.cancelOnce.Do(func() {
 		didCancel = true
-		b := s.b
+		b := s.out.b
 		b.mu.Lock()
 		// After Close the broker already detached everyone; skip the
 		// bookkeeping (Close's own cancelOnce pass handles the sink).

@@ -1,5 +1,5 @@
 // Package netoverlay federates brokers over real TCP: each process runs one
-// Broker — a full non-canonical matching engine plus the internal/router
+// Broker — an internal/broker matching spine plus the internal/router
 // routing core — and links to neighbouring brokers with the internal/wire
 // framing (MsgHello handshake, MsgSubForward / MsgUnsubForward /
 // MsgEventForward). N processes whose links form a tree become a
@@ -47,9 +47,8 @@ import (
 	"time"
 
 	"noncanon/internal/boolexpr"
-	"noncanon/internal/core"
+	"noncanon/internal/broker"
 	"noncanon/internal/event"
-	"noncanon/internal/index"
 	"noncanon/internal/obs"
 	"noncanon/internal/predicate"
 	"noncanon/internal/router"
@@ -146,7 +145,7 @@ type Options struct {
 	// Logf receives connection-level diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 	// OnError receives routing anomalies (unparseable forwarded filters,
-	// install failures, duplicate floods that suggest a topology cycle).
+	// install failures, duplicate floods, misdirected retractions).
 	// Called on broker goroutines; must not block. Anomalies are also
 	// counted in Stats.InstallErrors.
 	OnError func(err error)
@@ -200,8 +199,8 @@ type Broker struct {
 
 	// rt and links are owned by the run goroutine (control thunks included).
 	rt    *router.Router
-	eng   *core.Engine
-	links []*peer // index = router link; nil once detached
+	bk    *broker.Broker // matches for rt; closed once run has returned
+	links []*peer        // index = router link; nil once detached
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -284,10 +283,10 @@ func newBroker(opts Options, inboxSize int, fl *flight) *Broker {
 	// show more forwards than publishes.
 	b.published = b.reg.Counter("netoverlay_published_total")
 	b.installErrors = b.reg.Counter("netoverlay_install_errors_total")
-	b.eng = core.New(predicate.NewRegistry(), index.New(), core.Options{})
+	b.bk = broker.New(broker.Options{})
 	b.rt = router.New(router.Config{
 		Cover:     opts.Cover,
-		Engine:    b.eng,
+		Broker:    b.bk,
 		Transport: (*brokerTransport)(b),
 		Metrics:   b.reg,
 	})
@@ -695,7 +694,7 @@ func (b *Broker) Close() error {
 		p.shutdown()
 	}
 	b.wg.Wait()
-	return nil
+	return b.bk.Close()
 }
 
 // send enqueues a routing message from the local API, counted in flight

@@ -19,9 +19,9 @@ type countTransport struct{ n int }
 func (c *countTransport) Send(int, Msg) { c.n++ }
 
 // TestHandleEventMsgZeroAlloc pins the steady-state cost of routing one
-// event through Handle: matching appends into the router's recycled
-// buffer, so neither a local delivery nor a forward over one link
-// allocates.
+// event through Handle: the broker matches into its pooled buffer and its
+// sinks run inline, so neither a local delivery nor a forward over one
+// link allocates.
 func TestHandleEventMsgZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -33,14 +33,14 @@ func TestHandleEventMsgZeroAlloc(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tr := &countTransport{}
-			r := New(Config{Links: 2, Engine: newEngine(), Transport: tr})
+			r := New(Config{Links: 2, Broker: newBroker(), Transport: tr})
 			delivered := 0
 			if err := r.subscribe(1, band(1, 100), func(event.Event) { delivered++ }, c.nextHop); err != nil {
 				t.Fatal(err)
 			}
 			tr.n = 0
 			m := Msg{Kind: Event, Ev: bandEvent(1, 10), Trace: Trace{ID: 1, OriginNanos: 1}}
-			r.Handle(m, nil, 0) // warm the match buffer and the engine's scratch pool
+			r.Handle(m, nil, 0) // warm the broker's match buffer and the engine's scratch pool
 			allocs := testing.AllocsPerRun(1000, func() { r.Handle(m, nil, 0) })
 			if allocs != 0 {
 				t.Errorf("Handle allocates %.1f per event, want 0", allocs)

@@ -78,8 +78,8 @@ func matchMask(expr boolexpr.Expr, evs []event.Event) uint64 {
 }
 
 // FuzzRouterCover drives one router through decoded subscribe,
-// unsubscribe, RemoveLink and AddLink ops, with covering on and off, and
-// replays what it sends over each link into a far-side table. Subscribe ops
+// unsubscribe, RemoveLink, AddLink and event ops, with covering on and off,
+// and replays what it sends over each link into a far-side table. Subscribe ops
 // may reuse a retired ID, as a broker restarted under the same node ID
 // does. After every op: no Sub for an ID the table holds and no Unsub for
 // one it lacks; every Sub names a live route not learned over that link,
@@ -87,8 +87,12 @@ func matchMask(expr boolexpr.Expr, evs []event.Event) uint64 {
 // precede its retraction; and routing is exact — whenever a route not
 // learned over link i matches a sampled event, some filter in link i's
 // table matches it too, checked after the op and right after every
-// retraction within it. After draining every route, every table is empty,
-// CoverState is (0, 0) and the engine holds nothing.
+// retraction within it. An event op publishes a sampled event arriving on
+// the API or any link: every live link but its origin gets one forward,
+// carrying the hop count on and the trace along, iff a live route behind
+// the link matches it, and every matching local route is delivered to
+// once. After draining every route, every table is empty, CoverState is
+// (0, 0) and the broker holds nothing.
 func FuzzRouterCover(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 3, 0, 0, 2, 0, 0, 1, 0, 0, 0, 4, 3, 4, 0, 4, 0, 4, 0})
 	f.Add([]byte{2, 0, 1, 1, 0, 2, 1, 0, 3, 1, 0, 0, 1, 5, 0, 7, 4, 0, 4, 0})
@@ -98,6 +102,10 @@ func FuzzRouterCover(f *testing.F) {
 	// An identical local filter joins link 1's node for route 1 from link
 	// 0; link 0 dies, and a different filter reuses ID 1.
 	f.Add([]byte{1, 0, 1, 0, 0, 0, 0, 6, 0, 3, 0, 5, 0})
+	// Two routes behind link 1 and one behind link 0 match event 20 (cat 1,
+	// price 5), published locally, then arriving over link 1; link 0 dies
+	// and the event arrives again.
+	f.Add([]byte{2, 0, 2, 0, 0, 2, 1, 0, 0, 2, 0, 1, 3, 8, 0, 20, 0, 8, 2, 20, 7, 6, 0, 8, 0, 20, 254})
 
 	pool, evs := coverPool(), coverEvents()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -125,8 +133,8 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 		return int(data[k-1])
 	}
 	tr := &opSends{}
-	eng := newEngine()
-	r := New(Config{Links: 1 + next()%4, Cover: coverOn, Engine: eng, Transport: tr})
+	b := newBroker()
+	r := New(Config{Links: 1 + next()%4, Cover: coverOn, Broker: b, Transport: tr})
 
 	type modelRoute struct {
 		from int
@@ -140,6 +148,7 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 		alive[i], far[i] = true, map[uint64]uint64{}
 	}
 	nextID := uint64(0)
+	delivered := map[uint64]int{} // route → local deliveries of the current event
 
 	liveIDs := func() []uint64 {
 		ids := make([]uint64, 0, len(live))
@@ -228,7 +237,7 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 			}
 			// The far side holds exactly the poset's sent nodes, and every
 			// frontier node is sent.
-			d := r.posets[i]
+			d := r.links[i].poset
 			if err := d.CheckInvariants(); err != nil {
 				t.Fatalf("cover=%v %s: link %d poset: %v", coverOn, op, i, err)
 			}
@@ -262,7 +271,7 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 	}
 
 	for k < len(data) {
-		switch op := next() % 8; {
+		switch op := next() % 9; {
 		case op < 4:
 			from := next()%(len(alive)+1) - 1
 			expr := pool[next()%len(pool)]
@@ -275,7 +284,8 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 				nextID++
 				id = nextID
 			}
-			if err := r.Handle(Msg{Kind: Sub, SubID: id, Expr: expr}, nil, from); err != nil {
+			h := func(event.Event) { delivered[id]++ }
+			if err := r.Handle(Msg{Kind: Sub, SubID: id, Expr: expr}, h, from); err != nil {
 				t.Fatalf("cover=%v: subscribe %d: %v", coverOn, id, err)
 			}
 			if from >= 0 && !alive[from] {
@@ -304,11 +314,48 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 				}
 			}
 			replay("RemoveLink", false, before)
-		default:
+		case op == 7:
 			if len(alive) < fuzzMaxLinks {
 				alive, far = append(alive, true), append(far, map[uint64]uint64{})
 				r.AddLink()
 				replay("AddLink", true, live)
+			}
+		default:
+			from := next()%(len(alive)+1) - 1
+			e, hops := next()%len(evs), next()
+			trace := Trace{ID: uint64(e) + 1, OriginNanos: int64(k)}
+			clear(delivered)
+			if err := r.Handle(Msg{Kind: Event, Ev: evs[e], Hops: hops, Trace: trace}, nil, from); err != nil {
+				t.Fatalf("cover=%v: event %d: %v", coverOn, e, err)
+			}
+			behind := make([]uint64, len(alive)) // link → events a route behind it matches
+			wantLocal := map[uint64]int{}
+			for id, rt := range live {
+				if rt.from >= 0 {
+					behind[rt.from] |= rt.mask
+				} else if hops < MaxHops && rt.mask>>e&1 != 0 {
+					wantLocal[id] = 1
+				}
+			}
+			fwds := make([]int, len(alive))
+			for _, s := range tr.sent {
+				if s.link < 0 || s.link >= len(alive) || s.m.Kind != Event || s.m.Hops != hops+1 || s.m.Trace != trace {
+					t.Fatalf("cover=%v: event %d from %d (hops %d, trace %+v): sent %+v over link %d", coverOn, e, from, hops, trace, s.m, s.link)
+				}
+				fwds[s.link]++
+			}
+			tr.sent = nil
+			for i := range alive {
+				want := 0
+				if hops < MaxHops && i != from && alive[i] && behind[i]>>e&1 != 0 {
+					want = 1
+				}
+				if fwds[i] != want {
+					t.Fatalf("cover=%v: event %d from %d: %d forwards over link %d, want %d", coverOn, e, from, fwds[i], i, want)
+				}
+			}
+			if !maps.Equal(delivered, wantLocal) {
+				t.Fatalf("cover=%v: event %d from %d: local deliveries %v, want %v", coverOn, e, from, delivered, wantLocal)
 			}
 		}
 	}
@@ -324,7 +371,7 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 			t.Fatalf("cover=%v: drained, but link %d's poset holds %d filters (%d frontier)", coverOn, i, filters, frontier)
 		}
 	}
-	if n := eng.NumSubscriptions(); n != 0 {
-		t.Fatalf("cover=%v: drained, but the engine holds %d subscriptions", coverOn, n)
+	if n, frontier := b.NumSubscriptions(), b.Stats().FrontierFilters; n != 0 || frontier != 0 {
+		t.Fatalf("cover=%v: drained, but the broker holds %d subscriptions (%d filters)", coverOn, n, frontier)
 	}
 }

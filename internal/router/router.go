@@ -3,14 +3,13 @@
 // internal/netoverlay), specialised to acyclic (tree) broker topologies.
 //
 //   - A subscription registered at a broker is flooded through the tree.
-//     Every broker installs it in its local non-canonical engine and
-//     remembers the link it arrived on — the next hop toward the
-//     subscriber.
-//   - An event is matched at every broker it visits. Local subscribers are
-//     notified; for remote matches the event is forwarded once per distinct
-//     next-hop link (never back where it came from). On a tree this
-//     delivers every matching subscription exactly once while filtering
-//     prunes all branches without subscribers.
+//     Every broker subscribes it on its broker.Broker at the outlet of the
+//     link it arrived on — the next hop toward the subscriber.
+//   - An event is published on the broker of every node it visits. Local
+//     handlers run; a link's sink forwards the event once however many
+//     routes behind the link match, never back where it came from. On a
+//     tree this delivers every matching subscription exactly once while
+//     filtering prunes all branches without subscribers.
 //
 // With Config.Cover the flood is pruned by covering: each link has one
 // covering poset (internal/cover/dag) holding every route not learned over
@@ -35,11 +34,10 @@ import (
 	"sort"
 
 	"noncanon/internal/boolexpr"
-	"noncanon/internal/core"
+	"noncanon/internal/broker"
 	"noncanon/internal/cover"
 	"noncanon/internal/cover/dag"
 	"noncanon/internal/event"
-	"noncanon/internal/matcher"
 	"noncanon/internal/obs"
 )
 
@@ -100,9 +98,9 @@ type Config struct {
 	Links int
 	// Cover enables covering-based flood pruning.
 	Cover bool
-	// Engine is the broker's local matching engine; the router installs
-	// every known subscription into it.
-	Engine *core.Engine
+	// Broker matches events; the router subscribes every known route on it
+	// and publishes every event it routes.
+	Broker *broker.Broker
 	// Transport carries outbound messages.
 	Transport Transport
 	// Metrics is the registry the router's counters live in; nil gets a
@@ -131,12 +129,45 @@ type Counts struct {
 
 // route is the broker's view of one overlay subscription.
 type route struct {
-	subID    uint64
-	engineID matcher.SubID
-	expr     boolexpr.Expr // kept for link syncs and link posets
-	key      string        // cover.Key(expr), its node's key in every link poset (Cover only)
-	handler  Handler       // non-nil only at the subscriber's home broker
-	nextHop  int           // link index toward the subscriber; -1 when local
+	subID   uint64
+	sub     *broker.Subscription // on the next hop's outlet, as handle subID
+	expr    boolexpr.Expr        // kept for link syncs and link posets
+	handler Handler              // non-nil only at the subscriber's home broker
+	nextHop int                  // link index toward the subscriber; -1 when local
+}
+
+// link is one live link: the broker outlet of the routes behind it, whose
+// sink it is, and (Config.Cover only) the covering poset of every route
+// not learned over it.
+type link struct {
+	r     *Router
+	i     int
+	out   *broker.Outlet
+	poset *dag.DAG
+	seq   uint64 // the last event forwarded over the link
+}
+
+// Deliver forwards the event being routed over the link, once however many
+// routes behind the link it matches, and never back where it came from.
+//
+//nclint:hotpath
+func (l *link) Deliver(uint64, event.Event) bool {
+	if r := l.r; l.seq != r.seq && l.i != r.from {
+		l.seq = r.seq
+		r.forwarded.Inc()
+		r.tr.Send(l.i, r.fwd)
+	}
+	return true
+}
+
+// localSink is the sink of the routes with a local handler, which it runs
+// inline.
+type localSink Router
+
+func (s *localSink) Deliver(subID uint64, ev event.Event) bool {
+	s.routes[subID].handler(ev)
+	s.delivered.Inc()
+	return true
 }
 
 // linkNode is a link poset node's Data: its routes in join order, and the
@@ -148,25 +179,23 @@ type linkNode struct {
 
 // Router is the per-broker routing state machine.
 type Router struct {
-	eng   *core.Engine
+	b     *broker.Broker
 	tr    Transport
 	cover bool
 
-	routes   map[uint64]*route
-	byEngine map[matcher.SubID]*route
+	routes map[uint64]*route
+	local  *broker.Outlet // the outlet of the routes with a local handler
 
-	// links[i] is false once RemoveLink(i) declared the link dead; floods
-	// and forwards skip dead links but indexes stay stable.
-	links []bool
+	// links[i] is nil once RemoveLink(i) declared the link dead; floods
+	// skip dead links but indexes stay stable.
+	links []*link
 
-	// posets[i] (Config.Cover only) holds every route not learned over
-	// link i; nil once the link is dead.
-	posets []*dag.DAG
-
-	// matchBuf is routeEvent's recycled match-result buffer; the single
-	// owning goroutine makes a plain field enough (handlers must not call
-	// back into the router).
-	matchBuf []matcher.SubID
+	// The event being routed, for the link sinks: its sequence number, the
+	// link it arrived on, and the message its forwards carry. Handlers must
+	// not call back into the router.
+	seq  uint64
+	from int
+	fwd  Msg
 
 	forwarded     *obs.Counter
 	delivered     *obs.Counter
@@ -175,19 +204,19 @@ type Router struct {
 	hopDropped    *obs.Counter
 }
 
-// New builds a router over the given engine and transport.
+// New builds a router over the given broker and transport.
 func New(cfg Config) *Router {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	r := &Router{
-		eng:      cfg.Engine,
-		tr:       cfg.Transport,
-		cover:    cfg.Cover,
-		routes:   make(map[uint64]*route),
-		byEngine: make(map[matcher.SubID]*route),
+		b:      cfg.Broker,
+		tr:     cfg.Transport,
+		cover:  cfg.Cover,
+		routes: make(map[uint64]*route),
 	}
+	r.local = r.b.Attach((*localSink)(r))
 	// Cause-counters before effect-counters: Registry.Snapshot reads in
 	// reverse registration order, so registering subMsgs → … → forwarded
 	// means a snapshot reads forwarded (effect) before the counters whose
@@ -210,27 +239,25 @@ func New(cfg Config) *Router {
 // than the link attract events across it. The caller must be ready for
 // Transport.Send on the new index before calling. It returns the index.
 func (r *Router) AddLink() int {
-	i := len(r.links)
-	r.links = append(r.links, true)
+	l := &link{r: r, i: len(r.links)}
+	l.out = r.b.Attach(l)
 	if r.cover {
-		r.posets = append(r.posets, dag.New())
+		l.poset = dag.New()
 	}
+	r.links = append(r.links, l)
 	for _, rt := range r.sortedRoutes(func(int) bool { return true }) {
-		r.subOverLink(i, rt)
+		r.subOverLink(l.i, rt)
 	}
-	return i
+	return l.i
 }
 
 // RemoveLink declares a link dead: its covering poset is dropped and every
 // route learned through it is retracted as if unsubscribed from that side.
 func (r *Router) RemoveLink(link int) {
-	if link < 0 || link >= len(r.links) || !r.links[link] {
+	if link < 0 || link >= len(r.links) || r.links[link] == nil {
 		return
 	}
-	r.links[link] = false
-	if r.cover {
-		r.posets[link] = nil
-	}
+	r.links[link] = nil
 	r.remove(r.sortedRoutes(func(nextHop int) bool { return nextHop == link }), link)
 }
 
@@ -258,10 +285,10 @@ func (r *Router) HasRoute(subID uint64) bool { return r.routes[subID] != nil }
 // CoverState reports one link poset's distinct filters and frontier size;
 // tests use it to assert churn leaves no residue.
 func (r *Router) CoverState(link int) (filters, frontier int) {
-	if !r.cover || r.posets[link] == nil {
-		return 0, 0
+	if l := r.links[link]; l != nil && l.poset != nil {
+		return l.poset.Len(), l.poset.FrontierLen()
 	}
-	return r.posets[link].Len(), r.posets[link].FrontierLen()
+	return 0, 0
 }
 
 // Counts snapshots the activity counters; safe from any goroutine. With a
@@ -280,14 +307,18 @@ func (r *Router) Counts() Counts {
 // Handle dispatches one routing message arriving on link `from` (-1 for
 // the broker's own API, whose subscriptions carry the handler h). It
 // returns the anomalies a host must surface: an error wrapping ErrDuplicate
-// for a flood of an installed ID, and the engine's install error.
+// for a flood of an installed ID, the broker's install error, and a
+// retraction that does not come from its route's next hop.
 func (r *Router) Handle(m Msg, h Handler, from int) error {
 	switch m.Kind {
 	case Sub:
 		return r.subscribe(m.SubID, m.Expr, h, from)
 	case Unsub:
-		// An unknown ID's retraction overtook its flood on another branch.
-		if rt, ok := r.routes[m.SubID]; ok {
+		// An unknown ID's retraction overtook its flood on another branch;
+		// one from elsewhere than the next hop names another node's route.
+		if rt, ok := r.routes[m.SubID]; ok && rt.nextHop != from {
+			return fmt.Errorf("router: retraction of subscription %d over link %d, whose route leads over %d", m.SubID, from, rt.nextHop)
+		} else if ok {
 			r.remove([]*route{rt}, from)
 		}
 	case Event:
@@ -298,30 +329,30 @@ func (r *Router) Handle(m Msg, h Handler, from int) error {
 
 // subscribe installs a subscription arriving on link `from` and floods it
 // to every other live link. It drops one from a dead link (a frame read
-// before the removal) silently, and a duplicate ID or engine rejection
+// before the removal) silently, and a duplicate ID or broker rejection
 // with the returned error.
 func (r *Router) subscribe(subID uint64, expr boolexpr.Expr, h Handler, from int) error {
-	if from >= len(r.links) || from >= 0 && !r.links[from] {
+	if from >= len(r.links) || from >= 0 && r.links[from] == nil {
 		return nil
 	}
 	if _, dup := r.routes[subID]; dup {
 		return fmt.Errorf("router: subscription %d: %w", subID, ErrDuplicate)
 	}
-	engineID, err := r.eng.Subscribe(expr)
+	out := r.local
+	if from >= 0 {
+		out = r.links[from].out
+	}
+	sub, err := out.Subscribe(expr, subID)
 	if err != nil {
 		return fmt.Errorf("router: install subscription %d: %w", subID, err)
 	}
-	rt := &route{subID: subID, engineID: engineID, expr: expr, nextHop: from}
-	if r.cover {
-		rt.key = cover.Key(expr) // once per route, not once per link
-	}
+	rt := &route{subID: subID, sub: sub, expr: expr, nextHop: from}
 	if from == -1 {
 		rt.handler = h
 	}
 	r.routes[subID] = rt
-	r.byEngine[engineID] = rt
-	for i := range r.links {
-		if i != from && r.links[i] {
+	for i, l := range r.links {
+		if i != from && l != nil {
 			r.subOverLink(i, rt)
 		}
 	}
@@ -337,7 +368,7 @@ func (r *Router) subOverLink(i int, rt *route) {
 		r.tr.Send(i, Msg{Kind: Sub, SubID: rt.subID, Expr: rt.expr})
 		return
 	}
-	res := r.posets[i].AddKeyed(rt.key, rt.expr)
+	res := r.links[i].poset.Add(rt.expr)
 	if res.New {
 		res.Node.Data = &linkNode{}
 	}
@@ -361,21 +392,20 @@ func (r *Router) sendNode(i int, ln *linkNode) {
 // live reports whether a route is still in the route table.
 func (r *Router) live(rt *route) bool { return r.routes[rt.subID] == rt }
 
-// remove drops routes from the route table and the engine, then retracts
+// remove drops routes from the route table and the broker, then retracts
 // each from every live link but `from` — all dropped first, so a node they
 // share with a survivor is re-announced once, not once per leaving member.
 func (r *Router) remove(routes []*route, from int) {
 	for _, rt := range routes {
 		delete(r.routes, rt.subID)
-		delete(r.byEngine, rt.engineID)
-		if err := r.eng.Unsubscribe(rt.engineID); err != nil {
-			// The engine accepted this ID: route tables and engine disagree.
+		if err := rt.sub.Unsubscribe(); err != nil {
+			// The broker accepted this route: route table and broker disagree.
 			panic(fmt.Sprintf("router: remove subscription %d: %v", rt.subID, err))
 		}
 	}
 	for _, rt := range routes {
-		for i := range r.links {
-			if i != from && r.links[i] {
+		for i, l := range r.links {
+			if i != from && l != nil {
 				r.unsubOverLink(i, rt)
 			}
 		}
@@ -393,13 +423,13 @@ func (r *Router) unsubOverLink(i int, rt *route) {
 		r.tr.Send(i, Msg{Kind: Unsub, SubID: rt.subID})
 		return
 	}
-	n := r.posets[i].Lookup(rt.key)
+	n := r.links[i].poset.Lookup(cover.Key(rt.expr))
 	if i == rt.nextHop || n == nil {
 		return // never added here: the route came over this link
 	}
 	ln := n.Data.(*linkNode)
 	ln.routes = slices.DeleteFunc(ln.routes, func(x *route) bool { return x == rt })
-	res := r.posets[i].Release(n)
+	res := r.links[i].poset.Release(n)
 	for _, p := range res.Promoted {
 		if pl := p.Data.(*linkNode); pl.name == nil {
 			r.sendNode(i, pl)
@@ -419,57 +449,18 @@ func (r *Router) unsubOverLink(i int, rt *route) {
 	r.tr.Send(i, Msg{Kind: Unsub, SubID: old.subID})
 }
 
-// routeEvent matches an event (m.Ev, having travelled m.Hops) arriving on
-// link `from`, delivers to local subscribers and forwards one copy per
-// distinct next-hop link. It takes the full routing message so per-message
-// extras — today the trace — survive the forward instead of being
-// flattened away at every hop.
+// routeEvent publishes an event (m.Ev, having travelled m.Hops) that
+// arrived on link `from`; the broker's sinks deliver it to local
+// subscribers and forward one copy per distinct next-hop link. It takes the
+// full routing message so per-message extras — today the trace — survive
+// the forward instead of being flattened away at every hop.
 func (r *Router) routeEvent(m Msg, from int) {
-	ev, hops := m.Ev, m.Hops
-	if hops >= MaxHops {
+	if m.Hops >= MaxHops {
 		r.hopDropped.Inc()
 		return
 	}
-	r.matchBuf = r.eng.MatchInto(ev, r.matchBuf[:0])
-	// Deliver locally; collect distinct next-hop links.
-	var hopSet uint64 // bitset over link indexes; brokers here have < 64 links
-	var bigHops map[int]bool
-	for _, engineID := range r.matchBuf {
-		rt, ok := r.byEngine[engineID]
-		if !ok {
-			continue
-		}
-		if rt.nextHop == -1 {
-			rt.handler(ev)
-			r.delivered.Inc()
-			continue
-		}
-		if rt.nextHop == from {
-			continue // never bounce an event back (cannot happen on a tree)
-		}
-		if rt.nextHop < 64 {
-			hopSet |= 1 << uint(rt.nextHop)
-		} else {
-			if bigHops == nil {
-				bigHops = make(map[int]bool)
-			}
-			bigHops[rt.nextHop] = true
-		}
-	}
-	fwd := m // keep Trace (and any future per-message extras) intact
-	fwd.Kind = Event
-	fwd.Hops = hops + 1
-	for i := range r.links {
-		use := false
-		if i < 64 {
-			use = hopSet&(1<<uint(i)) != 0
-		} else {
-			use = bigHops[i]
-		}
-		if !use || !r.links[i] {
-			continue
-		}
-		r.forwarded.Inc()
-		r.tr.Send(i, fwd)
-	}
+	r.seq++
+	r.from, r.fwd = from, m // keep Trace (and any future per-message extras) intact
+	r.fwd.Kind, r.fwd.Hops = Event, m.Hops+1
+	_, _ = r.b.Publish(m.Ev) // fails only once the host closed the broker
 }

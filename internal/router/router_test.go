@@ -7,9 +7,8 @@ import (
 	"time"
 
 	"noncanon/internal/boolexpr"
-	"noncanon/internal/core"
+	"noncanon/internal/broker"
 	"noncanon/internal/event"
-	"noncanon/internal/index"
 	"noncanon/internal/obs"
 	"noncanon/internal/predicate"
 )
@@ -36,9 +35,7 @@ func (r *recorder) ofKind(k Kind) []sentMsg {
 	return out
 }
 
-func newEngine() *core.Engine {
-	return core.New(predicate.NewRegistry(), index.New(), core.Options{})
-}
+func newBroker() *broker.Broker { return broker.New(broker.Options{}) }
 
 func band(c, hi int) boolexpr.Expr {
 	return boolexpr.NewAnd(
@@ -54,7 +51,7 @@ func bandEvent(c, price int) event.Event {
 func newRouter(t *testing.T, links int, coverOn bool) (*Router, *recorder) {
 	t.Helper()
 	tr := &recorder{}
-	r := New(Config{Links: links, Cover: coverOn, Engine: newEngine(), Transport: tr})
+	r := New(Config{Links: links, Cover: coverOn, Broker: newBroker(), Transport: tr})
 	return r, tr
 }
 
@@ -109,34 +106,48 @@ func TestInstallErrorIsReturnedNotPanicked(t *testing.T) {
 }
 
 func TestEventRoutesToNextHopsOnly(t *testing.T) {
-	r, tr := newRouter(t, 3, false)
-	// Two subscriptions toward link 1, one local, none toward link 2.
-	if err := r.subscribe(1, band(1, 100), nil, 1); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name            string
+		links, to, from int // the event arrives over link from
+	}{
+		{"3 links", 3, 1, 2},
+		{"70 links", 70, 68, 3},
 	}
-	if err := r.subscribe(2, band(1, 50), nil, 1); err != nil {
-		t.Fatal(err)
-	}
-	var local int
-	if err := r.subscribe(3, band(1, 30), func(event.Event) { local++ }, -1); err != nil {
-		t.Fatal(err)
-	}
-	tr.sent = nil
-	trace := Trace{ID: 0xbeef, OriginNanos: 42}
-	r.routeEvent(Msg{Kind: Event, Ev: bandEvent(1, 10), Trace: trace}, 2)
-	evs := tr.ofKind(Event)
-	if len(evs) != 1 || evs[0].link != 1 {
-		t.Fatalf("event forwards = %+v, want exactly one over link 1", evs)
-	}
-	if evs[0].m.Hops != 1 || evs[0].m.Trace != trace {
-		t.Errorf("forwarded copy = hops %d trace %+v, want hops 1 trace %+v", evs[0].m.Hops, evs[0].m.Trace, trace)
-	}
-	if local != 1 {
-		t.Errorf("local deliveries = %d, want 1", local)
-	}
-	c := r.Counts()
-	if c.Forwarded != 1 || c.Delivered != 1 {
-		t.Errorf("Counts = %+v", c)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, tr := newRouter(t, c.links, false)
+			// Two subscriptions toward link to, one local, and one toward
+			// link from, where the event must not go back.
+			if err := r.subscribe(1, band(1, 100), nil, c.to); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.subscribe(2, band(1, 50), nil, c.to); err != nil {
+				t.Fatal(err)
+			}
+			var local int
+			if err := r.subscribe(3, band(1, 30), func(event.Event) { local++ }, -1); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.subscribe(4, band(1, 20), nil, c.from); err != nil {
+				t.Fatal(err)
+			}
+			tr.sent = nil
+			trace := Trace{ID: 0xbeef, OriginNanos: 42}
+			r.routeEvent(Msg{Kind: Event, Ev: bandEvent(1, 10), Trace: trace}, c.from)
+			evs := tr.ofKind(Event)
+			if len(evs) != 1 || evs[0].link != c.to {
+				t.Fatalf("event forwards = %+v, want exactly one over link %d", evs, c.to)
+			}
+			if evs[0].m.Hops != 1 || evs[0].m.Trace != trace {
+				t.Errorf("forwarded copy = hops %d trace %+v, want hops 1 trace %+v", evs[0].m.Hops, evs[0].m.Trace, trace)
+			}
+			if local != 1 {
+				t.Errorf("local deliveries = %d, want 1", local)
+			}
+			if n := r.Counts(); n.Forwarded != 1 || n.Delivered != 1 {
+				t.Errorf("Counts = %+v", n)
+			}
+		})
 	}
 }
 
@@ -477,8 +488,8 @@ func TestHandleEventMsgPreservesTrace(t *testing.T) {
 func TestRouterSharedRegistryTotals(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := &recorder{}
-	ra := New(Config{Links: 1, Engine: newEngine(), Transport: tr, Metrics: reg})
-	rb := New(Config{Links: 1, Engine: newEngine(), Transport: tr, Metrics: reg})
+	ra := New(Config{Links: 1, Broker: newBroker(), Transport: tr, Metrics: reg})
+	rb := New(Config{Links: 1, Broker: newBroker(), Transport: tr, Metrics: reg})
 	if err := ra.subscribe(1, band(1, 100), nil, -1); err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +525,8 @@ func TestSubscribeOnRemovedLinkIsDropped(t *testing.T) {
 
 // TestHandleDispatch pins Router.Handle: each kind reaches its handler, a
 // duplicate flood is an ErrDuplicate anomaly from any link including the
-// broker's own API, and an engine install failure is returned as is.
+// broker's own API, a broker install failure is returned as is, and a
+// retraction is honoured only from its route's next hop.
 func TestHandleDispatch(t *testing.T) {
 	r, tr := newRouter(t, 2, false)
 	var local int
@@ -535,7 +547,7 @@ func TestHandleDispatch(t *testing.T) {
 		xs[i] = boolexpr.Pred("a", predicate.Eq, int64(i))
 	}
 	if err := r.Handle(Msg{Kind: Sub, SubID: 3, Expr: boolexpr.And{Xs: xs}}, nil, -1); err == nil || errors.Is(err, ErrDuplicate) {
-		t.Errorf("install failure: err = %v, want the engine's error", err)
+		t.Errorf("install failure: err = %v, want the broker's error", err)
 	}
 	tr.sent = nil
 	if err := r.Handle(Msg{Kind: Event, Ev: bandEvent(1, 5)}, nil, 0); err != nil {
@@ -543,6 +555,19 @@ func TestHandleDispatch(t *testing.T) {
 	}
 	if local != 1 || len(tr.ofKind(Event)) != 1 {
 		t.Errorf("event: %d local deliveries, %d forwards; want 1 and 1", local, len(tr.ofKind(Event)))
+	}
+	// A retraction from anywhere but the route's next hop names another
+	// node's subscription under the same ID: it is reported, not obeyed.
+	for _, m := range []struct {
+		id   uint64
+		from int
+	}{{2, 0}, {2, -1}, {1, 0}} {
+		if err := r.Handle(Msg{Kind: Unsub, SubID: m.id}, nil, m.from); err == nil || !r.HasRoute(m.id) {
+			t.Errorf("Unsub %d from %d: err = %v, route kept %v; want an error and the route kept", m.id, m.from, err, r.HasRoute(m.id))
+		}
+	}
+	if len(tr.ofKind(Unsub)) != 0 {
+		t.Errorf("misdirected retractions were flooded: %+v", tr.ofKind(Unsub))
 	}
 	if err := r.Handle(Msg{Kind: Unsub, SubID: 2}, nil, 1); err != nil {
 		t.Fatal(err)
