@@ -9,8 +9,9 @@
 // Federation (-listen / -peer): this process IS one broker, federated with
 // other ncoverlay processes over real TCP using the wire protocol. Links
 // must form a tree across the deployment; each process contributes -subs
-// local subscriptions and publishes -events local events, then keeps
-// serving for -hold before printing its routing statistics.
+// local subscriptions, waits -settle for other processes' routes (no local
+// count can see them), publishes -events local events, then keeps serving
+// for -hold before printing its routing statistics.
 //
 //	# process-per-broker quickstart: a three-broker line on one machine
 //	ncoverlay -listen :7001 -id 1 -subs 50 -events 0 -hold 20s &
@@ -67,7 +68,7 @@ func main() {
 		listen = flag.String("listen", "", "federation mode: accept peer brokers on this address")
 		peers  = flag.String("peer", "", "federation mode: comma-separated parent broker addresses to link to")
 		id     = flag.Uint("id", 0, "federation mode: this broker's node ID (distinct per process; required)")
-		settle = flag.Duration("settle", 500*time.Millisecond, "federation mode: quiet window treated as quiescence")
+		settle = flag.Duration("settle", 500*time.Millisecond, "federation mode: wait this long after subscribing, for other processes' routes, before publishing")
 		hold   = flag.Duration("hold", 0, "federation mode: keep serving this long after the local workload")
 
 		highWater = flag.Int("link-highwater", 0, "per-link spill queue byte bound before event shedding starts (0 = default)")
@@ -134,6 +135,9 @@ type fedConfig struct {
 	Events int
 	Seed   int64
 	Cover  bool
+	// Settle is the fixed wait, after this broker's own routes are
+	// flushed, for other processes' routes to arrive before publishing:
+	// no local count can see those.
 	Settle time.Duration
 	Hold   time.Duration
 
@@ -190,7 +194,7 @@ func runFederated(w io.Writer, cfg fedConfig) error {
 		fmt.Fprintf(w, "broker %d listening on %s\n", cfg.ID, addr)
 	}
 	for _, p := range cfg.Peers {
-		if err := connectRetry(b, p); err != nil {
+		if err := connectRetry(b, p, dialRetry); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "broker %d linked to %s\n", cfg.ID, p)
@@ -203,7 +207,8 @@ func runFederated(w io.Writer, cfg fedConfig) error {
 			return err
 		}
 	}
-	b.Quiesce(cfg.Settle)
+	netoverlay.Flush(b)
+	time.Sleep(cfg.Settle)
 
 	var elapsed time.Duration
 	if cfg.Events > 0 {
@@ -213,13 +218,8 @@ func runFederated(w io.Writer, cfg fedConfig) error {
 				return err
 			}
 		}
-		b.Quiesce(cfg.Settle)
-		// Quiesce by construction spends its last cfg.Settle observing an
-		// already-quiet broker; don't bill that to throughput.
-		elapsed = time.Since(start) - cfg.Settle
-		if elapsed <= 0 {
-			elapsed = time.Millisecond
-		}
+		netoverlay.Flush(b)
+		elapsed = time.Since(start)
 	}
 	if cfg.Hold > 0 {
 		time.Sleep(cfg.Hold)
@@ -247,8 +247,10 @@ func runFederated(w io.Writer, cfg fedConfig) error {
 	return nil
 }
 
-func connectRetry(b *netoverlay.Broker, addr string) error {
-	deadline := time.Now().Add(dialRetry)
+// connectRetry links b to addr, retrying a refused dial until giveUp has
+// passed.
+func connectRetry(b *netoverlay.Broker, addr string, giveUp time.Duration) error {
+	deadline := time.Now().Add(giveUp)
 	for {
 		err := b.Connect(addr)
 		if err == nil {

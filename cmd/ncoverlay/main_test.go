@@ -125,14 +125,15 @@ func TestConnectRetryGivesUp(t *testing.T) {
 	b := netoverlay.NewBroker(netoverlay.Options{NodeID: 5})
 	defer b.Close()
 	// Nothing listens here; the retry loop must eventually fail, not hang.
+	const giveUp = 200 * time.Millisecond
 	done := make(chan error, 1)
-	go func() { done <- connectRetry(b, "127.0.0.1:1") }()
+	go func() { done <- connectRetry(b, "127.0.0.1:1", giveUp) }()
 	select {
 	case err := <-done:
 		if err == nil {
 			t.Error("connect to dead address succeeded")
 		}
-	case <-time.After(dialRetry + 10*time.Second):
+	case <-time.After(giveUp + 10*time.Second):
 		t.Fatal("connectRetry did not give up")
 	}
 }

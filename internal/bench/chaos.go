@@ -132,7 +132,7 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 	if _, err := greedy.Subscribe(chaosBand(1000), func(event.Event) {}); err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos subscribe greedy: %w", err)
 	}
-	netoverlay.Settle(federateSettle, root, healthy, greedy)
+	netoverlay.Flush(root, healthy, greedy)
 
 	// --- phase storm ---
 	heapBase := memmodel.HeapInuseBytes()
@@ -182,7 +182,7 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 	if h := memmodel.HeapInuseBytes(); h > heapPeak {
 		heapPeak = h
 	}
-	netoverlay.Settle(federateSettle, root, healthy)
+	netoverlay.Flush(root, healthy)
 
 	st = root.Stats()
 	storm.Shed, storm.SpilledBytes, storm.Evicted = st.Shed, st.SpilledBytes, st.Evicted
@@ -218,14 +218,14 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 	}); err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos subscribe post-evict: %w", err)
 	}
-	netoverlay.Settle(federateSettle, root, healthy)
+	netoverlay.Flush(root, healthy)
 	const evictEvents = 50
 	for i := 0; i < evictEvents; i++ {
 		if err := root.Publish(chaosEvent(15, i)); err != nil {
 			return ChaosResult{}, fmt.Errorf("bench: chaos evict publish: %w", err)
 		}
 	}
-	netoverlay.Settle(federateSettle, root, healthy)
+	netoverlay.Flush(root, healthy)
 	evict.Events = evictEvents
 	v = evictOracle.Verify(0, evictEvents)
 	evict.Expected, evict.Delivered, evict.Missing, evict.Duplicated =
@@ -267,7 +267,7 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 	}); err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos subscribe recover: %w", err)
 	}
-	netoverlay.Settle(federateSettle, root, healthy, reborn)
+	netoverlay.Flush(root, healthy, reborn)
 
 	recover := ChaosPhase{Phase: "recover"}
 	events := scaleCount(500, cfg.Scale)
@@ -276,7 +276,7 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 			return ChaosResult{}, fmt.Errorf("bench: chaos recover publish: %w", err)
 		}
 	}
-	netoverlay.Settle(federateSettle, root, healthy, reborn)
+	netoverlay.Flush(root, healthy, reborn)
 	recover.Events = events
 	for _, o := range []*chaos.Oracle{rebornOracle, recoverOracle} {
 		v = o.Verify(0, uint64(events))

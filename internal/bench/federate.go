@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -42,11 +41,6 @@ type FederateResult struct {
 	Events      int
 	Points      []FederatePoint
 }
-
-// federateSettle is the quiescence window for the loopback federation; it
-// is subtracted from measured elapsed time (Settle by construction spends
-// at least this long observing an already-quiet network).
-const federateSettle = 60 * time.Millisecond
 
 // federateNodeCounts returns the swept federation sizes (binary trees).
 func federateNodeCounts() []int { return []int{3, 7, 15} }
@@ -109,20 +103,8 @@ func federateRun(cfg Config, nodes, subs, events, pool int, coverOn bool) (event
 			}
 		}
 	}()
-	var anomalyMu sync.Mutex
-	var anomaly error
 	for i := range brokers {
-		brokers[i] = netoverlay.NewBroker(netoverlay.Options{
-			NodeID: uint32(i + 1),
-			Cover:  coverOn,
-			OnError: func(err error) {
-				anomalyMu.Lock()
-				if anomaly == nil {
-					anomaly = err
-				}
-				anomalyMu.Unlock()
-			},
-		})
+		brokers[i] = netoverlay.NewBroker(netoverlay.Options{NodeID: uint32(i + 1), Cover: coverOn})
 		addr, err := brokers[i].Listen("127.0.0.1:0")
 		if err != nil {
 			return 0, 0, 0, 0, fmt.Errorf("bench: federate listen: %w", err)
@@ -153,7 +135,7 @@ func federateRun(cfg Config, nodes, subs, events, pool int, coverOn bool) (event
 			return 0, 0, 0, 0, fmt.Errorf("bench: federate subscribe: %w", err)
 		}
 	}
-	netoverlay.Settle(federateSettle, brokers...)
+	netoverlay.Flush(brokers...)
 
 	evs := make([]event.Event, events)
 	for e := range evs {
@@ -169,11 +151,8 @@ func federateRun(cfg Config, nodes, subs, events, pool int, coverOn bool) (event
 			return 0, 0, 0, 0, fmt.Errorf("bench: federate publish: %w", err)
 		}
 	}
-	netoverlay.Settle(federateSettle, brokers...)
-	elapsed := time.Since(t0) - federateSettle
-	if elapsed <= 0 {
-		elapsed = time.Millisecond
-	}
+	netoverlay.Flush(brokers...)
+	elapsed := time.Since(t0)
 
 	// Exactly-once check against the naive oracle.
 	for s := range counts {
@@ -197,12 +176,6 @@ func federateRun(cfg Config, nodes, subs, events, pool int, coverOn bool) (event
 		if st.HopDropped != 0 || st.InstallErrors != 0 {
 			return 0, 0, 0, 0, fmt.Errorf("bench: federate node %d: drops/anomalies %+v", b.NodeID(), st)
 		}
-	}
-	anomalyMu.Lock()
-	firstAnomaly := anomaly
-	anomalyMu.Unlock()
-	if firstAnomaly != nil {
-		return 0, 0, 0, 0, fmt.Errorf("bench: federate routing anomaly: %w", firstAnomaly)
 	}
 	return float64(events) / elapsed.Seconds(), floodMsgs, suppressed, delivered, nil
 }

@@ -1,6 +1,7 @@
 package netoverlay
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,6 +48,44 @@ func TestCloseDuringDetachRace(t *testing.T) {
 	}
 }
 
+// TestQuiescentSeesFramesInFlight pins Flush's exactness over TCP: an
+// event written into a stalled relay sits in no broker's inbox or queue,
+// yet the two brokers are not quiescent until the leaf has read it.
+func TestQuiescentSeesFramesInFlight(t *testing.T) {
+	quiet := Options{PingInterval: -1, ReadIdleTimeout: -1, Logf: t.Logf}
+	quiet.NodeID = 1
+	hub := startBrokerOpts(t, quiet)
+	proxy, err := chaos.NewProxy(hub.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+	quiet.NodeID = 2
+	leaf := startBrokerOpts(t, quiet)
+	if err := leaf.Connect(proxy.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	got := newRecorder()
+	if _, err := leaf.Subscribe(band(1, 100), got.handler("leaf")); err != nil {
+		t.Fatal(err)
+	}
+	Flush(hub, leaf)
+
+	proxy.Stall()
+	if err := hub.Publish(bandEvent(1, 5).Set("seq", int64(1))); err != nil {
+		t.Fatal(err)
+	}
+	Flush(hub) // the leaf is outside the set: returns once the hub wrote the event
+	if quiescent([]*Broker{hub, leaf}) {
+		t.Fatal("quiescent with an event stalled between hub and leaf")
+	}
+	proxy.Resume()
+	Flush(hub, leaf)
+	if d := got.snapshot()["leaf"]; fmt.Sprint(d) != "[1]" {
+		t.Errorf("leaf delivered %v, want [1]: the event exactly once", d)
+	}
+}
+
 // TestHalfOpenPeerDetachedByIdleTimeout severs a link without FIN (a
 // stalled relay: connections stay open, nothing moves) and checks the
 // idle-read deadline detaches the silent peer and retracts its routes —
@@ -75,7 +114,7 @@ func TestHalfOpenPeerDetachedByIdleTimeout(t *testing.T) {
 	if _, err := leaf.Subscribe(band(1, 100), func(event.Event) {}); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, hub, leaf)
+	Flush(hub, leaf)
 
 	// While the leaf's pings flow, the link survives several idle windows.
 	time.Sleep(4 * 250 * time.Millisecond)
@@ -95,12 +134,12 @@ func TestHalfOpenPeerDetachedByIdleTimeout(t *testing.T) {
 
 	// The dead peer's routes are gone: publishing a matching event forwards
 	// nowhere.
-	Settle(settleIdle, hub)
+	Flush(hub)
 	before := hub.Stats().Forwarded
 	if err := hub.Publish(bandEvent(1, 5)); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, hub)
+	Flush(hub)
 	if after := hub.Stats().Forwarded; after != before {
 		t.Errorf("hub forwarded %d copies toward the half-open peer", after-before)
 	}
@@ -164,7 +203,7 @@ func TestSlowPeerShedsThenEvicted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, hub, slow, healthy)
+	Flush(hub, slow, healthy)
 
 	// Storm through the stalled relay until the monitor evicts the peer.
 	// Loopback socket buffers absorb megabytes before the spill queue fills
@@ -214,12 +253,12 @@ func TestSlowPeerShedsThenEvicted(t *testing.T) {
 
 	// Post-eviction, a matching event forwards only to the healthy peer and
 	// still arrives there.
-	Settle(settleIdle, hub, healthy)
+	Flush(hub, healthy)
 	before, healthyBefore := hub.Stats().Forwarded, healthyGot.Load()
 	if err := hub.Publish(bandEvent(1, 5).Set("seq", int64(9001))); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, hub, healthy)
+	Flush(hub, healthy)
 	if d := hub.Stats().Forwarded - before; d != 1 {
 		t.Errorf("hub forwarded %d copies after eviction, want 1 (healthy peer only)", d)
 	}

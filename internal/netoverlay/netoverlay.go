@@ -32,9 +32,10 @@
 // handshake rejects self-links, duplicate links to the same peer and
 // protocol-version mismatches — the local anomalies every cycle must
 // contain at least one of on a two-node loop — and a duplicate subscription
-// flood (impossible on a tree) is surfaced through Options.OnError as a
-// cycle warning. Keeping the global link set acyclic remains the
-// deployment's contract, exactly as in SIENA-style broker networks.
+// flood (impossible on a tree) is logged (Options.Logf) and counted in
+// Stats.InstallErrors as a cycle warning. Keeping the global link set
+// acyclic remains the deployment's contract, exactly as in SIENA-style
+// broker networks.
 package netoverlay
 
 import (
@@ -142,13 +143,9 @@ type Options struct {
 	// peers' pings keep the link active, so it should comfortably exceed
 	// the peers' PingInterval.
 	ReadIdleTimeout time.Duration
-	// Logf receives connection-level diagnostics; nil silences them.
+	// Logf receives connection-level diagnostics and routing anomalies;
+	// nil silences them.
 	Logf func(format string, args ...any)
-	// OnError receives routing anomalies (unparseable forwarded filters,
-	// install failures, duplicate floods, misdirected retractions).
-	// Called on broker goroutines; must not block. Anomalies are also
-	// counted in Stats.InstallErrors.
-	OnError func(err error)
 }
 
 // SubRef names a local subscription.
@@ -170,7 +167,9 @@ type Stats struct {
 	CoverSuppressed uint64
 	// HopDropped counts events discarded at the hop limit; zero on trees.
 	HopDropped uint64
-	// InstallErrors counts routing anomalies (see Options.OnError).
+	// InstallErrors counts routing anomalies: unparseable forwarded
+	// filters, install failures, duplicate floods, misdirected retractions.
+	// Each is also logged (Options.Logf).
 	InstallErrors uint64
 	// Shed counts events dropped at congested peer spill queues
 	// (Options.LinkHighWater).
@@ -213,12 +212,9 @@ type Broker struct {
 
 	nextSub   atomic.Uint64
 	localSubs sync.Map // sub id → struct{}, for Unsubscribe validation
-	activity  atomic.Uint64
 	traceSeq  atomic.Uint64
 
-	// flight is the in-flight message count shared by a Network's brokers
-	// (nil for a standalone broker); see Network.Flush.
-	flight *flight
+	enq, handled atomic.Uint64 // inbox counts for Flush (see quiescent)
 
 	// Observability: every counter below lives in reg (Options.Metrics or
 	// a private registry), so Stats and the exposition endpoint read the
@@ -243,11 +239,10 @@ type inMsg struct {
 }
 
 // NewBroker starts a federated broker (no links yet; see Listen/Connect).
-func NewBroker(opts Options) *Broker { return newBroker(opts, DefaultInboxSize, nil) }
+func NewBroker(opts Options) *Broker { return newBroker(opts, DefaultInboxSize) }
 
-// newBroker is NewBroker with the inbox capacity and a Network's shared
-// in-flight count (nil outside a Network) as parameters.
-func newBroker(opts Options, inboxSize int, fl *flight) *Broker {
+// newBroker is NewBroker with the inbox capacity as a parameter.
+func newBroker(opts Options, inboxSize int) *Broker {
 	if opts.LinkHighWater <= 0 {
 		opts.LinkHighWater = DefaultLinkHighWater
 	}
@@ -269,7 +264,6 @@ func newBroker(opts Options, inboxSize int, fl *flight) *Broker {
 		inbox:   make(chan inMsg, inboxSize),
 		peers:   make(map[uint32]*peer),
 		pending: make(map[net.Conn]struct{}),
-		flight:  fl,
 	}
 	b.reg = opts.Metrics
 	if b.reg == nil {
@@ -467,7 +461,9 @@ func (b *Broker) link(nc net.Conn, dialer bool) error {
 	b.mu.Unlock()
 	peerID, err := b.handshake(nc, dialer)
 	if err != nil {
-		b.unpend(nc)
+		b.mu.Lock()
+		delete(b.pending, nc)
+		b.mu.Unlock()
 		nc.Close()
 		return err
 	}
@@ -503,7 +499,7 @@ func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (SubRef, error) {
 	}
 	id := uint64(b.opts.NodeID)<<32 | (b.nextSub.Add(1) & 0xffffffff)
 	b.localSubs.Store(id, struct{}{})
-	if !b.send(inMsg{m: router.Msg{Kind: router.Sub, SubID: id, Expr: expr}, from: -1, h: h}) {
+	if !b.enqueue(inMsg{m: router.Msg{Kind: router.Sub, SubID: id, Expr: expr}, from: -1, h: h}) {
 		b.localSubs.Delete(id)
 		return SubRef{}, ErrClosed
 	}
@@ -518,7 +514,7 @@ func (b *Broker) Unsubscribe(ref SubRef) error {
 	if _, ok := b.localSubs.LoadAndDelete(ref.id); !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownSub, ref.id)
 	}
-	if !b.send(inMsg{m: router.Msg{Kind: router.Unsub, SubID: ref.id}, from: -1}) {
+	if !b.enqueue(inMsg{m: router.Msg{Kind: router.Unsub, SubID: ref.id}, from: -1}) {
 		return ErrClosed
 	}
 	return nil
@@ -542,7 +538,7 @@ func (b *Broker) Publish(ev event.Event) error {
 			m.Trace = router.Trace{ID: id, OriginNanos: time.Now().UnixNano()}
 		}
 	}
-	if !b.send(inMsg{m: m, from: -1}) {
+	if !b.enqueue(inMsg{m: m, from: -1}) {
 		return ErrClosed
 	}
 	return nil
@@ -594,77 +590,104 @@ func (b *Broker) Metrics() *obs.Registry { return b.reg }
 // events received by this broker (see Options.TraceSampleEvery).
 func (b *Broker) Traces() *obs.TraceRing { return b.ring }
 
-// Activity returns a monotone counter of broker work (messages processed,
-// frames written). Settle uses it to detect quiescence.
-func (b *Broker) Activity() uint64 { return b.activity.Load() }
+// Flush blocks until the given brokers are quiet: every routing message
+// they queued — API calls, the forwards those cascade into, frames on the
+// links among them — has been handled. It is exact over TCP and net.Pipe
+// alike: each broker counts messages into and out of its inbox, each
+// peer's spill queue and each connection, and Flush polls until one
+// snapshot of those counts balances (see quiescent). A link to a broker
+// outside the set is flushed once its queue is written; a link to a closed
+// broker in the set must first be detached and its routes retracted. Node
+// IDs in the set must be distinct. Flush returns once all are closed.
+func Flush(brokers ...*Broker) {
+	for d := 10 * time.Microsecond; !quiescent(brokers); d = min(2*d, time.Millisecond) {
+		time.Sleep(d)
+	}
+}
 
-// idle reports whether nothing is queued locally: the inbox is empty and
-// every peer spill queue is drained.
-func (b *Broker) idle() bool {
-	if len(b.inbox) != 0 {
-		return false
+// wave is one side of a broker's counts: its inbox count and, by peer node
+// ID, each live link's spill-queue and connection counts.
+type wave struct {
+	inbox uint64
+	links map[uint32]linkCount
+}
+
+type linkCount struct {
+	p           *peer
+	queue, conn uint64
+}
+
+// read takes the receive (handled, drained, read) or send (enq, pushed,
+// written) side of b's counts; nil once b is closed and its queues dropped.
+func (b *Broker) read(recv bool) *wave {
+	if b.closed.Load() {
+		return nil
+	}
+	w := &wave{inbox: b.enq.Load(), links: make(map[uint32]linkCount)}
+	if recv {
+		w.inbox = b.handled.Load()
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, p := range b.peers {
-		if p.out.Len() != 0 {
+	for id, p := range b.peers {
+		if recv {
+			w.links[id] = linkCount{p, p.drained.Load(), p.read.Load()}
+		} else {
+			w.links[id] = linkCount{p, p.pushed.Load(), p.written.Load()}
+		}
+	}
+	return w
+}
+
+// quiescent reports whether one snapshot of the brokers' counts balances
+// (counter-based termination detection, after Mattern 1987). All receive
+// counts are read first, then all send counts. Counts only grow, a send is
+// counted before its message can be received, and a message's own sends
+// before its receive. So if every channel's counts are equal, then between
+// the two waves nothing was in flight and no broker held a message, and
+// nothing can be sent any more.
+func quiescent(brokers []*Broker) bool {
+	for _, b := range brokers { // a busy inbox fails fast, before any wave
+		if b.handled.Load() != b.enq.Load() && !b.closed.Load() {
 			return false
+		}
+	}
+	recv := make([]*wave, len(brokers))
+	for i, b := range brokers {
+		recv[i] = b.read(true)
+	}
+	send := make([]*wave, len(brokers))
+	byID := make(map[uint32]int, len(brokers))
+	for i, b := range brokers {
+		send[i] = b.read(false)
+		byID[b.opts.NodeID] = i
+	}
+	for i, b := range brokers {
+		r, s := recv[i], send[i]
+		if r == nil || s == nil {
+			continue
+		}
+		if r.inbox != s.inbox || len(r.links) != len(s.links) {
+			return false
+		}
+		for id, out := range s.links {
+			if in := r.links[id]; in.p != out.p || in.queue != out.queue {
+				return false
+			}
+			j, inSet := byID[id]
+			if !inSet {
+				continue // flushed once its queue is written
+			}
+			if recv[j] == nil || send[j] == nil {
+				return false // closed far end: detach and retract first
+			}
+			if far, ok := recv[j].links[b.opts.NodeID]; !ok || far.conn != out.conn {
+				return false
+			}
 		}
 	}
 	return true
 }
-
-// Settle blocks until the given brokers have been jointly quiet — no
-// activity anywhere, nothing queued — for the idle window. It is the timed
-// stand-in for Network.Flush when TCP-linked brokers share a process
-// (tests and benchmarks); it returns early if every broker closes. The
-// window must comfortably exceed the links' one-hop latency; loopback
-// tests are fine with tens of milliseconds.
-func Settle(idle time.Duration, brokers ...*Broker) {
-	if idle <= 0 {
-		idle = 50 * time.Millisecond
-	}
-	sum := func() uint64 {
-		var s uint64
-		for _, b := range brokers {
-			s += b.Activity()
-		}
-		return s
-	}
-	allIdle := func() bool {
-		for _, b := range brokers {
-			if !b.closed.Load() && !b.idle() {
-				return false
-			}
-		}
-		return true
-	}
-	anyOpen := func() bool {
-		for _, b := range brokers {
-			if !b.closed.Load() {
-				return true
-			}
-		}
-		return false
-	}
-	last := sum()
-	lastChange := time.Now()
-	for anyOpen() {
-		time.Sleep(idle / 8)
-		if cur := sum(); cur != last {
-			last, lastChange = cur, time.Now()
-			continue
-		}
-		if allIdle() && time.Since(lastChange) >= idle {
-			return
-		}
-	}
-}
-
-// Quiesce blocks until this broker alone has been quiet for the idle
-// window. Other federation members may still be working; use Settle when
-// all brokers share the process.
-func (b *Broker) Quiesce(idle time.Duration) { Settle(idle, b) }
 
 // Close stops the broker: the listener, every peer link and all goroutines.
 func (b *Broker) Close() error {
@@ -672,7 +695,6 @@ func (b *Broker) Close() error {
 		return nil
 	}
 	close(b.quit)
-	b.flight.abort()
 	b.mu.Lock()
 	ln := b.ln
 	peers := make([]*peer, 0, len(b.peers))
@@ -697,17 +719,11 @@ func (b *Broker) Close() error {
 	return b.bk.Close()
 }
 
-// send enqueues a routing message from the local API, counted in flight
-// until the broker goroutine has handled it.
-func (b *Broker) send(m inMsg) bool {
-	b.flight.add(1)
-	return b.enqueue(m)
-}
-
 // enqueue delivers one message to the broker inbox; false once closed.
 // External callers (API, peer readers) may block on a full inbox — the
 // broker goroutine itself never calls this, so the block always resolves.
 func (b *Broker) enqueue(m inMsg) bool {
+	b.enq.Add(1)
 	select {
 	case b.inbox <- m:
 		return true
@@ -722,28 +738,22 @@ func (b *Broker) run() {
 	for {
 		select {
 		case m := <-b.inbox:
-			b.activity.Add(1)
 			if m.ctl != nil {
 				m.ctl()
-				continue
-			}
-			if err := b.rt.Handle(m.m, m.h, m.from); err != nil {
+			} else if err := b.rt.Handle(m.m, m.h, m.from); err != nil {
 				b.anomaly(err)
 			}
-			b.flight.add(-1)
+			b.handled.Add(1)
 		case <-b.quit:
 			return
 		}
 	}
 }
 
-// anomaly surfaces a routing error as a counted stat plus the callback.
+// anomaly surfaces a routing error as a counted stat and a log line.
 func (b *Broker) anomaly(err error) {
 	b.installErrors.Inc()
 	b.opts.Logf("netoverlay: node %d: %v", b.opts.NodeID, err)
-	if b.opts.OnError != nil {
-		b.opts.OnError(err)
-	}
 }
 
 // brokerTransport adapts peer spill queues to the router's non-blocking
@@ -756,17 +766,11 @@ func (t *brokerTransport) Send(link int, m router.Msg) {
 		return
 	}
 	if p := b.links[link]; p != nil {
-		// Counted before the push: the far side may handle the message
-		// before EnqueueMsg even returns.
-		b.flight.add(1)
+		// Counted before the push: the writer may drain the message before
+		// EnqueueMsg even returns.
+		p.pushed.Add(1)
 		if !router.EnqueueMsg(p.out, m) {
-			b.flight.add(-1)
+			p.drained.Add(1)
 		}
 	}
-}
-
-func (b *Broker) unpend(nc net.Conn) {
-	b.mu.Lock()
-	delete(b.pending, nc)
-	b.mu.Unlock()
 }

@@ -19,13 +19,6 @@ import (
 	"noncanon/internal/wire"
 )
 
-// settleIdle is the quiet window tests hand to Settle. Settle cannot see
-// bytes buffered inside a TCP socket, so the window must exceed the worst
-// reader-goroutine starvation the host inflicts; race-instrumented builds
-// (see settle_race_test.go) are slow enough under a parallel full-suite
-// run to starve a reader past 75 ms.
-const settleIdle = 75 * time.Millisecond * settleRaceFactor
-
 func band(c, hi int) boolexpr.Expr {
 	return boolexpr.NewAnd(
 		boolexpr.Pred("cat", predicate.Eq, int64(c)),
@@ -380,24 +373,24 @@ func TestPeerDisconnectRetractsRoutes(t *testing.T) {
 	if _, err := brokers[2].Subscribe(band(1, 100), func(event.Event) {}); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, brokers...)
+	Flush(brokers...)
 	if before := brokers[0].Stats(); before.Peers != 2 {
 		t.Fatalf("hub peers = %d, want 2", before.Peers)
 	}
 
 	brokers[2].Close()
-	// The hub notices the dead link and retracts; give it a settle window.
-	deadline := time.Now().Add(10 * time.Second)
-	for brokers[0].Stats().Peers != 1 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	// With the closed broker in the set, Flush waits for the hub to notice
+	// the dead link and retract its routes.
+	Flush(brokers...)
+	if peers := brokers[0].Stats().Peers; peers != 1 {
+		t.Fatalf("hub peers = %d after flush, want 1", peers)
 	}
-	Settle(settleIdle, brokers[0], brokers[1])
 
 	before := brokers[0].Stats().Forwarded
 	if err := brokers[0].Publish(bandEvent(1, 5)); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, brokers[0], brokers[1])
+	Flush(brokers...)
 	if after := brokers[0].Stats().Forwarded; after != before {
 		t.Errorf("hub still forwarded %d copies toward the dead subscriber", after-before)
 	}
@@ -411,10 +404,8 @@ func TestPeerDisconnectRetractsRoutes(t *testing.T) {
 // its first, a different filter, reuses X's ID. That subscription must be
 // installed everywhere, and retracting it must not retract Y at broker 2.
 func TestCoverRestartedOriginReusesID(t *testing.T) {
-	var anomalies atomic.Int64
 	start := func(id uint32) *Broker {
-		return startBrokerOpts(t, Options{NodeID: id, Cover: true, Logf: t.Logf,
-			OnError: func(error) { anomalies.Add(1) }})
+		return startBrokerOpts(t, Options{NodeID: id, Cover: true, Logf: t.Logf})
 	}
 	hub, edge, origin := start(1), start(2), start(4)
 	for _, b := range []*Broker{edge, origin} {
@@ -425,18 +416,15 @@ func TestCoverRestartedOriginReusesID(t *testing.T) {
 	if _, err := origin.Subscribe(band(1, 100), func(event.Event) {}); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, hub, edge, origin)
+	Flush(hub, edge, origin)
 	var hubGot atomic.Int64
 	if _, err := hub.Subscribe(band(1, 100), func(event.Event) { hubGot.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, hub, edge, origin)
+	Flush(hub, edge, origin)
 
 	origin.Close()
-	for deadline := time.Now().Add(10 * time.Second); hub.Stats().Peers != 1 && time.Now().Before(deadline); {
-		time.Sleep(10 * time.Millisecond)
-	}
-	Settle(settleIdle, hub, edge)
+	Flush(hub, edge, origin) // the hub detaches origin and retracts its routes
 	restarted := start(4)
 	if err := restarted.Connect(hub.Addr().String()); err != nil {
 		t.Fatal(err)
@@ -446,14 +434,14 @@ func TestCoverRestartedOriginReusesID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, hub, edge, restarted)
+	Flush(hub, edge, restarted)
 
 	publish := func(ev event.Event) {
 		t.Helper()
 		if err := edge.Publish(ev); err != nil {
 			t.Fatal(err)
 		}
-		Settle(settleIdle, hub, edge, restarted)
+		Flush(hub, edge, restarted)
 	}
 	publish(bandEvent(2, 5))
 	publish(bandEvent(1, 5))
@@ -463,13 +451,17 @@ func TestCoverRestartedOriginReusesID(t *testing.T) {
 	if err := restarted.Unsubscribe(ref); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, hub, edge, restarted)
+	Flush(hub, edge, restarted)
 	publish(bandEvent(1, 6))
 	if got := hubGot.Load(); got != 2 {
 		t.Errorf("hub's subscription got %d events from the edge, want 2", got)
 	}
-	if n := anomalies.Load(); n != 0 {
-		t.Errorf("%d routing anomalies, want 0", n)
+	var anomalies uint64
+	for _, b := range []*Broker{hub, edge, origin, restarted} {
+		anomalies += b.Stats().InstallErrors
+	}
+	if anomalies != 0 {
+		t.Errorf("%d routing anomalies, want 0", anomalies)
 	}
 }
 
@@ -478,19 +470,18 @@ func TestCoverRestartedOriginReusesID(t *testing.T) {
 func TestFederationGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	brokers := buildTree(t, 5, true)
-	var delivered sync.WaitGroup
-	delivered.Add(1)
-	var once sync.Once
-	if _, err := brokers[4].Subscribe(band(1, 100), func(event.Event) {
-		once.Do(delivered.Done)
-	}); err != nil {
+	var delivered atomic.Int64
+	if _, err := brokers[4].Subscribe(band(1, 100), func(event.Event) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	Settle(settleIdle, brokers...)
+	Flush(brokers...)
 	if err := brokers[0].Publish(bandEvent(1, 5)); err != nil {
 		t.Fatal(err)
 	}
-	delivered.Wait()
+	Flush(brokers...)
+	if n := delivered.Load(); n != 1 {
+		t.Errorf("delivered %d times, want once", n)
+	}
 	for _, b := range brokers {
 		b.Close()
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 )
 
 // ErrNotATree rejects a Network topology that is not a connected acyclic
@@ -17,8 +16,7 @@ var ErrNotATree = errors.New("netoverlay: topology must be a connected acyclic g
 // registry; drive it through Node(i). Subscriptions made at a node can
 // only be retracted there.
 type Network struct {
-	nodes  []*Broker
-	flight *flight
+	nodes []*Broker
 }
 
 // NewNetwork builds n brokers linked by the given undirected edges, which
@@ -40,12 +38,11 @@ func newNetwork(n int, edges [][2]int, opts Options, inboxSize int) (*Network, e
 	if err := validateTree(n, edges); err != nil {
 		return nil, err
 	}
-	nw := &Network{nodes: make([]*Broker, n), flight: &flight{}}
-	nw.flight.zero.L = &nw.flight.mu
+	nw := &Network{nodes: make([]*Broker, n)}
 	for i := range nw.nodes {
 		o := opts
 		o.NodeID = uint32(i + 1)
-		nw.nodes[i] = newBroker(o, inboxSize, nw.flight)
+		nw.nodes[i] = newBroker(o, inboxSize)
 	}
 	// Links attach in edge order, so every run numbers a node's links
 	// alike. The pipe is synchronous: both hellos need both sides running.
@@ -128,11 +125,8 @@ func validateTree(n int, edges [][2]int) error {
 // Node returns broker i (node ID i+1).
 func (nw *Network) Node(i int) *Broker { return nw.nodes[i] }
 
-// Flush blocks until every routing message queued anywhere in the network
-// — API calls and the forwards they cascade into — has been handled. It
-// returns early once the network closes or any link detaches, because the
-// messages queued toward a dead link will never be handled.
-func (nw *Network) Flush() { nw.flight.wait() }
+// Flush is the package-level Flush over every node of the network.
+func (nw *Network) Flush() { Flush(nw.nodes...) }
 
 // Stats sums the nodes' statistics. Every node's effects are read before
 // any node's Published, so even mid-storm the sums reconcile: a forward or
@@ -149,7 +143,7 @@ func (nw *Network) Stats() Stats {
 }
 
 // Close stops every broker and waits for their goroutines. Queued messages
-// are discarded; Flush calls in progress return.
+// are discarded; Flush calls in progress return once every node is closed.
 func (nw *Network) Close() {
 	for _, b := range nw.nodes {
 		b.Close()
@@ -170,46 +164,4 @@ func (s *Stats) addEffects(o Stats) {
 	s.QueuedBytes += o.QueuedBytes
 	s.Evicted += o.Evicted
 	s.Peers += o.Peers
-}
-
-// flight counts the routing messages queued anywhere in one Network: +1
-// when an API call or a router Send queues one, -1 when the receiving
-// broker goroutine has handled it or a reader drops its frame. A nil
-// flight (a standalone broker) counts nothing.
-type flight struct {
-	mu     sync.Mutex
-	zero   sync.Cond // L is &mu
-	n      int64
-	broken bool // a node closed or a link detached: n can never settle
-}
-
-func (f *flight) add(d int64) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.n += d
-	if f.n == 0 {
-		f.zero.Broadcast()
-	}
-	f.mu.Unlock()
-}
-
-// abort releases every waiter for good.
-func (f *flight) abort() {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.broken = true
-	f.zero.Broadcast()
-	f.mu.Unlock()
-}
-
-func (f *flight) wait() {
-	f.mu.Lock()
-	for f.n != 0 && !f.broken {
-		f.zero.Wait()
-	}
-	f.mu.Unlock()
 }

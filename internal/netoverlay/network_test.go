@@ -498,8 +498,8 @@ func TestRegistrationStormInboxOne(t *testing.T) {
 
 // TestFlushReturnsAfterClose pins Flush's liveness: messages queued when
 // the network closes are discarded, so a Flush that raced Close (or
-// follows it) must return instead of waiting on an in-flight count that
-// will never reach zero.
+// follows it) must return instead of waiting on counts that will never
+// balance.
 func TestFlushReturnsAfterClose(t *testing.T) {
 	nw, err := newNetwork(4, LineEdges(4), Options{}, 1)
 	if err != nil {
@@ -521,12 +521,9 @@ func TestFlushReturnsAfterClose(t *testing.T) {
 		}
 	}
 	// The handler keeps the first event it gets until block closes, so the
-	// in-flight count cannot reach zero before then.
-	nw.flight.mu.Lock()
-	inFlight := nw.flight.n
-	nw.flight.mu.Unlock()
-	if inFlight == 0 {
-		t.Fatal("nothing in flight behind a wedged handler")
+	// network cannot be quiescent before then.
+	if quiescent(nw.nodes) {
+		t.Fatal("quiescent behind a wedged handler")
 	}
 
 	flushed := make(chan struct{})

@@ -6,6 +6,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"noncanon/internal/obs"
@@ -45,6 +46,10 @@ type peer struct {
 	// done closes when the link tears down (detach or shutdown), stopping
 	// the ping loop.
 	done chan struct{}
+
+	// Flush counts: spill queue in (pushed) and out (drained: written or
+	// refused), connection frames out (written) and in (read), pings too.
+	pushed, drained, written, read atomic.Uint64
 
 	closeOnce sync.Once
 }
@@ -97,10 +102,11 @@ func (b *Broker) handshake(nc net.Conn, dialer bool) (uint32, error) {
 	return peerID, nil
 }
 
-// attach registers a handshaken connection as a live link: it claims the
-// peer's node ID (vetoing duplicate links), asks the broker goroutine for a
-// router link, starts the reader and writer and floods existing routes over
-// the fresh link. Blocks until the link is live.
+// attach makes a handshaken connection a live link. The broker goroutine
+// claims the peer's node ID (vetoing duplicate links), assigns a router
+// link, starts the reader and writer and floods existing routes over the
+// fresh link, all inside one inbox message: Flush never sees a link whose
+// route flood is not yet counted. Blocks until the link is live.
 func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 	p := &peer{
 		b:      b,
@@ -109,36 +115,36 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 		out:    router.NewFlowQueue(router.EstimateMsgBytes, b.opts.LinkHighWater, 0),
 		done:   make(chan struct{}),
 	}
-	b.mu.Lock()
-	delete(b.pending, nc)
-	if b.closed.Load() {
-		b.mu.Unlock()
-		nc.Close()
-		return ErrClosed
-	}
-	if _, dup := b.peers[peerID]; dup {
-		b.mu.Unlock()
-		nc.Close()
-		return fmt.Errorf("%w: already linked to node %d (duplicate link would close a cycle)", ErrHandshake, peerID)
-	}
-	b.peers[peerID] = p
-	b.mu.Unlock()
-
-	// Per-peer instruments. The counter is get-or-create: a peer that
-	// detaches and relinks resumes its own series. The function
-	// instruments are views over this link's spill queue; registering
-	// again replaces a stale closure left by a previous incarnation, and
-	// detach removes them.
-	p.fwd = b.reg.Counter(peerInstrument("netoverlay_peer_forwarded_total", peerID))
-	b.reg.GaugeFunc(peerInstrument("netoverlay_peer_queue_bytes", peerID), func() int64 {
-		return int64(p.out.Stats().Bytes)
-	})
-	b.reg.CounterFunc(peerInstrument("netoverlay_peer_shed_total", peerID), func() uint64 {
-		return p.out.Stats().Shed
-	})
-
-	attached := make(chan struct{})
+	attached := make(chan error, 1)
 	ok := b.enqueue(inMsg{ctl: func() {
+		b.mu.Lock()
+		if b.closed.Load() { // Close closes nc: it is still pending
+			b.mu.Unlock()
+			attached <- ErrClosed
+			return
+		}
+		delete(b.pending, nc)
+		if _, dup := b.peers[peerID]; dup {
+			b.mu.Unlock()
+			nc.Close()
+			attached <- fmt.Errorf("%w: already linked to node %d (duplicate link would close a cycle)", ErrHandshake, peerID)
+			return
+		}
+		b.peers[peerID] = p
+		b.mu.Unlock()
+
+		// Per-peer instruments. The counter is get-or-create: a peer that
+		// detaches and relinks resumes its own series. The function
+		// instruments are views over this link's spill queue; registering
+		// again replaces a stale closure left by a previous incarnation,
+		// and detach removes them.
+		p.fwd = b.reg.Counter(peerInstrument("netoverlay_peer_forwarded_total", peerID))
+		b.reg.GaugeFunc(peerInstrument("netoverlay_peer_queue_bytes", peerID), func() int64 {
+			return int64(p.out.Stats().Bytes)
+		})
+		b.reg.CounterFunc(peerInstrument("netoverlay_peer_shed_total", peerID), func() uint64 {
+			return p.out.Stats().Shed
+		})
 		// b.links and the router's links grow in step, so the link's index
 		// is known before AddLink floods the known routes over it.
 		p.link = b.rt.NumLinks()
@@ -151,19 +157,17 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 			go p.pingLoop()
 		}
 		b.rt.AddLink()
-		close(attached)
+		attached <- nil
 	}})
 	if !ok {
-		b.mu.Lock()
-		delete(b.peers, peerID)
-		b.mu.Unlock()
-		nc.Close()
-		return ErrClosed
+		return ErrClosed // nc is still pending: Close closes it
 	}
 	select {
-	case <-attached:
-		b.opts.Logf("netoverlay: node %d: linked to node %d (%s)", b.opts.NodeID, peerID, nc.RemoteAddr())
-		return nil
+	case err := <-attached:
+		if err == nil {
+			b.opts.Logf("netoverlay: node %d: linked to node %d (%s)", b.opts.NodeID, peerID, nc.RemoteAddr())
+		}
+		return err
 	case <-b.quit:
 		return ErrClosed
 	}
@@ -174,13 +178,23 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 // the federation stops routing events this way.
 func (p *peer) detach(reason error) {
 	p.closeOnce.Do(func() {
-		// Messages queued toward the dead link are gone: a Network's Flush
-		// stops waiting for them.
-		p.b.flight.abort()
 		close(p.done)
 		p.nc.Close()
 		qs := p.out.Stats()
 		p.out.Close()
+		if reason != nil {
+			p.b.opts.Logf("netoverlay: node %d: peer %d detached: %v", p.b.opts.NodeID, p.nodeID, reason)
+		}
+		// Route retraction runs on the broker goroutine, queued before the
+		// link leaves the peer table so Flush never sees the link gone and
+		// its retraction uncounted. Skipped when the whole broker is going
+		// down: Close is tearing the routing table down, and would race it.
+		if !p.b.closed.Load() {
+			p.b.enqueue(inMsg{ctl: func() {
+				p.b.links[p.link] = nil
+				p.b.rt.RemoveLink(p.link)
+			}})
+		}
 		p.b.mu.Lock()
 		delete(p.b.peers, p.nodeID)
 		// Fold the dead queue's cumulative counters into the broker so
@@ -194,18 +208,6 @@ func (p *peer) detach(reason error) {
 		// detachedShed above.
 		p.b.reg.Unregister(peerInstrument("netoverlay_peer_queue_bytes", p.nodeID))
 		p.b.reg.Unregister(peerInstrument("netoverlay_peer_shed_total", p.nodeID))
-		if reason != nil {
-			p.b.opts.Logf("netoverlay: node %d: peer %d detached: %v", p.b.opts.NodeID, p.nodeID, reason)
-		}
-		// Route retraction must run on the broker goroutine; skip it when
-		// the whole broker is going down anyway — Close is already tearing
-		// the routing table down, and the enqueue would race with it.
-		if !p.b.closed.Load() {
-			p.b.enqueue(inMsg{ctl: func() {
-				p.b.links[p.link] = nil
-				p.b.rt.RemoveLink(p.link)
-			}})
-		}
 	})
 }
 
@@ -248,16 +250,12 @@ func (p *peer) readLoop() {
 				p.detach(err)
 				return
 			}
-			expr, err := sublang.Parse(filter)
-			if err != nil {
+			if expr, err := sublang.Parse(filter); err != nil {
 				// A filter we cannot parse would silently black-hole a
 				// subscriber; count it loudly and keep the link (the peer's
 				// other traffic is fine).
 				p.b.anomaly(fmt.Errorf("netoverlay: unparseable filter from node %d for sub %d: %w", p.nodeID, subID, err))
-				p.b.flight.add(-1)
-				continue
-			}
-			if !p.b.enqueue(inMsg{m: router.Msg{Kind: router.Sub, SubID: subID, Expr: expr}, from: p.link}) {
+			} else if !p.b.enqueue(inMsg{m: router.Msg{Kind: router.Sub, SubID: subID, Expr: expr}, from: p.link}) {
 				return
 			}
 		case wire.MsgUnsubForward:
@@ -307,6 +305,7 @@ func (p *peer) readLoop() {
 			p.detach(fmt.Errorf("netoverlay: unexpected frame type 0x%02x from node %d", typ, p.nodeID))
 			return
 		}
+		p.read.Add(1)
 	}
 }
 
@@ -336,13 +335,14 @@ func (p *peer) writeLoop() {
 			buf = wire.AppendEventForwardTrace(buf, uint8(m.Hops), m.Ev, m.Trace.ID, m.Trace.OriginNanos)
 			p.fwd.Inc()
 		default:
+			p.drained.Add(1)
 			continue
 		}
 		if err := p.writeFrame(typ, buf); err != nil {
 			p.detach(err)
 			return
 		}
-		p.b.activity.Add(1)
+		p.drained.Add(1)
 	}
 }
 
@@ -351,6 +351,7 @@ func (p *peer) writeLoop() {
 func (p *peer) writeFrame(typ byte, payload []byte) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
+	p.written.Add(1)
 	p.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 	return wire.WriteFrame(p.nc, typ, payload)
 }

@@ -164,13 +164,6 @@ func (q *Queue[T]) Pop() (item T, ok bool) {
 	return item, true
 }
 
-// Len reports the queued item count.
-func (q *Queue[T]) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}
-
 // Stats returns an accounting snapshot.
 func (q *Queue[T]) Stats() QueueStats {
 	q.mu.Lock()

@@ -141,8 +141,8 @@ func TestQueueRingWrapsFIFO(t *testing.T) {
 		}
 		want++
 	}
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after drain", q.Len())
+	if n := q.Stats().Items; n != 0 {
+		t.Fatalf("Items = %d after drain", n)
 	}
 }
 

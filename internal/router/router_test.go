@@ -266,8 +266,8 @@ func TestQueueFIFOAndClose(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q.Push(i)
 	}
-	if q.Len() != 100 {
-		t.Fatalf("Len = %d", q.Len())
+	if n := q.Stats().Items; n != 100 {
+		t.Fatalf("Items = %d", n)
 	}
 	for i := 0; i < 100; i++ {
 		v, ok := q.Pop()
