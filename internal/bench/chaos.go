@@ -76,7 +76,7 @@ func chaosEvent(price int64, seq int) event.Event {
 //
 // Phase storm: the relay freezes (a half-open peer: connections open,
 // nothing moves) and the root publishes padded wide-matching events until
-// flow control sheds and the congestion monitor evicts the peer — while
+// flow control sheds and the link's clock evicts the peer — while
 // interleaved heartbeat events prove the healthy subscriber still gets
 // exactly-once delivery and the live heap stays bounded by the watermark
 // budget, not the storm size (the old unbounded queue grew linearly here).
@@ -165,7 +165,7 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 			break
 		}
 		if i%50 == 49 {
-			// Sustained congestion needs wall time for the monitor to see.
+			// Sustained congestion needs wall time for the link clock to see.
 			time.Sleep(time.Millisecond)
 		}
 		if i%2000 == 1999 {
@@ -175,7 +175,7 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 		}
 	}
 	// The storm stops at eviction; if the cap ran out first the congestion
-	// is durable by now, so give the monitor one deadline's grace.
+	// is durable by now, so give the link clock one deadline's grace.
 	for end := time.Now().Add(10 * chaosDeadline); root.Stats().Evicted == 0 && time.Now().Before(end); {
 		time.Sleep(chaosDeadline / 10)
 	}

@@ -86,6 +86,84 @@ func TestQuiescentSeesFramesInFlight(t *testing.T) {
 	}
 }
 
+// TestFastPingsKeepFlushExact runs subscribe/publish rounds while every
+// link pings each millisecond, on a 3-node Network and on one TCP pair.
+// Pings share the spill queue and the connection with routing traffic, so
+// each Flush must still return and find every delivery made exactly once.
+func TestFastPingsKeepFlushExact(t *testing.T) {
+	fast := Options{PingInterval: time.Millisecond, Logf: t.Logf}
+	t.Run("network", func(t *testing.T) {
+		nw := newNet(t, 3, LineEdges(3), fast)
+		pingRounds(t, []*Broker{nw.Node(0), nw.Node(1), nw.Node(2)})
+	})
+	t.Run("tcp", func(t *testing.T) {
+		fast.NodeID = 1
+		a := startBrokerOpts(t, fast)
+		fast.NodeID = 2
+		b := startBrokerOpts(t, fast)
+		if err := b.Connect(a.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		pingRounds(t, []*Broker{a, b})
+	})
+}
+
+// pingRounds subscribes at one broker per round, retracts the subscription
+// made len(brokers) rounds earlier and publishes once at every broker,
+// with a Flush after each step. It checks the deliveries after every round,
+// and stops once the links have written at least 30 pings.
+func pingRounds(t *testing.T, brokers []*Broker) {
+	n := len(brokers)
+	got, want := newRecorder(), map[string][]int64{}
+	refs := map[int]SubRef{}
+	for r := 0; pingsWritten(brokers) < 30; r++ {
+		if r == 10000 {
+			t.Fatalf("%d pings written after %d rounds", pingsWritten(brokers), r)
+		}
+		if old, ok := refs[r-n]; ok {
+			if err := brokers[r%n].Unsubscribe(old); err != nil {
+				t.Fatal(err)
+			}
+			delete(refs, r-n)
+		}
+		ref, err := brokers[r%n].Subscribe(band(1, 100), got.handler(fmt.Sprint(r)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[r] = ref
+		Flush(brokers...)
+		for i, b := range brokers {
+			seq := int64(r*n + i)
+			if err := b.Publish(bandEvent(1, 5).Set("seq", seq)); err != nil {
+				t.Fatal(err)
+			}
+			for k := range refs {
+				want[fmt.Sprint(k)] = append(want[fmt.Sprint(k)], seq)
+			}
+		}
+		Flush(brokers...)
+		if d := got.snapshot(); fmt.Sprint(d) != fmt.Sprint(want) {
+			t.Fatalf("round %d: delivered %v, want %v", r, d, want)
+		}
+	}
+}
+
+// pingsWritten is how many frames the brokers' links have written beyond
+// their routing messages; after a Flush those are all written.
+func pingsWritten(brokers []*Broker) uint64 {
+	var n uint64
+	for _, b := range brokers {
+		b.mu.Lock()
+		for _, p := range b.peers {
+			n += p.written.Load()
+		}
+		b.mu.Unlock()
+		st := b.Stats()
+		n -= st.SubscriptionMsgs + st.Forwarded
+	}
+	return n
+}
+
 // TestHalfOpenPeerDetachedByIdleTimeout severs a link without FIN (a
 // stalled relay: connections stay open, nothing moves) and checks the
 // idle-read deadline detaches the silent peer and retracts its routes —
@@ -169,7 +247,18 @@ func TestStatsReadsPeersAfterEvictions(t *testing.T) {
 // and counted, queue bytes bounded), and once congested past the deadline
 // the peer is evicted with full route retraction while a healthy peer's
 // deliveries continue.
-func TestSlowPeerShedsThenEvicted(t *testing.T) {
+func TestSlowPeerShedsThenEvicted(t *testing.T) { stormStalledPeers(t, 1) }
+
+// TestLinkClocksEvictOnlyTheirLinks runs the storm against two stalled
+// peers beside a healthy one: each stalled link's own clock evicts it,
+// once, and the healthy link is left alone.
+func TestLinkClocksEvictOnlyTheirLinks(t *testing.T) { stormStalledPeers(t, 2) }
+
+// stormStalledPeers links a hub to `stalled` peers behind stalled relays
+// and one healthy peer, storms events only the stalled peers want until
+// every stalled link is evicted, and checks shedding, the queue bound and
+// that the healthy peer still gets exactly its events.
+func stormStalledPeers(t *testing.T, stalled int) {
 	const highWater = 32 << 10
 	hub := startBrokerOpts(t, Options{
 		NodeID:             1,
@@ -179,22 +268,26 @@ func TestSlowPeerShedsThenEvicted(t *testing.T) {
 		ReadIdleTimeout:    -1, // isolate eviction: only congestion may kill links here
 		Logf:               t.Logf,
 	})
-	proxy, err := chaos.NewProxy(hub.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	var proxies []*chaos.Proxy
+	brokers := []*Broker{hub}
+	for i := 0; i < stalled; i++ {
+		proxy, err := chaos.NewProxy(hub.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer proxy.Close()
+		slow := startBrokerOpts(t, Options{NodeID: uint32(2 + i), PingInterval: -1, ReadIdleTimeout: -1, Logf: t.Logf})
+		if err := slow.Connect(proxy.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		// The slow peers want everything; the healthy peer a narrow band.
+		if _, err := slow.Subscribe(band(1, 1000), func(event.Event) {}); err != nil {
+			t.Fatal(err)
+		}
+		proxies, brokers = append(proxies, proxy), append(brokers, slow)
 	}
-	defer proxy.Close()
-	slow := startBrokerOpts(t, Options{NodeID: 2, PingInterval: -1, ReadIdleTimeout: -1, Logf: t.Logf})
-	if err := slow.Connect(proxy.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	healthy := startBrokerOpts(t, Options{NodeID: 3, PingInterval: -1, ReadIdleTimeout: -1, Logf: t.Logf})
+	healthy := startBrokerOpts(t, Options{NodeID: 100, PingInterval: -1, ReadIdleTimeout: -1, Logf: t.Logf})
 	if err := healthy.Connect(hub.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-
-	// The slow peer wants everything; the healthy peer a narrow band.
-	if _, err := slow.Subscribe(band(1, 1000), func(event.Event) {}); err != nil {
 		t.Fatal(err)
 	}
 	var healthyGot atomic.Uint64
@@ -203,16 +296,18 @@ func TestSlowPeerShedsThenEvicted(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	Flush(hub, slow, healthy)
+	Flush(append(brokers, healthy)...)
 
-	// Storm through the stalled relay until the monitor evicts the peer.
-	// Loopback socket buffers absorb megabytes before the spill queue fills
-	// durably — early sheds are transient (the queue drains back below the
-	// low watermark as the socket keeps absorbing), so a fixed event count
-	// or a first-shed stop would pass on the old unbounded queue too. The
-	// storm events (price 500) match only the slow peer's wide filter, so
-	// the queue-byte bound is the slow link's alone.
-	proxy.Stall()
+	// Storm through the stalled relays until every stalled link is
+	// evicted. Loopback socket buffers absorb megabytes before a spill
+	// queue fills durably — early sheds are transient (the queue drains
+	// back below the low watermark as the socket keeps absorbing), so a
+	// fixed event count or a first-shed stop would pass on an unbounded
+	// queue too. The storm events (price 500) match only the slow peers'
+	// wide filter, so the queue-byte bound is the stalled links' alone.
+	for _, p := range proxies {
+		p.Stall()
+	}
 	pad := strings.Repeat("x", 8<<10)
 	var st Stats
 	var maxQueued uint64
@@ -225,16 +320,22 @@ func TestSlowPeerShedsThenEvicted(t *testing.T) {
 		if st.QueuedBytes > maxQueued {
 			maxQueued = st.QueuedBytes
 		}
-		if st.Evicted > 0 {
+		if st.Evicted >= uint64(stalled) {
 			break
 		}
 		if i%50 == 49 {
-			// Give the monitor air: sustained congestion needs wall time.
+			// Give the link clocks air: sustained congestion needs wall time.
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if st.Evicted != 1 {
-		t.Fatalf("stalled peer not evicted after storm: %+v", st)
+	if st.Evicted != uint64(stalled) {
+		t.Fatalf("Evicted = %d after storm, want %d: %+v", st.Evicted, stalled, st)
+	}
+	for _, b := range brokers[1:] {
+		name := peerInstrument("netoverlay_peer_evicted_total", b.NodeID())
+		if s, ok := hub.Metrics().Get(name); !ok || s.Value != 1 {
+			t.Errorf("%s = %+v (%v), want 1: each stalled link evicted once", name, s, ok)
+		}
 	}
 	if st.Shed == 0 {
 		t.Errorf("Shed = 0 after a storm into a stalled peer: %+v", st)
@@ -242,10 +343,10 @@ func TestSlowPeerShedsThenEvicted(t *testing.T) {
 	if st.SpilledBytes == 0 {
 		t.Error("SpilledBytes = 0; accounting is dead")
 	}
-	// The spill queue stayed bounded by the watermark (one in-flight event
+	// Each spill queue stayed bounded by the watermark (one in-flight event
 	// of slack for the admitted crossing push), not by the storm size.
-	if maxQueued > 2*highWater {
-		t.Errorf("peak QueuedBytes = %d, want <= %d: queue grew past the watermark", maxQueued, 2*highWater)
+	if bound := uint64(stalled * 2 * highWater); maxQueued > bound {
+		t.Errorf("peak QueuedBytes = %d, want <= %d: queues grew past the watermark", maxQueued, bound)
 	}
 	if st.Peers != 1 {
 		t.Fatalf("Peers = %d after eviction, want 1 (healthy only)", st.Peers)
@@ -255,7 +356,7 @@ func TestSlowPeerShedsThenEvicted(t *testing.T) {
 	// still arrives there.
 	Flush(hub, healthy)
 	before, healthyBefore := hub.Stats().Forwarded, healthyGot.Load()
-	if err := hub.Publish(bandEvent(1, 5).Set("seq", int64(9001))); err != nil {
+	if err := hub.Publish(bandEvent(1, 5).Set("seq", int64(90001))); err != nil {
 		t.Fatal(err)
 	}
 	Flush(hub, healthy)

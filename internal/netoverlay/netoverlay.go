@@ -14,19 +14,21 @@
 // whose links are net.Pipe pairs running the same wire protocol.
 //
 // Forwarding is deadlock-free by construction: the broker goroutine never
-// blocks toward a peer. Outbound messages go to a per-peer flow-controlled
-// spill queue drained by a writer goroutine; inbound frames are read by a
-// per-peer reader that feeds the broker inbox. So the A↔B full-inbox cycle
-// (each broker wedged sending into the other's full inbox) cannot form,
-// however small the inbox. A congested or stalled peer backs traffic up
-// in its own direction only, and it cannot OOM this broker either: the
-// spill queue is byte-bounded by credit (Options.LinkHighWater). Past the
-// high watermark the link sheds event traffic (counted in Stats.Shed)
-// while subscription control traffic is never shed, a peer congested past
-// Options.CongestionDeadline is evicted with full route retraction
-// (Stats.Evicted), and a half-open peer that goes silent past
-// Options.ReadIdleTimeout is detached the same way (periodic MsgPing
-// probes keep healthy links audibly alive).
+// blocks toward a peer. Each peer is its router link's Sender: outbound
+// messages go to the peer's flow-controlled spill queue, drained by its
+// writer goroutine — the connection's one writer — and inbound frames are
+// read by a per-peer reader that feeds the broker inbox. So the A↔B
+// full-inbox cycle (each broker wedged sending into the other's full
+// inbox) cannot form, however small the inbox. A congested or stalled peer
+// backs traffic up in its own direction only, and it cannot OOM this
+// broker either: the spill queue is byte-bounded by credit
+// (Options.LinkHighWater). Past the high watermark the link sheds event
+// traffic (counted in Stats.Shed) while control traffic is never shed.
+// Each link's clock goroutine queues MsgPing keepalives, which keep a
+// healthy link audibly alive, and evicts its own link once it has been
+// congested past Options.CongestionDeadline, with full route retraction
+// (Stats.Evicted). A half-open peer that goes silent past
+// Options.ReadIdleTimeout is detached the same way.
 //
 // Topology: brokers are identified by operator-assigned node IDs. The
 // handshake rejects self-links, duplicate links to the same peer and
@@ -84,8 +86,10 @@ const writeTimeout = 10 * time.Second
 // handshakeTimeout bounds the hello exchange on a fresh connection.
 const handshakeTimeout = 5 * time.Second
 
-// Flow-control defaults; see the corresponding Options fields. Negative
-// option values disable the mechanism, zero means the default.
+// Flow-control defaults; see the corresponding Options fields. Zero means
+// the default. A negative CongestionDeadline, PingInterval or
+// ReadIdleTimeout disables its mechanism; LinkHighWater ≤ 0 means the
+// default, and shedding cannot be disabled.
 const (
 	// DefaultLinkHighWater is the per-peer spill-queue congestion
 	// threshold in accounted bytes.
@@ -196,10 +200,9 @@ type Broker struct {
 	wg     sync.WaitGroup
 	inbox  chan inMsg
 
-	// rt and links are owned by the run goroutine (control thunks included).
-	rt    *router.Router
-	bk    *broker.Broker // matches for rt; closed once run has returned
-	links []*peer        // index = router link; nil once detached
+	// rt is owned by the run goroutine (control thunks included).
+	rt *router.Router
+	bk *broker.Broker // matches for rt; closed once run has returned
 
 	mu      sync.Mutex
 	ln      net.Listener
@@ -278,12 +281,7 @@ func newBroker(opts Options, inboxSize int) *Broker {
 	b.published = b.reg.Counter("netoverlay_published_total")
 	b.installErrors = b.reg.Counter("netoverlay_install_errors_total")
 	b.bk = broker.New(broker.Options{})
-	b.rt = router.New(router.Config{
-		Cover:     opts.Cover,
-		Broker:    b.bk,
-		Transport: (*brokerTransport)(b),
-		Metrics:   b.reg,
-	})
+	b.rt = router.New(router.Config{Cover: opts.Cover, Broker: b.bk, Metrics: b.reg})
 	// The peer gauge registers before the eviction counter, so Snapshot
 	// reads it after. Eviction is counted only once the peer has left the
 	// table, so a Stats showing an eviction never still counts that peer.
@@ -327,57 +325,7 @@ func newBroker(opts Options, inboxSize int) *Broker {
 	})
 	b.wg.Add(1)
 	go b.run()
-	if opts.CongestionDeadline > 0 {
-		b.wg.Add(1)
-		go b.monitor()
-	}
 	return b
-}
-
-// monitor is the slow-peer eviction goroutine: it periodically scans peer
-// spill queues and detaches any peer congested past the deadline. It runs
-// off the broker goroutine on purpose — detach enqueues a control thunk
-// into the broker inbox, which only the broker goroutine drains, so
-// triggering eviction from there would self-deadlock.
-func (b *Broker) monitor() {
-	defer b.wg.Done()
-	deadline := b.opts.CongestionDeadline
-	tick := deadline / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > time.Second {
-		tick = time.Second
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			var victims []*peer
-			b.mu.Lock()
-			for _, p := range b.peers {
-				if p.out.CongestedFor() > deadline {
-					victims = append(victims, p)
-				}
-			}
-			b.mu.Unlock()
-			// Detach outside b.mu: detach re-takes it and blocks on the
-			// broker inbox for the retraction thunk.
-			for _, p := range victims {
-				p.detach(fmt.Errorf("netoverlay: peer %d congested past %v, evicting (queue %+v)",
-					p.nodeID, deadline, p.out.Stats()))
-				// Counted after detach so an observed eviction implies the
-				// peer is already out of the peer table. The per-peer
-				// counter survives the detach (it is history, not a view),
-				// and continues counting if the same peer relinks.
-				b.evicted.Inc()
-				b.reg.Counter(peerInstrument("netoverlay_peer_evicted_total", p.nodeID)).Inc()
-			}
-		case <-b.quit:
-			return
-		}
-	}
 }
 
 // NodeID returns this broker's federation identity.
@@ -544,10 +492,13 @@ func (b *Broker) Publish(ev event.Event) error {
 	return nil
 }
 
-// Stats returns an activity snapshot. It is one coherent registry read:
-// every field comes from the same obs.Registry.Snapshot, whose
-// effects-before-causes read order keeps Forwarded ≤ Published and
-// Delivered ≤ Published even while publishes are in flight.
+// Stats returns an activity snapshot: one registry read, every field from
+// the same obs.Registry.Snapshot. It bounds nothing by this broker's
+// Published: a relay forwards and delivers events it never published. The
+// sums of Network.Stats, which reads every node's effects before any
+// node's Published, never count a forward or delivery without its publish:
+// with one next hop and one subscriber per event, Forwarded ≤ Published
+// and Delivered ≤ Published hold even mid-storm.
 func (b *Broker) Stats() Stats {
 	var st Stats
 	for _, s := range b.reg.Snapshot() {
@@ -713,7 +664,7 @@ func (b *Broker) Close() error {
 		nc.Close()
 	}
 	for _, p := range peers {
-		p.shutdown()
+		p.detach(nil) // retraction is skipped: the broker is closed
 	}
 	b.wg.Wait()
 	return b.bk.Close()
@@ -754,23 +705,4 @@ func (b *Broker) run() {
 func (b *Broker) anomaly(err error) {
 	b.installErrors.Inc()
 	b.opts.Logf("netoverlay: node %d: %v", b.opts.NodeID, err)
-}
-
-// brokerTransport adapts peer spill queues to the router's non-blocking
-// Transport. Called only on the broker goroutine.
-type brokerTransport Broker
-
-func (t *brokerTransport) Send(link int, m router.Msg) {
-	b := (*Broker)(t)
-	if link >= len(b.links) {
-		return
-	}
-	if p := b.links[link]; p != nil {
-		// Counted before the push: the writer may drain the message before
-		// EnqueueMsg even returns.
-		p.pushed.Add(1)
-		if !router.EnqueueMsg(p.out, m) {
-			p.drained.Add(1)
-		}
-	}
 }

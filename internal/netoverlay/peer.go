@@ -21,30 +21,28 @@ func peerInstrument(family string, nodeID uint32) string {
 	return family + `{peer="` + strconv.FormatUint(uint64(nodeID), 10) + `"}`
 }
 
-// peer is one live broker-to-broker link: a TCP connection, or one end of a
-// Network's net.Pipe.
+// peer is one live broker-to-broker link — a TCP connection, or one end of
+// a Network's net.Pipe — and the router's Sender for it. Three goroutines
+// serve it: readLoop, writeLoop (after the handshake the connection's one
+// writer) and clock (keepalives and eviction).
 type peer struct {
 	b      *Broker
 	nc     net.Conn
 	nodeID uint32
 	link   int // router link index, assigned at attach
 
-	// out is the spill queue the broker goroutine pushes forwards into;
+	// out is the spill queue the broker goroutine and the clock push into;
 	// writeLoop drains it onto the connection. Flow-controlled: routing
 	// never blocks on this peer's pace, and a slow peer sheds events once
 	// its byte credit runs out instead of growing the queue without bound.
 	out *router.Queue[router.Msg]
-
-	// wmu serializes frame writes between writeLoop and pingLoop.
-	wmu sync.Mutex
 
 	// fwd counts event frames written to this peer
 	// (netoverlay_peer_forwarded_total{peer="N"}; survives detach so a
 	// relinking peer keeps its history).
 	fwd *obs.Counter
 
-	// done closes when the link tears down (detach or shutdown), stopping
-	// the ping loop.
+	// done closes when the link tears down, stopping the clock.
 	done chan struct{}
 
 	// Flush counts: spill queue in (pushed) and out (drained: written or
@@ -103,9 +101,9 @@ func (b *Broker) handshake(nc net.Conn, dialer bool) (uint32, error) {
 }
 
 // attach makes a handshaken connection a live link. The broker goroutine
-// claims the peer's node ID (vetoing duplicate links), assigns a router
-// link, starts the reader and writer and floods existing routes over the
-// fresh link, all inside one inbox message: Flush never sees a link whose
+// claims the peer's node ID (vetoing duplicate links), adds the peer as a
+// router link — flooding existing routes onto its queue — and starts its
+// goroutines, all inside one inbox message: Flush never sees a link whose
 // route flood is not yet counted. Blocks until the link is live.
 func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 	p := &peer{
@@ -145,18 +143,11 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 		b.reg.CounterFunc(peerInstrument("netoverlay_peer_shed_total", peerID), func() uint64 {
 			return p.out.Stats().Shed
 		})
-		// b.links and the router's links grow in step, so the link's index
-		// is known before AddLink floods the known routes over it.
-		p.link = b.rt.NumLinks()
-		b.links = append(b.links, p)
-		b.wg.Add(2)
+		p.link = b.rt.AddLink(p)
+		b.wg.Add(3)
 		go p.readLoop()
 		go p.writeLoop()
-		if b.opts.PingInterval > 0 {
-			b.wg.Add(1)
-			go p.pingLoop()
-		}
-		b.rt.AddLink()
+		go p.clock()
 		attached <- nil
 	}})
 	if !ok {
@@ -175,7 +166,8 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 
 // detach tears the link down: the connection and queue close, and the
 // broker goroutine retracts every route learned through it so the rest of
-// the federation stops routing events this way.
+// the federation stops routing events this way. A nil reason is Close's:
+// nothing is logged.
 func (p *peer) detach(reason error) {
 	p.closeOnce.Do(func() {
 		close(p.done)
@@ -190,10 +182,7 @@ func (p *peer) detach(reason error) {
 		// its retraction uncounted. Skipped when the whole broker is going
 		// down: Close is tearing the routing table down, and would race it.
 		if !p.b.closed.Load() {
-			p.b.enqueue(inMsg{ctl: func() {
-				p.b.links[p.link] = nil
-				p.b.rt.RemoveLink(p.link)
-			}})
+			p.b.enqueue(inMsg{ctl: func() { p.b.rt.RemoveLink(p.link) }})
 		}
 		p.b.mu.Lock()
 		delete(p.b.peers, p.nodeID)
@@ -211,16 +200,6 @@ func (p *peer) detach(reason error) {
 	})
 }
 
-// shutdown closes the link without the route retraction dance; Close uses
-// it when the whole broker is stopping.
-func (p *peer) shutdown() {
-	p.closeOnce.Do(func() {
-		close(p.done)
-		p.nc.Close()
-		p.out.Close()
-	})
-}
-
 // readLoop decodes inbound frames into broker-inbox messages. Blocking on a
 // full inbox is harmless: this goroutine serves only this link, and the
 // broker goroutine (which drains the inbox) never waits on it.
@@ -233,7 +212,7 @@ func (p *peer) readLoop() {
 		// A half-open peer (no FIN — machine death, pulled cable, frozen
 		// proxy) never errors a plain read. The idle deadline turns that
 		// silence into a detach so its learned routes get retracted;
-		// pingLoop traffic keeps a live-but-quiet peer under the deadline.
+		// the far clock's pings keep a live-but-quiet peer under it.
 		if p.b.opts.ReadIdleTimeout > 0 {
 			p.nc.SetReadDeadline(time.Now().Add(p.b.opts.ReadIdleTimeout))
 		}
@@ -309,8 +288,21 @@ func (p *peer) readLoop() {
 	}
 }
 
+// Send queues one routing message for writeLoop: events are offered and
+// shed while the link is congested, control messages always enqueue (see
+// router.EnqueueMsg). It is the router's Sender for this link, and the
+// clock queues pings through it too.
+func (p *peer) Send(m router.Msg) {
+	// Counted before the push: the writer may drain the message before
+	// EnqueueMsg even returns.
+	p.pushed.Add(1)
+	if !router.EnqueueMsg(p.out, m) {
+		p.drained.Add(1)
+	}
+}
+
 // writeLoop drains the spill queue onto the connection, one frame per
-// routing message.
+// message. After the handshake it is the only writer on the connection.
 func (p *peer) writeLoop() {
 	defer p.b.wg.Done()
 	var buf []byte
@@ -320,7 +312,7 @@ func (p *peer) writeLoop() {
 			return
 		}
 		buf = buf[:0]
-		var typ byte
+		typ := wire.MsgPing // the zero Msg is the clock's keepalive
 		switch m.Kind {
 		case router.Sub:
 			typ = wire.MsgSubForward
@@ -334,11 +326,10 @@ func (p *peer) writeLoop() {
 			// the pre-trace format, so old peers decode them unchanged.
 			buf = wire.AppendEventForwardTrace(buf, uint8(m.Hops), m.Ev, m.Trace.ID, m.Trace.OriginNanos)
 			p.fwd.Inc()
-		default:
-			p.drained.Add(1)
-			continue
 		}
-		if err := p.writeFrame(typ, buf); err != nil {
+		p.written.Add(1)
+		p.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		if err := wire.WriteFrame(p.nc, typ, buf); err != nil {
 			p.detach(err)
 			return
 		}
@@ -346,28 +337,39 @@ func (p *peer) writeLoop() {
 	}
 }
 
-// writeFrame sends one frame under the write mutex, serializing writeLoop
-// and pingLoop on the shared connection.
-func (p *peer) writeFrame(typ byte, payload []byte) error {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	p.written.Add(1)
-	p.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-	return wire.WriteFrame(p.nc, typ, payload)
-}
-
-// pingLoop keeps the link's read traffic flowing both ways: each side's
-// periodic ping resets the other side's idle-read deadline, so only a peer
-// that is actually unreachable trips it.
-func (p *peer) pingLoop() {
+// clock is the link's timer. Every PingInterval it queues a keepalive, so
+// the far side's idle-read deadline only trips on a peer that is actually
+// unreachable. Every CongestionDeadline/4, clamped to [10 ms, 1 s], it
+// checks the spill queue, and evicts the link once it has stayed congested
+// past the deadline. A negative interval disables its half.
+func (p *peer) clock() {
 	defer p.b.wg.Done()
-	t := time.NewTicker(p.b.opts.PingInterval)
-	defer t.Stop()
+	var ping, check <-chan time.Time
+	if d := p.b.opts.PingInterval; d > 0 {
+		t := time.NewTicker(d)
+		defer t.Stop()
+		ping = t.C
+	}
+	deadline := p.b.opts.CongestionDeadline
+	if deadline > 0 {
+		t := time.NewTicker(min(max(deadline/4, 10*time.Millisecond), time.Second))
+		defer t.Stop()
+		check = t.C
+	}
 	for {
 		select {
-		case <-t.C:
-			if err := p.writeFrame(wire.MsgPing, nil); err != nil {
-				p.detach(fmt.Errorf("netoverlay: ping to node %d failed: %w", p.nodeID, err))
+		case <-ping:
+			p.Send(router.Msg{})
+		case <-check:
+			if p.out.CongestedFor() > deadline {
+				p.detach(fmt.Errorf("netoverlay: peer %d congested past %v, evicting (queue %+v)",
+					p.nodeID, deadline, p.out.Stats()))
+				// Counted after detach so an observed eviction implies the
+				// peer is already out of the peer table. The per-peer
+				// counter survives the detach (it is history, not a view),
+				// and continues counting if the same peer relinks.
+				p.b.evicted.Inc()
+				p.b.reg.Counter(peerInstrument("netoverlay_peer_evicted_total", p.nodeID)).Inc()
 				return
 			}
 		case <-p.done:

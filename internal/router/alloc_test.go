@@ -12,11 +12,11 @@ import (
 	"noncanon/internal/event"
 )
 
-// countTransport counts sends without retaining them, so the transport
-// itself contributes no allocation to the budget.
-type countTransport struct{ n int }
+// countSends counts sends without retaining them, so the links' senders
+// contribute no allocation to the budget.
+type countSends struct{ n int }
 
-func (c *countTransport) Send(int, Msg) { c.n++ }
+func (c *countSends) send(int, Msg) { c.n++ }
 
 // TestHandleEventMsgZeroAlloc pins the steady-state cost of routing one
 // event through Handle: the broker matches into its pooled buffer and its
@@ -32,8 +32,9 @@ func TestHandleEventMsgZeroAlloc(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			tr := &countTransport{}
-			r := New(Config{Links: 2, Broker: newBroker(), Transport: tr})
+			tr := &countSends{}
+			r := New(Config{Broker: newBroker()})
+			addLinks(r, 2, tr.send)
 			delivered := 0
 			if err := r.subscribe(1, band(1, 100), func(event.Event) { delivered++ }, c.nextHop); err != nil {
 				t.Fatal(err)

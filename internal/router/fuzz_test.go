@@ -118,11 +118,6 @@ func FuzzRouterCover(f *testing.F) {
 	})
 }
 
-// opSends is a Transport collecting one op's sends for replay.
-type opSends struct{ sent []sentMsg }
-
-func (o *opSends) Send(link int, m Msg) { o.sent = append(o.sent, sentMsg{link: link, m: m}) }
-
 func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Expr, evs []event.Event) {
 	k := 0
 	next := func() int {
@@ -132,9 +127,10 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 		k++
 		return int(data[k-1])
 	}
-	tr := &opSends{}
+	tr := &recorder{} // one op's sends, for replay
 	b := newBroker()
-	r := New(Config{Links: 1 + next()%4, Cover: coverOn, Broker: b, Transport: tr})
+	r := New(Config{Cover: coverOn, Broker: b})
+	addLinks(r, 1+next()%4, tr.send)
 
 	type modelRoute struct {
 		from int
@@ -317,7 +313,7 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 		case op == 7:
 			if len(alive) < fuzzMaxLinks {
 				alive, far = append(alive, true), append(far, map[uint64]uint64{})
-				r.AddLink()
+				addLinks(r, 1, tr.send)
 				replay("AddLink", true, live)
 			}
 		default:

@@ -22,9 +22,10 @@
 // retired ID lingers to collide with a restarted broker's reuse of it.
 //
 // A Router is owned by a single broker goroutine: every method but Counts
-// (atomic counters) must be called from it. Outbound messages leave through
-// the Transport, whose Send must never block — implementations queue (see
-// Queue) so that a broker goroutine can never be wedged by a congested peer.
+// (atomic counters) must be called from it. A link is built with its
+// Sender (AddLink), through which every outbound message over it leaves.
+// Send must never block — implementations queue (see Queue) so that a
+// broker goroutine can never be wedged by a congested peer.
 package router
 
 import (
@@ -85,24 +86,20 @@ type Msg struct {
 	Trace Trace
 }
 
-// Transport carries routing messages toward a neighbouring broker. Send is
-// invoked on the broker goroutine and MUST NOT block: queue the message
-// (Queue is the intended buffer) and let a writer goroutine drain it.
-type Transport interface {
-	Send(link int, m Msg)
+// Sender carries routing messages over one link toward a neighbouring
+// broker. Send is invoked on the broker goroutine and MUST NOT block: queue
+// the message (Queue is the intended buffer) and let a writer drain it.
+type Sender interface {
+	Send(m Msg)
 }
 
 // Config assembles a router.
 type Config struct {
-	// Links is the initial link count; AddLink grows it.
-	Links int
 	// Cover enables covering-based flood pruning.
 	Cover bool
 	// Broker matches events; the router subscribes every known route on it
 	// and publishes every event it routes.
 	Broker *broker.Broker
-	// Transport carries outbound messages.
-	Transport Transport
 	// Metrics is the registry the router's counters live in; nil gets a
 	// private registry (Counts still works, nothing is exported). Routers
 	// sharing a registry share instruments, so one snapshot reads their
@@ -136,12 +133,13 @@ type route struct {
 	nextHop int                  // link index toward the subscriber; -1 when local
 }
 
-// link is one live link: the broker outlet of the routes behind it, whose
-// sink it is, and (Config.Cover only) the covering poset of every route
-// not learned over it.
+// link is one live link: its sender, the broker outlet of the routes
+// behind it, whose sink it is, and (Config.Cover only) the covering poset
+// of every route not learned over it.
 type link struct {
 	r     *Router
 	i     int
+	s     Sender
 	out   *broker.Outlet
 	poset *dag.DAG
 	seq   uint64 // the last event forwarded over the link
@@ -155,7 +153,7 @@ func (l *link) Deliver(uint64, event.Event) bool {
 	if r := l.r; l.seq != r.seq && l.i != r.from {
 		l.seq = r.seq
 		r.forwarded.Inc()
-		r.tr.Send(l.i, r.fwd)
+		l.s.Send(r.fwd)
 	}
 	return true
 }
@@ -180,7 +178,6 @@ type linkNode struct {
 // Router is the per-broker routing state machine.
 type Router struct {
 	b     *broker.Broker
-	tr    Transport
 	cover bool
 
 	routes map[uint64]*route
@@ -204,7 +201,7 @@ type Router struct {
 	hopDropped    *obs.Counter
 }
 
-// New builds a router over the given broker and transport.
+// New builds a router over the given broker, with no links yet.
 func New(cfg Config) *Router {
 	reg := cfg.Metrics
 	if reg == nil {
@@ -212,7 +209,6 @@ func New(cfg Config) *Router {
 	}
 	r := &Router{
 		b:      cfg.Broker,
-		tr:     cfg.Transport,
 		cover:  cfg.Cover,
 		routes: make(map[uint64]*route),
 	}
@@ -228,25 +224,22 @@ func New(cfg Config) *Router {
 	r.hopDropped = reg.Counter("router_hop_dropped_total")
 	r.delivered = reg.Counter("router_delivered_total")
 	r.forwarded = reg.Counter("router_forwarded_total")
-	for i := 0; i < cfg.Links; i++ {
-		r.AddLink()
-	}
 	return r
 }
 
-// AddLink registers link NumLinks() and floods every known route over it in
-// ID order, covering-pruned like any other flood, so subscriptions older
-// than the link attract events across it. The caller must be ready for
-// Transport.Send on the new index before calling. It returns the index.
-func (r *Router) AddLink() int {
-	l := &link{r: r, i: len(r.links)}
+// AddLink registers link NumLinks(), sending over s, and floods every known
+// route over it in ID order, covering-pruned like any other flood, so
+// subscriptions older than the link attract events across it. It returns
+// the link's index, by which Handle and RemoveLink name it.
+func (r *Router) AddLink(s Sender) int {
+	l := &link{r: r, i: len(r.links), s: s}
 	l.out = r.b.Attach(l)
 	if r.cover {
 		l.poset = dag.New()
 	}
 	r.links = append(r.links, l)
 	for _, rt := range r.sortedRoutes(func(int) bool { return true }) {
-		r.subOverLink(l.i, rt)
+		r.subOverLink(l, rt)
 	}
 	return l.i
 }
@@ -353,7 +346,7 @@ func (r *Router) subscribe(subID uint64, expr boolexpr.Expr, h Handler, from int
 	r.routes[subID] = rt
 	for i, l := range r.links {
 		if i != from && l != nil {
-			r.subOverLink(i, rt)
+			r.subOverLink(l, rt)
 		}
 	}
 	return nil
@@ -362,20 +355,20 @@ func (r *Router) subscribe(subID uint64, expr boolexpr.Expr, h Handler, from int
 // subOverLink floods a route over one link. With covering it is sent only
 // if it creates a frontier node in the link's poset; otherwise a filter the
 // far side already holds covers it, and the flood is pruned.
-func (r *Router) subOverLink(i int, rt *route) {
+func (r *Router) subOverLink(l *link, rt *route) {
 	if !r.cover {
 		r.subMsgs.Inc()
-		r.tr.Send(i, Msg{Kind: Sub, SubID: rt.subID, Expr: rt.expr})
+		l.s.Send(Msg{Kind: Sub, SubID: rt.subID, Expr: rt.expr})
 		return
 	}
-	res := r.links[i].poset.Add(rt.expr)
+	res := l.poset.Add(rt.expr)
 	if res.New {
 		res.Node.Data = &linkNode{}
 	}
 	ln := res.Node.Data.(*linkNode)
 	ln.routes = append(ln.routes, rt)
 	if res.New && res.Frontier {
-		r.sendNode(i, ln)
+		r.sendNode(l, ln)
 	} else {
 		r.coverSuppress.Inc()
 	}
@@ -383,10 +376,10 @@ func (r *Router) subOverLink(i int, rt *route) {
 
 // sendNode floods a link poset node named by its first live route, or its
 // first route if all leave with one RemoveLink (the node then dies in it).
-func (r *Router) sendNode(i int, ln *linkNode) {
+func (r *Router) sendNode(l *link, ln *linkNode) {
 	ln.name = ln.routes[max(0, slices.IndexFunc(ln.routes, r.live))]
 	r.subMsgs.Inc()
-	r.tr.Send(i, Msg{Kind: Sub, SubID: ln.name.subID, Expr: ln.name.expr})
+	l.s.Send(Msg{Kind: Sub, SubID: ln.name.subID, Expr: ln.name.expr})
 }
 
 // live reports whether a route is still in the route table.
@@ -406,7 +399,7 @@ func (r *Router) remove(routes []*route, from int) {
 	for _, rt := range routes {
 		for i, l := range r.links {
 			if i != from && l != nil {
-				r.unsubOverLink(i, rt)
+				r.unsubOverLink(l, rt)
 			}
 		}
 	}
@@ -417,22 +410,22 @@ func (r *Router) remove(routes []*route, from int) {
 // the node's name is a removed route, re-announces a surviving node under
 // a live member and retracts the old name. The far side thus briefly
 // carries both (an event still crosses once) instead of neither.
-func (r *Router) unsubOverLink(i int, rt *route) {
+func (r *Router) unsubOverLink(l *link, rt *route) {
 	if !r.cover {
 		r.subMsgs.Inc()
-		r.tr.Send(i, Msg{Kind: Unsub, SubID: rt.subID})
+		l.s.Send(Msg{Kind: Unsub, SubID: rt.subID})
 		return
 	}
-	n := r.links[i].poset.Lookup(cover.Key(rt.expr))
-	if i == rt.nextHop || n == nil {
+	n := l.poset.Lookup(cover.Key(rt.expr))
+	if l.i == rt.nextHop || n == nil {
 		return // never added here: the route came over this link
 	}
 	ln := n.Data.(*linkNode)
 	ln.routes = slices.DeleteFunc(ln.routes, func(x *route) bool { return x == rt })
-	res := r.links[i].poset.Release(n)
+	res := l.poset.Release(n)
 	for _, p := range res.Promoted {
 		if pl := p.Data.(*linkNode); pl.name == nil {
-			r.sendNode(i, pl)
+			r.sendNode(l, pl)
 		}
 	}
 	old := ln.name
@@ -443,10 +436,10 @@ func (r *Router) unsubOverLink(i int, rt *route) {
 		if !slices.ContainsFunc(ln.routes, r.live) {
 			return // every member leaves with this RemoveLink; the last retracts old
 		}
-		r.sendNode(i, ln)
+		r.sendNode(l, ln)
 	}
 	r.subMsgs.Inc()
-	r.tr.Send(i, Msg{Kind: Unsub, SubID: old.subID})
+	l.s.Send(Msg{Kind: Unsub, SubID: old.subID})
 }
 
 // routeEvent publishes an event (m.Ev, having travelled m.Hops) that

@@ -13,7 +13,7 @@ import (
 	"noncanon/internal/predicate"
 )
 
-// recorder is a Transport that appends every send.
+// recorder appends every send, tagged with the link it went over.
 type recorder struct {
 	sent []sentMsg
 }
@@ -23,7 +23,7 @@ type sentMsg struct {
 	m    Msg
 }
 
-func (r *recorder) Send(link int, m Msg) { r.sent = append(r.sent, sentMsg{link: link, m: m}) }
+func (r *recorder) send(link int, m Msg) { r.sent = append(r.sent, sentMsg{link: link, m: m}) }
 
 func (r *recorder) ofKind(k Kind) []sentMsg {
 	var out []sentMsg
@@ -33,6 +33,21 @@ func (r *recorder) ofKind(k Kind) []sentMsg {
 		}
 	}
 	return out
+}
+
+// sendTo is link i's Sender, handing each send to a link-indexed func.
+type sendTo struct {
+	i    int
+	send func(link int, m Msg)
+}
+
+func (s sendTo) Send(m Msg) { s.send(s.i, m) }
+
+// addLinks adds n links to r, each sending through send with its index.
+func addLinks(r *Router, n int, send func(link int, m Msg)) {
+	for range n {
+		r.AddLink(sendTo{r.NumLinks(), send})
+	}
 }
 
 func newBroker() *broker.Broker { return broker.New(broker.Options{}) }
@@ -51,7 +66,8 @@ func bandEvent(c, price int) event.Event {
 func newRouter(t *testing.T, links int, coverOn bool) (*Router, *recorder) {
 	t.Helper()
 	tr := &recorder{}
-	r := New(Config{Links: links, Cover: coverOn, Broker: newBroker(), Transport: tr})
+	r := New(Config{Cover: coverOn, Broker: newBroker()})
+	addLinks(r, links, tr.send)
 	return r, tr
 }
 
@@ -209,7 +225,7 @@ func TestSyncLinkFloodsExistingRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.sent = nil
-	link := r.AddLink() // floods the known routes over the new link
+	link := r.AddLink(sendTo{r.NumLinks(), tr.send}) // floods the known routes over the new link
 	subs := tr.ofKind(Sub)
 	// Covering applies on the fresh link too: sub 3 is shadowed by sub 1.
 	if len(subs) != 2 {
@@ -488,8 +504,10 @@ func TestHandleEventMsgPreservesTrace(t *testing.T) {
 func TestRouterSharedRegistryTotals(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := &recorder{}
-	ra := New(Config{Links: 1, Broker: newBroker(), Transport: tr, Metrics: reg})
-	rb := New(Config{Links: 1, Broker: newBroker(), Transport: tr, Metrics: reg})
+	ra := New(Config{Broker: newBroker(), Metrics: reg})
+	rb := New(Config{Broker: newBroker(), Metrics: reg})
+	addLinks(ra, 1, tr.send)
+	addLinks(rb, 1, tr.send)
 	if err := ra.subscribe(1, band(1, 100), nil, -1); err != nil {
 		t.Fatal(err)
 	}
