@@ -30,6 +30,14 @@
 // (Stats.Evicted). A half-open peer that goes silent past
 // Options.ReadIdleTimeout is detached the same way.
 //
+// Peer I/O moves in bursts. The writer drains whatever is queued, up to
+// 16 KiB of frames, and writes it with one deadline and one Write
+// (netoverlay_peer_writes_total counts them); the frames are byte for byte
+// those written one at a time. A link's outbound memory is therefore
+// LinkHighWater of queued messages plus at most one burst held by the
+// writer. The reader renews its idle deadline only before a read that can
+// block, not once per buffered frame.
+//
 // Topology: brokers are identified by operator-assigned node IDs. The
 // handshake rejects self-links, duplicate links to the same peer and
 // protocol-version mismatches — the local anomalies every cycle must
@@ -79,9 +87,17 @@ const DefaultInboxSize = 1024
 // for sampled traced events (see Options.TraceSampleEvery and Traces).
 const traceRingSize = 256
 
-// writeTimeout bounds one frame write toward a peer; a peer stalled longer
+// writeTimeout bounds one burst write toward a peer; a peer stalled longer
 // is detached (its learned routes are retracted network-wide).
 const writeTimeout = 10 * time.Second
+
+// burstBytes caps one peer write: the writer stops draining its queue once
+// a burst holds this many bytes of frames (one frame may overshoot it).
+// maxSpare is the largest burst buffer it keeps once its queue runs dry.
+const (
+	burstBytes = 16 << 10
+	maxSpare   = 4 << 10
+)
 
 // handshakeTimeout bounds the hello exchange on a fresh connection.
 const handshakeTimeout = 5 * time.Second
@@ -229,6 +245,7 @@ type Broker struct {
 	installErrors *obs.Counter
 	evicted       *obs.Counter
 	hopLatency    *obs.Histogram
+	peerWrites    *obs.Counter // one per burst Write, all links
 }
 
 // inMsg is one broker-inbox entry: either a routing message tagged with the
@@ -292,6 +309,7 @@ func newBroker(opts Options, inboxSize int) *Broker {
 	})
 	b.evicted = b.reg.Counter("netoverlay_evicted_total")
 	b.hopLatency = b.reg.Histogram("netoverlay_hop_latency_seconds")
+	b.peerWrites = b.reg.Counter("netoverlay_peer_writes_total")
 	// Queue aggregates are function instruments over the live peer set
 	// plus the totals folded in when peers detached. They take b.mu, which
 	// is safe: Snapshot runs callbacks with no registry lock held, and
@@ -673,8 +691,16 @@ func (b *Broker) Close() error {
 // enqueue delivers one message to the broker inbox; false once closed.
 // External callers (API, peer readers) may block on a full inbox — the
 // broker goroutine itself never calls this, so the block always resolves.
+//
+// A send into an inbox with room is a one-channel send; only a full inbox
+// pays for the select that also watches quit.
 func (b *Broker) enqueue(m inMsg) bool {
 	b.enq.Add(1)
+	select {
+	case b.inbox <- m:
+		return true
+	default:
+	}
 	select {
 	case b.inbox <- m:
 		return true
@@ -683,21 +709,28 @@ func (b *Broker) enqueue(m inMsg) bool {
 	}
 }
 
-// run is the broker goroutine: the single owner of the router state.
+// run is the broker goroutine: the single owner of the router state. It
+// takes a waiting message with a one-channel receive and selects on quit
+// only once the inbox is empty.
 func (b *Broker) run() {
 	defer b.wg.Done()
 	for {
+		var m inMsg
 		select {
-		case m := <-b.inbox:
-			if m.ctl != nil {
-				m.ctl()
-			} else if err := b.rt.Handle(m.m, m.h, m.from); err != nil {
-				b.anomaly(err)
+		case m = <-b.inbox:
+		default:
+			select {
+			case m = <-b.inbox:
+			case <-b.quit:
+				return
 			}
-			b.handled.Add(1)
-		case <-b.quit:
-			return
 		}
+		if m.ctl != nil {
+			m.ctl()
+		} else if err := b.rt.Handle(m.m, m.h, m.from); err != nil {
+			b.anomaly(err)
+		}
+		b.handled.Add(1)
 	}
 }
 

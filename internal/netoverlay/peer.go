@@ -24,7 +24,8 @@ func peerInstrument(family string, nodeID uint32) string {
 // peer is one live broker-to-broker link — a TCP connection, or one end of
 // a Network's net.Pipe — and the router's Sender for it. Three goroutines
 // serve it: readLoop, writeLoop (after the handshake the connection's one
-// writer) and clock (keepalives and eviction).
+// writer, one Write and one deadline per drained burst) and clock
+// (keepalives and eviction).
 type peer struct {
 	b      *Broker
 	nc     net.Conn
@@ -32,9 +33,10 @@ type peer struct {
 	link   int // router link index, assigned at attach
 
 	// out is the spill queue the broker goroutine and the clock push into;
-	// writeLoop drains it onto the connection. Flow-controlled: routing
-	// never blocks on this peer's pace, and a slow peer sheds events once
-	// its byte credit runs out instead of growing the queue without bound.
+	// writeLoop drains it onto the connection in bursts. Flow-controlled:
+	// routing never blocks on this peer's pace, and a slow peer sheds
+	// events once its byte credit runs out instead of growing the queue
+	// without bound.
 	out *router.Queue[router.Msg]
 
 	// fwd counts event frames written to this peer
@@ -212,8 +214,10 @@ func (p *peer) readLoop() {
 		// A half-open peer (no FIN — machine death, pulled cable, frozen
 		// proxy) never errors a plain read. The idle deadline turns that
 		// silence into a detach so its learned routes get retracted;
-		// the far clock's pings keep a live-but-quiet peer under it.
-		if p.b.opts.ReadIdleTimeout > 0 {
+		// the far clock's pings keep a live-but-quiet peer under it. It is
+		// renewed only before a read that can block: a frame already
+		// buffered is decoded without touching the connection.
+		if p.b.opts.ReadIdleTimeout > 0 && !wire.FrameBuffered(br) {
 			p.nc.SetReadDeadline(time.Now().Add(p.b.opts.ReadIdleTimeout))
 		}
 		typ, payload, bufOut, err := wire.ReadFrameInto(br, buf)
@@ -301,40 +305,77 @@ func (p *peer) Send(m router.Msg) {
 	}
 }
 
-// writeLoop drains the spill queue onto the connection, one frame per
-// message. After the handshake it is the only writer on the connection.
+// writeLoop drains the spill queue onto the connection in bursts. It
+// blocks for one message, takes whatever else is already queued, up to
+// burstBytes of frames encoded in place into one buffer, and hands the
+// burst to the socket with one deadline and one Write. A burst is byte for
+// byte the frames written one at a time, so peers cannot tell the
+// difference. Between bursts the writer keeps the buffer while the queue
+// stays busy and at most maxSpare of it once the queue runs dry, so a
+// link's outbound memory is its queue (LinkHighWater) plus at most one
+// burst. After the handshake it is the only writer on the connection.
 func (p *peer) writeLoop() {
 	defer p.b.wg.Done()
 	var buf []byte
 	for {
-		m, ok := p.out.Pop()
+		m, ok := p.out.TryPop()
 		if !ok {
-			return
+			if cap(buf) > maxSpare {
+				buf = nil
+			}
+			if m, ok = p.out.Pop(); !ok {
+				return
+			}
 		}
 		buf = buf[:0]
-		typ := wire.MsgPing // the zero Msg is the clock's keepalive
-		switch m.Kind {
-		case router.Sub:
-			typ = wire.MsgSubForward
-			buf = wire.AppendSubForward(buf, m.SubID, m.Expr.String())
-		case router.Unsub:
-			typ = wire.MsgUnsubForward
-			buf = wire.AppendUnsubForward(buf, m.SubID)
-		case router.Event:
-			typ = wire.MsgEventForward
-			// Untraced events (Trace.ID zero) encode byte-identically to
-			// the pre-trace format, so old peers decode them unchanged.
-			buf = wire.AppendEventForwardTrace(buf, uint8(m.Hops), m.Ev, m.Trace.ID, m.Trace.OriginNanos)
-			p.fwd.Inc()
+		var frames, events uint64
+		for {
+			var err error
+			if buf, err = appendFrame(buf, m); err != nil {
+				p.detach(err)
+				return
+			}
+			frames++
+			if m.Kind == router.Event {
+				events++
+			}
+			if len(buf) >= burstBytes {
+				break
+			}
+			if m, ok = p.out.TryPop(); !ok {
+				break
+			}
 		}
-		p.written.Add(1)
+		p.fwd.Add(events)
+		p.written.Add(frames)
+		p.b.peerWrites.Inc()
 		p.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if err := wire.WriteFrame(p.nc, typ, buf); err != nil {
+		if _, err := p.nc.Write(buf); err != nil {
 			p.detach(err)
 			return
 		}
-		p.drained.Add(1)
+		p.drained.Add(frames)
 	}
+}
+
+// appendFrame appends m's frame to b, encoded in place; the zero Msg is
+// the clock's keepalive. A frame over wire.MaxFrameSize fails, leaving b as
+// it was.
+func appendFrame(b []byte, m router.Msg) ([]byte, error) {
+	at := len(b)
+	switch m.Kind {
+	case router.Sub:
+		b = wire.AppendSubForward(wire.BeginFrame(b, wire.MsgSubForward), m.SubID, m.Expr.String())
+	case router.Unsub:
+		b = wire.AppendUnsubForward(wire.BeginFrame(b, wire.MsgUnsubForward), m.SubID)
+	case router.Event:
+		// Untraced events (Trace.ID zero) encode byte-identically to the
+		// pre-trace format, so old peers decode them unchanged.
+		b = wire.AppendEventForwardTrace(wire.BeginFrame(b, wire.MsgEventForward), uint8(m.Hops), m.Ev, m.Trace.ID, m.Trace.OriginNanos)
+	default:
+		b = wire.BeginFrame(b, wire.MsgPing)
+	}
+	return wire.EndFrame(b, at)
 }
 
 // clock is the link's timer. Every PingInterval it queues a keepalive, so

@@ -31,10 +31,12 @@ type Queue[T any] struct {
 	mu       sync.Mutex
 	nonEmpty *sync.Cond
 
-	// Ring storage: n items starting at head. Popped slots are zeroed so
-	// they don't pin values, and the backing array really is reused — a
-	// steady-state Push/Pop cycle allocates nothing.
-	buf  []T
+	// Ring storage: n items starting at head, each beside its accounted
+	// size, so the consumer never re-measures an item under the lock the
+	// producers contend for. Popped slots are zeroed so they don't pin
+	// values, and the backing array really is reused — a steady-state
+	// Push/Pop cycle allocates nothing.
+	buf  []slot[T]
 	head int
 	n    int
 
@@ -51,6 +53,12 @@ type Queue[T any] struct {
 	pushed       uint64
 	shed         uint64
 	spilledBytes uint64
+}
+
+// slot is one ring entry: an item and the size it was accounted at.
+type slot[T any] struct {
+	item T
+	size int
 }
 
 // QueueStats is a point-in-time accounting snapshot. Pushed, Shed and
@@ -91,13 +99,13 @@ func NewFlowQueue[T any](sizeOf func(T) int, high, low int) *Queue[T] {
 // when full.
 func (q *Queue[T]) enqueueLocked(item T, sz int) {
 	if q.n == len(q.buf) {
-		grown := make([]T, max(8, 2*len(q.buf)))
+		grown := make([]slot[T], max(8, 2*len(q.buf)))
 		for i := 0; i < q.n; i++ {
 			grown[i] = q.buf[(q.head+i)%len(q.buf)]
 		}
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = item
+	q.buf[(q.head+q.n)%len(q.buf)] = slot[T]{item, sz}
 	q.n++
 	q.bytes += sz
 	q.pushed++
@@ -148,20 +156,31 @@ func (q *Queue[T]) Pop() (item T, ok bool) {
 	for q.n == 0 && !q.closed {
 		q.nonEmpty.Wait()
 	}
-	if q.closed {
-		var zero T
-		return zero, false
+	return q.popLocked()
+}
+
+// TryPop is Pop without the wait: ok=false when the queue is empty or
+// closed. A consumer drains a burst with it after one blocking Pop.
+func (q *Queue[T]) TryPop() (item T, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.popLocked()
+}
+
+// popLocked removes the oldest item, if any, and returns its credit.
+func (q *Queue[T]) popLocked() (item T, ok bool) {
+	if q.n == 0 || q.closed {
+		return item, false
 	}
-	item = q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
+	s := q.buf[q.head]
+	q.buf[q.head] = slot[T]{}
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
-	q.bytes -= q.sizeOf(item)
+	q.bytes -= s.size
 	if q.congested && q.bytes < q.low {
 		q.congested = false
 	}
-	return item, true
+	return s.item, true
 }
 
 // Stats returns an accounting snapshot.

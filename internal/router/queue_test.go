@@ -187,4 +187,56 @@ func TestQueueSteadyStateZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state Push/Pop allocates %.1f per op, want 0", allocs)
 	}
+	// A burst drain: one blocking Pop, then TryPop until the queue is dry.
+	allocs = testing.AllocsPerRun(1000, func() {
+		for i := 0; i < 4; i++ {
+			q.Push(i)
+		}
+		q.Pop()
+		for {
+			if _, ok := q.TryPop(); !ok {
+				break
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state burst drain allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestQueueTryPop pins the non-blocking drain: FIFO beside Pop, false on
+// an empty or closed queue, and each item's credit returned at the size it
+// was accounted at, even if its sizeOf would now say otherwise.
+func TestQueueTryPop(t *testing.T) {
+	scale := 1
+	q := NewFlowQueue[int](func(v int) int { return v * scale }, 100, 50)
+	if _, ok := q.TryPop(); ok {
+		t.Fatal("TryPop on an empty queue returned ok")
+	}
+	q.Push(60)
+	q.Push(50)
+	if !q.Stats().Congested {
+		t.Fatal("not congested at 110 bytes")
+	}
+	scale = 1000 // the stored sizes, not a re-measure, must come back
+	if v, ok := q.Pop(); !ok || v != 60 {
+		t.Fatalf("Pop = %d, %v; want 60", v, ok)
+	}
+	if st := q.Stats(); st.Bytes != 50 || !st.Congested {
+		t.Fatalf("Stats after Pop = %+v, want congested at 50 bytes", st)
+	}
+	if v, ok := q.TryPop(); !ok || v != 50 {
+		t.Fatalf("TryPop = %d, %v; want 50", v, ok)
+	}
+	if st := q.Stats(); st.Bytes != 0 || st.Congested || st.Items != 0 {
+		t.Fatalf("Stats after drain = %+v, want empty with credit", st)
+	}
+	if _, ok := q.TryPop(); ok {
+		t.Fatal("TryPop on a drained queue returned ok")
+	}
+	q.Push(1)
+	q.Close()
+	if _, ok := q.TryPop(); ok {
+		t.Fatal("TryPop delivered after Close")
+	}
 }
