@@ -13,7 +13,7 @@ import (
 // loadFixture loads testdata/src/<name> as a single-package module named
 // "fixture", parsed and typechecked exactly like the real loader (stdlib
 // from GOROOT source). Fixtures live under testdata so the go tool — and
-// therefore nclint's own whole-repo run — never sees them.
+// therefore TestRepositoryIsClean's whole-module load — never sees them.
 func loadFixture(t *testing.T, name string) (*Module, *Package) {
 	t.Helper()
 	mod := newFixtureModule(t, "fixture")
@@ -21,20 +21,6 @@ func loadFixture(t *testing.T, name string) (*Module, *Package) {
 	mod.typecheck()
 	requireTypechecked(t, mod)
 	return mod, p
-}
-
-// loadWireFixture loads the two-package api-leak fixture under module
-// path example.com/m, so the leaky package's wire import resolves through
-// the module importer like a real intra-module edge.
-func loadWireFixture(t *testing.T) *Module {
-	t.Helper()
-	mod := newFixtureModule(t, "example.com/m")
-	addFixturePackage(t, mod, "example.com/m/internal/wire", "wiremod/wire")
-	eng := addFixturePackage(t, mod, "example.com/m/internal/engine", "wiremod/engine")
-	eng.Imports = []string{"example.com/m/internal/wire"}
-	mod.typecheck()
-	requireTypechecked(t, mod)
-	return mod
 }
 
 func newFixtureModule(t *testing.T, path string) *Module {

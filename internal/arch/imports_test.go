@@ -29,13 +29,19 @@ func TestLayeringViolations(t *testing.T) {
 		"internal/b": {"net/http", "golang.org/x/text/cases"},
 		"internal/c": {},
 		"internal/d": {"example.com/m/internal/b", "example.com/m/internal/a"},
+		// An engine-layer package importing the frame protocol: the edge
+		// that would let wire types into its API.
+		"internal/engine": {"example.com/m/internal/wire"},
+		"internal/wire":   {},
 	})
 	policy := Policy{Packages: map[string]PackageRule{
 		"internal/a": {Layer: "engine", Allow: []string{"internal/b", "internal/never"}},
 		"internal/b": {Layer: "engine", ForbidStd: []string{"net"}},
 		"internal/d": {Layer: "app",
 			Deny: map[string]string{"internal/b": "d must not touch b"}},
-		"internal/gone": {Layer: "engine"},
+		"internal/gone":   {Layer: "engine"},
+		"internal/engine": {Layer: "engine", ForbidStd: pureStd},
+		"internal/wire":   {Layer: "transport"},
 	}}
 
 	findings := CheckLayering(mod, policy)
@@ -47,6 +53,7 @@ func TestLayeringViolations(t *testing.T) {
 		"forbidden edge internal/d -> internal/a: not in the layering DAG",
 		"stale allowance internal/a -> internal/never",
 		"policy declares internal/gone but no such package exists",
+		"forbidden edge internal/engine -> internal/wire: not in the layering DAG",
 	}
 	if len(findings) != len(fragments) {
 		t.Errorf("got %d findings, want %d:\n%v", len(findings), len(fragments), findings)
@@ -179,5 +186,29 @@ func TestEngineOwnersArePinned(t *testing.T) {
 	slices.Sort(owners)
 	if want := []string{"internal/broker"}; !slices.Equal(owners, want) {
 		t.Errorf("serving packages allowed internal/core = %v, want %v", owners, want)
+	}
+}
+
+// TestWireStaysBehindTransports: only the two TCP transports may import
+// internal/wire, and only commands, examples and internal/bench may import
+// a transport, so no other package's API can mention a wire type.
+// TestRepositoryIsClean holds the real imports to the table.
+func TestWireStaysBehindTransports(t *testing.T) {
+	transports := []string{"internal/netbroker", "internal/netoverlay"}
+	var wireImporters []string
+	for rel, rule := range DefaultPolicy.Packages {
+		if slices.Contains(rule.Allow, "internal/wire") {
+			wireImporters = append(wireImporters, rel)
+		}
+		if !slices.ContainsFunc(rule.Allow, func(a string) bool { return slices.Contains(transports, a) }) {
+			continue
+		}
+		if !strings.HasPrefix(rel, "cmd/") && !strings.HasPrefix(rel, "examples/") && rel != "internal/bench" {
+			t.Errorf("%s may import a transport; only cmd/*, examples/* and internal/bench may", rel)
+		}
+	}
+	slices.Sort(wireImporters)
+	if !slices.Equal(wireImporters, transports) {
+		t.Errorf("packages allowed internal/wire = %v, want %v", wireImporters, transports)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
-	"strings"
 )
 
 // Package is one loaded, parsed and typechecked module package.
@@ -36,8 +35,6 @@ type Package struct {
 	Info *types.Info
 	// TypeErrs collects typechecking errors (empty on a building tree).
 	TypeErrs []error
-
-	allows allowIndex
 }
 
 // Module is a loaded set of packages sharing one FileSet.
@@ -138,10 +135,8 @@ func goList(dir string, patterns []string) ([]listJSON, error) {
 	return metas, nil
 }
 
-// parse reads the package's sources with comments and builds its
-// //nclint:allow line index.
+// parse reads the package's sources with comments.
 func (p *Package) parse(fset *token.FileSet) error {
-	p.allows = allowIndex{}
 	for _, name := range p.GoFiles {
 		path := filepath.Join(p.Dir, name)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -149,19 +144,6 @@ func (p *Package) parse(fset *token.FileSet) error {
 			return fmt.Errorf("arch: parse %s: %v", path, err)
 		}
 		p.Files = append(p.Files, f)
-		lines := map[int]allowDirective{}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				if d, ok := parseAllow(text); ok {
-					d.line = fset.Position(c.Pos()).Line
-					lines[d.line] = d
-				}
-			}
-		}
-		if len(lines) > 0 {
-			p.allows[path] = lines
-		}
 	}
 	return nil
 }

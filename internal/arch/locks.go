@@ -23,9 +23,7 @@ import (
 // the next Unlock of the same mutex expression closes (a deferred Unlock,
 // or a missing one, extends the region to the end of the function), and
 // nested function literals are analysed as their own functions — a
-// goroutine spawned under the lock does not block the holder. Deliberate
-// exceptions carry `//nclint:allow lock-blocking -- <justification>` on
-// the offending or preceding line.
+// goroutine spawned under the lock does not block the holder.
 func CheckLockDiscipline(mod *Module) []Finding {
 	var out []Finding
 	for _, p := range mod.Packages {
@@ -117,16 +115,8 @@ func checkLockBody(mod *Module, p *Package, body *ast.BlockStmt) []Finding {
 			if ev.pos <= r.from || ev.pos >= r.to {
 				continue
 			}
-			pos := mod.Fset.Position(ev.pos)
-			ok, bad := p.allows.allowed(p.ImportPath, "lock-blocking", pos)
-			if bad != nil {
-				out = append(out, *bad)
-			}
-			if ok {
-				break
-			}
 			out = append(out, Finding{
-				Pos: pos, Rule: "lock-blocking", Pkg: p.ImportPath,
+				Pos: mod.Fset.Position(ev.pos), Rule: "lock-blocking", Pkg: p.ImportPath,
 				Msg: fmt.Sprintf("%s while holding %s (locked at line %d); a blocked holder wedges every other user of the mutex — queue (router.Queue), use a default case, or move the operation outside the lock",
 					ev.desc, mutexName(r.key), r.at.Line),
 			})

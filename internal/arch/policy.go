@@ -19,7 +19,7 @@ package arch
 //	transport  wire, netbroker, netoverlay
 //	facade     . (package noncanon)
 //	app        cmd/*, examples/*, bench
-//	tools      arch, cmd/nclint
+//	tools      arch
 //
 // Kernel through engine packages import stdlib and lower layers only, and
 // additionally may not touch net, os, syscall, unsafe or reflect — they
@@ -34,6 +34,10 @@ package arch
 // layers) only internal/broker imports internal/core, so it alone builds
 // and drives an engine. The router and the federation node match through
 // a broker.Broker and are denied core outright.
+//
+// Wire boundary: only internal/netbroker and internal/netoverlay import
+// internal/wire, and only cmd/*, examples/* and internal/bench import
+// them, so no other package's API can mention a wire type.
 //
 // Exposition rule: only cmd/* and internal/obs may import net/http. The
 // service and transport layers record into obs instruments; whether those
@@ -57,10 +61,6 @@ type PackageRule struct {
 	// ForbidStd lists standard-library paths (exact or prefix) this
 	// package may not import.
 	ForbidStd []string
-	// WireInAPI permits internal/wire types in the exported API. Only the
-	// wire package itself and the two TCP transports carry frames in their
-	// signatures; everyone else must keep wire types out of their API.
-	WireInAPI bool
 }
 
 // Policy is a module's complete layering declaration.
@@ -137,11 +137,11 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 		}},
 
 	// --- transport (may dial/listen, but exposition stays in cmd/*) ---
-	"internal/wire": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
+	"internal/wire": {Layer: "transport", ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/event", "internal/intern", "internal/value"}},
-	"internal/netbroker": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
+	"internal/netbroker": {Layer: "transport", ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/broker", "internal/event", "internal/obs", "internal/sublang", "internal/wire"}},
-	"internal/netoverlay": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
+	"internal/netoverlay": {Layer: "transport", ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/boolexpr", "internal/broker", "internal/event", "internal/obs", "internal/predicate", "internal/router", "internal/sublang", "internal/subtree", "internal/wire"},
 		Deny: map[string]string{
 			"internal/core": "the federation node matches through internal/broker, the one serving package that owns an engine",
@@ -180,5 +180,4 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 
 	// --- tools ---
 	"internal/arch": {Layer: "tools"},
-	"cmd/nclint":    {Layer: "tools", Allow: []string{"internal/arch"}},
 }}

@@ -1,44 +1,9 @@
-// Package hotviol is the hot-path allocation test fixture: each
-// annotated function exhibits exactly one construct the lint must flag,
-// followed by annotated functions that are clean by design and an
+// Package hotviol is the hot-path map-iteration test fixture: an
+// annotated function that ranges over a map, including inside a function
+// literal, beside annotated functions that are clean by design and an
 // unannotated function the lint must ignore entirely. The unit test
 // locates expectations by the trailing comments.
 package hotviol
-
-import "fmt"
-
-//nclint:hotpath
-func formats(n int) string {
-	return fmt.Sprintf("%d", n) // fmt call on the hot path
-}
-
-//nclint:hotpath
-func concatAssign(parts []string) string {
-	var s string
-	for _, p := range parts {
-		s += p // string += in a loop
-	}
-	return s
-}
-
-//nclint:hotpath
-func concatBinary(parts []string) string {
-	out := ""
-	for _, p := range parts {
-		out = out + p // string + in a loop
-	}
-	return out
-}
-
-//nclint:hotpath
-func mapLiteral(k string) map[string]int {
-	return map[string]int{k: 1} // map literal allocates
-}
-
-//nclint:hotpath
-func makesMap(n int) map[string]int {
-	return make(map[string]int, n) // make(map) on the hot path
-}
 
 //nclint:hotpath
 func rangesMap(m map[string]int) int {
@@ -50,91 +15,39 @@ func rangesMap(m map[string]int) int {
 }
 
 //nclint:hotpath
-func growsVar(xs []int) []int {
-	var out []int
-	for _, x := range xs {
-		out = append(out, x) // append to a bare var in a loop
+func rangesMapInLiteral(m map[string]int) func() int {
+	return func() (n int) {
+		for k := range m { // map iteration in a function literal
+			n += len(k)
+		}
+		return n
 	}
-	return out
-}
-
-//nclint:hotpath
-func growsLiteral(xs []int) []int {
-	out := []int{}
-	for _, x := range xs {
-		out = append(out, x) // append to a literal-declared slice in a loop
-	}
-	return out
-}
-
-//nclint:hotpath
-func growsMakeNoCap(xs []int) []int {
-	out := make([]int, 0)
-	for _, x := range xs {
-		out = append(out, x) // append to a capacity-less make in a loop
-	}
-	return out
 }
 
 // --- clean by design: none of these may produce a finding -----------------
 
-// growsHinted presizes; every append is within capacity.
-//
-//nclint:hotpath
-func growsHinted(xs []int) []int {
-	out := make([]int, 0, len(xs))
-	for _, x := range xs {
-		out = append(out, x)
-	}
-	return out
-}
-
-// growsParam appends to a caller-owned slice: its capacity is the
-// caller's contract.
-//
-//nclint:hotpath
-func growsParam(out, xs []int) []int {
-	for _, x := range xs {
-		out = append(out, x)
-	}
-	return out
-}
-
-// appendOnce is outside any loop: a single growth is not quadratic.
-//
-//nclint:hotpath
-func appendOnce(xs []int) []int {
-	var out []int
-	out = append(out, xs...)
-	return out
-}
-
 // probesMap reads one key: a map probe is fine on the hot path, only
-// construction and iteration are flagged.
+// iteration is flagged.
 //
 //nclint:hotpath
 func probesMap(m map[string]int, k string) int {
 	return m[k]
 }
 
-// justifiedFmt carries a justified exception and must NOT be flagged.
+// rangesSlice iterates in order over contiguous memory.
 //
 //nclint:hotpath
-func justifiedFmt(n int) string {
-	//nclint:allow hotpath -- fixture: error path only, never taken per event
-	return fmt.Sprintf("%d", n)
+func rangesSlice(xs []int) (sum int) {
+	for _, x := range xs {
+		sum += x
+	}
+	return sum
 }
 
-// unjustifiedFmt carries a bare directive: the directive itself is a
-// finding AND the call stays flagged.
-//
-//nclint:hotpath
-func unjustifiedFmt(n int) string {
-	//nclint:allow hotpath
-	return fmt.Sprintf("%d", n) // fmt call with an unjustified allow directive
-}
-
-// coldPath is unannotated: it may allocate freely.
-func coldPath(n int) string {
-	return fmt.Sprintf("cold %d", n)
+// coldPath is unannotated: it may range over a map freely.
+func coldPath(m map[string]int) (n int) {
+	for range m {
+		n++
+	}
+	return n
 }

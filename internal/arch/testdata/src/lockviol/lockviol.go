@@ -60,23 +60,6 @@ func (b *broker) rangeUnderLock() (n int) {
 	return n
 }
 
-// justifiedSend carries a justified exception and must NOT be flagged.
-func (b *broker) justifiedSend(v int) {
-	b.mu.Lock()
-	//nclint:allow lock-blocking -- fixture: reply channel is buffered for exactly one handshake
-	b.out <- v
-	b.mu.Unlock()
-}
-
-// unjustifiedSend carries a bare directive: the directive itself is a
-// finding AND the send stays flagged.
-func (b *broker) unjustifiedSend(v int) {
-	b.mu.Lock()
-	//nclint:allow lock-blocking
-	b.out <- v // send with an unjustified allow directive
-	b.mu.Unlock()
-}
-
 // --- exempt shapes: none of these may produce a finding -------------------
 
 // sendAfterUnlock blocks only once the mutex is released.

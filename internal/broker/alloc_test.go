@@ -1,9 +1,9 @@
 //go:build !race
 
-// Allocation budgets for the //nclint:hotpath-annotated publish pipeline,
-// the dynamic half of the hot-path gate (nclint's hotpath rule is the
-// static half). Race instrumentation changes allocation counts, so these
-// run only in unraced builds. EXPERIMENTS.md records the budgets.
+// Allocation budgets for the //nclint:hotpath-annotated publish pipeline:
+// the gate on its allocations. Race instrumentation changes allocation
+// counts, so these run only in unraced builds. EXPERIMENTS.md records the
+// budgets.
 
 package broker
 
@@ -53,18 +53,51 @@ func warmedBrokerOpts(tb testing.TB, opts Options, nsubs int) (*Broker, event.Ev
 // allocation. The match-result slice is pooled (matchBuf + MatchInto) and
 // Retain on an owned event is free, so the budget is pure headroom for
 // the runtime's occasional channel-send bookkeeping (sudog reuse makes
-// steady-state sends allocation-free).
+// steady-state sends allocation-free). The rows add the covered-descendant
+// walk of an aggregating broker, and a handler sink that reclaims its
+// delivered prefix because its handler runs one event behind.
+//
+// The walk is not free: at this shape enqueueCovered allocates its stack
+// and a visited map, and grows the map, 8 allocations per event. Its row
+// pins that count, so the walk can get cheaper but not dearer unnoticed.
 func TestPublishAllocBudget(t *testing.T) {
-	b, ev := warmedBroker(t, 100)
-	const budget = 1
-	avg := testing.AllocsPerRun(200, func() {
-		n, err := b.Publish(ev)
-		if err != nil || n == 0 {
-			t.Fatalf("publish: n=%d err=%v", n, err)
-		}
-	})
-	if avg > budget {
-		t.Errorf("Publish allocates %.1f per run, budget %d", avg, budget)
+	for _, row := range []struct {
+		name   string
+		opts   Options
+		behind bool // add a subscriber whose handler waits for each step
+		budget float64
+	}{
+		{"no-op handlers", Options{}, false, 1},
+		{"aggregate", Options{Aggregate: true}, false, 1 + 8},
+		{"handler one event behind", Options{}, true, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			b, ev := warmedBrokerOpts(t, row.opts, 100)
+			step := func() {}
+			if row.behind {
+				gate := make(chan struct{})
+				t.Cleanup(func() { close(gate) }) // runs before b.Close
+				if _, err := b.Subscribe(boolexpr.Pred("sym", predicate.Eq, "S1"), func(event.Event) { <-gate }); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ { // one event in the handler, one queued
+					if _, err := b.Publish(ev); err != nil {
+						t.Fatal(err)
+					}
+				}
+				step = func() { gate <- struct{}{} }
+			}
+			avg := testing.AllocsPerRun(200, func() {
+				n, err := b.Publish(ev)
+				if err != nil || n == 0 {
+					t.Fatalf("publish: n=%d err=%v", n, err)
+				}
+				step()
+			})
+			if avg > row.budget {
+				t.Errorf("Publish allocates %.1f per run, budget %.0f", avg, row.budget)
+			}
+		})
 	}
 }
 
@@ -79,14 +112,15 @@ func TestPublishBatchAllocBudget(t *testing.T) {
 	for i := range evs {
 		evs[i] = ev
 	}
+	evs[batch/2] = event.New().Set("sym", "none")  // an event that matches nothing
 	if _, err := b.PublishBatch(evs); err != nil { // grow the pooled match buffer
 		t.Fatal(err)
 	}
 	const budget = 1
 	avg := testing.AllocsPerRun(100, func() {
 		counts, err := b.PublishBatch(evs)
-		if err != nil || len(counts) != batch {
-			t.Fatalf("publish batch: counts=%d err=%v", len(counts), err)
+		if err != nil || len(counts) != batch || counts[batch/2] != 0 {
+			t.Fatalf("publish batch: counts=%v err=%v", counts, err)
 		}
 	})
 	if avg > budget {
