@@ -142,7 +142,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	"internal/netbroker": {Layer: "transport", ForbidStd: []string{"net/http"},
 		Allow: []string{"internal/broker", "internal/event", "internal/obs", "internal/sublang", "internal/wire"}},
 	"internal/netoverlay": {Layer: "transport", ForbidStd: []string{"net/http"},
-		Allow: []string{"internal/boolexpr", "internal/broker", "internal/event", "internal/obs", "internal/predicate", "internal/router", "internal/sublang", "internal/subtree", "internal/wire"},
+		Allow: []string{"internal/boolexpr", "internal/broker", "internal/event", "internal/obs", "internal/router", "internal/sublang", "internal/subtree", "internal/wire"},
 		Deny: map[string]string{
 			"internal/core": "the federation node matches through internal/broker, the one serving package that owns an engine",
 		}},

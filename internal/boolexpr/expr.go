@@ -292,9 +292,7 @@ func equalSlices(a, b []Expr) bool {
 	return true
 }
 
-func samePred(a, b predicate.P) bool {
-	return a.Attr == b.Attr && a.Op == b.Op && a.Operand.Key() == b.Operand.Key()
-}
+func samePred(a, b predicate.P) bool { return a.Key() == b.Key() }
 
 // Clone returns a deep copy of the expression.
 func Clone(e Expr) Expr {

@@ -15,6 +15,7 @@ import (
 	"noncanon/internal/event"
 	"noncanon/internal/obs"
 	"noncanon/internal/predicate"
+	"noncanon/internal/sublang"
 )
 
 // warmedBroker returns a broker with nsubs no-op subscribers (some
@@ -55,11 +56,9 @@ func warmedBrokerOpts(tb testing.TB, opts Options, nsubs int) (*Broker, event.Ev
 // the runtime's occasional channel-send bookkeeping (sudog reuse makes
 // steady-state sends allocation-free). The rows add the covered-descendant
 // walk of an aggregating broker, and a handler sink that reclaims its
-// delivered prefix because its handler runs one event behind.
-//
-// The walk is not free: at this shape enqueueCovered allocates its stack
-// and a visited map, and grows the map, 8 allocations per event. Its row
-// pins that count, so the walk can get cheaper but not dearer unnoticed.
+// delivered prefix because its handler runs one event behind. The
+// walk reaches descendants with several parents at this shape; its stack
+// and visited set live in the pooled matchBuf, so it too allocates nothing.
 func TestPublishAllocBudget(t *testing.T) {
 	for _, row := range []struct {
 		name   string
@@ -68,7 +67,7 @@ func TestPublishAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"no-op handlers", Options{}, false, 1},
-		{"aggregate", Options{Aggregate: true}, false, 1 + 8},
+		{"aggregate", Options{Aggregate: true}, false, 1},
 		{"handler one event behind", Options{}, true, 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -168,5 +167,67 @@ func TestPublishBatchInstrumentedAllocBudget(t *testing.T) {
 	})
 	if avg > budget {
 		t.Errorf("instrumented PublishBatch(%d) allocates %.1f per run, budget %d", batch, avg, budget)
+	}
+}
+
+// discardSink takes every delivery and keeps none.
+type discardSink struct{}
+
+func (discardSink) Deliver(uint64, event.Event) bool { return true }
+
+// selectiveText is the i-th filter of the TCP benchmark's selective shape:
+// a bucket equality beside a price band, and a zero-satisfiable vol/region
+// clause.
+func selectiveText(i int) string {
+	a := 50000 + i%2000*70
+	return fmt.Sprintf(`(bucket = %d and (price > %d or price <= %d)) and (vol >= %d or not region = "r%d")`,
+		1000+i%2500, a, a-50000, 10000+i*7%2000*10, i%4)
+}
+
+// TestOutletSubscribeAllocBudget: with 800 selective-shaped filters held, a
+// steady-state Outlet.Subscribe and Unsubscribe of one more — whose price
+// and vol thresholds no held filter shares, so its predicates enter and
+// leave the index as churn's do — allocates no more than its budget, with
+// and without parsing the filter's text first. Parsing is Parse's budget
+// (internal/sublang); compiling allocates the tree's distinct predicates,
+// their leaf map, its Code and its PredIDs; the rest is the index's and
+// the broker's own bookkeeping.
+func TestOutletSubscribeAllocBudget(t *testing.T) {
+	b := New(Options{})
+	defer b.Close()
+	out := b.Attach(discardSink{})
+	for i := 0; i < 800; i++ {
+		if _, err := out.Subscribe(sublang.MustParse(selectiveText(i)), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	text := selectiveText(800)
+	expr := sublang.MustParse(text)
+	for _, row := range []struct {
+		name   string
+		parse  bool
+		budget float64
+	}{
+		{"subscribe and unsubscribe", false, 14},
+		{"parse, subscribe and unsubscribe", true, 30},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			avg := testing.AllocsPerRun(200, func() {
+				x := expr
+				if row.parse {
+					x = sublang.MustParse(text)
+				}
+				s, err := out.Subscribe(x, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Unsubscribe(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > row.budget {
+				t.Errorf("%s allocates %.1f per filter, budget %.0f", row.name, avg, row.budget)
+			}
+		})
 	}
 }

@@ -40,6 +40,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -96,6 +97,10 @@ type Options struct {
 // match-result storage at all.
 type matchBuf struct {
 	ids []matcher.SubID
+	// stack and visited are enqueueCovered's walk: the covered nodes still
+	// to visit, and the nodes with several parents the event has reached.
+	stack   []*dag.Node
+	visited []*dag.Node
 }
 
 // Broker routes published events to matching subscribers.
@@ -275,9 +280,14 @@ func (b *Broker) SubscribeChan(expr boolexpr.Expr) (*Subscription, <-chan event.
 
 // subscribe registers expr for delivery through out's sink as handle.
 func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Subscription, error) {
+	// Everything that walks the expression without touching shared state
+	// happens before the lock that publishers wait on.
+	prep, err := b.eng.Prepare(expr)
+	if err != nil {
+		return nil, err
+	}
 	var key string
 	if b.opts.Aggregate {
-		// Key computation walks the expression; do it outside the lock.
 		key = cover.Key(expr)
 	}
 	b.mu.Lock()
@@ -286,18 +296,12 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Sub
 		return nil, ErrClosed
 	}
 	var g *filterGroup
-	var err error
 	if b.dag != nil {
-		g, err = b.subscribeDAG(key, expr)
+		g = b.subscribeDAG(key, expr, prep)
 	} else {
-		var id matcher.SubID
-		if id, err = b.eng.Subscribe(expr); err == nil {
-			g = &filterGroup{id: id}
-			b.groups[id] = g
-		}
-	}
-	if err != nil {
-		return nil, err
+		id := b.eng.Register(prep)
+		g = &filterGroup{id: id}
+		b.groups[id] = g
 	}
 	s := &Subscription{g: g, out: out, handle: handle, gidx: int32(len(g.members))}
 	out.adjust(1) // capacity before the first publisher can find s
@@ -313,11 +317,11 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Sub
 }
 
 // subscribeDAG interns the filter into the covering poset and keeps the
-// engine equal to the frontier. Caller holds the write lock and appends
-// the new member afterwards. Ordering: a brand-new frontier filter enters
-// the engine before any entries it demotes are retracted, so matching
-// never gaps.
-func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr) (*filterGroup, error) {
+// engine equal to the frontier, registering prep if the filter is a new
+// frontier entry. Caller holds the write lock and appends the new member
+// afterwards. Ordering: a brand-new frontier filter enters the engine
+// before any entries it demotes are retracted, so matching never gaps.
+func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr, prep core.Prepared) *filterGroup {
 	res := b.dag.AddKeyed(key, expr)
 	g, _ := res.Node.Data.(*filterGroup)
 	if g == nil {
@@ -325,17 +329,8 @@ func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr) (*filterGroup, err
 		res.Node.Data = g
 	}
 	if res.New && res.Frontier {
-		id, err := b.eng.Subscribe(expr)
-		if err != nil {
-			// Roll back the insert; Release re-promotes anything the
-			// failed node demoted, and their engine entries were never
-			// touched, so the broker is back to its prior state.
-			b.dag.Release(res.Node)
-			res.Node.Data = nil
-			return nil, err
-		}
-		g.id = id
-		b.groups[id] = g
+		g.id = b.eng.Register(prep)
+		b.groups[g.id] = g
 	}
 	if !res.New {
 		b.aggregated.Inc()
@@ -347,7 +342,7 @@ func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr) (*filterGroup, err
 		fg.id = 0
 		b.covered += len(fg.members)
 	}
-	return g, nil
+	return g
 }
 
 // ID returns the engine subscription ID. With Options.Aggregate,
@@ -472,7 +467,7 @@ func (b *Broker) Publish(ev event.Event) (int, error) {
 	if timed {
 		b.matchLatency.Observe(time.Since(start))
 	}
-	n := b.deliverMatched(ev, mb.ids)
+	n := b.deliverMatched(mb, ev, mb.ids)
 	b.matchPool.Put(mb)
 	if timed {
 		b.publishLatency.Observe(time.Since(start))
@@ -483,12 +478,12 @@ func (b *Broker) Publish(ev event.Event) (int, error) {
 // deliverMatched fans one event out to the subscribers behind its matched
 // engine entries — each entry's own group, then the matching covered
 // descendants of its poset node — and returns how many subscribers that
-// is. Both publish entry points end here; the caller holds the read lock.
+// is. Both publish entry points end here with their pooled buffer; the
+// caller holds the read lock.
 //
 //nclint:hotpath
-func (b *Broker) deliverMatched(ev event.Event, ids []matcher.SubID) int {
+func (b *Broker) deliverMatched(mb *matchBuf, ev event.Event, ids []matcher.SubID) int {
 	n := 0
-	var visited map[*dag.Node]bool // shared across this event's roots only
 	for _, id := range ids {
 		g, ok := b.groups[id]
 		if !ok {
@@ -496,11 +491,11 @@ func (b *Broker) deliverMatched(ev event.Event, ids []matcher.SubID) int {
 		}
 		n += b.enqueue(g, ev)
 		if g.node != nil && len(g.node.Children()) > 0 {
-			var dn int
-			dn, visited = b.enqueueCovered(g.node, ev, visited)
-			n += dn
+			n += b.enqueueCovered(mb, g.node, ev)
 		}
 	}
+	clear(mb.visited) // a pooled buffer must not keep released nodes alive
+	mb.visited = mb.visited[:0]
 	return n
 }
 
@@ -525,33 +520,33 @@ func (b *Broker) enqueue(g *filterGroup, ev event.Event) int {
 // re-checked against its own filter; a failing node soundly prunes its
 // whole subtree (everything it covers matches a subset of what it does).
 //
-// visited dedups nodes with multiple parents and must be shared across
-// every frontier root matched by the *same* event (two frontier entries
-// can cover a common descendant) but never across events; it is allocated
-// lazily on the first multi-parent node, so chain- and tree-shaped posets
-// walk allocation-light. Caller holds the read lock.
-func (b *Broker) enqueueCovered(root *dag.Node, ev event.Event, visited map[*dag.Node]bool) (int, map[*dag.Node]bool) {
+// mb.visited dedups nodes with several parents and is shared across every
+// frontier root matched by the same event (two frontier entries can cover
+// a common descendant) but never across events. It is searched linearly:
+// only nodes with several parents enter it, and an event reaches few. The
+// walk keeps its stack in mb too, so it allocates nothing once the pooled
+// buffer has grown. Caller holds the read lock.
+func (b *Broker) enqueueCovered(mb *matchBuf, root *dag.Node, ev event.Event) int {
 	n := 0
-	stack := append(make([]*dag.Node, 0, 16), root.Children()...)
-	for len(stack) > 0 {
-		c := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	mb.stack = append(mb.stack[:0], root.Children()...)
+	for len(mb.stack) > 0 {
+		last := len(mb.stack) - 1
+		c := mb.stack[last]
+		mb.stack[last] = nil
+		mb.stack = mb.stack[:last]
 		if len(c.Parents()) > 1 {
-			if visited == nil {
-				visited = make(map[*dag.Node]bool)
-			}
-			if visited[c] {
+			if slices.Contains(mb.visited, c) {
 				continue
 			}
-			visited[c] = true
+			mb.visited = append(mb.visited, c)
 		}
 		if !c.Expr().Eval(ev) {
 			continue
 		}
 		n += b.enqueue(c.Data.(*filterGroup), ev)
-		stack = append(stack, c.Children()...)
+		mb.stack = append(mb.stack, c.Children()...)
 	}
-	return n, visited
+	return n
 }
 
 // PublishBatch matches and enqueues a batch of events, amortising the
@@ -610,7 +605,7 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 		if b.keepers > 0 {
 			ev = ev.Retain()
 		}
-		counts[i] = b.deliverMatched(ev, mb.ids[lo:hi])
+		counts[i] = b.deliverMatched(mb, ev, mb.ids[lo:hi])
 		lo = hi
 	}
 	b.matchPool.Put(mb)

@@ -178,41 +178,47 @@ func New(reg *predicate.Registry, idx *index.Index, opts Options) *Engine {
 // Name implements matcher.Matcher.
 func (e *Engine) Name() string { return "non-canonical" }
 
-// Subscribe compiles and registers an arbitrary Boolean subscription.
+// Subscribe compiles and registers an arbitrary Boolean subscription. It
+// is Prepare followed by Register.
 func (e *Engine) Subscribe(expr boolexpr.Expr) (matcher.SubID, error) {
+	p, err := e.Prepare(expr)
+	if err != nil {
+		return 0, err
+	}
+	return e.Register(p), nil
+}
+
+// Prepared is a subscription checked for registration, its distinct
+// predicates found: everything of Subscribe that touches no shared state.
+type Prepared struct {
+	tree subtree.Tree
+}
+
+// Prepare does the part of Subscribe that needs no lock — simplifying the
+// expression if Options.Simplify asks, checking it against the encoding's
+// limits and finding its distinct predicates — so that callers serialising
+// their own writes can do it before they take their lock.
+func (e *Engine) Prepare(expr boolexpr.Expr) (Prepared, error) {
 	if expr == nil {
-		return 0, fmt.Errorf("core: nil subscription expression")
+		return Prepared{}, fmt.Errorf("core: nil subscription expression")
 	}
 	if e.opts.Simplify {
 		expr = boolexpr.Simplify(expr)
 	}
+	tree, err := subtree.Prepare(expr, subtree.Options{Encoding: e.opts.Encoding, Reorder: e.opts.Reorder})
+	if err != nil {
+		return Prepared{}, fmt.Errorf("core: compile subscription: %w", err)
+	}
+	return Prepared{tree: tree}, nil
+}
+
+// Register interns a prepared subscription's predicates, encodes its tree
+// and lists it, under the write lock. prep must come from this engine's
+// Prepare.
+func (e *Engine) Register(prep Prepared) matcher.SubID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-
-	// Record interned predicates so a late compile failure (encoding limits)
-	// can roll back reference counts and index entries.
-	var interned []predicate.ID
-	intern := func(p predicate.P) predicate.ID {
-		id := e.internLocked(p)
-		interned = append(interned, id)
-		return id
-	}
-	compiled, err := subtree.Compile(expr, intern, subtree.Options{
-		Encoding: e.opts.Encoding,
-		Reorder:  e.opts.Reorder,
-	})
-	if err != nil {
-		for _, pid := range interned {
-			p, gerr := e.reg.Get(pid)
-			if gerr != nil {
-				continue
-			}
-			if died, _ := e.reg.Release(pid); died {
-				e.idx.Remove(pid, p)
-			}
-		}
-		return 0, fmt.Errorf("core: compile subscription: %w", err)
-	}
+	compiled := prep.tree.Encode(e.internLocked)
 
 	id := e.allocLocked()
 	s := &e.slots[id-1]
@@ -236,7 +242,7 @@ func (e *Engine) Subscribe(expr boolexpr.Expr) (matcher.SubID, error) {
 	if compiled.ZeroSat {
 		e.always = append(e.always, id)
 	}
-	return id, nil
+	return id
 }
 
 // listingLocked returns the predicates a newly compiled tree is listed

@@ -160,6 +160,42 @@ func TestUnsubscribe(t *testing.T) {
 	}
 }
 
+// TestSubscribeDedupsOnRegistryIdentity: leaves the registry interns to
+// one predicate — -0 and 0, 3 and 3.0 — are one predicate of the tree, so
+// its PredIDs are strictly increasing, each predicate holds one reference,
+// and unsubscribing empties the registry and the index again, under both
+// listings.
+func TestSubscribeDedupsOnRegistryIdentity(t *testing.T) {
+	for _, l := range listings {
+		e, reg, idx := newEngine(Options{PaperAssociation: l.paper})
+		id, err := e.Subscribe(mustParse(t, "x > -0.0 and x > 0 and y = 1 and z = 3 and z = 3.0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pids := e.slots[id-1].compiled.PredIDs
+		for i := 1; i < len(pids); i++ {
+			if pids[i] <= pids[i-1] {
+				t.Errorf("%s listing: PredIDs %v not strictly increasing", l.name, pids)
+			}
+		}
+		if len(pids) != 3 || reg.Len() != 3 {
+			t.Errorf("%s listing: PredIDs %v over %d registry predicates, want 3 of each", l.name, pids, reg.Len())
+		}
+		for _, pid := range pids {
+			if n := reg.Refs(pid); n != 1 {
+				t.Errorf("%s listing: predicate %d holds %d references, want 1", l.name, pid, n)
+			}
+		}
+		if err := e.Unsubscribe(id); err != nil {
+			t.Fatal(err)
+		}
+		if reg.Len() != 0 || idx.NumPredicates() != 0 || e.AssocEntries() != 0 {
+			t.Errorf("%s listing: %d registry predicates, %d indexed, %d association entries left",
+				l.name, reg.Len(), idx.NumPredicates(), e.AssocEntries())
+		}
+	}
+}
+
 func TestSubIDReuse(t *testing.T) {
 	e, _, _ := newEngine(Options{})
 	id1, _ := e.Subscribe(boolexpr.Pred("a", predicate.Eq, 1))

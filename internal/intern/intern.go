@@ -26,6 +26,7 @@
 package intern
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -84,6 +85,9 @@ func Of(name string) Sym {
 	if dirty == nil {
 		dirty = make(map[string]Sym, 8)
 	}
+	// The table keeps its own copy: name may be a substring of a larger
+	// transient string, such as a subscription's text.
+	name = strings.Clone(name)
 	s := Sym(len(snap.names) + len(dirtyNames) + 1)
 	dirty[name] = s
 	dirtyNames = append(dirtyNames, name)

@@ -61,7 +61,6 @@ import (
 	"noncanon/internal/broker"
 	"noncanon/internal/event"
 	"noncanon/internal/obs"
-	"noncanon/internal/predicate"
 	"noncanon/internal/router"
 	"noncanon/internal/sublang"
 	"noncanon/internal/subtree"
@@ -449,11 +448,10 @@ func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (SubRef, error) {
 	if h == nil {
 		return SubRef{}, fmt.Errorf("netoverlay: nil handler")
 	}
-	// Validate compilability up front (throwaway interner) so installation
-	// cannot fail asynchronously, and require the filter to survive the
-	// text round trip it takes across every link.
-	var n predicate.ID
-	if _, err := subtree.Compile(expr, func(predicate.P) predicate.ID { n++; return n }, subtree.Options{}); err != nil {
+	// Validate compilability up front so installation cannot fail
+	// asynchronously, and require the filter to survive the text round
+	// trip it takes across every link.
+	if _, err := subtree.Prepare(expr, subtree.Options{}); err != nil {
 		return SubRef{}, fmt.Errorf("netoverlay: invalid subscription: %w", err)
 	}
 	back, err := sublang.Parse(expr.String())

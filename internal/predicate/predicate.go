@@ -82,14 +82,16 @@ type P struct {
 
 // New builds a predicate from a native operand value. Registering a
 // subscription is what defines the local attribute vocabulary, so New
-// interns the attribute name.
+// interns the attribute name, and Attr is the intern table's own copy of
+// it: a predicate outlives the text it was parsed from without pinning it.
 func New(attr string, op Op, operand any) P {
-	return P{Attr: attr, Sym: intern.Of(attr), Op: op, Operand: value.Of(operand)}
+	return Make(attr, op, value.Of(operand))
 }
 
 // Make is New for an operand already in value form.
 func Make(attr string, op Op, operand value.Value) P {
-	return P{Attr: attr, Sym: intern.Of(attr), Op: op, Operand: operand}
+	sym := intern.Of(attr)
+	return P{Attr: intern.Name(sym), Sym: sym, Op: op, Operand: operand}
 }
 
 // String renders the predicate in subscription-language syntax.
@@ -179,13 +181,17 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// key is the interning key: structurally identical predicates (with
-// numerically unified operands, see value.Key) collapse to one entry.
-type key struct {
+// Key is the registry's identity of a predicate: structurally identical
+// predicates (with numerically unified operands, see value.Key) have equal
+// Keys and intern to one ID. It is comparable.
+type Key struct {
 	attr string
 	op   Op
 	val  value.Key
 }
+
+// Key returns the predicate's registry identity.
+func (p P) Key() Key { return Key{attr: p.Attr, op: p.Op, val: p.Operand.Key()} }
 
 // MemBytes estimates the resident size of the predicate.
 func (p P) MemBytes() int {

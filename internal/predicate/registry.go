@@ -15,7 +15,7 @@ var ErrNotFound = errors.New("predicate: id not registered")
 //
 // Registry is not safe for concurrent use; engines serialise access.
 type Registry struct {
-	byKey  map[key]ID
+	byKey  map[Key]ID
 	preds  []P      // dense storage indexed by ID-1
 	refs   []uint32 // reference counts, parallel to preds
 	free   []ID     // reusable IDs whose refcount dropped to zero
@@ -25,13 +25,13 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byKey: make(map[key]ID, 1024)}
+	return &Registry{byKey: make(map[Key]ID, 1024)}
 }
 
 // Intern registers p (or finds the existing identical predicate), increments
 // its reference count and returns its ID.
 func (r *Registry) Intern(p P) ID {
-	k := key{attr: p.Attr, op: p.Op, val: p.Operand.Key()}
+	k := p.Key()
 	if id, ok := r.byKey[k]; ok {
 		r.refs[id-1]++
 		return id
@@ -74,7 +74,7 @@ func (r *Registry) Release(id ID) (died bool, err error) {
 		return false, nil
 	}
 	p := r.preds[i]
-	delete(r.byKey, key{attr: p.Attr, op: p.Op, val: p.Operand.Key()})
+	delete(r.byKey, p.Key())
 	r.preds[i] = P{}
 	r.free = append(r.free, id)
 	r.live--

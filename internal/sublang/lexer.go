@@ -316,8 +316,15 @@ func (lx *lexer) lexNumber() (token, error) {
 func (lx *lexer) lexIdent() (token, error) {
 	start := lx.pos
 	for lx.pos < len(lx.src) {
+		if c := lx.src[lx.pos]; c < utf8.RuneSelf {
+			if 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '_' || c == '.' || c == '-' {
+				lx.pos++
+				continue
+			}
+			break
+		}
 		r, w := utf8.DecodeRuneInString(lx.src[lx.pos:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '.' || r == '-' {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
 			lx.pos += w
 			continue
 		}

@@ -39,7 +39,7 @@ func (e *ParseError) Error() string {
 const MaxPredicates = 256
 
 type parser struct {
-	lx    *lexer
+	lx    lexer
 	tok   token
 	npred int
 }
@@ -49,7 +49,7 @@ func Parse(input string) (boolexpr.Expr, error) {
 	if strings.TrimSpace(input) == "" {
 		return nil, &ParseError{Pos: 0, Msg: "empty subscription", Input: input}
 	}
-	p := &parser{lx: &lexer{src: input}}
+	p := &parser{lx: lexer{src: input}}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -86,42 +86,47 @@ func (p *parser) errorf(format string, args ...any) error {
 	return &ParseError{Pos: p.tok.pos, Msg: fmt.Sprintf(format, args...), Input: p.lx.src}
 }
 
-func (p *parser) parseOr() (boolexpr.Expr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
+func (p *parser) parseOr() (boolexpr.Expr, error) { return p.parseNary(tokOr, p.parseAnd) }
+
+func (p *parser) parseAnd() (boolexpr.Expr, error) { return p.parseNary(tokAnd, p.parseUnary) }
+
+// parseNary parses operands separated by sep (tokOr or tokAnd) into one Or
+// or And, flattening an operand of the same operator into it as
+// boolexpr.NewOr and NewAnd do. A lone operand is returned as it is.
+func (p *parser) parseNary(sep tokenKind, operand func() (boolexpr.Expr, error)) (boolexpr.Expr, error) {
+	x, err := operand()
+	if err != nil || p.tok.kind != sep {
+		return x, err
 	}
-	xs := []boolexpr.Expr{x}
-	for p.tok.kind == tokOr {
+	xs := appendOperand(make([]boolexpr.Expr, 0, 2), x, sep)
+	for p.tok.kind == sep {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		y, err := p.parseAnd()
+		y, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		xs = append(xs, y)
+		xs = appendOperand(xs, y, sep)
 	}
-	return boolexpr.NewOr(xs...), nil
+	if sep == tokOr {
+		return boolexpr.Or{Xs: xs}, nil
+	}
+	return boolexpr.And{Xs: xs}, nil
 }
 
-func (p *parser) parseAnd() (boolexpr.Expr, error) {
-	x, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	xs := []boolexpr.Expr{x}
-	for p.tok.kind == tokAnd {
-		if err := p.advance(); err != nil {
-			return nil, err
+func appendOperand(xs []boolexpr.Expr, x boolexpr.Expr, sep tokenKind) []boolexpr.Expr {
+	switch t := x.(type) {
+	case boolexpr.Or:
+		if sep == tokOr {
+			return append(xs, t.Xs...)
 		}
-		y, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+	case boolexpr.And:
+		if sep == tokAnd {
+			return append(xs, t.Xs...)
 		}
-		xs = append(xs, y)
 	}
-	return boolexpr.NewAnd(xs...), nil
+	return append(xs, x)
 }
 
 func (p *parser) parseUnary() (boolexpr.Expr, error) {
@@ -189,11 +194,13 @@ func (p *parser) parsePredicate() (boolexpr.Expr, error) {
 		}
 		return p.leaf(predicate.Make(attr, op, operand))
 	case tokPrefix, tokSuffix, tokContains:
-		op := map[tokenKind]predicate.Op{
-			tokPrefix:   predicate.Prefix,
-			tokSuffix:   predicate.Suffix,
-			tokContains: predicate.Contains,
-		}[p.tok.kind]
+		op := predicate.Contains
+		switch p.tok.kind {
+		case tokPrefix:
+			op = predicate.Prefix
+		case tokSuffix:
+			op = predicate.Suffix
+		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -204,7 +211,7 @@ func (p *parser) parsePredicate() (boolexpr.Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return p.leaf(predicate.New(attr, op, operand))
+		return p.leaf(predicate.Make(attr, op, value.OfString(operand)))
 	default:
 		return nil, p.errorf("expected comparison operator after %q, got %s", attr, p.tok.kind)
 	}

@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/event"
+	"noncanon/internal/intern"
 	"noncanon/internal/predicate"
 )
 
@@ -207,6 +209,24 @@ func TestParseIdempotentPrint(t *testing.T) {
 		e2 := MustParse(e1.String())
 		if !boolexpr.Equal(e1, e2) {
 			t.Errorf("fixed point failed for %q:\n  e1: %s\n  e2: %s", in, e1, e2)
+		}
+	}
+}
+
+// TestParsedAttrIsInternTableCopy: a parsed predicate's attribute name is
+// the intern table's own string, for a name seen before and for one seen
+// first in this text, so a registered predicate never keeps the text it
+// was parsed from alive.
+func TestParsedAttrIsInternTableCopy(t *testing.T) {
+	text := strings.Clone(`price > 1 and parsedAttrIsInternTableCopy = "x"`)
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	for _, p := range boolexpr.Leaves(MustParse(text)) {
+		at := unsafe.StringData(p.Attr)
+		if at != unsafe.StringData(intern.Name(p.Sym)) {
+			t.Errorf("%s: Attr is not the intern table's string", p)
+		}
+		if a := uintptr(unsafe.Pointer(at)); a >= lo && a < lo+uintptr(len(text)) {
+			t.Errorf("%s: Attr points into the subscription text", p)
 		}
 	}
 }

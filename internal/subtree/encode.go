@@ -24,7 +24,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/predicate"
@@ -111,132 +112,237 @@ func (c Compiled) MemBytes() int {
 
 // Compile encodes the expression, interning every distinct predicate exactly
 // once through intern (typically predicate.Registry.Intern bound to the
-// engine's registry).
+// engine's registry). It is Prepare followed by Encode, so intern is not
+// called when compilation fails.
 func Compile(e boolexpr.Expr, intern func(predicate.P) predicate.ID, opts Options) (Compiled, error) {
-	if opts.Encoding == 0 {
-		opts.Encoding = PaperEncoding
-	}
-	c := &compiler{
-		intern: intern,
-		ids:    make(map[string]predicate.ID),
-		opts:   opts,
-	}
-	var buf []byte
-	switch opts.Encoding {
-	case PaperEncoding:
-		buf = append(buf, headerPaper)
-	case CompactEncoding:
-		buf = append(buf, headerCompact)
-	default:
-		return Compiled{}, fmt.Errorf("subtree: unknown encoding %d", opts.Encoding)
-	}
-	body, err := c.encode(e)
+	t, err := Prepare(e, opts)
 	if err != nil {
 		return Compiled{}, err
 	}
-	buf = append(buf, body...)
+	return t.Encode(intern), nil
+}
 
-	predIDs := make([]predicate.ID, 0, len(c.ids))
-	for _, id := range c.ids {
-		predIDs = append(predIDs, id)
+// Tree is an expression checked against its encoding's limits, with its
+// distinct predicates found. Prepare builds it without interning anything,
+// so a caller can prepare outside the lock that guards its registry and
+// take the lock only to Encode.
+type Tree struct {
+	expr    boolexpr.Expr
+	opts    Options
+	preds   []leafPred // distinct predicates, in first-occurrence order
+	leaves  []int32    // per leaf, depth-first in author order: its index in preds
+	zeroSat bool
+}
+
+// leafPred is a distinct predicate of a Tree with its registry identity.
+type leafPred struct {
+	p predicate.P
+	k predicate.Key
+}
+
+// Prepare validates e for the encoding opts selects and lists its distinct
+// predicates. Two leaves are one predicate when a predicate.Registry would
+// intern them to one ID (equal predicate.Key), so a compiled tree never
+// lists an ID twice. The search is linear in the predicates found so far:
+// trees are small (sublang caps a subscription at MaxPredicates leaves).
+func Prepare(e boolexpr.Expr, opts Options) (Tree, error) {
+	if opts.Encoding == 0 {
+		opts.Encoding = PaperEncoding
 	}
-	sort.Slice(predIDs, func(i, j int) bool { return predIDs[i] < predIDs[j] })
-	return Compiled{
-		Code:    buf,
-		PredIDs: predIDs,
-		ZeroSat: boolexpr.ZeroSatisfiable(e),
-	}, nil
-}
-
-type compiler struct {
-	intern func(predicate.P) predicate.ID
-	ids    map[string]predicate.ID // per-subscription predicate dedup
-	opts   Options
-}
-
-func (c *compiler) leafID(p predicate.P) predicate.ID {
-	k := p.String()
-	if id, ok := c.ids[k]; ok {
-		return id
+	if opts.Encoding != PaperEncoding && opts.Encoding != CompactEncoding {
+		return Tree{}, fmt.Errorf("subtree: unknown encoding %d", opts.Encoding)
 	}
-	id := c.intern(p)
-	c.ids[k] = id
-	return id
+	n := 0
+	boolexpr.Walk(e, func(x boolexpr.Expr) bool {
+		if _, ok := x.(boolexpr.Leaf); ok {
+			n++
+		}
+		return true
+	})
+	t := Tree{expr: e, opts: opts, preds: make([]leafPred, 0, n), leaves: make([]int32, 0, n)}
+	if _, err := t.walk(e); err != nil {
+		return Tree{}, err
+	}
+	t.zeroSat = boolexpr.ZeroSatisfiable(e)
+	return t, nil
 }
 
-// encode serialises one node (without the format header).
-func (c *compiler) encode(e boolexpr.Expr) ([]byte, error) {
-	switch t := e.(type) {
+// walk records e's leaves and returns e's size in the paper's layout, which
+// does not depend on predicate IDs; that layout's limits are checked here,
+// so Encode cannot fail.
+func (t *Tree) walk(e boolexpr.Expr) (int, error) {
+	switch x := e.(type) {
 	case boolexpr.Leaf:
-		id := c.leafID(t.Pred)
-		if c.opts.Encoding == CompactEncoding {
-			return binary.AppendUvarint([]byte{opLeaf}, uint64(id)), nil
-		}
-		return binary.LittleEndian.AppendUint32([]byte{opLeaf}, uint32(id)), nil
+		t.leaves = append(t.leaves, t.distinct(x.Pred))
+		return 5, nil
 	case boolexpr.Not:
-		child, err := c.encode(t.X)
+		w, err := t.walk(x.X)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		return c.wrapUnary(opNot, child)
+		if t.opts.Encoding == PaperEncoding && w > 0xFFFF {
+			return 0, ErrChildTooLarge
+		}
+		return 3 + w, nil
 	case boolexpr.And:
-		return c.encodeNary(opAnd, t.Xs)
+		return t.walkNary(x.Xs)
 	case boolexpr.Or:
-		return c.encodeNary(opOr, t.Xs)
+		return t.walkNary(x.Xs)
 	default:
-		return nil, fmt.Errorf("subtree: unknown expression node %T", e)
+		return 0, fmt.Errorf("subtree: unknown expression node %T", e)
 	}
 }
 
-func (c *compiler) wrapUnary(op byte, child []byte) ([]byte, error) {
-	if c.opts.Encoding == CompactEncoding {
-		out := binary.AppendUvarint([]byte{op}, uint64(len(child)))
-		return append(out, child...), nil
-	}
-	if len(child) > 0xFFFF {
-		return nil, ErrChildTooLarge
-	}
-	out := binary.LittleEndian.AppendUint16([]byte{op}, uint16(len(child)))
-	return append(out, child...), nil
-}
-
-func (c *compiler) encodeNary(op byte, xs []boolexpr.Expr) ([]byte, error) {
+func (t *Tree) walkNary(xs []boolexpr.Expr) (int, error) {
+	paper := t.opts.Encoding == PaperEncoding
 	if len(xs) == 0 {
-		return nil, ErrEmptyNode
+		return 0, ErrEmptyNode
 	}
-	if c.opts.Encoding == PaperEncoding && len(xs) > 255 {
-		return nil, ErrTooManyChildren
+	if paper && len(xs) > 255 {
+		return 0, ErrTooManyChildren
 	}
-	children := make([][]byte, len(xs))
-	for i, x := range xs {
-		b, err := c.encode(x)
+	size := 2
+	for _, x := range xs {
+		w, err := t.walk(x)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		children[i] = b
-	}
-	if c.opts.Reorder {
-		// Cheapest-first, stable so equal-size children keep author order.
-		sort.SliceStable(children, func(i, j int) bool {
-			return len(children[i]) < len(children[j])
-		})
-	}
-	var out []byte
-	if c.opts.Encoding == CompactEncoding {
-		out = binary.AppendUvarint([]byte{op}, uint64(len(children)))
-		for _, ch := range children {
-			out = binary.AppendUvarint(out, uint64(len(ch)))
-			out = append(out, ch...)
+		if paper && w > 0xFFFF {
+			return 0, ErrChildTooLarge
 		}
-		return out, nil
+		size += 2 + w
 	}
-	out = []byte{op, byte(len(children))}
-	for _, ch := range children {
-		if len(ch) > 0xFFFF {
-			return nil, ErrChildTooLarge
+	return size, nil
+}
+
+// distinct returns the index in t.preds of p's registry identity, adding it
+// on first sight.
+func (t *Tree) distinct(p predicate.P) int32 {
+	k := p.Key()
+	for i := range t.preds {
+		if t.preds[i].k == k {
+			return int32(i)
 		}
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(ch)))
-		out = append(out, ch...)
 	}
-	return out, nil
+	t.preds = append(t.preds, leafPred{p: p, k: k})
+	return int32(len(t.preds) - 1)
+}
+
+// Encode interns each distinct predicate once, in first-occurrence order,
+// and encodes the tree into a Code of exactly its size.
+func (t *Tree) Encode(intern func(predicate.P) predicate.ID) Compiled {
+	ids := make([]predicate.ID, len(t.preds))
+	for i := range t.preds {
+		ids[i] = intern(t.preds[i].p)
+	}
+	enc := encoders.Get().(*encoder)
+	enc.ids, enc.leaves = ids, t.leaves
+	enc.compact, enc.reorder = t.opts.Encoding == CompactEncoding, t.opts.Reorder
+	if enc.compact {
+		enc.buf = append(enc.buf[:0], headerCompact)
+	} else {
+		enc.buf = append(enc.buf[:0], headerPaper)
+	}
+	enc.node(t.expr)
+	code := make([]byte, len(enc.buf))
+	copy(code, enc.buf)
+	enc.ids, enc.leaves = nil, nil
+	encoders.Put(enc)
+	slices.Sort(ids)
+	return Compiled{Code: code, PredIDs: ids, ZeroSat: t.zeroSat}
+}
+
+// encoders recycles the encoding scratch, so an Encode allocates only the
+// Code and PredIDs it returns.
+var encoders = sync.Pool{New: func() any { return new(encoder) }}
+
+// encoder writes a tree in one pass into one buffer.
+type encoder struct {
+	buf     []byte
+	ids     []predicate.ID // per distinct predicate
+	leaves  []int32        // the leaves not yet written: their indices in ids
+	compact bool
+	reorder bool
+	bounds  []int  // child boundaries of the And/Or nodes being written
+	order   []int  // a node's children, cheapest first
+	tmp     []byte // a node's children while they are reordered
+}
+
+// node appends e without the format header.
+func (c *encoder) node(e boolexpr.Expr) {
+	switch x := e.(type) {
+	case boolexpr.Leaf:
+		id := uint64(c.ids[c.leaves[0]])
+		c.leaves = c.leaves[1:]
+		c.buf = append(c.buf, opLeaf)
+		if c.compact {
+			c.buf = binary.AppendUvarint(c.buf, id)
+		} else {
+			c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(id))
+		}
+	case boolexpr.Not:
+		c.buf = append(c.buf, opNot)
+		c.child(x.X)
+	case boolexpr.And:
+		c.nary(opAnd, x.Xs)
+	case boolexpr.Or:
+		c.nary(opOr, x.Xs)
+	}
+}
+
+// child appends x behind its width: a u16 reserved before x and patched
+// after it in the paper layout; in the compact one a varint, for which the
+// encoded x is moved up once its width is known.
+func (c *encoder) child(x boolexpr.Expr) {
+	at := len(c.buf)
+	if !c.compact {
+		c.buf = append(c.buf, 0, 0)
+		c.node(x)
+		binary.LittleEndian.PutUint16(c.buf[at:], uint16(len(c.buf)-at-2))
+		return
+	}
+	c.node(x)
+	w := len(c.buf) - at
+	var width [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(width[:], uint64(w))
+	c.buf = append(c.buf, width[:n]...)
+	copy(c.buf[at+n:], c.buf[at:at+w])
+	copy(c.buf[at:], width[:n])
+}
+
+func (c *encoder) nary(op byte, xs []boolexpr.Expr) {
+	c.buf = append(c.buf, op)
+	if c.compact {
+		c.buf = binary.AppendUvarint(c.buf, uint64(len(xs)))
+	} else {
+		c.buf = append(c.buf, byte(len(xs)))
+	}
+	base := len(c.bounds)
+	for _, x := range xs {
+		c.bounds = append(c.bounds, len(c.buf))
+		c.child(x)
+	}
+	c.bounds = append(c.bounds, len(c.buf))
+	if c.reorder {
+		c.cheapestFirst(c.bounds[base:])
+	}
+	c.bounds = c.bounds[:base]
+}
+
+// cheapestFirst stably sorts the width-prefixed children between bounds by
+// encoded size. A width field never shrinks as the width grows, so sorting
+// by prefixed size sorts by child size.
+func (c *encoder) cheapestFirst(bounds []int) {
+	n := len(bounds) - 1
+	size := func(i int) int { return bounds[i+1] - bounds[i] }
+	c.order = c.order[:0]
+	for i := 0; i < n; i++ {
+		c.order = append(c.order, i)
+	}
+	slices.SortStableFunc(c.order, func(a, b int) int { return size(a) - size(b) })
+	start := bounds[0]
+	c.tmp = append(c.tmp[:0], c.buf[start:bounds[n]]...)
+	for _, i := range c.order {
+		start += copy(c.buf[start:], c.tmp[bounds[i]-bounds[0]:bounds[i+1]-bounds[0]])
+	}
 }

@@ -16,8 +16,8 @@ func benchCompiled(b *testing.B, opts Options) (Compiled, map[predicate.ID]bool)
 		b.Fatal(err)
 	}
 	matched := map[predicate.ID]bool{
-		ti.ids["a > 10"]:  true,
-		ti.ids["c <= 20"]: true,
+		ti.idOf("a > 10"):  true,
+		ti.idOf("c <= 20"): true,
 	}
 	return c, matched
 }

@@ -10,20 +10,21 @@ import (
 	"noncanon/internal/predicate"
 )
 
-// testInterner is a minimal stand-in for predicate.Registry.
+// testInterner is a minimal stand-in for predicate.Registry: one ID per
+// distinct predicate.Key.
 type testInterner struct {
-	ids   map[string]predicate.ID
+	ids   map[predicate.Key]predicate.ID
 	preds map[predicate.ID]predicate.P
 	calls int
 }
 
 func newInterner() *testInterner {
-	return &testInterner{ids: map[string]predicate.ID{}, preds: map[predicate.ID]predicate.P{}}
+	return &testInterner{ids: map[predicate.Key]predicate.ID{}, preds: map[predicate.ID]predicate.P{}}
 }
 
 func (ti *testInterner) intern(p predicate.P) predicate.ID {
 	ti.calls++
-	k := p.String()
+	k := p.Key()
 	if id, ok := ti.ids[k]; ok {
 		return id
 	}
@@ -31,6 +32,16 @@ func (ti *testInterner) intern(p predicate.P) predicate.ID {
 	ti.ids[k] = id
 	ti.preds[id] = p
 	return id
+}
+
+// idOf returns the ID of the predicate printed as s, or 0.
+func (ti *testInterner) idOf(s string) predicate.ID {
+	for id, p := range ti.preds {
+		if p.String() == s {
+			return id
+		}
+	}
+	return 0
 }
 
 func (ti *testInterner) lookup(id predicate.ID) (predicate.P, error) {
@@ -140,7 +151,7 @@ func TestEvalFig1(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idOf := func(s string) predicate.ID { return ti.ids[s] }
+			idOf := ti.idOf
 			tests := []struct {
 				matched []predicate.ID
 				want    bool

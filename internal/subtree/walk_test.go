@@ -28,7 +28,7 @@ func TestConjunctsAndLeaves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id := func(x boolexpr.Expr) predicate.ID { return ti.ids[x.(boolexpr.Leaf).Pred.String()] }
+		id := func(x boolexpr.Expr) predicate.ID { return ti.ids[x.(boolexpr.Leaf).Pred.Key()] }
 		offs := Conjuncts(comp.Code, nil)
 		want := [][]predicate.ID{{id(a)}, {id(b), id(c)}, {id(d), id(a)}}
 		if len(offs) != len(want) {
