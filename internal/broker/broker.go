@@ -40,7 +40,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,8 +98,10 @@ type matchBuf struct {
 	ids []matcher.SubID
 	// stack and visited are enqueueCovered's walk: the covered nodes still
 	// to visit, and the nodes with several parents the event has reached.
+	// visited is emptied after each event but keeps its buckets, so a
+	// steady-state walk inserts into it without allocating.
 	stack   []*dag.Node
-	visited []*dag.Node
+	visited map[*dag.Node]struct{}
 }
 
 // Broker routes published events to matching subscribers.
@@ -281,19 +282,33 @@ func (b *Broker) SubscribeChan(expr boolexpr.Expr) (*Subscription, <-chan event.
 // subscribe registers expr for delivery through out's sink as handle.
 func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Subscription, error) {
 	// Everything that walks the expression without touching shared state
-	// happens before the lock that publishers wait on.
-	prep, err := b.eng.Prepare(expr)
-	if err != nil {
-		return nil, err
-	}
+	// happens before the lock that publishers wait on. With Aggregate, a
+	// filter whose key is live joins that filter's node and is never
+	// registered, so it is not prepared either.
 	var key string
+	known := false
 	if b.opts.Aggregate {
 		key = cover.Key(expr)
+		known = b.holds(key)
+	}
+	var prep core.Prepared
+	if !known {
+		var err error
+		if prep, err = b.eng.Prepare(expr); err != nil {
+			return nil, err
+		}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil, ErrClosed
+	}
+	if known && b.dag.Lookup(key) == nil {
+		// Its last subscriber left between the look and the lock.
+		var err error
+		if prep, err = b.eng.Prepare(expr); err != nil {
+			return nil, err
+		}
 	}
 	var g *filterGroup
 	if b.dag != nil {
@@ -314,6 +329,13 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Sub
 		b.covered++
 	}
 	return s, nil
+}
+
+// holds reports whether the covering poset has a live node of this key.
+func (b *Broker) holds(key string) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.dag.Lookup(key) != nil
 }
 
 // subscribeDAG interns the filter into the covering poset and keeps the
@@ -494,8 +516,7 @@ func (b *Broker) deliverMatched(mb *matchBuf, ev event.Event, ids []matcher.SubI
 			n += b.enqueueCovered(mb, g.node, ev)
 		}
 	}
-	clear(mb.visited) // a pooled buffer must not keep released nodes alive
-	mb.visited = mb.visited[:0]
+	clear(mb.visited) // per event; a pooled buffer must not keep released nodes alive
 	return n
 }
 
@@ -522,10 +543,9 @@ func (b *Broker) enqueue(g *filterGroup, ev event.Event) int {
 //
 // mb.visited dedups nodes with several parents and is shared across every
 // frontier root matched by the same event (two frontier entries can cover
-// a common descendant) but never across events. It is searched linearly:
-// only nodes with several parents enter it, and an event reaches few. The
-// walk keeps its stack in mb too, so it allocates nothing once the pooled
-// buffer has grown. Caller holds the read lock.
+// a common descendant) but never across events. The walk keeps its stack
+// in mb too, so it allocates nothing once the pooled buffer has grown.
+// Caller holds the read lock.
 func (b *Broker) enqueueCovered(mb *matchBuf, root *dag.Node, ev event.Event) int {
 	n := 0
 	mb.stack = append(mb.stack[:0], root.Children()...)
@@ -535,10 +555,13 @@ func (b *Broker) enqueueCovered(mb *matchBuf, root *dag.Node, ev event.Event) in
 		mb.stack[last] = nil
 		mb.stack = mb.stack[:last]
 		if len(c.Parents()) > 1 {
-			if slices.Contains(mb.visited, c) {
+			if _, seen := mb.visited[c]; seen {
 				continue
 			}
-			mb.visited = append(mb.visited, c)
+			if mb.visited == nil {
+				mb.visited = make(map[*dag.Node]struct{})
+			}
+			mb.visited[c] = struct{}{}
 		}
 		if !c.Expr().Eval(ev) {
 			continue

@@ -192,6 +192,7 @@ func (e *Engine) Subscribe(expr boolexpr.Expr) (matcher.SubID, error) {
 // predicates found: everything of Subscribe that touches no shared state.
 type Prepared struct {
 	tree subtree.Tree
+	eng  *Engine // whose Prepare made it: its limits and layout were checked
 }
 
 // Prepare does the part of Subscribe that needs no lock — simplifying the
@@ -209,13 +210,17 @@ func (e *Engine) Prepare(expr boolexpr.Expr) (Prepared, error) {
 	if err != nil {
 		return Prepared{}, fmt.Errorf("core: compile subscription: %w", err)
 	}
-	return Prepared{tree: tree}, nil
+	return Prepared{tree: tree, eng: e}, nil
 }
 
 // Register interns a prepared subscription's predicates, encodes its tree
 // and lists it, under the write lock. prep must come from this engine's
-// Prepare.
+// Prepare: Register panics on a zero Prepared or one another engine made,
+// whose tree was checked against another encoding's limits.
 func (e *Engine) Register(prep Prepared) matcher.SubID {
+	if prep.eng != e {
+		panic("core: Register of a Prepared this engine's Prepare did not make")
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	compiled := prep.tree.Encode(e.internLocked)

@@ -196,6 +196,36 @@ func TestSubscribeDedupsOnRegistryIdentity(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsForeignPrepared: Register takes only what this
+// engine's Prepare made. A zero Prepared would list a header-only tree,
+// and one from an engine of another encoding was checked against the
+// wrong limits, so both panic before the store is touched.
+func TestRegisterRejectsForeignPrepared(t *testing.T) {
+	e, reg, _ := newEngine(Options{})
+	other, _, _ := newEngine(Options{Encoding: subtree.CompactEncoding})
+	prep, err := other.Prepare(boolexpr.Pred("a", predicate.Eq, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		prep Prepared
+	}{{"zero", Prepared{}}, {"other engine's", prep}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Register of a %s Prepared did not panic", c.name)
+				}
+			}()
+			e.Register(c.prep)
+		}()
+	}
+	if e.NumSubscriptions() != 0 || reg.Len() != 0 {
+		t.Errorf("%d subscriptions, %d registry predicates after refused Registers, want 0",
+			e.NumSubscriptions(), reg.Len())
+	}
+}
+
 func TestSubIDReuse(t *testing.T) {
 	e, _, _ := newEngine(Options{})
 	id1, _ := e.Subscribe(boolexpr.Pred("a", predicate.Eq, 1))
