@@ -26,7 +26,6 @@ import (
 	"noncanon/internal/counting"
 	"noncanon/internal/event"
 	"noncanon/internal/index"
-	"noncanon/internal/matcher"
 	"noncanon/internal/predicate"
 	"noncanon/internal/subtree"
 	"noncanon/internal/workload"
@@ -259,44 +258,4 @@ func BenchmarkFullPipelineMatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		env.nc.Match(evs[i%len(evs)])
 	}
-}
-
-// BenchmarkMatchParallel runs phase two on the paper workload from
-// GOMAXPROCS goroutines at once. The engine's RWMutex store lets every
-// caller match under the read lock simultaneously; compare against
-// BenchmarkMatchParallelSerialized (the old single-lock architecture) for
-// the concurrency speedup and against BenchmarkFig3/p6_k5000/non-canonical
-// for the single-threaded baseline.
-func BenchmarkMatchParallel(b *testing.B) {
-	env := getEnv(b, benchSubs, 6, 5000)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var local []matcher.SubID
-		i := 0
-		for pb.Next() {
-			local = env.nc.MatchPredicates(env.draws[i%len(env.draws)])
-			i++
-		}
-		_ = local
-	})
-}
-
-// BenchmarkMatchParallelSerialized reconstructs the pre-refactor
-// architecture: parallel callers funnelled through one exclusive lock, the
-// way a single engine mutex used to serialise every Match.
-func BenchmarkMatchParallelSerialized(b *testing.B) {
-	env := getEnv(b, benchSubs, 6, 5000)
-	var mu sync.Mutex
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var local []matcher.SubID
-		i := 0
-		for pb.Next() {
-			mu.Lock()
-			local = env.nc.MatchPredicates(env.draws[i%len(env.draws)])
-			mu.Unlock()
-			i++
-		}
-		_ = local
-	})
 }

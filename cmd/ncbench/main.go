@@ -4,14 +4,13 @@
 //
 //	ncbench -exp fig3c                      # one experiment, 1/50 scale
 //	ncbench -exp all -scale 0.1             # every experiment at 1/10 scale
-//	ncbench -exp fig3b -swap                # with the 512 MB swap model (M2)
+//	ncbench -exp fig3b -swap                # with the paper's 512 MB swap model (M2)
 //	ncbench -exp fig3a -csv > fig3a.csv     # machine-readable series
-//	ncbench -exp parallel                   # match throughput vs workers (P1)
 //	ncbench -exp batch                      # publish events/s vs batch size over TCP (B1)
 //	ncbench -exp cover                      # aggregation + covering vs popularity skew (C1)
 //	ncbench -exp million                    # covering-DAG vs flat aggregation to 1M subs (M1 (million))
 //	ncbench -exp federate                   # TCP-federated broker tree vs node count (F1)
-//	ncbench -exp cover -json                # machine-readable series
+//	ncbench -exp table1 -json               # any experiment's table as JSON
 //	ncbench -list                           # experiment inventory
 //
 // The PR-to-PR performance trajectory is not measured here: see
@@ -48,10 +47,8 @@ func run(args []string, out io.Writer) error {
 		trials  = fs.Int("trials", 5, "measured events per point")
 		seed    = fs.Int64("seed", 1, "workload seed")
 		csv     = fs.Bool("csv", false, "CSV output")
-		jsonOut = fs.Bool("json", false, "JSON output (experiment id + measurement series; single -exp only)")
-		swap    = fs.Bool("swap", false, "apply the page-swap cost model (experiment M2)")
-		budget  = fs.Int("swap-budget-mb", 512, "swap model memory budget in MiB")
-		penalty = fs.Float64("swap-penalty", memmodel.DefaultPenalty, "swap model slowdown factor")
+		jsonOut = fs.Bool("json", false, "JSON output (experiment id + its table's rows; single -exp only)")
+		swap    = fs.Bool("swap", false, "apply the paper's 512 MB page-swap cost model (experiment M2)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,7 +72,8 @@ func run(args []string, out io.Writer) error {
 		CSV:    *csv,
 	}
 	if *swap {
-		cfg.Swap = &memmodel.SwapModel{BudgetBytes: *budget << 20, Penalty: *penalty}
+		m := memmodel.PaperModel()
+		cfg.Swap = &m
 	}
 	if *exp == "all" {
 		if *jsonOut {

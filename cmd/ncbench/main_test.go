@@ -52,7 +52,7 @@ func TestRunTable1(t *testing.T) {
 
 func TestRunFigureTinyWithSwap(t *testing.T) {
 	var buf bytes.Buffer
-	args := []string{"-exp", "fig3a", "-scale", "0.0005", "-points", "2", "-trials", "1", "-swap", "-swap-budget-mb", "1"}
+	args := []string{"-exp", "fig3a", "-scale", "0.0005", "-points", "2", "-trials", "1", "-swap"}
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}

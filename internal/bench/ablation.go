@@ -48,14 +48,8 @@ func MeasureAblationReorder(cfg Config) (AblationReorderResult, error) {
 	const widePreds = 12
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 
-	build := func(reorder bool) (*core.Engine, *predicate.Registry) {
-		reg := predicate.NewRegistry()
-		idx := index.New()
-		eng := core.New(reg, idx, core.Options{Reorder: reorder, PaperAssociation: true})
-		return eng, reg
-	}
-	plain, _ := build(false)
-	reordered, _ := build(true)
+	plain := core.New(predicate.NewRegistry(), index.New(), core.Options{PaperAssociation: true})
+	reordered := core.New(predicate.NewRegistry(), index.New(), core.Options{Reorder: true, PaperAssociation: true})
 	for i := 0; i < subs; i++ {
 		expr := unbalancedSub(i, widePreds)
 		if _, err := plain.Subscribe(expr); err != nil {
@@ -69,18 +63,13 @@ func MeasureAblationReorder(cfg Config) (AblationReorderResult, error) {
 	// same predicates in the same order, so IDs coincide. Cap the draw at a
 	// quarter of the universe so small-scale runs keep realistic predicate
 	// selectivity (a saturated draw makes every first leaf match and hides
-	// the ordering effect).
-	universe := subs * (widePreds + 2)
-	k := 5000
-	if k > universe/4 {
-		k = universe / 4
-	}
-	if k < 1 {
-		k = 1
-	}
+	// the ordering effect). FulfilledDraw over one predicate per
+	// "subscription" draws from that universe.
+	universe := workload.Params{NumSubscriptions: subs * (widePreds + 2), PredsPerSub: 1,
+		FulfilledPerEvent: max(min(5000, subs*(widePreds+2)/4), 1)}
 	draws := make([][]predicate.ID, cfg.Trials)
 	for t := range draws {
-		draws[t] = drawIDs(rng, universe, k)
+		draws[t] = universe.FulfilledDraw(rng)
 	}
 	res := AblationReorderResult{Subs: subs}
 	res.PlainTime = timeMatch(plain.MatchPredicates, draws)
@@ -88,23 +77,6 @@ func MeasureAblationReorder(cfg Config) (AblationReorderResult, error) {
 	res.PlainLeaves = meanLeaves(plain, draws)
 	res.ReorderedLeaves = meanLeaves(reordered, draws)
 	return res, nil
-}
-
-func drawIDs(rng *rand.Rand, universe, k int) []predicate.ID {
-	if k > universe {
-		k = universe
-	}
-	out := make([]predicate.ID, 0, k)
-	seen := make(map[predicate.ID]struct{}, k)
-	for len(out) < k {
-		id := predicate.ID(rng.Int63n(int64(universe)) + 1)
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		out = append(out, id)
-	}
-	return out
 }
 
 // meanLeaves estimates leaves inspected per candidate evaluation using the
@@ -122,26 +94,19 @@ func meanLeaves(e *core.Engine, draws [][]predicate.ID) float64 {
 	return float64(total) / float64(evals)
 }
 
-// RunAblationReorder prints the A1 comparison.
-func RunAblationReorder(cfg Config) error {
-	cfg = cfg.withDefaults()
+func reorderTable(cfg Config) (*Table, error) {
 	res, err := MeasureAblationReorder(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintln(w, "variant,time_s,leaves_per_eval")
-		fmt.Fprintf(w, "plain,%.9f,%.2f\n", res.PlainTime.Seconds(), res.PlainLeaves)
-		fmt.Fprintf(w, "reordered,%.9f,%.2f\n", res.ReorderedTime.Seconds(), res.ReorderedLeaves)
-		return nil
-	}
-	fmt.Fprintf(w, "A1: subscription-tree child reordering (unbalanced workload, %d subscriptions)\n\n", res.Subs)
-	fmt.Fprintf(w, "%-12s %-16s %-18s\n", "variant", "time (s)", "leaves/evaluation")
-	fmt.Fprintf(w, "%-12s %-16.9f %-18.2f\n", "plain", res.PlainTime.Seconds(), res.PlainLeaves)
-	fmt.Fprintf(w, "%-12s %-16.9f %-18.2f\n", "reordered", res.ReorderedTime.Seconds(), res.ReorderedLeaves)
-	fmt.Fprintln(w)
-	return nil
+	return &Table{
+		Notes:   []string{fmt.Sprintf("unbalanced workload, %d subscriptions; leaves inspected per candidate evaluation", res.Subs)},
+		Columns: []Column{{"variant", "%s"}, {"time_s", "%.9f"}, {"leaves_per_eval", "%.2f"}},
+		Rows: [][]any{
+			{"plain", res.PlainTime.Seconds(), res.PlainLeaves},
+			{"reordered", res.ReorderedTime.Seconds(), res.ReorderedLeaves},
+		},
+	}, nil
 }
 
 // AblationEncodingResult compares the paper's fixed-width encoding with the
@@ -163,9 +128,7 @@ func MeasureAblationEncoding(cfg Config) (AblationEncodingResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 4))
 
 	build := func(enc subtree.Encoding) (*core.Engine, error) {
-		reg := predicate.NewRegistry()
-		idx := index.New()
-		eng := core.New(reg, idx, core.Options{Encoding: enc, PaperAssociation: true})
+		eng := core.New(predicate.NewRegistry(), index.New(), core.Options{Encoding: enc, PaperAssociation: true})
 		for i := 0; i < subs; i++ {
 			if _, err := eng.Subscribe(params.Sub(i)); err != nil {
 				return nil, err
@@ -182,9 +145,8 @@ func MeasureAblationEncoding(cfg Config) (AblationEncodingResult, error) {
 		return AblationEncodingResult{}, err
 	}
 	draws := make([][]predicate.ID, cfg.Trials)
-	drawParams := params
 	for t := range draws {
-		draws[t] = drawParams.FulfilledDraw(rng)
+		draws[t] = params.FulfilledDraw(rng)
 	}
 	return AblationEncodingResult{
 		Subs:         subs,
@@ -195,28 +157,20 @@ func MeasureAblationEncoding(cfg Config) (AblationEncodingResult, error) {
 	}, nil
 }
 
-// RunAblationEncoding prints the A2 comparison.
-func RunAblationEncoding(cfg Config) error {
-	cfg = cfg.withDefaults()
+func encodingTable(cfg Config) (*Table, error) {
 	res, err := MeasureAblationEncoding(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintln(w, "encoding,tree_bytes,time_s")
-		fmt.Fprintf(w, "paper,%d,%.9f\n", res.PaperBytes, res.PaperTime.Seconds())
-		fmt.Fprintf(w, "compact,%d,%.9f\n", res.CompactBytes, res.CompactTime.Seconds())
-		return nil
-	}
-	fmt.Fprintf(w, "A2: tree encoding (|p|=10 workload, %d subscriptions)\n\n", res.Subs)
-	fmt.Fprintf(w, "%-10s %-14s %-16s\n", "encoding", "tree bytes", "time (s)")
-	fmt.Fprintf(w, "%-10s %-14d %-16.9f\n", "paper", res.PaperBytes, res.PaperTime.Seconds())
-	fmt.Fprintf(w, "%-10s %-14d %-16.9f\n", "compact", res.CompactBytes, res.CompactTime.Seconds())
-	if res.PaperBytes > 0 {
-		fmt.Fprintf(w, "\ncompact/paper size ratio: %.2f\n\n", float64(res.CompactBytes)/float64(res.PaperBytes))
-	}
-	return nil
+	return &Table{
+		Notes: []string{fmt.Sprintf("|p|=10 workload, %d subscriptions; compact/paper size ratio %.2f",
+			res.Subs, float64(res.CompactBytes)/float64(max(res.PaperBytes, 1)))},
+		Columns: []Column{{"encoding", "%s"}, {"tree_bytes", "%d"}, {"time_s", "%.9f"}},
+		Rows: [][]any{
+			{"paper", res.PaperBytes, res.PaperTime.Seconds()},
+			{"compact", res.CompactBytes, res.CompactTime.Seconds()},
+		},
+	}, nil
 }
 
 // AccessPoint is one |p| row of the A3 comparison: phase-one and
@@ -292,29 +246,18 @@ func MeasureAblationAccess(cfg Config) ([]AccessPoint, error) {
 	return out, nil
 }
 
-// RunAblationAccess prints the A3 comparison.
-func RunAblationAccess(cfg Config) error {
-	cfg = cfg.withDefaults()
+func accessTable(cfg Config) (*Table, error) {
 	pts, err := MeasureAblationAccess(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintln(w, "preds_per_sub,listing,phase1_preds_per_event,candidates_per_event,leaves_per_event,assoc_entries_per_sub")
-		for _, p := range pts {
-			fmt.Fprintf(w, "%d,%s,%.2f,%.2f,%.2f,%.2f\n", p.PredsPerSub, p.Listing, p.Phase1, p.Candidates, p.Leaves, p.EntriesPerSub)
-		}
-		return nil
+	t := &Table{
+		Notes: []string{fmt.Sprintf("Table 1 workload, %d subscriptions, counted work", scaleCount(500_000, cfg.Scale))},
+		Columns: []Column{{"preds_per_sub", "%d"}, {"listing", "%s"}, {"phase1_preds_per_event", "%.2f"},
+			{"candidates_per_event", "%.2f"}, {"leaves_per_event", "%.2f"}, {"assoc_entries_per_sub", "%.2f"}},
 	}
-	fmt.Fprintf(w, "A3: access-clause vs paper candidacy (Table 1 workload, %d subscriptions, counted work)\n\n",
-		scaleCount(500_000, cfg.Scale))
-	fmt.Fprintf(w, "%-5s %-8s %-20s %-18s %-16s %-18s\n",
-		"|p|", "listing", "phase-1 preds/event", "candidates/event", "leaves/event", "assoc entries/sub")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%-5d %-8s %-20.2f %-18.2f %-16.2f %-18.2f\n",
-			p.PredsPerSub, p.Listing, p.Phase1, p.Candidates, p.Leaves, p.EntriesPerSub)
+		t.Rows = append(t.Rows, []any{p.PredsPerSub, p.Listing, p.Phase1, p.Candidates, p.Leaves, p.EntriesPerSub})
 	}
-	fmt.Fprintln(w)
-	return nil
+	return t, nil
 }

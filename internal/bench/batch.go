@@ -145,37 +145,28 @@ func publishLatency(cli *netbroker.Client, seed int64, events, size, buckets int
 		evs[i] = batchEvent(rng, buckets)
 	}
 
-	// Warmup outside the measurement window.
-	if size == 1 {
-		if _, err := cli.Publish(evs[0]); err != nil {
-			return 0, 0, 0, fmt.Errorf("bench: warmup publish: %w", err)
+	publish := func(evs []event.Event) (err error) {
+		if size == 1 {
+			_, err = cli.Publish(evs[0])
+		} else {
+			_, err = cli.PublishBatch(evs)
 		}
-	} else if _, err := cli.PublishBatch(evs[:size]); err != nil {
-		return 0, 0, 0, fmt.Errorf("bench: warmup batch: %w", err)
+		return err
+	}
+	if err := publish(evs[:size]); err != nil { // warmup, outside the measurement window
+		return 0, 0, 0, fmt.Errorf("bench: warmup (batch %d): %w", size, err)
 	}
 
 	durs := make([]time.Duration, 0, (events+size-1)/size)
 	t0 := time.Now()
 	for off := 0; off < events; off += size {
-		end := off + size
-		if end > events {
-			end = events
-		}
 		c0 := time.Now()
-		if size == 1 {
-			_, err = cli.Publish(evs[off])
-		} else {
-			_, err = cli.PublishBatch(evs[off:end])
-		}
-		if err != nil {
+		if err := publish(evs[off:min(off+size, events)]); err != nil {
 			return 0, 0, 0, fmt.Errorf("bench: publish (batch %d): %w", size, err)
 		}
 		durs = append(durs, time.Since(c0))
 	}
-	total := time.Since(t0)
-	if total <= 0 {
-		total = time.Nanosecond
-	}
+	total := max(time.Since(t0), time.Nanosecond)
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
 	return float64(events) / total.Seconds(), percentile(durs, 50), percentile(durs, 99), nil
 }
@@ -237,33 +228,22 @@ func (c *brokerChurner) stop() float64 {
 	return float64(c.ops.Load()) / dur
 }
 
-// RunBatch regenerates the batching sweep and prints its series.
-func RunBatch(cfg Config) error {
-	cfg = cfg.withDefaults()
+func batchTable(cfg Config) (*Table, error) {
 	res, err := MeasureBatch(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintf(w, "batch,quiet_ev_s,quiet_p50_s,quiet_p99_s,churn_ev_s,churn_p50_s,churn_p99_s,churn_ops_s\n")
-		for _, p := range res.Points {
-			fmt.Fprintf(w, "%d,%.1f,%.9f,%.9f,%.1f,%.9f,%.9f,%.1f\n",
-				p.Batch, p.EventsPerSec, p.P50.Seconds(), p.P99.Seconds(),
-				p.ChurnEventsPerSec, p.ChurnP50.Seconds(), p.ChurnP99.Seconds(), p.ChurnOpsPerSec)
-		}
-		return nil
+	t := &Table{
+		Notes: []string{
+			fmt.Sprintf("loopback TCP, GOMAXPROCS %d: %d bucketed subscriptions, %d events per point, one publisher connection", res.GOMAXPROCS, res.Subs, res.Events),
+			"latencies are per publish call (a call carries `batch` events); churn_* runs beside a Subscribe/Unsubscribe writer",
+		},
+		Columns: []Column{{"batch", "%d"}, {"quiet_ev_s", "%.1f"}, {"quiet_p50_s", "%.9f"}, {"quiet_p99_s", "%.9f"},
+			{"churn_ev_s", "%.1f"}, {"churn_p50_s", "%.9f"}, {"churn_p99_s", "%.9f"}, {"churn_ops_s", "%.1f"}},
 	}
-	fmt.Fprintf(w, "B1: batched publish vs batch size over loopback TCP (GOMAXPROCS %d)\n", res.GOMAXPROCS)
-	fmt.Fprintf(w, "workload: %d bucketed subscriptions, %d events per point, one publisher connection\n", res.Subs, res.Events)
-	fmt.Fprintf(w, "latencies are per publish call (a call carries `batch` events)\n\n")
-	fmt.Fprintf(w, "%-8s %-12s %-10s %-10s | %-12s %-10s %-10s %-12s\n",
-		"batch", "quiet ev/s", "p50", "p99", "churn ev/s", "p50", "p99", "churn ops/s")
 	for _, p := range res.Points {
-		fmt.Fprintf(w, "%-8d %-12.1f %-10s %-10s | %-12.1f %-10s %-10s %-12.1f\n",
-			p.Batch, p.EventsPerSec, fmtDur(p.P50), fmtDur(p.P99),
-			p.ChurnEventsPerSec, fmtDur(p.ChurnP50), fmtDur(p.ChurnP99), p.ChurnOpsPerSec)
+		t.Rows = append(t.Rows, []any{p.Batch, p.EventsPerSec, p.P50.Seconds(), p.P99.Seconds(),
+			p.ChurnEventsPerSec, p.ChurnP50.Seconds(), p.ChurnP99.Seconds(), p.ChurnOpsPerSec})
 	}
-	fmt.Fprintln(w)
-	return nil
+	return t, nil
 }

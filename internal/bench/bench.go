@@ -1,23 +1,24 @@
 // Package bench is the experiment harness: one runner per table and figure
-// of the paper's evaluation (§4), plus the ablations listed in DESIGN.md.
+// of the paper's evaluation (§4), plus the ablations and extensions listed
+// in EXPERIMENTS.md.
 //
-// Experiment identifiers:
+// Paper experiment identifiers:
 //
 //	table1            echo the workload parameters (Table 1)
 //	fig3a … fig3f     subscription-matching time sweeps (Fig. 3 a-f)
 //	memory            per-engine memory, capacity within 512 MB (M1)
-//	million           engine entries vs subscriber count: covering frontier vs distinct filters (M1 (million))
 //	crossover         fine-grained small-N sweep (C4)
 //	ablation-reorder  child-reordering effect (A1)
 //	ablation-encoding paper vs compact tree encoding (A2)
 //	ablation-access   access-clause vs paper candidacy, counted work (A3)
 //
-// All sweeps measure phase two (subscription matching) only, exactly like
-// the paper: phase one is shared between the algorithms. Sizes scale with
-// Config.Scale so the same shapes can be regenerated on any machine; the
-// default 1/50 scale finishes in seconds, -scale 1 reproduces the paper's
-// subscription counts (the DNF baselines then need multi-gigabyte memory,
-// which is the paper's point).
+// Every experiment builds one Table, which prints as aligned text, CSV or
+// JSON. All sweeps measure phase two (subscription matching) only, exactly
+// like the paper: phase one is shared between the algorithms. Sizes scale
+// with Config.Scale so the same shapes can be regenerated on any machine;
+// the default 1/50 scale finishes in seconds, -scale 1 reproduces the
+// paper's subscription counts (the DNF baselines then need multi-gigabyte
+// memory, which is the paper's point).
 package bench
 
 import (
@@ -76,37 +77,46 @@ func (c Config) withDefaults() Config {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(cfg Config) error
+	table func(cfg Config) (*Table, error)
+}
+
+// Run builds the experiment's table and prints it under the title, or as
+// CSV when cfg.CSV is set.
+func (e Experiment) Run(cfg Config) error {
+	cfg = cfg.withDefaults()
+	t, err := e.table(cfg)
+	if err != nil {
+		return err
+	}
+	return t.print(cfg.Out, e.Title, cfg.CSV)
 }
 
 // Experiments returns every experiment in presentation order.
 func Experiments() []Experiment {
 	exps := []Experiment{
-		{ID: "table1", Title: "Table 1: experiment parameters", Run: RunTable1},
+		{ID: "table1", Title: "Table 1: experiment parameters", table: table1Table},
 	}
 	for _, f := range Fig3Variants() {
 		f := f
 		exps = append(exps, Experiment{
 			ID:    f.ID,
 			Title: f.Title(),
-			Run:   func(cfg Config) error { return RunFig3(cfg, f) },
+			table: func(cfg Config) (*Table, error) { return fig3Table(cfg, f) },
 		})
 	}
-	exps = append(exps,
-		Experiment{ID: "memory", Title: "M1: memory per engine and 512 MB capacity", Run: RunMemory},
-		Experiment{ID: "crossover", Title: "C4: small-N crossover, counting vs non-canonical", Run: RunCrossover},
-		Experiment{ID: "ablation-reorder", Title: "A1: subscription-tree child reordering", Run: RunAblationReorder},
-		Experiment{ID: "ablation-encoding", Title: "A2: paper vs compact tree encoding", Run: RunAblationEncoding},
-		Experiment{ID: "ablation-access", Title: "A3: access-clause vs paper candidacy (counted work)", Run: RunAblationAccess},
-		Experiment{ID: "parallel", Title: "P1: concurrent match throughput vs workers (RWMutex vs single lock)", Run: RunParallel},
-		Experiment{ID: "batch", Title: "B1: batched publish events/s and p50/p99 vs batch size over TCP (± churn)", Run: RunBatch},
-		Experiment{ID: "cover", Title: "C1: filter aggregation + covering flood pruning vs popularity skew", Run: RunCover},
-		Experiment{ID: "million", Title: "M1 (million): engine entries track the covering frontier, not the distinct filters, to 1M subscribers", Run: RunMillion},
-		Experiment{ID: "federate", Title: "F1: federated broker tree over loopback TCP — events/s and flood msgs vs node count (± cover)", Run: RunFederate},
-		Experiment{ID: "chaos", Title: "FC1: chaos federation — bounded spill queues, shedding and slow-peer eviction under a stalled link", Run: RunChaos},
-		Experiment{ID: "obs", Title: "O1: metrics overhead on the broker publish path (base vs instrumented, latency quantiles)", Run: RunObs},
+	return append(exps,
+		Experiment{ID: "memory", Title: "M1: memory per engine and 512 MB capacity", table: memoryTable},
+		Experiment{ID: "crossover", Title: "C4: small-N crossover, counting vs non-canonical", table: crossoverTable},
+		Experiment{ID: "ablation-reorder", Title: "A1: subscription-tree child reordering", table: reorderTable},
+		Experiment{ID: "ablation-encoding", Title: "A2: paper vs compact tree encoding", table: encodingTable},
+		Experiment{ID: "ablation-access", Title: "A3: access-clause vs paper candidacy (counted work)", table: accessTable},
+		Experiment{ID: "batch", Title: "B1: batched publish events/s and p50/p99 vs batch size over TCP (± churn)", table: batchTable},
+		Experiment{ID: "cover", Title: "C1: filter aggregation + covering flood pruning vs popularity skew", table: coverTable},
+		Experiment{ID: "million", Title: "M1 (million): engine entries track the covering frontier, not the distinct filters, to 1M subscribers", table: millionTable},
+		Experiment{ID: "federate", Title: "F1: federated broker tree over loopback TCP — events/s and flood msgs vs node count (± cover)", table: federateTable},
+		Experiment{ID: "chaos", Title: "FC1: chaos federation — bounded spill queues, shedding and slow-peer eviction under a stalled link", table: chaosTable},
+		Experiment{ID: "obs", Title: "O1: metrics overhead on the broker publish path (base vs instrumented, latency quantiles)", table: obsTable},
 	)
-	return exps
 }
 
 // Lookup finds an experiment by ID.
@@ -146,23 +156,18 @@ func Fig3Variants() []Fig3Variant {
 	}
 }
 
-// RunTable1 prints the paper's Table 1 with this harness's concrete values.
-func RunTable1(cfg Config) error {
-	cfg = cfg.withDefaults()
-	maxSubs := int(float64(5_000_000) * cfg.Scale)
-	fmt.Fprintf(cfg.Out, "Table 1. Parameters in experiments (scale %.3g).\n\n", cfg.Scale)
-	fmt.Fprintf(cfg.Out, "%-42s %s\n", "Parameter", "Value")
-	rows := [][2]string{
-		{"Number of subscriptions", fmt.Sprintf("%d - %d", scaleCount(2000, cfg.Scale), maxSubs)},
-		{"Original (unique) predicates per subscription", "6 to 10"},
-		{"Subscriptions per subscription after transformation", "8 to 32"},
-		{"Used Boolean operators", "AND, OR"},
-		{"Matching predicates per event", "5,000 - 10,000"},
-	}
-	for _, r := range rows {
-		fmt.Fprintf(cfg.Out, "%-42s %s\n", r[0], r[1])
-	}
-	return nil
+func table1Table(cfg Config) (*Table, error) {
+	return &Table{
+		Notes:   []string{fmt.Sprintf("scale %.3g of the paper's subscription counts", cfg.Scale)},
+		Columns: []Column{{"parameter", "%s"}, {"value", "%s"}},
+		Rows: [][]any{
+			{"Number of subscriptions", fmt.Sprintf("%d - %d", scaleCount(2000, cfg.Scale), int(5_000_000*cfg.Scale))},
+			{"Original (unique) predicates per subscription", "6 to 10"},
+			{"Subscriptions per subscription after transformation", "8 to 32"},
+			{"Used Boolean operators", "AND, OR"},
+			{"Matching predicates per event", "5,000 - 10,000"},
+		},
+	}, nil
 }
 
 func scaleCount(n int, scale float64) int {
@@ -184,8 +189,7 @@ func sweepPoints(maxSubs, points int) []int {
 		out = append(out, maxSubs*i/points)
 	}
 	// Dedup (tiny maxSubs can repeat).
-	out = uniqueInts(out)
-	return out
+	return uniqueInts(out)
 }
 
 func uniqueInts(in []int) []int {
@@ -210,14 +214,13 @@ type engines struct {
 	cnt *counting.Engine // timed with both Classic and Variant
 }
 
-func newEngines(coreOpts core.Options) *engines {
-	coreOpts.PaperAssociation = true
+func newEngines() *engines {
 	reg := predicate.NewRegistry()
 	idx := index.New()
 	return &engines{
 		reg: reg,
 		idx: idx,
-		nc:  core.New(reg, idx, coreOpts),
+		nc:  core.New(reg, idx, core.Options{PaperAssociation: true}),
 		cnt: counting.New(reg, idx, counting.Options{Algorithm: counting.Classic}),
 	}
 }
@@ -236,6 +239,63 @@ func (es *engines) grow(p workload.Params, from, to int) error {
 	return nil
 }
 
+// sweep is the one driver of the Fig. 3 family: it grows one engine
+// bundle through the given subscription counts of the workload and hands
+// each point `trials` fulfilled draws over the predicates registered so
+// far.
+func sweep(p workload.Params, sizes []int, trials int, rng *rand.Rand, at func(es *engines, n int, draws [][]predicate.ID)) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	es := newEngines()
+	cur := 0
+	for _, n := range sizes {
+		if err := es.grow(p, cur, n); err != nil {
+			return err
+		}
+		cur = n
+		drawParams := p
+		drawParams.NumSubscriptions = n
+		draws := make([][]predicate.ID, trials)
+		for t := range draws {
+			draws[t] = drawParams.FulfilledDraw(rng)
+		}
+		at(es, n, draws)
+	}
+	return nil
+}
+
+// Fig3Point is one x-position of a Fig. 3 subplot.
+type Fig3Point struct {
+	Subs            int
+	NonCanonical    time.Duration
+	CountingVariant time.Duration
+	Counting        time.Duration
+}
+
+// timedSweep times phase two of the three algorithms at `points` sweep
+// points up to p.NumSubscriptions, applying cfg.Swap when set.
+func timedSweep(cfg Config, p workload.Params, points int, seed int64) ([]Fig3Point, error) {
+	var pts []Fig3Point
+	err := sweep(p, sweepPoints(p.NumSubscriptions, points), cfg.Trials, rand.New(rand.NewSource(seed)),
+		func(es *engines, n int, draws [][]predicate.ID) {
+			pt := Fig3Point{
+				Subs:            n,
+				NonCanonical:    timeMatch(es.nc.MatchPredicates, draws),
+				CountingVariant: timeMatch(variantFn(es.cnt), draws),
+				Counting:        timeMatch(classicFn(es.cnt), draws),
+			}
+			if cfg.Swap != nil {
+				shared := es.reg.MemBytes() + es.idx.MemBytes()
+				pt.NonCanonical = cfg.Swap.Apply(pt.NonCanonical, shared+es.nc.MemBytes())
+				pt.CountingVariant = cfg.Swap.Apply(pt.CountingVariant, shared+es.cnt.MemBytes())
+				pt.Counting = cfg.Swap.Apply(pt.Counting, shared+es.cnt.MemBytes())
+			}
+			pts = append(pts, pt)
+		})
+	return pts, err
+}
+
 // timeMatch measures the mean phase-two duration over the draws. One
 // unmeasured warmup pass touches the engine's scratch structures (first-use
 // growth, cold caches) and a garbage collection drains registration debris,
@@ -249,6 +309,18 @@ func timeMatch(fn func([]predicate.ID) []matcher.SubID, draws [][]predicate.ID) 
 		fn(d)
 	}
 	return time.Duration(int64(time.Since(start)) / int64(len(draws)))
+}
+
+func variantFn(e *counting.Engine) func([]predicate.ID) []matcher.SubID {
+	return func(f []predicate.ID) []matcher.SubID {
+		return e.MatchPredicatesAlg(counting.Variant, f)
+	}
+}
+
+func classicFn(e *counting.Engine) func([]predicate.ID) []matcher.SubID {
+	return func(f []predicate.ID) []matcher.SubID {
+		return e.MatchPredicatesAlg(counting.Classic, f)
+	}
 }
 
 // percentile returns the p-th percentile of sorted durations (nearest
@@ -267,106 +339,85 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 	return sorted[rank-1]
 }
 
-func fmtDur(d time.Duration) string {
-	return d.Round(time.Microsecond).String()
-}
-
-// Fig3Point is one x-position of a Fig. 3 subplot.
-type Fig3Point struct {
-	Subs            int
-	NonCanonical    time.Duration
-	CountingVariant time.Duration
-	Counting        time.Duration
-}
-
 // Fig3Result is a regenerated subplot.
 type Fig3Result struct {
 	Variant Fig3Variant
 	Points  []Fig3Point
 }
 
-// MeasureFig3 regenerates one subplot and returns the series.
-func MeasureFig3(cfg Config, v Fig3Variant) (Fig3Result, error) {
-	cfg = cfg.withDefaults()
-	maxSubs := scaleCount(v.PaperMaxSubs, cfg.Scale)
-	params := workload.Params{
+// fig3Params is a subplot's workload at maxSubs subscriptions.
+func fig3Params(v Fig3Variant, maxSubs int, seed int64) workload.Params {
+	return workload.Params{
 		NumSubscriptions:  maxSubs,
 		PredsPerSub:       v.PredsPerSub,
 		FulfilledPerEvent: v.Fulfilled,
-		Seed:              cfg.Seed,
-	}
-	if err := params.Validate(); err != nil {
-		return Fig3Result{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	es := newEngines(core.Options{})
-	res := Fig3Result{Variant: v}
-	cur := 0
-	for _, n := range sweepPoints(maxSubs, cfg.Points) {
-		if err := es.grow(params, cur, n); err != nil {
-			return Fig3Result{}, err
-		}
-		cur = n
-		// Draw fulfilled sets over the predicates registered so far.
-		drawParams := params
-		drawParams.NumSubscriptions = n
-		draws := make([][]predicate.ID, cfg.Trials)
-		for t := range draws {
-			draws[t] = drawParams.FulfilledDraw(rng)
-		}
-		pt := Fig3Point{
-			Subs:            n,
-			NonCanonical:    timeMatch(es.nc.MatchPredicates, draws),
-			CountingVariant: timeMatch(variantFn(es.cnt), draws),
-			Counting:        timeMatch(classicFn(es.cnt), draws),
-		}
-		if cfg.Swap != nil {
-			shared := es.reg.MemBytes() + es.idx.MemBytes()
-			pt.NonCanonical = cfg.Swap.Apply(pt.NonCanonical, shared+es.nc.MemBytes())
-			pt.CountingVariant = cfg.Swap.Apply(pt.CountingVariant, shared+es.cnt.MemBytes())
-			pt.Counting = cfg.Swap.Apply(pt.Counting, shared+es.cnt.MemBytes())
-		}
-		res.Points = append(res.Points, pt)
-	}
-	return res, nil
-}
-
-func variantFn(e *counting.Engine) func([]predicate.ID) []matcher.SubID {
-	return func(f []predicate.ID) []matcher.SubID {
-		return e.MatchPredicatesAlg(counting.Variant, f)
+		Seed:              seed,
 	}
 }
 
-func classicFn(e *counting.Engine) func([]predicate.ID) []matcher.SubID {
-	return func(f []predicate.ID) []matcher.SubID {
-		return e.MatchPredicatesAlg(counting.Classic, f)
-	}
-}
-
-// RunFig3 regenerates one subplot and prints its series.
-func RunFig3(cfg Config, v Fig3Variant) error {
+// MeasureFig3 regenerates one subplot and returns the series.
+func MeasureFig3(cfg Config, v Fig3Variant) (Fig3Result, error) {
 	cfg = cfg.withDefaults()
+	p := fig3Params(v, scaleCount(v.PaperMaxSubs, cfg.Scale), cfg.Seed)
+	pts, err := timedSweep(cfg, p, cfg.Points, cfg.Seed+1)
+	return Fig3Result{Variant: v, Points: pts}, err
+}
+
+// CrossoverResult captures the small-N sweep of claim C4: "for small
+// subscription numbers the counting algorithm behaves most efficient …
+// due to the small number of required comparisons" (paper §4.1, e.g. up to
+// ~700,000 subscriptions in Fig. 3(d)).
+type CrossoverResult struct {
+	Points []Fig3Point
+	// CrossoverSubs is the start of the stable suffix of sweep points where
+	// the non-canonical engine is at least as fast as the classic counting
+	// algorithm, or 0 if counting still wins at the largest point. The
+	// suffix rule tolerates single-point timing noise.
+	CrossoverSubs int
+}
+
+// MeasureCrossover sweeps small subscription counts at fine granularity:
+// Fig. 3(d)'s workload up to the scaled equivalent of the paper's ~700k
+// crossover region, with doubled point density.
+func MeasureCrossover(cfg Config) (CrossoverResult, error) {
+	cfg = cfg.withDefaults()
+	p := fig3Params(Fig3Variants()[3], scaleCount(700_000, cfg.Scale), cfg.Seed)
+	pts, err := timedSweep(cfg, p, cfg.Points*2, cfg.Seed+2)
+	res := CrossoverResult{Points: pts}
+	for i := len(pts) - 1; i >= 0 && pts[i].NonCanonical <= pts[i].Counting; i-- {
+		res.CrossoverSubs = pts[i].Subs
+	}
+	return res, err
+}
+
+func pointsTable(pts []Fig3Point, notes ...string) *Table {
+	t := &Table{Notes: notes, Columns: []Column{
+		{"subs", "%d"}, {"non_canonical_s", "%.9f"}, {"counting_variant_s", "%.9f"}, {"counting_s", "%.9f"},
+	}}
+	for _, p := range pts {
+		t.Rows = append(t.Rows, []any{p.Subs, p.NonCanonical.Seconds(), p.CountingVariant.Seconds(), p.Counting.Seconds()})
+	}
+	return t
+}
+
+func fig3Table(cfg Config, v Fig3Variant) (*Table, error) {
 	res, err := MeasureFig3(cfg, v)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintf(w, "subs,non_canonical_s,counting_variant_s,counting_s\n")
-		for _, p := range res.Points {
-			fmt.Fprintf(w, "%d,%.9f,%.9f,%.9f\n", p.Subs,
-				p.NonCanonical.Seconds(), p.CountingVariant.Seconds(), p.Counting.Seconds())
-		}
-		return nil
+	return pointsTable(res.Points,
+		"phase-two matching time per event (s): non-canonical, counting variant, classic counting",
+		fmt.Sprintf("scale: workload of up to %d subscriptions (paper: %d)", scaleCount(v.PaperMaxSubs, cfg.Scale), v.PaperMaxSubs)), nil
+}
+
+func crossoverTable(cfg Config) (*Table, error) {
+	res, err := MeasureCrossover(cfg)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(w, "%s — subscription matching time per event (seconds)\n", v.Title())
-	fmt.Fprintf(w, "scale: workload of up to %d subscriptions (paper: %d)\n\n",
-		scaleCount(v.PaperMaxSubs, cfg.Scale), v.PaperMaxSubs)
-	fmt.Fprintf(w, "%-12s %-16s %-18s %-16s\n", "subs", "non-canonical", "counting-variant", "counting")
-	for _, p := range res.Points {
-		fmt.Fprintf(w, "%-12d %-16.9f %-18.9f %-16.9f\n", p.Subs,
-			p.NonCanonical.Seconds(), p.CountingVariant.Seconds(), p.Counting.Seconds())
+	verdict := "counting still fastest at the largest swept point (paper: crossover below ~700k unscaled)"
+	if res.CrossoverSubs > 0 {
+		verdict = fmt.Sprintf("non-canonical overtakes counting at ~%d subscriptions", res.CrossoverSubs)
 	}
-	fmt.Fprintln(w)
-	return nil
+	return pointsTable(res.Points, "Fig. 3(d) workload (6 predicates, 10000 fulfilled) over the scaled small-N region", verdict), nil
 }

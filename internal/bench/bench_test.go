@@ -7,10 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"noncanon/internal/core"
 	"noncanon/internal/counting"
 	"noncanon/internal/memmodel"
-	"noncanon/internal/workload"
+	"noncanon/internal/predicate"
 )
 
 // tinyConfig keeps harness tests fast: ~2000 subscriptions max.
@@ -23,7 +22,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	wantIDs := []string{
 		"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f",
 		"memory", "crossover", "ablation-reorder", "ablation-encoding",
-		"ablation-access", "parallel", "batch", "cover", "million", "federate", "chaos",
+		"ablation-access", "batch", "cover", "million", "federate", "chaos",
 		"obs",
 	}
 	if len(exps) != len(wantIDs) {
@@ -72,14 +71,76 @@ func TestFig3VariantsMatchPaper(t *testing.T) {
 }
 
 func TestRunTable1(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunTable1(tinyConfig(&buf)); err != nil {
+	tab, err := table1Table(Config{Scale: 0.02})
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"Table 1", "6 to 10", "8 to 32", "AND, OR"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
+	want := [][]any{
+		{"Number of subscriptions", "100 - 100000"},
+		{"Original (unique) predicates per subscription", "6 to 10"},
+		{"Subscriptions per subscription after transformation", "8 to 32"},
+		{"Used Boolean operators", "AND, OR"},
+		{"Matching predicates per event", "5,000 - 10,000"},
+	}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(tab.Rows), len(want))
+	}
+	for i := range want {
+		if tab.Rows[i][0] != want[i][0] || tab.Rows[i][1] != want[i][1] {
+			t.Errorf("row %d = %v, want %v", i, tab.Rows[i], want[i])
+		}
+	}
+}
+
+// TestTablePrinterGolden pins the one printer: a table renders the same
+// cells in the same order as text, CSV and JSON, with JSON numbers numeric
+// and string cells quoted.
+func TestTablePrinterGolden(t *testing.T) {
+	tab := &Table{
+		Notes:   []string{"a note"},
+		Columns: []Column{{"variant", "%s"}, {"subs", "%d"}, {"time_s", "%.3f"}},
+		Rows:    [][]any{{"plain", 100, 0.25}, {"with, comma", 2000, 1.5}},
+	}
+	for _, tt := range []struct {
+		format string
+		want   string
+	}{
+		{"text", "Title\na note\n\n" +
+			"variant      subs  time_s\n" +
+			"plain        100   0.250\n" +
+			"with, comma  2000  1.500\n\n"},
+		{"csv", "variant,subs,time_s\n" +
+			"plain,100,0.250\n" +
+			"\"with, comma\",2000,1.500\n"},
+		{"json", `{
+  "experiment": "x",
+  "points": [
+    {
+      "subs": 100,
+      "time_s": 0.250,
+      "variant": "plain"
+    },
+    {
+      "subs": 2000,
+      "time_s": 1.500,
+      "variant": "with, comma"
+    }
+  ]
+}
+`},
+	} {
+		var buf bytes.Buffer
+		var err error
+		if tt.format == "json" {
+			err = tab.writeJSON(&buf, "x")
+		} else {
+			err = tab.print(&buf, "Title", tt.format == "csv")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != tt.want {
+			t.Errorf("%s:\n%s\nwant:\n%s", tt.format, buf.String(), tt.want)
 		}
 	}
 }
@@ -104,78 +165,36 @@ func TestMeasureFig3SmallScale(t *testing.T) {
 			t.Errorf("non-positive duration at %d: %+v", p.Subs, p)
 		}
 	}
-	// No shape assertion here: at tiny scale the classic counting algorithm
-	// legitimately wins (the paper's own small-N observation, §4.1);
-	// TestFig3ShapeAtModerateScale checks the headline ordering.
+	// No shape assertion here: timings at tiny scale say little (the
+	// paper's own small-N observation, §4.1); TestPaperClaims checks the
+	// ordering on counted work.
 }
 
 // fig3Engines registers the first n subscriptions of a Fig. 3 subplot's
-// workload into a fresh engine bundle, as MeasureFig3 does at a sweep point.
-func fig3Engines(t *testing.T, v Fig3Variant, n int, seed int64) (*engines, workload.Params) {
+// workload into a fresh engine bundle, as the sweep does at a point.
+func fig3Engines(t *testing.T, v Fig3Variant, n int, seed int64) *engines {
 	t.Helper()
-	params := workload.Params{
-		NumSubscriptions:  n,
-		PredsPerSub:       v.PredsPerSub,
-		FulfilledPerEvent: v.Fulfilled,
-		Seed:              seed,
-	}
-	if err := params.Validate(); err != nil {
+	es := newEngines()
+	if err := es.grow(fig3Params(v, n, seed), 0, n); err != nil {
 		t.Fatal(err)
 	}
-	es := newEngines(core.Options{})
-	if err := es.grow(params, 0, n); err != nil {
-		t.Fatal(err)
-	}
-	return es, params
-}
-
-// TestFig3ShapeAtModerateScale verifies claim C2 where it is expected to
-// hold: past the small-N crossover region, the non-canonical engine does
-// less phase-two work than the classic counting scan, and the counting
-// variant sits in between. The shape is asserted on counted work — leaves
-// inspected and candidates evaluated vs counter increments and unit
-// compares — so the verdict is the code's, not the machine's; the
-// wall-clock curves are `ncbench -exp fig3c`.
-func TestFig3ShapeAtModerateScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("moderate-scale sweep skipped in -short mode")
-	}
-	v := Fig3Variants()[2] // fig3c: |p|=10, 32× blow-up
-	// The last sweep point at scale 0.02: 50k subscriptions, 1.6M units.
-	es, params := fig3Engines(t, v, scaleCount(v.PaperMaxSubs, 0.02), 7)
-	rng := rand.New(rand.NewSource(8))
-	for trial := 0; trial < 3; trial++ {
-		draw := params.FulfilledDraw(rng)
-		leaves, evals := es.nc.InstrumentedMatch(draw)
-		incs, scanned := es.cnt.InstrumentedMatch(counting.Classic, draw)
-		_, touched := es.cnt.InstrumentedMatch(counting.Variant, draw)
-		nonCanonical, variant, classic := leaves+evals, incs+touched, incs+scanned
-		if evals == 0 {
-			t.Fatalf("trial %d: no candidates — the draw exercises nothing", trial)
-		}
-		if nonCanonical >= classic {
-			t.Errorf("trial %d: non-canonical work %d (leaves %d + evals %d) should be below classic counting's %d (increments %d + units scanned %d)",
-				trial, nonCanonical, leaves, evals, classic, incs, scanned)
-		}
-		if nonCanonical > variant || variant > classic {
-			t.Errorf("trial %d: want non-canonical %d <= counting variant %d <= classic %d",
-				trial, nonCanonical, variant, classic)
-		}
-	}
+	return es
 }
 
 func TestRunFig3Formats(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
-	if err := RunFig3(cfg, Fig3Variants()[0]); err != nil {
+	cfg.Scale, cfg.Points = 0.0001, 2
+	e, _ := Lookup("fig3a")
+	if err := e.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "non-canonical") {
+	if !strings.Contains(buf.String(), "non_canonical_s") {
 		t.Errorf("table output:\n%s", buf.String())
 	}
 	buf.Reset()
 	cfg.CSV = true
-	if err := RunFig3(cfg, Fig3Variants()[0]); err != nil {
+	if err := e.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "subs,non_canonical_s") {
@@ -186,6 +205,7 @@ func TestRunFig3Formats(t *testing.T) {
 func TestMeasureFig3WithSwapModel(t *testing.T) {
 	var buf bytes.Buffer
 	cfg := tinyConfig(&buf)
+	cfg.Scale = 0.0002
 	// A budget of zero bytes forces the swap penalty everywhere.
 	cfg.Swap = &memmodel.SwapModel{BudgetBytes: 1, Penalty: 10}
 	res, err := MeasureFig3(cfg, Fig3Variants()[0])
@@ -200,7 +220,7 @@ func TestMeasureFig3WithSwapModel(t *testing.T) {
 	// over the same subscriptions is over budget, so only its times inflate
 	// — the order in which Fig. 3's curves hit the wall.
 	last := res.Points[len(res.Points)-1]
-	es, _ := fig3Engines(t, Fig3Variants()[0], last.Subs, cfg.Seed)
+	es := fig3Engines(t, Fig3Variants()[0], last.Subs, cfg.Seed)
 	shared := es.reg.MemBytes() + es.idx.MemBytes()
 	fits := memmodel.SwapModel{BudgetBytes: shared + es.nc.MemBytes(), Penalty: 10}
 	if got := fits.Apply(time.Second, shared+es.nc.MemBytes()); got != time.Second {
@@ -209,53 +229,6 @@ func TestMeasureFig3WithSwapModel(t *testing.T) {
 	if got := fits.Apply(time.Second, shared+es.cnt.MemBytes()); got <= time.Second {
 		t.Errorf("counting engine (%d B over a %d B budget) was not penalised: 1s -> %v",
 			shared+es.cnt.MemBytes(), fits.BudgetBytes, got)
-	}
-}
-
-func TestMeasureMemory(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	rows, err := MeasureMemory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	prevRatio := 0.0
-	for _, r := range rows {
-		if r.Counting.Units != r.Counting.Subscriptions*(1<<(r.PredsPerSub/2)) {
-			t.Errorf("|p|=%d: units=%d subs=%d", r.PredsPerSub, r.Counting.Units, r.Counting.Subscriptions)
-		}
-		if r.Ratio() <= 1 {
-			t.Errorf("|p|=%d: counting should need more memory per sub (ratio %.2f)", r.PredsPerSub, r.Ratio())
-		}
-		if r.Ratio() < prevRatio {
-			t.Errorf("ratio should grow with |p|: %v", rows)
-		}
-		prevRatio = r.Ratio()
-		if r.CapacityNonCanon <= r.CapacityCounting {
-			t.Errorf("|p|=%d: non-canonical capacity %d should exceed counting %d",
-				r.PredsPerSub, r.CapacityNonCanon, r.CapacityCounting)
-		}
-	}
-	// C1: at |p|=10 the paper reports a ≥4× capacity advantage; the
-	// analytic §3.3 byte model reproduces that factor exactly. The measured
-	// Go structures carry slice-header and bookkeeping overhead a 2005 C
-	// implementation lacks, which flattens the measured ratio — assert the
-	// direction (>2×) here; EXPERIMENTS.md records both numbers.
-	last := rows[2]
-	if f := float64(last.CapacityNonCanon) / float64(last.CapacityCounting); f < 2 {
-		t.Errorf("|p|=10 measured capacity factor = %.2f, want >= 2", f)
-	}
-	if f := last.PaperCountingPerSub / last.PaperNonCanonPerSub; f < 4 {
-		t.Errorf("|p|=10 analytic model factor = %.2f, want >= 4 (paper §4.1)", f)
-	}
-	if err := RunMemory(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "capacity") {
-		t.Errorf("memory output:\n%s", buf.String())
 	}
 }
 
@@ -269,94 +242,175 @@ func TestMeasureCrossover(t *testing.T) {
 	if len(res.Points) == 0 {
 		t.Fatal("no points")
 	}
-	if err := RunCrossover(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "crossover") && !strings.Contains(buf.String(), "counting") {
-		t.Errorf("crossover output:\n%s", buf.String())
+	for i, p := range res.Points {
+		if i > 0 && p.Subs <= res.Points[i-1].Subs {
+			t.Errorf("non-increasing sweep: %d after %d", p.Subs, res.Points[i-1].Subs)
+		}
 	}
 }
 
-func TestMeasureAblationReorder(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	res, err := MeasureAblationReorder(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestPaperClaims checks the paper's §4 claims on counted work, one row
+// per claim of EXPERIMENTS.md's claims ledger. Counts describe the code,
+// not the machine; the wall-clock curves are `ncbench -exp fig3a` …
+// `fig3f`, and the small-N crossover (C4), which counted work does not
+// show, is `ncbench -exp crossover`.
+func TestPaperClaims(t *testing.T) {
+	cfg := Config{Scale: 0.0005, Trials: 2, Seed: 7}.withDefaults()
+	memory := func(t *testing.T) []MemoryRow {
+		rows, err := MeasureMemory(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 3 {
+			t.Fatalf("%d memory rows, want |p| = 6, 8, 10", len(rows))
+		}
+		return rows
 	}
-	// Reordering must reduce inspected leaves on the unbalanced workload.
-	if res.ReorderedLeaves >= res.PlainLeaves {
-		t.Errorf("reorder did not reduce leaf inspections: plain=%.2f reordered=%.2f",
-			res.PlainLeaves, res.ReorderedLeaves)
+	claims := []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		// Table 1: the DNF transformation turns a subscription of |p|
+		// predicates into 2^(|p|/2) units (8 to 32); the non-canonical
+		// engine stores one tree.
+		{"table1_units", func(t *testing.T) {
+			for _, r := range memory(t) {
+				if want := r.Counting.Subscriptions << (r.PredsPerSub / 2); r.Counting.Units != want {
+					t.Errorf("|p|=%d: counting units %d for %d subscriptions, want %d",
+						r.PredsPerSub, r.Counting.Units, r.Counting.Subscriptions, want)
+				}
+				if r.NonCanon.Units != r.NonCanon.Subscriptions {
+					t.Errorf("|p|=%d: non-canonical units %d for %d subscriptions, want one tree each",
+						r.PredsPerSub, r.NonCanon.Units, r.NonCanon.Subscriptions)
+				}
+			}
+		}},
+		{"fig3a_ordering", fig3Ordering(Fig3Variants()[0])},
+		{"fig3b_ordering", fig3Ordering(Fig3Variants()[1])},
+		{"fig3c_ordering", fig3Ordering(Fig3Variants()[2])},
+		{"fig3d_ordering", fig3Ordering(Fig3Variants()[3])},
+		{"fig3e_ordering", fig3Ordering(Fig3Variants()[4])},
+		{"fig3f_ordering", fig3Ordering(Fig3Variants()[5])},
+		// §4.1: counting needs more memory per subscription, the more so
+		// the larger |p|.
+		{"memory_ordering", func(t *testing.T) {
+			prev := 0.0
+			for _, r := range memory(t) {
+				if r.Ratio() <= 1 || r.Ratio() < prev {
+					t.Errorf("|p|=%d: counting/non-canonical bytes per subscription %.2f, want > 1 and >= %.2f at the smaller |p|",
+						r.PredsPerSub, r.Ratio(), prev)
+				}
+				prev = r.Ratio()
+			}
+		}},
+		// §4.1: within the 512 MB machine the non-canonical engine holds
+		// more subscriptions, ≥ 4× at |p| = 10 in the analytic §3.3 model.
+		// The measured Go structures carry bookkeeping a 2005 C
+		// implementation lacks, which flattens the measured factor; it
+		// must still reach 2×.
+		{"memory_512mb_factors", func(t *testing.T) {
+			rows := memory(t)
+			for _, r := range rows {
+				if r.CapacityNonCanon <= r.CapacityCounting {
+					t.Errorf("|p|=%d: non-canonical capacity %d, counting %d", r.PredsPerSub, r.CapacityNonCanon, r.CapacityCounting)
+				}
+			}
+			last := rows[2]
+			if f := float64(last.CapacityNonCanon) / float64(last.CapacityCounting); f < 2 {
+				t.Errorf("|p|=10 measured capacity factor %.2f, want >= 2", f)
+			}
+			if f := last.PaperCountingPerSub / last.PaperNonCanonPerSub; f < 4 {
+				t.Errorf("|p|=10 analytic capacity factor %.2f, want >= 4", f)
+			}
+		}},
+		// A1 (§3.2 future work): cheapest-first child order inspects fewer
+		// leaves per evaluation on a lopsided workload.
+		{"A1_reorder_leaves", func(t *testing.T) {
+			res, err := MeasureAblationReorder(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ReorderedLeaves >= res.PlainLeaves {
+				t.Errorf("leaves per evaluation: reordered %.2f, plain %.2f", res.ReorderedLeaves, res.PlainLeaves)
+			}
+		}},
+		// A2 ("improved encoding" future work): the compact encoding stores
+		// the same trees in fewer bytes.
+		{"A2_encoding_bytes", func(t *testing.T) {
+			res, err := MeasureAblationEncoding(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.CompactBytes >= res.PaperBytes {
+				t.Errorf("tree bytes: compact %d, paper %d", res.CompactBytes, res.PaperBytes)
+			}
+		}},
+		// A3: the access listing holds one OR-pair per tree (2 entries,
+		// not |p|), finds about 2/|p| of the fulfilled predicates in phase
+		// one, and evaluates fewer candidates and leaves.
+		{"A3_access_work", func(t *testing.T) {
+			acfg := cfg
+			acfg.Scale = 0.004 // 2 000 subscriptions, a few fulfilled predicates per draw
+			pts, err := MeasureAblationAccess(acfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pts) != 6 {
+				t.Fatalf("%d rows, want 6 (|p| 6/8/10 × two listings)", len(pts))
+			}
+			for i := 0; i < len(pts); i += 2 {
+				paper, access := pts[i], pts[i+1]
+				if paper.Listing != "paper" || access.Listing != "access" || paper.PredsPerSub != access.PredsPerSub {
+					t.Fatalf("rows %d-%d: %+v, %+v", i, i+1, paper, access)
+				}
+				if paper.EntriesPerSub != float64(paper.PredsPerSub) || access.EntriesPerSub != 2 {
+					t.Errorf("|p|=%d: entries/sub paper %.2f access %.2f, want %d and 2",
+						paper.PredsPerSub, paper.EntriesPerSub, access.EntriesPerSub, paper.PredsPerSub)
+				}
+				if paper.Candidates == 0 || access.Candidates >= paper.Candidates || access.Leaves >= paper.Leaves {
+					t.Errorf("|p|=%d: access candidates %.2f leaves %.2f, want below paper's %.2f and %.2f",
+						paper.PredsPerSub, access.Candidates, access.Leaves, paper.Candidates, paper.Leaves)
+				}
+				if paper.Phase1 == 0 || access.Phase1 > 1.5*2/float64(paper.PredsPerSub)*paper.Phase1 {
+					t.Errorf("|p|=%d: phase-one predicates/event access %.2f, paper %.2f; want access <= 1.5 × 2/|p| × paper",
+						paper.PredsPerSub, access.Phase1, paper.Phase1)
+				}
+			}
+		}},
 	}
-	if err := RunAblationReorder(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "reorder") {
-		t.Errorf("ablation output:\n%s", buf.String())
+	for _, c := range claims {
+		t.Run(c.name, c.check)
 	}
 }
 
-func TestMeasureAblationEncoding(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	res, err := MeasureAblationEncoding(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CompactBytes >= res.PaperBytes {
-		t.Errorf("compact encoding should be smaller: paper=%d compact=%d",
-			res.PaperBytes, res.CompactBytes)
-	}
-	if err := RunAblationEncoding(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "encoding") {
-		t.Errorf("ablation output:\n%s", buf.String())
-	}
-}
-
-// TestMeasureAblationAccess asserts A3's shape on counted work: at every
-// |p| the paper listing holds |p| entries per subscription and the access
-// listing 2 (one OR-pair), and the access listing finds about 2/|p| as
-// many predicates in phase one, evaluates fewer candidates and inspects
-// fewer leaves.
-func TestMeasureAblationAccess(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	cfg.Scale = 0.004 // 2 000 subscriptions, a few fulfilled predicates per draw
-	pts, err := MeasureAblationAccess(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 6 {
-		t.Fatalf("%d rows, want 6 (|p| 6/8/10 × two listings)", len(pts))
-	}
-	for i := 0; i < len(pts); i += 2 {
-		paper, access := pts[i], pts[i+1]
-		if paper.Listing != "paper" || access.Listing != "access" || paper.PredsPerSub != access.PredsPerSub {
-			t.Fatalf("rows %d-%d: %+v, %+v", i, i+1, paper, access)
+// fig3Ordering checks Fig. 3's ordering for one subplot at two sweep sizes:
+// per event, the non-canonical engine's phase-two work (candidate
+// evaluations plus leaves inspected) is below the counting variant's
+// (counter increments plus touched units), which is below classic
+// counting's (increments plus every unit scanned). It holds from 2 000
+// subscriptions on; the ratio between the curves is not monotone in n at
+// these sizes, so only the order is asserted.
+func fig3Ordering(v Fig3Variant) func(t *testing.T) {
+	return func(t *testing.T) {
+		err := sweep(fig3Params(v, 3000, 7), []int{2000, 3000}, 2, rand.New(rand.NewSource(8)),
+			func(es *engines, n int, draws [][]predicate.ID) {
+				for trial, d := range draws {
+					leaves, evals := es.nc.InstrumentedMatch(d)
+					incs, scanned := es.cnt.InstrumentedMatch(counting.Classic, d)
+					_, touched := es.cnt.InstrumentedMatch(counting.Variant, d)
+					nonCanonical, variant, classic := leaves+evals, incs+touched, incs+scanned
+					if evals == 0 {
+						t.Fatalf("n=%d trial %d: no candidates — the draw exercises nothing", n, trial)
+					}
+					if nonCanonical >= variant || variant >= classic {
+						t.Errorf("n=%d trial %d: want non-canonical %d (leaves %d + evals %d) < counting variant %d < classic %d (increments %d)",
+							n, trial, nonCanonical, leaves, evals, variant, classic, incs)
+					}
+				}
+			})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if paper.EntriesPerSub != float64(paper.PredsPerSub) || access.EntriesPerSub != 2 {
-			t.Errorf("|p|=%d: entries/sub paper %.2f access %.2f, want %d and 2",
-				paper.PredsPerSub, paper.EntriesPerSub, access.EntriesPerSub, paper.PredsPerSub)
-		}
-		if paper.Candidates == 0 || access.Candidates >= paper.Candidates || access.Leaves >= paper.Leaves {
-			t.Errorf("|p|=%d: access candidates %.2f leaves %.2f, want below paper's %.2f and %.2f",
-				paper.PredsPerSub, access.Candidates, access.Leaves, paper.Candidates, paper.Leaves)
-		}
-		// The paper's phase one finds every fulfilled predicate; the access
-		// partition holds one OR-pair of each tree's |p| predicates.
-		if paper.Phase1 == 0 || access.Phase1 > 1.5*2/float64(paper.PredsPerSub)*paper.Phase1 {
-			t.Errorf("|p|=%d: phase-one predicates/event access %.2f, paper %.2f; want access <= 1.5 × 2/|p| × paper",
-				paper.PredsPerSub, access.Phase1, paper.Phase1)
-		}
-	}
-	if err := RunAblationAccess(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "access") {
-		t.Errorf("ablation output:\n%s", buf.String())
 	}
 }
 
@@ -383,47 +437,6 @@ func TestSweepPoints(t *testing.T) {
 	}
 }
 
-func TestMeasureParallel(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := tinyConfig(&buf)
-	res, err := MeasureParallel(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GOMAXPROCS < 1 || res.Subs <= 0 {
-		t.Fatalf("bad result header: %+v", res)
-	}
-	if len(res.Points) == 0 {
-		t.Fatal("no sweep points")
-	}
-	if res.Points[0].Workers != 1 {
-		t.Errorf("first point workers = %d, want 1", res.Points[0].Workers)
-	}
-	if last := res.Points[len(res.Points)-1]; last.Workers != res.GOMAXPROCS {
-		t.Errorf("last point workers = %d, want GOMAXPROCS %d", last.Workers, res.GOMAXPROCS)
-	}
-	for _, p := range res.Points {
-		if p.EventsPerSec <= 0 || p.SerializedPerSec <= 0 || p.Speedup <= 0 {
-			t.Errorf("non-positive throughput at %d workers: %+v", p.Workers, p)
-		}
-	}
-	// Output paths: text and CSV.
-	if err := RunParallel(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "workers") {
-		t.Errorf("text output missing header: %q", buf.String())
-	}
-	buf.Reset()
-	cfg.CSV = true
-	if err := RunParallel(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "workers,concurrent_ev_s") {
-		t.Errorf("CSV output missing header: %q", buf.String())
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	ds := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if p := percentile(ds, 50); p != 5 {
@@ -443,43 +456,42 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestWorkerCounts(t *testing.T) {
-	tests := []struct {
-		max  int
-		want []int
-	}{
-		{1, []int{1}},
-		{2, []int{1, 2}},
-		{4, []int{1, 2, 4}},
-		{6, []int{1, 2, 4, 6}},
-		{8, []int{1, 2, 4, 8}},
-	}
-	for _, tt := range tests {
-		got := workerCounts(tt.max)
-		if len(got) != len(tt.want) {
-			t.Errorf("workerCounts(%d) = %v, want %v", tt.max, got, tt.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tt.want[i] {
-				t.Errorf("workerCounts(%d) = %v, want %v", tt.max, got, tt.want)
-				break
-			}
-		}
-	}
-}
-
+// TestAllExperimentsRunTiny runs every registered experiment at tiny scale
+// and pins its CSV header: the column names, and their order, are what
+// `-csv` and `-json` consumers read.
 func TestAllExperimentsRunTiny(t *testing.T) {
-	// Smoke: every registered experiment completes at tiny scale.
+	headers := map[string]string{
+		"table1":            "parameter,value",
+		"memory":            "preds,nc_bytes_per_sub,counting_bytes_per_sub,ratio,nc_capacity_512mb,counting_capacity_512mb",
+		"crossover":         "subs,non_canonical_s,counting_variant_s,counting_s",
+		"ablation-reorder":  "variant,time_s,leaves_per_eval",
+		"ablation-encoding": "encoding,tree_bytes,time_s",
+		"ablation-access":   "preds_per_sub,listing,phase1_preds_per_event,candidates_per_event,leaves_per_event,assoc_entries_per_sub",
+		"batch":             "batch,quiet_ev_s,quiet_p50_s,quiet_p99_s,churn_ev_s,churn_p50_s,churn_p99_s,churn_ops_s",
+		"cover":             "skew,engine_off,engine_on,subs_s_off,subs_s_on,pub_p50_off_s,pub_p99_off_s,pub_p50_on_s,pub_p99_on_s,flood_off,flood_on,suppressed",
+		"million":           "subs,skew,flat_engine,dag_engine,dag_covered,subs_s,pub_p50_s,pub_p99_s,heap_bytes",
+		"federate":          "nodes,events_s_off,events_s_on,flood_off,flood_on,suppressed,delivered",
+		"chaos":             "phase,events,expected,delivered,missing,duplicated,shed,spilled_bytes,peak_queued_bytes,evicted,heap_delta_bytes",
+		"obs":               "subs,base_ev_s,metrics_ev_s,delta_pct,match_p50_us,match_p99_us,publish_p99_us",
+	}
+	for _, v := range Fig3Variants() {
+		headers[v.ID] = headers["crossover"]
+	}
 	for _, exp := range Experiments() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := exp.Run(tinyConfig(&buf)); err != nil {
+			cfg := tinyConfig(&buf)
+			cfg.Scale, cfg.CSV = 0.0001, true // every size at its floor of 100 but the Fig. 3 sweeps' 250-500
+			if err := exp.Run(cfg); err != nil {
 				t.Fatalf("%s: %v", exp.ID, err)
 			}
-			if buf.Len() == 0 {
-				t.Errorf("%s produced no output", exp.ID)
+			lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+			if lines[0] != headers[exp.ID] {
+				t.Errorf("%s header %q, want %q", exp.ID, lines[0], headers[exp.ID])
+			}
+			if len(lines) < 2 {
+				t.Errorf("%s produced no rows", exp.ID)
 			}
 		})
 	}

@@ -65,6 +65,17 @@ func chaosBand(hi int64) boolexpr.Expr {
 	)
 }
 
+// recordSeq subscribes a fresh oracle to filter on b, recording each
+// delivered event's seq.
+func recordSeq(b *netoverlay.Broker, filter boolexpr.Expr) (*chaos.Oracle, error) {
+	o := chaos.NewOracle()
+	_, err := b.Subscribe(filter, func(ev event.Event) {
+		v, _ := ev.Get("seq")
+		o.Record(uint64(v.Int()))
+	})
+	return o, err
+}
+
 func chaosEvent(price int64, seq int) event.Event {
 	return event.New().Set("cat", int64(1)).Set("price", price).Set("seq", int64(seq))
 }
@@ -111,11 +122,8 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 	if err := healthy.Connect(rootAddr.String()); err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos link healthy: %w", err)
 	}
-	heartbeatOracle := chaos.NewOracle()
-	if _, err := healthy.Subscribe(chaosBand(10), func(ev event.Event) {
-		v, _ := ev.Get("seq")
-		heartbeatOracle.Record(uint64(v.Int()))
-	}); err != nil {
+	heartbeatOracle, err := recordSeq(healthy, chaosBand(10))
+	if err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos subscribe healthy: %w", err)
 	}
 
@@ -211,11 +219,8 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 	// --- phase evict: routes retracted, healthy delivery intact ---
 	evict := ChaosPhase{Phase: "evict", Evicted: st.Evicted}
 	forwardedBefore := st.Forwarded
-	evictOracle := chaos.NewOracle()
-	if _, err := healthy.Subscribe(chaosBand(20), func(ev event.Event) {
-		v, _ := ev.Get("seq")
-		evictOracle.Record(uint64(v.Int()))
-	}); err != nil {
+	evictOracle, err := recordSeq(healthy, chaosBand(20))
+	if err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos subscribe post-evict: %w", err)
 	}
 	netoverlay.Flush(root, healthy)
@@ -253,18 +258,12 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 	if err := reborn.Connect(rootAddr.String()); err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos reconnect: %w", err)
 	}
-	rebornOracle := chaos.NewOracle()
-	if _, err := reborn.Subscribe(chaosBand(1000), func(ev event.Event) {
-		v, _ := ev.Get("seq")
-		rebornOracle.Record(uint64(v.Int()))
-	}); err != nil {
+	rebornOracle, err := recordSeq(reborn, chaosBand(1000))
+	if err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos re-subscribe: %w", err)
 	}
-	recoverOracle := chaos.NewOracle()
-	if _, err := healthy.Subscribe(chaosBand(1000), func(ev event.Event) {
-		v, _ := ev.Get("seq")
-		recoverOracle.Record(uint64(v.Int()))
-	}); err != nil {
+	recoverOracle, err := recordSeq(healthy, chaosBand(1000))
+	if err != nil {
 		return ChaosResult{}, fmt.Errorf("bench: chaos subscribe recover: %w", err)
 	}
 	netoverlay.Flush(root, healthy, reborn)
@@ -300,34 +299,21 @@ func MeasureChaos(cfg Config) (ChaosResult, error) {
 	return res, nil
 }
 
-// RunChaos regenerates the FC1 chaos run and prints its phase table.
-func RunChaos(cfg Config) error {
-	cfg = cfg.withDefaults()
+func chaosTable(cfg Config) (*Table, error) {
 	res, err := MeasureChaos(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintf(w, "phase,events,expected,delivered,missing,duplicated,shed,spilled_bytes,peak_queued_bytes,evicted,heap_delta_bytes\n")
-		for _, p := range res.Phases {
-			fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-				p.Phase, p.Events, p.Expected, p.Delivered, p.Missing, p.Duplicated,
-				p.Shed, p.SpilledBytes, p.PeakQueuedBytes, p.Evicted, p.HeapDeltaBytes)
-		}
-		return nil
+	t := &Table{
+		Notes: []string{fmt.Sprintf("link high watermark %s, eviction deadline %v; oracle-checked exactly-once while connected",
+			memmodel.FormatBytes(res.HighWater), chaosDeadline)},
+		Columns: []Column{{"phase", "%s"}, {"events", "%d"}, {"expected", "%d"}, {"delivered", "%d"}, {"missing", "%d"},
+			{"duplicated", "%d"}, {"shed", "%d"}, {"spilled_bytes", "%d"}, {"peak_queued_bytes", "%d"}, {"evicted", "%d"},
+			{"heap_delta_bytes", "%d"}},
 	}
-	fmt.Fprintf(w, "FC1: chaos federation — flow control under a stalled peer\n")
-	fmt.Fprintf(w, "link high watermark %s, eviction deadline %v; oracle-checked exactly-once while connected\n\n",
-		memmodel.FormatBytes(res.HighWater), chaosDeadline)
-	fmt.Fprintf(w, "%-8s | %-7s %-9s %-8s %-5s| %-9s %-11s %-11s %-7s| %s\n",
-		"phase", "events", "delivered", "missing", "dup", "shed", "spilled", "peak queue", "evicted", "heap delta")
 	for _, p := range res.Phases {
-		fmt.Fprintf(w, "%-8s | %-7d %-9d %-8d %-5d| %-9d %-11s %-11s %-7d| %s\n",
-			p.Phase, p.Events, p.Delivered, p.Missing, p.Duplicated,
-			p.Shed, memmodel.FormatBytes(int(p.SpilledBytes)), memmodel.FormatBytes(int(p.PeakQueuedBytes)),
-			p.Evicted, memmodel.FormatBytes(p.HeapDeltaBytes))
+		t.Rows = append(t.Rows, []any{p.Phase, p.Events, p.Expected, p.Delivered, p.Missing, p.Duplicated,
+			p.Shed, p.SpilledBytes, p.PeakQueuedBytes, p.Evicted, p.HeapDeltaBytes})
 	}
-	fmt.Fprintln(w)
-	return nil
+	return t, nil
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -9,28 +10,21 @@ import (
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/broker"
 	"noncanon/internal/event"
+	"noncanon/internal/memmodel"
 	"noncanon/internal/netoverlay"
 	"noncanon/internal/predicate"
 )
 
 // CoverPoint is one popularity-skew setting of the covering/aggregation
 // sweep (experiment C1). A skew of 0 draws filters uniformly from the
-// pool; larger values draw by a Zipf law with that exponent (popular
+// pool; larger values draw by a power law with that exponent (popular
 // filters are both frequent and broad).
 type CoverPoint struct {
 	Skew float64
 
-	// Broker with and without Options.Aggregate (covering aggregation):
-	// engine entries after all subscribes, subscribe throughput, and
-	// publish latency.
-	EngineOff     int
-	EngineOn      int
-	SubsPerSecOff float64
-	SubsPerSecOn  float64
-	P50Off        time.Duration
-	P99Off        time.Duration
-	P50On         time.Duration
-	P99On         time.Duration
+	// The same draw registered into a broker without and with
+	// Options.Aggregate (covering aggregation).
+	Plain, Aggregated BrokerRun
 
 	// Overlay flood with and without netoverlay.Options.Cover:
 	// subscription link messages for the same registration sequence, and how many forwards
@@ -44,13 +38,16 @@ type CoverPoint struct {
 type CoverResult struct {
 	Subscribers  int
 	Pool         int
-	Categories   int
 	OverlayNodes int
 	Points       []CoverPoint
 }
 
+// coverOverlayCap caps C1's overlay registrations: flooding is
+// O(subs × nodes), so the sweep stays proportionate to the broker side.
+const coverOverlayCap = 4096
+
 // coverCategories is the number of filter categories in the pool; filters
-// within a category are nested price bands, so low Zipf ranks are broad
+// within a category are nested price bands, so low ranks are broad
 // AND popular — the regime covering exploits.
 const coverCategories = 16
 
@@ -74,21 +71,80 @@ func coverEvent(rng *rand.Rand, pool int) event.Event {
 		Set("price", int64(rng.Intn(10*levels)))
 }
 
-// coverRanks draws the filter rank of every subscriber under the given
-// skew (0 = uniform, otherwise the Zipf exponent).
-func coverRanks(rng *rand.Rand, skew float64, n, pool int) []int {
-	ranks := make([]int, n)
-	if skew == 0 {
-		for i := range ranks {
-			ranks[i] = rng.Intn(pool)
-		}
-		return ranks
+// coverPool is the number of distinct filters C1, M1 and F1 draw from for
+// subs subscribers.
+func coverPool(subs int) int { return max(subs/16, coverCategories) }
+
+// powerRanks draws every subscriber's filter rank from a finite-pool power
+// law with weight 1/(rank+1)^skew; skew 0 is uniform. For skew > 1 this is
+// the law rand.NewZipf(rng, skew, 1, pool-1) draws, but NewZipf refuses
+// exponents at or below 1, so the draw inverts a cumulative weight table.
+func powerRanks(rng *rand.Rand, skew float64, n, pool int) []int {
+	cum := make([]float64, pool)
+	total := 0.0
+	for r := 0; r < pool; r++ {
+		total += math.Pow(float64(r+1), -skew)
+		cum[r] = total
 	}
-	z := rand.NewZipf(rng, skew, 1, uint64(pool-1))
+	ranks := make([]int, n)
 	for i := range ranks {
-		ranks[i] = int(z.Uint64())
+		ranks[i] = sort.SearchFloat64s(cum, rng.Float64()*total)
 	}
 	return ranks
+}
+
+// BrokerRun is what one registration of drawn filters into a fresh broker
+// measures (experiments C1 and M1).
+type BrokerRun struct {
+	// Distinct is the number of distinct live filters: the engine entries
+	// identical-filter interning alone would hold.
+	Distinct int
+	// Engine is the broker's engine entries: the covering frontier under
+	// Options.Aggregate, one per subscription otherwise.
+	Engine  int
+	Covered int // subscribers attached beneath a coverer
+	// SubsPerSec is the registration rate; Heap the live heap after it.
+	SubsPerSec float64
+	Heap       int
+	// P50 and P99 are Publish latencies over 64 × Trials random events.
+	P50, P99 time.Duration
+}
+
+// runBroker registers the drawn filters into a fresh broker and measures
+// engine entries, subscribe throughput, live heap and publish latency.
+func runBroker(cfg Config, opts broker.Options, ranks []int, pool int) (BrokerRun, error) {
+	br := broker.New(opts)
+	defer br.Close()
+	noop := func(event.Event) {}
+
+	var run BrokerRun
+	t0 := time.Now()
+	for _, r := range ranks {
+		if _, err := br.Subscribe(coverFilter(r, pool), noop); err != nil {
+			return run, fmt.Errorf("bench: broker subscribe: %w", err)
+		}
+	}
+	run.SubsPerSec = float64(len(ranks)) / max(time.Since(t0), time.Nanosecond).Seconds()
+	st := br.Stats()
+	run.Distinct, run.Engine, run.Covered = st.DistinctFilters, st.FrontierFilters, st.CoveredSubscribers
+	run.Heap = memmodel.HeapInuseBytes()
+
+	rng := rand.New(rand.NewSource(cfg.Seed + 77))
+	durs := make([]time.Duration, 64*cfg.Trials)
+	if _, err := br.Publish(coverEvent(rng, pool)); err != nil { // warmup
+		return run, err
+	}
+	for i := range durs {
+		ev := coverEvent(rng, pool)
+		c0 := time.Now()
+		if _, err := br.Publish(ev); err != nil {
+			return run, err
+		}
+		durs[i] = time.Since(c0)
+	}
+	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
+	run.P50, run.P99 = percentile(durs, 50), percentile(durs, 99)
+	return run, nil
 }
 
 // coverSkews returns the swept skew settings.
@@ -96,7 +152,7 @@ func coverSkews() []float64 { return []float64{0, 1.1, 1.5, 2.0} }
 
 // MeasureCover measures what subscription aggregation and covering buy
 // under filter-popularity skew: N subscribers draw from a pool of distinct
-// filters by a Zipf law, and the same draw is registered into an
+// filters by a power law, and the same draw is registered into an
 // aggregating and a non-aggregating broker (engine size, subscribe
 // throughput, publish latency) and flooded through a covering and a plain
 // overlay (subscription link messages).
@@ -109,44 +165,27 @@ func coverSkews() []float64 { return []float64{0, 1.1, 1.5, 2.0} }
 func MeasureCover(cfg Config) (CoverResult, error) {
 	cfg = cfg.withDefaults()
 	subs := scaleCount(200_000, cfg.Scale)
-	pool := subs / 16
-	if pool < coverCategories {
-		pool = coverCategories
-	}
-	const overlayNodes = 15
-
-	res := CoverResult{
-		Subscribers:  subs,
-		Pool:         pool,
-		Categories:   coverCategories,
-		OverlayNodes: overlayNodes,
-	}
+	res := CoverResult{Subscribers: subs, Pool: coverPool(subs), OverlayNodes: 15}
 	for _, skew := range coverSkews() {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(skew*1000)))
-		ranks := coverRanks(rng, skew, subs, pool)
+		ranks := powerRanks(rng, skew, subs, res.Pool)
 
 		pt := CoverPoint{Skew: skew}
 		var err error
-		pt.EngineOff, pt.SubsPerSecOff, pt.P50Off, pt.P99Off, err =
-			coverBrokerRun(cfg, ranks, pool, false)
-		if err != nil {
+		if pt.Plain, err = runBroker(cfg, broker.Options{QueueSize: 1024}, ranks, res.Pool); err != nil {
 			return CoverResult{}, err
 		}
-		pt.EngineOn, pt.SubsPerSecOn, pt.P50On, pt.P99On, err =
-			coverBrokerRun(cfg, ranks, pool, true)
-		if err != nil {
+		if pt.Aggregated, err = runBroker(cfg, broker.Options{QueueSize: 1024, Aggregate: true}, ranks, res.Pool); err != nil {
 			return CoverResult{}, err
 		}
 
 		// Overlay flood: same draw spread over the tree's nodes. The plain
 		// network floods every subscription across all links; the covering
 		// one prunes forwards shadowed by broader filters.
-		pt.FloodMsgsOff, _, err = coverOverlayRun(cfg, ranks, pool, overlayNodes, false)
-		if err != nil {
+		if pt.FloodMsgsOff, _, err = coverOverlayRun(cfg, ranks, res.Pool, res.OverlayNodes, false); err != nil {
 			return CoverResult{}, err
 		}
-		pt.FloodMsgsOn, pt.Suppressed, err = coverOverlayRun(cfg, ranks, pool, overlayNodes, true)
-		if err != nil {
+		if pt.FloodMsgsOn, pt.Suppressed, err = coverOverlayRun(cfg, ranks, res.Pool, res.OverlayNodes, true); err != nil {
 			return CoverResult{}, err
 		}
 		res.Points = append(res.Points, pt)
@@ -154,52 +193,10 @@ func MeasureCover(cfg Config) (CoverResult, error) {
 	return res, nil
 }
 
-// coverBrokerRun registers the drawn filters into a fresh broker and
-// measures engine entries, subscribe throughput and publish latency.
-func coverBrokerRun(cfg Config, ranks []int, pool int, aggregate bool) (engineEntries int, subsPerSec float64, p50, p99 time.Duration, err error) {
-	br := broker.New(broker.Options{QueueSize: 1024, Aggregate: aggregate})
-	defer br.Close()
-	noop := func(event.Event) {}
-
-	t0 := time.Now()
-	for _, r := range ranks {
-		if _, err := br.Subscribe(coverFilter(r, pool), noop); err != nil {
-			return 0, 0, 0, 0, fmt.Errorf("bench: cover subscribe: %w", err)
-		}
-	}
-	subDur := time.Since(t0)
-	if subDur <= 0 {
-		subDur = time.Nanosecond
-	}
-	subsPerSec = float64(len(ranks)) / subDur.Seconds()
-	engineEntries = br.Stats().FrontierFilters
-
-	rng := rand.New(rand.NewSource(cfg.Seed + 77))
-	publishes := 64 * cfg.Trials
-	durs := make([]time.Duration, 0, publishes)
-	if _, err := br.Publish(coverEvent(rng, pool)); err != nil { // warmup
-		return 0, 0, 0, 0, err
-	}
-	for i := 0; i < publishes; i++ {
-		ev := coverEvent(rng, pool)
-		c0 := time.Now()
-		if _, err := br.Publish(ev); err != nil {
-			return 0, 0, 0, 0, err
-		}
-		durs = append(durs, time.Since(c0))
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	return engineEntries, subsPerSec, percentile(durs, 50), percentile(durs, 99), nil
-}
-
 // coverOverlayRun floods the drawn filters through a fresh tree overlay
 // and reports the subscription link-message count (and suppressions).
 func coverOverlayRun(cfg Config, ranks []int, pool, nodes int, coverOn bool) (floodMsgs, suppressed uint64, err error) {
-	// Overlay flooding is O(subs × nodes); cap the registration count so
-	// the sweep stays proportionate to the broker side.
-	if len(ranks) > 4096 {
-		ranks = ranks[:4096]
-	}
+	ranks = ranks[:min(len(ranks), coverOverlayCap)]
 	// The registration storm runs unthrottled: spill-queue forwarding means
 	// a full inbox can delay but never deadlock the flood, so the old
 	// oversized-inbox + periodic-quiescing workaround is gone.
@@ -220,40 +217,27 @@ func coverOverlayRun(cfg Config, ranks []int, pool, nodes int, coverOn bool) (fl
 	return st.SubscriptionMsgs, st.CoverSuppressed, nil
 }
 
-// RunCover regenerates the covering sweep and prints its series.
-func RunCover(cfg Config) error {
-	cfg = cfg.withDefaults()
+func coverTable(cfg Config) (*Table, error) {
 	res, err := MeasureCover(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintf(w, "skew,engine_off,engine_on,subs_s_off,subs_s_on,pub_p50_off_s,pub_p99_off_s,pub_p50_on_s,pub_p99_on_s,flood_off,flood_on,suppressed\n")
-		for _, p := range res.Points {
-			fmt.Fprintf(w, "%.2f,%d,%d,%.1f,%.1f,%.9f,%.9f,%.9f,%.9f,%d,%d,%d\n",
-				p.Skew, p.EngineOff, p.EngineOn, p.SubsPerSecOff, p.SubsPerSecOn,
-				p.P50Off.Seconds(), p.P99Off.Seconds(), p.P50On.Seconds(), p.P99On.Seconds(),
-				p.FloodMsgsOff, p.FloodMsgsOn, p.Suppressed)
-		}
-		return nil
+	t := &Table{
+		Notes: []string{
+			fmt.Sprintf("%d subscribers over %d distinct filters (%d categories of nested bands); skew 0 = uniform draw",
+				res.Subscribers, res.Pool, coverCategories),
+			"_off/_on: broker without/with aggregation, or overlay without/with covering;",
+			fmt.Sprintf("overlay: %d-node binary tree, first %d registrations", res.OverlayNodes, min(res.Subscribers, coverOverlayCap)),
+		},
+		Columns: []Column{{"skew", "%.2f"}, {"engine_off", "%d"}, {"engine_on", "%d"}, {"subs_s_off", "%.1f"}, {"subs_s_on", "%.1f"},
+			{"pub_p50_off_s", "%.9f"}, {"pub_p99_off_s", "%.9f"}, {"pub_p50_on_s", "%.9f"}, {"pub_p99_on_s", "%.9f"},
+			{"flood_off", "%d"}, {"flood_on", "%d"}, {"suppressed", "%d"}},
 	}
-	fmt.Fprintf(w, "C1: subscription aggregation and covering vs filter-popularity skew\n")
-	fmt.Fprintf(w, "workload: %d subscribers over %d distinct filters (%d categories of nested bands);\n",
-		res.Subscribers, res.Pool, res.Categories)
-	fmt.Fprintf(w, "overlay: %d-node binary tree, first %d registrations; skew 0 = uniform draw\n\n",
-		res.OverlayNodes, min(res.Subscribers, 4096))
-	fmt.Fprintf(w, "%-6s | %-18s| %-22s| %-32s| %s\n",
-		"", "engine entries", "subscribe ops/s", "publish p50/p99", "overlay flood msgs")
-	fmt.Fprintf(w, "%-6s | %-8s %-9s| %-10s %-11s| %-15s %-16s| %-8s %-8s %-8s\n",
-		"skew", "plain", "aggr", "plain", "aggr", "plain", "aggr", "plain", "cover", "pruned")
 	for _, p := range res.Points {
-		off := fmtDur(p.P50Off) + "/" + fmtDur(p.P99Off)
-		on := fmtDur(p.P50On) + "/" + fmtDur(p.P99On)
-		fmt.Fprintf(w, "%-6.2f | %-8d %-9d| %-10.0f %-11.0f| %-15s %-16s| %-8d %-8d %-8d\n",
-			p.Skew, p.EngineOff, p.EngineOn, p.SubsPerSecOff, p.SubsPerSecOn,
-			off, on, p.FloodMsgsOff, p.FloodMsgsOn, p.Suppressed)
+		off, on := p.Plain, p.Aggregated
+		t.Rows = append(t.Rows, []any{p.Skew, off.Engine, on.Engine, off.SubsPerSec, on.SubsPerSec,
+			off.P50.Seconds(), off.P99.Seconds(), on.P50.Seconds(), on.P99.Seconds(),
+			p.FloodMsgsOff, p.FloodMsgsOn, p.Suppressed})
 	}
-	fmt.Fprintln(w)
-	return nil
+	return t, nil
 }

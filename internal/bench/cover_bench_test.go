@@ -3,7 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -34,15 +35,15 @@ func TestMeasureCover(t *testing.T) {
 	for _, p := range res.Points {
 		// The headline claims of C1, at every skew setting:
 		// engine size tracks distinct filters, not subscribers…
-		if p.EngineOff != res.Subscribers {
-			t.Errorf("skew %.2f: plain engine = %d, want %d", p.Skew, p.EngineOff, res.Subscribers)
+		if p.Plain.Engine != res.Subscribers {
+			t.Errorf("skew %.2f: plain engine = %d, want %d", p.Skew, p.Plain.Engine, res.Subscribers)
 		}
-		if p.EngineOn > res.Pool {
-			t.Errorf("skew %.2f: aggregated engine = %d entries > pool %d", p.Skew, p.EngineOn, res.Pool)
+		if p.Aggregated.Engine > res.Pool {
+			t.Errorf("skew %.2f: aggregated engine = %d entries > pool %d", p.Skew, p.Aggregated.Engine, res.Pool)
 		}
-		if p.EngineOn >= p.EngineOff {
+		if p.Aggregated.Engine >= p.Plain.Engine {
 			t.Errorf("skew %.2f: aggregation did not shrink the engine (%d vs %d)",
-				p.Skew, p.EngineOn, p.EngineOff)
+				p.Skew, p.Aggregated.Engine, p.Plain.Engine)
 		}
 		// …and covering prunes the subscription flood.
 		if p.FloodMsgsOn >= p.FloodMsgsOff {
@@ -52,34 +53,43 @@ func TestMeasureCover(t *testing.T) {
 		if p.Suppressed == 0 {
 			t.Errorf("skew %.2f: no suppressions recorded", p.Skew)
 		}
-		if p.SubsPerSecOff <= 0 || p.SubsPerSecOn <= 0 {
-			t.Errorf("skew %.2f: non-positive subscribe throughput", p.Skew)
-		}
-		if p.P99Off < p.P50Off || p.P99On < p.P50On {
-			t.Errorf("skew %.2f: p99 below p50", p.Skew)
+		for _, run := range []BrokerRun{p.Plain, p.Aggregated} {
+			if run.SubsPerSec <= 0 || run.P99 < run.P50 {
+				t.Errorf("skew %.2f: subscribe rate %.1f, publish p50 %v p99 %v", p.Skew, run.SubsPerSec, run.P50, run.P99)
+			}
 		}
 	}
+}
 
-	// Output paths: text and CSV.
-	if err := RunCover(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "C1:") {
-		t.Errorf("text output missing header: %q", buf.String())
-	}
-	buf.Reset()
-	cfg.CSV = true
-	if err := RunCover(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "skew,engine_off") {
-		t.Errorf("CSV output missing header: %q", buf.String())
+// TestPowerRanksLaw checks the shared C1/M1/F1 sampler: ranks stay in the
+// pool, skew 0 is uniform, and a skew above 1 concentrates draws on the
+// low (broad) ranks as 1/(r+1)^skew does.
+func TestPowerRanksLaw(t *testing.T) {
+	const n, pool = 20000, 8
+	for _, skew := range []float64{0, 2} {
+		counts := make([]int, pool)
+		for _, r := range powerRanks(rand.New(rand.NewSource(1)), skew, n, pool) {
+			if r < 0 || r >= pool {
+				t.Fatalf("skew %.1f: rank %d outside pool %d", skew, r, pool)
+			}
+			counts[r]++
+		}
+		total := 0.0
+		for r := 0; r < pool; r++ {
+			total += math.Pow(float64(r+1), -skew)
+		}
+		for r, c := range counts {
+			want := float64(n) * math.Pow(float64(r+1), -skew) / total
+			if math.Abs(float64(c)-want) > 5*math.Sqrt(want)+1 {
+				t.Errorf("skew %.1f: rank %d drawn %d times, want ≈ %.0f", skew, r, c, want)
+			}
+		}
 	}
 }
 
 func TestRunJSON(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{Out: &buf, Scale: 0.004, Trials: 1, Seed: 7}
+	cfg := Config{Out: &buf, Scale: 0.0005, Trials: 1, Seed: 7}
 	e, ok := Lookup("cover")
 	if !ok {
 		t.Fatal("cover experiment not registered")
@@ -106,9 +116,16 @@ func TestRunJSON(t *testing.T) {
 		t.Errorf("engine_on not numeric: %T", res.Points[0]["engine_on"])
 	}
 
-	// Experiments without a CSV series must refuse -json cleanly.
+	// Every experiment emits JSON, table1's parameter rows included.
+	buf.Reset()
 	table1, _ := Lookup("table1")
-	if err := RunJSON(table1, cfg); err == nil {
-		t.Error("table1 accepted -json despite having no tabular series")
+	if err := RunJSON(table1, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
+		t.Fatalf("table1 JSON: %v\n%s", err, buf.String())
+	}
+	if len(res.Points) != 5 || res.Points[3]["value"] != "AND, OR" {
+		t.Errorf("table1 JSON points: %v", res.Points)
 	}
 }

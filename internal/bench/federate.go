@@ -48,7 +48,7 @@ func federateNodeCounts() []int { return []int{3, 7, 15} }
 // MeasureFederate measures what broker federation costs and covering buys
 // when the brokers are genuinely distributed: N netoverlay brokers in one
 // process, linked into a binary tree over real loopback TCP sockets,
-// carrying the C1 workload (Zipf-popular nested band filters). For every
+// carrying the C1 workload (power-law-popular nested band filters). For every
 // point the measured deliveries are checked against a naive evaluation
 // oracle — every matching (subscriber, event) pair exactly once, federation
 // wide — so the experiment doubles as an end-to-end correctness smoke.
@@ -56,10 +56,7 @@ func MeasureFederate(cfg Config) (FederateResult, error) {
 	cfg = cfg.withDefaults()
 	subs := scaleCount(20_000, cfg.Scale)
 	events := scaleCount(25_000, cfg.Scale)
-	pool := subs / 16
-	if pool < coverCategories {
-		pool = coverCategories
-	}
+	pool := coverPool(subs)
 	res := FederateResult{Subscribers: subs, Events: events}
 	for _, nodes := range federateNodeCounts() {
 		pt := FederatePoint{Nodes: nodes}
@@ -120,7 +117,7 @@ func federateRun(cfg Config, nodes, subs, events, pool int, coverOn bool) (event
 	// Registration: the C1 draw, homed round the tree. counts[s][e] tracks
 	// exactly-once delivery per (subscriber, event) pair.
 	rng := rand.New(rand.NewSource(cfg.Seed + 211))
-	ranks := coverRanks(rng, 1.1, subs, pool)
+	ranks := powerRanks(rng, 1.1, subs, pool)
 	filters := make([]boolexpr.Expr, subs)
 	counts := make([][]uint32, subs)
 	for s, r := range ranks {
@@ -180,36 +177,22 @@ func federateRun(cfg Config, nodes, subs, events, pool int, coverOn bool) (event
 	return float64(events) / elapsed.Seconds(), floodMsgs, suppressed, delivered, nil
 }
 
-// RunFederate regenerates the federation sweep and prints its series.
-func RunFederate(cfg Config) error {
-	cfg = cfg.withDefaults()
+func federateTable(cfg Config) (*Table, error) {
 	res, err := MeasureFederate(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintf(w, "nodes,events_s_off,events_s_on,flood_off,flood_on,suppressed,delivered\n")
-		for _, p := range res.Points {
-			fmt.Fprintf(w, "%d,%.1f,%.1f,%d,%d,%d,%d\n",
-				p.Nodes, p.EventsPerSecOff, p.EventsPerSecOn,
-				p.FloodMsgsOff, p.FloodMsgsOn, p.Suppressed, p.Delivered)
-		}
-		return nil
+	t := &Table{
+		Notes: []string{
+			fmt.Sprintf("%d subscribers (power-law 1.1 nested bands), %d events, binary broker tree over loopback TCP; _off/_on = covering", res.Subscribers, res.Events),
+			"every (subscriber, event) match verified delivered exactly once, federation-wide",
+		},
+		Columns: []Column{{"nodes", "%d"}, {"events_s_off", "%.1f"}, {"events_s_on", "%.1f"},
+			{"flood_off", "%d"}, {"flood_on", "%d"}, {"suppressed", "%d"}, {"delivered", "%d"}},
 	}
-	fmt.Fprintf(w, "F1: broker federation over loopback TCP vs node count\n")
-	fmt.Fprintf(w, "workload: %d subscribers (Zipf 1.1 nested bands), %d events, binary broker tree;\n",
-		res.Subscribers, res.Events)
-	fmt.Fprintf(w, "every (subscriber, event) match verified delivered exactly once, federation-wide\n\n")
-	fmt.Fprintf(w, "%-6s | %-24s| %-26s| %s\n",
-		"", "publish events/s", "sub flood msgs", "")
-	fmt.Fprintf(w, "%-6s | %-11s %-12s| %-8s %-8s %-8s| %s\n",
-		"nodes", "plain", "cover", "plain", "cover", "pruned", "delivered")
 	for _, p := range res.Points {
-		fmt.Fprintf(w, "%-6d | %-11.0f %-12.0f| %-8d %-8d %-8d| %d\n",
-			p.Nodes, p.EventsPerSecOff, p.EventsPerSecOn,
-			p.FloodMsgsOff, p.FloodMsgsOn, p.Suppressed, p.Delivered)
+		t.Rows = append(t.Rows, []any{p.Nodes, p.EventsPerSecOff, p.EventsPerSecOn,
+			p.FloodMsgsOff, p.FloodMsgsOn, p.Suppressed, p.Delivered})
 	}
-	fmt.Fprintln(w)
-	return nil
+	return t, nil
 }

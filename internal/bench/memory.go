@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"noncanon/internal/core"
 	"noncanon/internal/memmodel"
 	"noncanon/internal/predicate"
 	"noncanon/internal/subtree"
@@ -42,28 +41,18 @@ func MeasureMemory(cfg Config) ([]MemoryRow, error) {
 	var rows []MemoryRow
 	for _, preds := range []int{6, 8, 10} {
 		params := workload.Params{NumSubscriptions: probe, PredsPerSub: preds, Seed: cfg.Seed}
-		es := newEngines(core.Options{})
+		es := newEngines()
 		if err := es.grow(params, 0, probe); err != nil {
 			return nil, err
 		}
+		report := func(name string, subs, units, engineBytes int) memmodel.Report {
+			return memmodel.Report{Name: name, Subscriptions: subs, Units: units, EngineBytes: engineBytes,
+				RegistryBytes: es.reg.MemBytes(), IndexBytes: es.idx.MemBytes()}
+		}
 		row := MemoryRow{
 			PredsPerSub: preds,
-			NonCanon: memmodel.Report{
-				Name:          es.nc.Name(),
-				Subscriptions: es.nc.NumSubscriptions(),
-				Units:         es.nc.NumUnits(),
-				EngineBytes:   es.nc.MemBytes(),
-				RegistryBytes: es.reg.MemBytes(),
-				IndexBytes:    es.idx.MemBytes(),
-			},
-			Counting: memmodel.Report{
-				Name:          es.cnt.Name(),
-				Subscriptions: es.cnt.NumSubscriptions(),
-				Units:         es.cnt.NumUnits(),
-				EngineBytes:   es.cnt.MemBytes(),
-				RegistryBytes: es.reg.MemBytes(),
-				IndexBytes:    es.idx.MemBytes(),
-			},
+			NonCanon:    report(es.nc.Name(), es.nc.NumSubscriptions(), es.nc.NumUnits(), es.nc.MemBytes()),
+			Counting:    report(es.cnt.Name(), es.cnt.NumSubscriptions(), es.cnt.NumUnits(), es.cnt.MemBytes()),
 		}
 		// Analytic paper models per original subscription.
 		units := params.TransformedPerSub()
@@ -99,37 +88,22 @@ func paperTreeBytes(p workload.Params) int {
 	return len(compiled.Code)
 }
 
-// RunMemory prints the M1 table.
-func RunMemory(cfg Config) error {
-	cfg = cfg.withDefaults()
+func memoryTable(cfg Config) (*Table, error) {
 	rows, err := MeasureMemory(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintln(w, "preds,nc_bytes_per_sub,counting_bytes_per_sub,ratio,nc_capacity_512mb,counting_capacity_512mb")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%d,%.1f,%.1f,%.2f,%d,%d\n", r.PredsPerSub,
-				r.NonCanon.BytesPerSubscription(), r.Counting.BytesPerSubscription(),
-				r.Ratio(), r.CapacityNonCanon, r.CapacityCounting)
-		}
-		return nil
+	t := &Table{
+		Notes: []string{fmt.Sprintf("engine bytes per original subscription and capacity within %s; analytic §3.3 models (bytes/sub):",
+			memmodel.FormatBytes(memmodel.PaperBudgetBytes))},
+		Columns: []Column{{"preds", "%d"}, {"nc_bytes_per_sub", "%.1f"}, {"counting_bytes_per_sub", "%.1f"},
+			{"ratio", "%.2f"}, {"nc_capacity_512mb", "%d"}, {"counting_capacity_512mb", "%d"}},
 	}
-	fmt.Fprintf(w, "M1: engine memory per original subscription and capacity within %s\n\n",
-		memmodel.FormatBytes(memmodel.PaperBudgetBytes))
-	fmt.Fprintf(w, "%-6s %-14s %-14s %-7s %-22s %-22s\n",
-		"preds", "non-canonical", "counting", "ratio", "capacity non-canon", "capacity counting")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d %-14.1f %-14.1f %-7.2f %-22d %-22d\n",
-			r.PredsPerSub, r.NonCanon.BytesPerSubscription(), r.Counting.BytesPerSubscription(),
-			r.Ratio(), r.CapacityNonCanon, r.CapacityCounting)
+		t.Notes = append(t.Notes, fmt.Sprintf("  |p|=%d: non-canonical %.1f, counting %.1f",
+			r.PredsPerSub, r.PaperNonCanonPerSub, r.PaperCountingPerSub))
+		t.Rows = append(t.Rows, []any{r.PredsPerSub, r.NonCanon.BytesPerSubscription(), r.Counting.BytesPerSubscription(),
+			r.Ratio(), r.CapacityNonCanon, r.CapacityCounting})
 	}
-	fmt.Fprintf(w, "\nAnalytic §3.3 per-subscription models (bytes):\n")
-	fmt.Fprintf(w, "%-6s %-14s %-14s\n", "preds", "non-canonical", "counting")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d %-14.1f %-14.1f\n", r.PredsPerSub, r.PaperNonCanonPerSub, r.PaperCountingPerSub)
-	}
-	fmt.Fprintln(w)
-	return nil
+	return t, nil
 }

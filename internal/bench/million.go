@@ -2,14 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
-	"time"
 
 	"noncanon/internal/broker"
-	"noncanon/internal/event"
-	"noncanon/internal/memmodel"
 )
 
 // MillionPoint is one (subscriber count, skew) cell of the M1 (million)
@@ -18,18 +13,7 @@ import (
 type MillionPoint struct {
 	Subs int
 	Skew float64
-
-	// FlatEngine is the number of distinct live filters: the engine entries
-	// identical-filter interning alone would hold.
-	FlatEngine int
-	// DAGEngine is the covering frontier: the engine entries the broker
-	// holds.
-	DAGEngine  int
-	DAGCovered int // subscribers attached beneath a coverer
-	SubsSec    float64
-	P50        time.Duration
-	P99        time.Duration
-	Heap       int
+	BrokerRun
 }
 
 // MillionResult is the regenerated M1 (million) sweep.
@@ -55,78 +39,9 @@ func millionCounts(scale float64) []int {
 // filters.
 func millionSkews() []float64 { return []float64{0.5, 1.0, 2.0} }
 
-// millionRanks draws every subscriber's filter rank from a finite-pool
-// power law with weight 1/(rank+1)^skew. rand.NewZipf only supports
-// exponents strictly above 1, and the sweep needs 0.5 and 1.0, so draws
-// invert a cumulative weight table instead.
-func millionRanks(rng *rand.Rand, skew float64, n, pool int) []int {
-	cum := make([]float64, pool)
-	total := 0.0
-	for r := 0; r < pool; r++ {
-		total += math.Pow(float64(r+1), -skew)
-		cum[r] = total
-	}
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = sort.SearchFloat64s(cum, rng.Float64()*total)
-	}
-	return ranks
-}
-
-// millionBrokerRun registers the drawn filters into a fresh aggregating
-// broker and measures engine entries, subscribe throughput, live heap
-// after registration, and publish latency. The pool reuses the C1
-// nested-band shape (coverFilter), so within a category every broader band
-// provably covers the narrower ones.
-func millionBrokerRun(cfg Config, ranks []int, pool int) (pt MillionPoint, err error) {
-	// QueueSize 1 keeps what a burst can queue per subscriber as small as
-	// possible: the heap column is the engine, the poset and the
-	// per-subscriber fixed cost (subscription and handler sink, no
-	// goroutine or queue while idle).
-	br := broker.New(broker.Options{QueueSize: 1, Aggregate: true})
-	defer br.Close()
-	noop := func(event.Event) {}
-
-	t0 := time.Now()
-	for _, r := range ranks {
-		if _, err := br.Subscribe(coverFilter(r, pool), noop); err != nil {
-			return pt, fmt.Errorf("bench: million subscribe: %w", err)
-		}
-	}
-	subDur := time.Since(t0)
-	if subDur <= 0 {
-		subDur = time.Nanosecond
-	}
-	st := br.Stats()
-	pt.Heap = memmodel.HeapInuseBytes()
-
-	rng := rand.New(rand.NewSource(cfg.Seed + 77))
-	publishes := 64 * cfg.Trials
-	durs := make([]time.Duration, 0, publishes)
-	if _, err := br.Publish(coverEvent(rng, pool)); err != nil { // warmup
-		return pt, err
-	}
-	for i := 0; i < publishes; i++ {
-		ev := coverEvent(rng, pool)
-		c0 := time.Now()
-		if _, err := br.Publish(ev); err != nil {
-			return pt, err
-		}
-		durs = append(durs, time.Since(c0))
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-
-	pt.FlatEngine = st.DistinctFilters
-	pt.DAGEngine = st.FrontierFilters
-	pt.DAGCovered = st.CoveredSubscribers
-	pt.SubsSec = float64(len(ranks)) / subDur.Seconds()
-	pt.P50, pt.P99 = percentile(durs, 50), percentile(durs, 99)
-	return pt, nil
-}
-
 // MeasureMillion measures how engine size scales with subscriber count
 // under covering aggregation (experiment M1 (million)). For every (count,
-// skew) cell, one power-law draw over a nested-band filter pool is
+// skew) cell, one power-law draw over C1's nested-band filter pool is
 // registered into an aggregating broker. The headline claim: the distinct
 // filters drawn — what identical-filter interning alone would keep in the
 // engine — keep growing with the subscriber count until the pool is
@@ -137,51 +52,39 @@ func MeasureMillion(cfg Config) (MillionResult, error) {
 	cfg = cfg.withDefaults()
 	res := MillionResult{Counts: millionCounts(cfg.Scale)}
 	for _, subs := range res.Counts {
-		pool := subs / 16
-		if pool < coverCategories {
-			pool = coverCategories
-		}
+		pool := coverPool(subs)
 		for _, skew := range millionSkews() {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(subs) + int64(skew*1000)))
-			ranks := millionRanks(rng, skew, subs, pool)
-			pt, err := millionBrokerRun(cfg, ranks, pool)
+			// QueueSize 1 keeps what a burst can queue per subscriber as
+			// small as possible: the heap column is the engine, the poset
+			// and the per-subscriber fixed cost (subscription and handler
+			// sink, no goroutine or queue while idle).
+			run, err := runBroker(cfg, broker.Options{QueueSize: 1, Aggregate: true}, powerRanks(rng, skew, subs, pool), pool)
 			if err != nil {
 				return MillionResult{}, err
 			}
-			pt.Subs, pt.Skew = subs, skew
-			res.Points = append(res.Points, pt)
+			res.Points = append(res.Points, MillionPoint{Subs: subs, Skew: skew, BrokerRun: run})
 		}
 	}
 	return res, nil
 }
 
-// RunMillion regenerates the M1 (million) sweep and prints its series.
-func RunMillion(cfg Config) error {
-	cfg = cfg.withDefaults()
+func millionTable(cfg Config) (*Table, error) {
 	res, err := MeasureMillion(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintf(w, "subs,skew,flat_engine,dag_engine,dag_covered,subs_s,pub_p50_s,pub_p99_s,heap_bytes\n")
-		for _, p := range res.Points {
-			fmt.Fprintf(w, "%d,%.2f,%d,%d,%d,%.1f,%.9f,%.9f,%d\n",
-				p.Subs, p.Skew, p.FlatEngine, p.DAGEngine, p.DAGCovered,
-				p.SubsSec, p.P50.Seconds(), p.P99.Seconds(), p.Heap)
-		}
-		return nil
+	t := &Table{
+		Notes: []string{
+			fmt.Sprintf("power-law draws over nested band pools (pool = subs/16, %d categories) into an aggregating broker;", coverCategories),
+			"flat = distinct filters (what identical-filter interning would hold), dag = covering-frontier engine entries",
+		},
+		Columns: []Column{{"subs", "%d"}, {"skew", "%.2f"}, {"flat_engine", "%d"}, {"dag_engine", "%d"}, {"dag_covered", "%d"},
+			{"subs_s", "%.1f"}, {"pub_p50_s", "%.9f"}, {"pub_p99_s", "%.9f"}, {"heap_bytes", "%d"}},
 	}
-	fmt.Fprintf(w, "M1 (million): engine size under covering aggregation\n")
-	fmt.Fprintf(w, "workload: power-law draws over nested band pools (pool = subs/16, %d categories);\n", coverCategories)
-	fmt.Fprintf(w, "flat = distinct filters (what identical-filter interning would hold), dag = covering-frontier engine entries\n\n")
-	fmt.Fprintf(w, "%-9s %-5s| %-16s %-8s| %-12s| %-17s| %s\n",
-		"subs", "skew", "engine flat/dag", "covered", "subscribe/s", "publish p50/p99", "heap")
 	for _, p := range res.Points {
-		fmt.Fprintf(w, "%-9d %-5.2f| %-7d %-8d %-8d| %-12.0f| %-17s| %s\n",
-			p.Subs, p.Skew, p.FlatEngine, p.DAGEngine, p.DAGCovered,
-			p.SubsSec, fmtDur(p.P50)+"/"+fmtDur(p.P99), memmodel.FormatBytes(p.Heap))
+		t.Rows = append(t.Rows, []any{p.Subs, p.Skew, p.Distinct, p.Engine, p.Covered,
+			p.SubsPerSec, p.P50.Seconds(), p.P99.Seconds(), p.Heap})
 	}
-	fmt.Fprintln(w)
-	return nil
+	return t, nil
 }

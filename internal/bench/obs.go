@@ -110,36 +110,25 @@ func MeasureObs(cfg Config) (ObsResult, error) {
 		// pair alone would bias whichever side was built later. Half the
 		// rounds run on each pair and the pooled ratios cancel the bias.
 		reg := obs.NewRegistry()
-		baseBroker, err := obsWarmBroker(broker.Options{}, subs, evs, cfg.Seed)
-		if err != nil {
-			return res, err
-		}
-		instBroker, err := obsWarmBroker(broker.Options{Metrics: reg}, subs, evs, cfg.Seed)
-		if err != nil {
-			baseBroker.Close()
-			return res, err
-		}
-		instBroker2, err := obsWarmBroker(broker.Options{Metrics: reg}, subs, evs, cfg.Seed)
-		if err != nil {
-			baseBroker.Close()
-			instBroker.Close()
-			return res, err
-		}
-		baseBroker2, err := obsWarmBroker(broker.Options{}, subs, evs, cfg.Seed)
-		if err != nil {
-			baseBroker.Close()
-			instBroker.Close()
-			instBroker2.Close()
-			return res, err
+		var brokers [4]*broker.Broker // base, instrumented; then the second pair, built instrumented first
+		for i, opts := range []broker.Options{{}, {Metrics: reg}, {Metrics: reg}, {}} {
+			b, err := obsWarmBroker(opts, subs, evs, cfg.Seed)
+			if err != nil {
+				for _, b := range brokers[:i] {
+					b.Close()
+				}
+				return res, err
+			}
+			brokers[i] = b
 		}
 		const slices = 40
 		sliceLen := len(evs) / slices
 		var baseDur []time.Duration
 		var ratios []float64
 		for r := 0; r < obsRounds; r++ {
-			bb, ib := baseBroker, instBroker
+			bb, ib := brokers[0], brokers[1]
 			if r >= obsRounds/2 {
-				bb, ib = baseBroker2, instBroker2
+				bb, ib = brokers[3], brokers[2]
 			}
 			// Swap which broker goes first each round: the second slice of
 			// a pair tends to absorb GC cycles triggered by the first, and
@@ -165,10 +154,9 @@ func MeasureObs(cfg Config) (ObsResult, error) {
 				ratios = append(ratios, float64(d2)/float64(d1))
 			}
 		}
-		baseBroker.Close()
-		instBroker.Close()
-		baseBroker2.Close()
-		instBroker2.Close()
+		for _, b := range brokers {
+			b.Close()
+		}
 		if len(baseDur) == 0 {
 			return res, fmt.Errorf("obs: empty measurement at %d subs", subs)
 		}
@@ -202,36 +190,24 @@ func MeasureObs(cfg Config) (ObsResult, error) {
 	return res, nil
 }
 
-// RunObs reports the metrics-overhead sweep (experiment O1).
-func RunObs(cfg Config) error {
-	cfg = cfg.withDefaults()
+func obsTable(cfg Config) (*Table, error) {
 	res, err := MeasureObs(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	w := cfg.Out
-	if cfg.CSV {
-		fmt.Fprintf(w, "subs,base_ev_s,metrics_ev_s,delta_pct,match_p50_us,match_p99_us,publish_p99_us\n")
-		for _, p := range res.Points {
-			fmt.Fprintf(w, "%d,%.1f,%.1f,%.2f,%.1f,%.1f,%.1f\n",
-				p.Subs, p.BaseEventsPerSec, p.MetricsEventsPerSec, p.DeltaPct,
-				float64(p.MatchP50.Nanoseconds())/1e3, float64(p.MatchP99.Nanoseconds())/1e3,
-				float64(p.PublishP99.Nanoseconds())/1e3)
-		}
-		return nil
+	t := &Table{
+		Notes: []string{
+			fmt.Sprintf("GOMAXPROCS %d; stock events, %d per measurement, median of paired alternating slices", res.GOMAXPROCS, res.Events),
+			"the instrumented runs add two clock reads and a handful of atomic increments per publish;",
+			"delta_pct is the price of knowing the latency quantiles on its right",
+		},
+		Columns: []Column{{"subs", "%d"}, {"base_ev_s", "%.1f"}, {"metrics_ev_s", "%.1f"}, {"delta_pct", "%.2f"},
+			{"match_p50_us", "%.1f"}, {"match_p99_us", "%.1f"}, {"publish_p99_us", "%.1f"}},
 	}
-	fmt.Fprintf(w, "O1: metrics overhead on the broker publish path (GOMAXPROCS %d)\n", res.GOMAXPROCS)
-	fmt.Fprintf(w, "workload: stock events, %d per measurement, median of paired alternating slices\n\n", res.Events)
-	fmt.Fprintf(w, "%-8s %-14s %-14s %-10s %-12s %-12s %-12s\n",
-		"subs", "base ev/s", "metrics ev/s", "delta %", "match p50", "match p99", "publish p99")
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	for _, p := range res.Points {
-		fmt.Fprintf(w, "%-8d %-14.1f %-14.1f %-10.2f %-12v %-12v %-12v\n",
-			p.Subs, p.BaseEventsPerSec, p.MetricsEventsPerSec, p.DeltaPct,
-			p.MatchP50.Round(time.Microsecond), p.MatchP99.Round(time.Microsecond),
-			p.PublishP99.Round(time.Microsecond))
+		t.Rows = append(t.Rows, []any{p.Subs, p.BaseEventsPerSec, p.MetricsEventsPerSec, p.DeltaPct,
+			us(p.MatchP50), us(p.MatchP99), us(p.PublishP99)})
 	}
-	fmt.Fprintf(w, "\nThe instrumented runs add two clock reads and a handful of atomic\n")
-	fmt.Fprintf(w, "increments per publish; the delta column is the price of knowing the\n")
-	fmt.Fprintf(w, "latency quantiles on the right.\n")
-	return nil
+	return t, nil
 }
