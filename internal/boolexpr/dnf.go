@@ -1,6 +1,7 @@
 package boolexpr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -225,14 +226,6 @@ func dnfOf(e Expr) DNF {
 	}
 }
 
-func literalKey(l Literal) string {
-	k := l.Pred.String()
-	if l.Neg {
-		return "!" + k
-	}
-	return k
-}
-
 // mergeConjunction concatenates two conjunctions, dropping duplicate
 // literals. ok=false marks an unsatisfiable result (contains p and ¬p).
 func mergeConjunction(a, b Conjunction) (Conjunction, bool) {
@@ -256,38 +249,51 @@ func mergeConjunction(a, b Conjunction) (Conjunction, bool) {
 	return out, true
 }
 
+// literalKey is a literal's identity: its predicate's registry identity
+// (predicate.Key, as samePred compares) and its sign.
+type literalKey struct {
+	pred predicate.Key
+	neg  bool
+}
+
+// dedupConjunctions drops every conjunction whose literal set an earlier one
+// already has. Each distinct literal gets a small number, in order of first
+// appearance, and a conjunction is keyed by its sorted numbers.
 func dedupConjunctions(d DNF) DNF {
 	if len(d) < 2 {
 		return d
 	}
+	lits := make(map[literalKey]int)
 	seen := make(map[string]bool, len(d))
+	var ids []int
+	var key []byte
 	out := d[:0]
 	for _, c := range d {
-		k := conjKey(c)
-		if seen[k] {
+		ids = ids[:0]
+		for _, l := range c {
+			lk := literalKey{l.Pred.Key(), l.Neg}
+			id, ok := lits[lk]
+			if !ok {
+				id = len(lits)
+				lits[lk] = id
+			}
+			ids = append(ids, id)
+		}
+		// Insertion sort: conjunctions are small (paper: 3-5 predicates).
+		for i := 1; i < len(ids); i++ {
+			for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+				ids[j], ids[j-1] = ids[j-1], ids[j]
+			}
+		}
+		key = key[:0]
+		for _, id := range ids {
+			key = binary.AppendUvarint(key, uint64(id))
+		}
+		if seen[string(key)] {
 			continue
 		}
-		seen[k] = true
+		seen[string(key)] = true
 		out = append(out, c)
-	}
-	return out
-}
-
-// conjKey builds an order-insensitive fingerprint of a conjunction.
-func conjKey(c Conjunction) string {
-	keys := make([]string, len(c))
-	for i, l := range c {
-		keys[i] = literalKey(l)
-	}
-	// Insertion sort: conjunctions are small (paper: 3-5 predicates).
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	out := ""
-	for _, k := range keys {
-		out += k + "\x00"
 	}
 	return out
 }

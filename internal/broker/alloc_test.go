@@ -190,8 +190,9 @@ func selectiveText(i int) string {
 // leave the index as churn's do — allocates no more than its budget, with
 // and without parsing the filter's text first. Parsing is Parse's budget
 // (internal/sublang); compiling allocates the tree's distinct predicates,
-// their leaf map, its Code and its PredIDs; the rest is the index's and
-// the broker's own bookkeeping.
+// their leaf map, its Code and its PredIDs; the rest is the index's
+// bookkeeping and the broker's one Subscription (no group, no member
+// array, no map entry).
 func TestOutletSubscribeAllocBudget(t *testing.T) {
 	b := New(Options{})
 	defer b.Close()
@@ -208,8 +209,8 @@ func TestOutletSubscribeAllocBudget(t *testing.T) {
 		parse  bool
 		budget float64
 	}{
-		{"subscribe and unsubscribe", false, 14},
-		{"parse, subscribe and unsubscribe", true, 30},
+		{"subscribe and unsubscribe", false, 12},
+		{"parse, subscribe and unsubscribe", true, 28},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			avg := testing.AllocsPerRun(200, func() {

@@ -13,33 +13,32 @@
 // handler subscription owns neither goroutine nor queue; Close stops intake
 // and waits for the handler goroutines still draining.
 //
+// Fan-out: a slice indexed by the engine's dense IDs heads each entry's
+// chain of subscribers, linked through the Subscriptions themselves; a
+// plain subscription costs the broker one Subscription and one slot word.
+//
 // Concurrency: Publish holds only read locks end to end — the broker's
-// subscriber map and the engine's subscription store are both
+// fan-out table and the engine's subscription store are both
 // RWMutex-guarded — so concurrent publishers match and enqueue in parallel;
 // Subscribe/Unsubscribe briefly exclude them while mutating the store.
 //
 // Aggregation: with Options.Aggregate the broker maintains the covering
 // poset of live filters (internal/cover/dag). Subscribers whose filters
-// intern to one canonical key (cover.Key) share one poset node, and a node
-// whose filter is provably covered by a live one (cover.Covers) attaches
-// beneath it without touching the engine, so engine size — and therefore
-// matching work — tracks the covering *frontier*, the uncovered-maximal
-// filters, rather than the number of subscribers. A poset with no covering
-// edges is plain identical-filter interning. Delivery stays exact: events
-// matching a frontier entry are re-checked against each covered
-// descendant's own filter (with sound subtree pruning — an event that fails
-// a filter fails everything it covers) before fan-out. Unsubscribe drops
-// one share; when a frontier filter's last subscriber leaves, its orphaned
-// descendants are promoted into the engine *before* the dying entry is
-// retracted, mirroring the overlay's re-flood-before-retract rule, so
-// matching never gaps. Stats.DistinctFilters, Stats.FrontierFilters,
-// Stats.AggregatedSubscribers and Stats.CoveredSubscribers make the saving
-// observable.
+// intern to one canonical key (cover.Key) chain off one poset node, and a
+// node whose filter is provably covered by a live one (cover.Covers)
+// attaches beneath it without touching the engine, so engine size tracks
+// the covering *frontier*, not the number of subscribers. Delivery stays
+// exact: a frontier match is re-checked against each covered descendant's
+// own filter (an event that fails a filter fails everything it covers).
+// When a frontier filter's last subscriber leaves, its orphaned
+// descendants enter the engine *before* the dying entry is retracted, so
+// matching never gaps. Stats' filter and subscriber counts show the saving.
 package broker
 
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,19 +74,14 @@ type Options struct {
 	// holds QueueSize events and a TCP connection with n subscriptions
 	// QueueSize × n deliveries (default DefaultQueueSize).
 	QueueSize int
-	// Aggregate maintains the covering poset of live filters
-	// (internal/cover/dag): identical filters share one entry, only
-	// frontier (uncovered-maximal) filters occupy engine entries, and
-	// covered subscriptions attach beneath them and are re-checked against
-	// their own filter at delivery. Delivery semantics are unchanged —
-	// every subscriber still receives every matching event through its own
-	// sink.
+	// Aggregate keeps only the covering frontier of live filters in the
+	// engine (see the package comment). Delivery is unchanged: every
+	// subscriber receives every matching event through its own sink.
 	Aggregate bool
 	// Metrics, when set, is the obs registry the broker's instruments live
 	// in (counters, live gauges, and the match/publish latency
-	// histograms). Nil keeps a private registry: Stats still works, the
-	// counters cost exactly what they always did (one atomic add), and the
-	// latency clock — two time.Now calls per publish — stays off.
+	// histograms). Nil keeps a private registry: Stats still works, a
+	// counter costs one atomic add, and the latency clock stays off.
 	Metrics *obs.Registry
 }
 
@@ -109,10 +103,14 @@ type Broker struct {
 	opts Options
 	eng  *core.Engine
 
-	mu     sync.RWMutex
-	groups map[matcher.SubID]*filterGroup // engine entry → attached subscribers
-	dag    *dag.DAG                       // covering poset (Aggregate only)
-	nsubs  int                            // live subscriber count
+	mu   sync.RWMutex
+	subs []*Subscription // subs[id-1] heads engine entry id's chain
+	dag  *dag.DAG        // covering poset (Aggregate only)
+	// filters holds a slot per live poset node (Aggregate only), free the
+	// vacated ones.
+	filters []filter
+	free    []uint32
+	nsubs   int // live subscriber count
 	// keepers is the number of live subscriptions whose sink queues the
 	// event itself (handlers, channels): while it is non-zero Publish must
 	// Retain a borrowed event once, before the first of them sees it.
@@ -139,70 +137,47 @@ type Broker struct {
 
 	// timed gates the latency clock: true only with an exported registry
 	// (Options.Metrics set), so the un-instrumented publish path pays no
-	// time.Now calls. Even then only every latencySampleEvery-th Publish
-	// is clocked (latencyTick selects it): three clock reads cost more
-	// than the whole instrument budget on a small store, and systematic
-	// 1-in-8 sampling preserves the quantiles while amortising the clock
-	// to nothing. Batch calls are always clocked — the batch already
-	// amortises the reads.
+	// time.Now calls. Even then a per-call random draw (no shared counter)
+	// clocks one Publish in latencySampleEvery: three clock reads cost more
+	// than the whole instrument budget on a small store, and 1-in-8
+	// sampling preserves the quantiles. Batch calls are always clocked —
+	// the batch already amortises the reads.
 	timed          bool
-	latencyTick    atomic.Uint64
 	matchLatency   *obs.Histogram
 	publishLatency *obs.Histogram
 
-	// matchPool recycles *matchBuf values across Publish calls.
-	matchPool sync.Pool
+	matchPool sync.Pool // recycles *matchBuf values across Publish calls
 }
 
 // latencySampleEvery is the Publish latency-clock sampling interval; it
 // must be a power of two (the hot path masks, not divides).
 const latencySampleEvery = 8
 
-// filterGroup is the fan-out set of every subscriber that registered the
-// (canonically) same filter. Without aggregation each group has exactly
-// one member and owns one engine entry. Under aggregation the group hangs
-// off its poset node (node.Data points back here) and id names an engine
-// entry only while the node is on the covering frontier.
-type filterGroup struct {
-	id      matcher.SubID
-	node    *dag.Node // covering-poset node (Aggregate only)
-	members []*Subscription
-}
-
-// remove detaches s in O(1) via its stored member index and reports
-// whether it was attached. Mass unsubscribe of a hot aggregated filter
-// happens under the broker write lock, so removal must not scan the
-// group's (possibly huge) member list.
-func (g *filterGroup) remove(s *Subscription) bool {
-	i := int(s.gidx)
-	if i < 0 || i >= len(g.members) || g.members[i] != s {
-		return false
-	}
-	last := len(g.members) - 1
-	moved := g.members[last]
-	g.members[i] = moved
-	moved.gidx = int32(i)
-	g.members[last] = nil
-	g.members = g.members[:last]
-	s.gidx = -1
-	return true
+// filter is the slot of one covering-poset node (Aggregate only): the
+// node, whose Data heads its subscribers' chain, and its engine entry while
+// the node is on the covering frontier (0 while it is covered).
+type filter struct {
+	node *dag.Node
+	id   matcher.SubID
 }
 
 // Subscription is a live registration: a filter in the engine and the
 // (sink, handle) pair its matches are delivered to.
 type Subscription struct {
-	g       *filterGroup // owning group; guarded by the broker's mu
-	out     *Outlet      // out.b is the broker
-	handle  uint64       // the sink's name for this subscription
+	out     *Outlet // out.b is the broker
+	handle  uint64  // the sink's name for this subscription
 	dropped atomic.Uint64
-
-	// gidx is the index in its filterGroup's members, guarded by the
-	// broker's mu; 32 bits beside the Once keep the struct at 48 bytes.
-	gidx       int32
-	cancelOnce sync.Once
+	// next and prev chain the subscribers of one filter, guarded by the
+	// broker's mu: removal is O(1) however many share a hot filter.
+	next, prev *Subscription
+	// ref is its engine entry's ID, or with Aggregate its node's filter
+	// slot (guarded by mu); 32 bits hold any store that fits in memory
+	// and keep the struct at 48 bytes.
+	ref       uint32
+	cancelled atomic.Bool // Unsubscribe or Close has begun detaching it
 }
 
-// detach runs once the subscription has left its group, when no publisher
+// detach runs once the subscription has left its chain, when no publisher
 // can reach it any more: its share of the sink's capacity goes, and a
 // SubscribeChan channel closes behind its last event.
 func (s *Subscription) detach() {
@@ -218,9 +193,9 @@ func New(opts Options) *Broker {
 		opts.QueueSize = DefaultQueueSize
 	}
 	b := &Broker{
-		opts:   opts,
-		eng:    core.New(predicate.NewRegistry(), index.New(), core.Options{}),
-		groups: make(map[matcher.SubID]*filterGroup, 64),
+		opts:      opts,
+		eng:       core.New(predicate.NewRegistry(), index.New(), core.Options{}),
+		matchPool: sync.Pool{New: func() any { return new(matchBuf) }},
 	}
 	if opts.Aggregate {
 		b.dag = dag.New()
@@ -289,7 +264,9 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Sub
 	known := false
 	if b.opts.Aggregate {
 		key = cover.Key(expr)
-		known = b.holds(key)
+		b.mu.RLock()
+		known = b.dag.Lookup(key) != nil
+		b.mu.RUnlock()
 	}
 	var prep core.Prepared
 	if !known {
@@ -310,61 +287,77 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Sub
 			return nil, err
 		}
 	}
-	var g *filterGroup
+	s := &Subscription{out: out, handle: handle}
+	out.adjust(1) // capacity before the first publisher can find s
 	if b.dag != nil {
-		g = b.subscribeDAG(key, expr, prep)
+		b.subscribeDAG(key, expr, prep, s)
 	} else {
 		id := b.eng.Register(prep)
-		g = &filterGroup{id: id}
-		b.groups[id] = g
+		s.ref = uint32(id)
+		*b.slot(id) = s
 	}
-	s := &Subscription{g: g, out: out, handle: handle, gidx: int32(len(g.members))}
-	out.adjust(1) // capacity before the first publisher can find s
-	g.members = append(g.members, s)
 	b.nsubs++
 	if out.keeps {
 		b.keepers++
 	}
-	if b.dag != nil && !g.node.Frontier() {
-		b.covered++
-	}
 	return s, nil
 }
 
-// holds reports whether the covering poset has a live node of this key.
-func (b *Broker) holds(key string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.dag.Lookup(key) != nil
-}
-
-// subscribeDAG interns the filter into the covering poset and keeps the
-// engine equal to the frontier, registering prep if the filter is a new
-// frontier entry. Caller holds the write lock and appends the new member
-// afterwards. Ordering: a brand-new frontier filter enters the engine
-// before any entries it demotes are retracted, so matching never gaps.
-func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr, prep core.Prepared) *filterGroup {
+// subscribeDAG interns the filter into the covering poset, chains s to its
+// node and keeps the engine equal to the frontier, registering prep if the
+// filter is a new frontier entry. Caller holds the write lock. Ordering: a
+// brand-new frontier filter enters the engine before any entries it
+// demotes are retracted, so matching never gaps.
+func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr, prep core.Prepared, s *Subscription) {
 	res := b.dag.AddKeyed(key, expr)
-	g, _ := res.Node.Data.(*filterGroup)
-	if g == nil {
-		g = &filterGroup{node: res.Node}
-		res.Node.Data = g
-	}
-	if res.New && res.Frontier {
-		g.id = b.eng.Register(prep)
-		b.groups[g.id] = g
-	}
-	if !res.New {
+	head, _ := res.Node.Data.(*Subscription)
+	if res.New {
+		s.ref = uint32(len(b.filters))
+		if n := len(b.free); n > 0 {
+			s.ref, b.free = b.free[n-1], b.free[:n-1]
+			b.filters[s.ref] = filter{node: res.Node}
+		} else {
+			b.filters = append(b.filters, filter{node: res.Node})
+		}
+		if res.Frontier {
+			b.filters[s.ref].id = b.eng.Register(prep)
+		}
+	} else {
+		s.ref = head.ref
 		b.aggregated.Inc()
 	}
-	for _, f := range res.Demoted {
-		fg := f.Data.(*filterGroup)
-		delete(b.groups, fg.id)
-		_ = b.eng.Unsubscribe(fg.id)
-		fg.id = 0
-		b.covered += len(fg.members)
+	if s.next = head; head != nil {
+		head.prev = s
 	}
-	return g
+	b.setHead(&b.filters[s.ref], s)
+	if !res.Frontier {
+		b.covered++
+	}
+	for _, n := range res.Demoted {
+		f := &b.filters[n.Data.(*Subscription).ref]
+		b.subs[f.id-1] = nil
+		_ = b.eng.Unsubscribe(f.id)
+		f.id = 0
+		b.covered += n.Refs()
+	}
+}
+
+// setHead makes s the head of f's chain, in the node and, while f holds an
+// engine entry, in the fan-out table. Caller holds the write lock.
+func (b *Broker) setHead(f *filter, s *Subscription) {
+	f.node.Data = s
+	if f.id != 0 {
+		*b.slot(f.id) = s
+	}
+}
+
+// slot returns engine entry id's fan-out slot, growing the table to reach
+// it. Caller holds the write lock.
+func (b *Broker) slot(id matcher.SubID) **Subscription {
+	for len(b.subs) < int(id) {
+		b.subs = append(b.subs, nil)
+	}
+	return &b.subs[id-1]
 }
 
 // ID returns the engine subscription ID. With Options.Aggregate,
@@ -373,10 +366,17 @@ func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr, prep core.Prepared
 // its own: ID reports 0 until (if ever) its filter is promoted to the
 // covering frontier.
 func (s *Subscription) ID() matcher.SubID {
-	s.out.b.mu.RLock()
-	defer s.out.b.mu.RUnlock()
-	return s.g.id
+	b := s.out.b
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	if b.dag != nil {
+		return b.filters[s.ref].id
+	}
+	return matcher.SubID(s.ref)
 }
+
+// Handle returns the name the subscription's sink knows it by.
+func (s *Subscription) Handle() uint64 { return s.handle }
 
 // Dropped returns how many events were discarded because this
 // subscription's sink refused them.
@@ -388,83 +388,89 @@ func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 // frontier filter first promotes its orphaned covered descendants into the
 // engine, then retracts, so matching never gaps. It is idempotent.
 func (s *Subscription) Unsubscribe() error {
-	var err error
-	didCancel := false
-	s.cancelOnce.Do(func() {
-		didCancel = true
-		b := s.out.b
-		b.mu.Lock()
-		// After Close the broker already detached everyone; skip the
-		// bookkeeping (Close's own cancelOnce pass handles the sink).
-		if !b.closed && s.g.remove(s) {
-			b.nsubs--
-			if s.out.keeps {
-				b.keepers--
-			}
-			if b.dag != nil {
-				err = b.unsubscribeDAG(s.g)
-			} else { // s was its group's only member
-				delete(b.groups, s.g.id)
-				err = b.eng.Unsubscribe(s.g.id)
-			}
-		}
-		b.mu.Unlock()
-		// No publisher can be inside the sink on s's behalf once the group
-		// membership is gone (Publish delivers under the read lock).
-		s.detach()
-	})
-	if !didCancel {
+	if !s.cancelled.CompareAndSwap(false, true) {
 		return nil
 	}
+	b := s.out.b
+	var err error
+	b.mu.Lock()
+	// After Close the broker already detached everyone; skip the
+	// bookkeeping (Close detaches the sink of what it finds uncancelled).
+	if !b.closed {
+		b.nsubs--
+		if s.out.keeps {
+			b.keepers--
+		}
+		if b.dag != nil {
+			err = b.unsubscribeDAG(s)
+		} else { // s was its entry's only subscriber
+			b.subs[s.ref-1] = nil
+			err = b.eng.Unsubscribe(matcher.SubID(s.ref))
+		}
+	}
+	b.mu.Unlock()
+	// No publisher can be inside the sink on s's behalf once it has left
+	// its chain (Publish delivers under the read lock).
+	s.detach()
 	return err
 }
 
-// unsubscribeDAG releases one reference on g's poset node after a member
-// detached. When the node dies, children orphaned by its departure are
-// subscribed (promoted to the frontier) *before* the dying entry is
-// retracted. Caller holds the write lock.
-func (b *Broker) unsubscribeDAG(g *filterGroup) error {
-	if !g.node.Frontier() {
+// unsubscribeDAG unchains s and releases one reference on its poset node.
+// When the node dies, children orphaned by its departure are subscribed
+// (promoted to the frontier) *before* the dying entry is retracted. Caller
+// holds the write lock.
+func (b *Broker) unsubscribeDAG(s *Subscription) error {
+	f := &b.filters[s.ref]
+	if s.prev != nil {
+		s.prev.next = s.next
+	} else {
+		b.setHead(f, s.next)
+	}
+	if s.next != nil {
+		s.next.prev = s.prev
+	}
+	node, id := f.node, f.id
+	if !node.Frontier() {
 		b.covered--
 	}
-	res := b.dag.Release(g.node)
+	res := b.dag.Release(node)
 	if !res.Died {
 		return nil
 	}
 	var err error
 	for _, c := range res.Promoted {
-		cg := c.Data.(*filterGroup)
-		id, serr := b.eng.Subscribe(c.Expr())
+		cid, serr := b.eng.Subscribe(c.Expr())
 		if serr != nil {
 			err = serr
 			continue
 		}
-		cg.id = id
-		b.groups[id] = cg
-		b.covered -= len(cg.members)
+		head := c.Data.(*Subscription)
+		b.filters[head.ref].id = cid
+		*b.slot(cid) = head
+		b.covered -= c.Refs()
 	}
 	if res.WasFrontier {
-		delete(b.groups, g.id)
-		if uerr := b.eng.Unsubscribe(g.id); uerr != nil && err == nil {
+		b.subs[id-1] = nil
+		if uerr := b.eng.Unsubscribe(id); uerr != nil && err == nil {
 			err = uerr
 		}
 	}
-	g.node.Data = nil
+	node.Data = nil
+	b.filters[s.ref] = filter{}
+	b.free = append(b.free, s.ref)
 	return err
 }
 
 // Publish matches the event and offers it to every matching subscriber's
-// sink. It returns the number of subscribers the event matched and never
-// blocks on slow consumers: a matched subscriber whose sink is full misses
-// the event, which is counted where drops always were (Subscription.Dropped,
-// Stats.Dropped, the congestion gauge), not subtracted from the result.
-// Publish runs entirely under read locks, so any number of publishers
-// proceed concurrently.
+// sink, under read locks only, and returns the number of subscribers it
+// matched. It never blocks on slow consumers: a full sink misses the event,
+// which is counted as dropped (Subscription.Dropped, Stats.Dropped, the
+// congestion gauge), not subtracted from the result.
 //
 //nclint:hotpath
 func (b *Broker) Publish(ev event.Event) (int, error) {
 	var start time.Time
-	timed := b.timed && b.latencyTick.Add(1)&(latencySampleEvery-1) == 0
+	timed := b.timed && rand.Uint32()&(latencySampleEvery-1) == 0
 	if timed {
 		start = time.Now()
 	}
@@ -474,17 +480,13 @@ func (b *Broker) Publish(ev event.Event) (int, error) {
 		return 0, ErrClosed
 	}
 	if b.keepers > 0 {
-		// Handler and channel sinks queue the event itself, past any frame
-		// buffer: a borrowed event (zero-copy wire decode) takes ownership
-		// of its strings once, before the first of them sees it. Free for
-		// owned events; sinks that encode inside the call need nothing.
+		// Handler and channel sinks keep the event past the frame buffer: a
+		// borrowed event (zero-copy decode) owns its strings once, before
+		// the first of them sees it. Free for owned events.
 		ev = ev.Retain()
 	}
 	b.published.Inc()
-	mb, _ := b.matchPool.Get().(*matchBuf)
-	if mb == nil {
-		mb = &matchBuf{}
-	}
+	mb := b.matchPool.Get().(*matchBuf)
 	mb.ids = b.eng.MatchInto(ev, mb.ids[:0])
 	if timed {
 		b.matchLatency.Observe(time.Since(start))
@@ -497,55 +499,49 @@ func (b *Broker) Publish(ev event.Event) (int, error) {
 	return n, nil
 }
 
-// deliverMatched fans one event out to the subscribers behind its matched
-// engine entries — each entry's own group, then the matching covered
-// descendants of its poset node — and returns how many subscribers that
-// is. Both publish entry points end here with their pooled buffer; the
-// caller holds the read lock.
+// deliverMatched fans one event out to each matched engine entry's chain,
+// then to the matching covered descendants of its poset node, and returns
+// how many subscribers that is. Caller holds the read lock.
 //
 //nclint:hotpath
 func (b *Broker) deliverMatched(mb *matchBuf, ev event.Event, ids []matcher.SubID) int {
 	n := 0
 	for _, id := range ids {
-		g, ok := b.groups[id]
-		if !ok {
-			continue
-		}
-		n += b.enqueue(g, ev)
-		if g.node != nil && len(g.node.Children()) > 0 {
-			n += b.enqueueCovered(mb, g.node, ev)
+		head := b.subs[id-1]
+		n += b.enqueue(head, ev)
+		if b.dag != nil && head != nil {
+			if node := b.filters[head.ref].node; len(node.Children()) > 0 {
+				n += b.enqueueCovered(mb, node, ev)
+			}
 		}
 	}
 	clear(mb.visited) // per event; a pooled buffer must not keep released nodes alive
 	return n
 }
 
-// enqueue offers ev to the sink of every member of g without blocking and
-// returns the member count: a refusal drops the event for that subscriber
-// (the sink has marked itself congested). Caller holds the read lock.
+// enqueue offers ev to the sink of every subscriber chained from head and
+// returns their count; a refusal drops the event for that subscriber (the
+// sink has marked itself congested). Caller holds the read lock.
 //
 //nclint:hotpath
-func (b *Broker) enqueue(g *filterGroup, ev event.Event) int {
-	for _, s := range g.members {
+func (b *Broker) enqueue(head *Subscription, ev event.Event) int {
+	n := 0
+	for s := head; s != nil; s = s.next {
 		if !s.out.sink.Deliver(s.handle, ev) {
 			s.dropped.Add(1)
 			b.dropped.Inc()
 		}
+		n++
 	}
-	return len(g.members)
+	return n
 }
 
-// enqueueCovered fans a frontier match out to the matching covered
-// descendants of the node's poset subtree. A frontier hit does not imply
-// the covered filters match — coverage is one-way — so each descendant is
-// re-checked against its own filter; a failing node soundly prunes its
-// whole subtree (everything it covers matches a subset of what it does).
-//
-// mb.visited dedups nodes with several parents and is shared across every
-// frontier root matched by the same event (two frontier entries can cover
-// a common descendant) but never across events. The walk keeps its stack
-// in mb too, so it allocates nothing once the pooled buffer has grown.
-// Caller holds the read lock.
+// enqueueCovered fans a frontier match out to the covered descendants of
+// root that match too: coverage is one-way, so each is re-checked against
+// its own filter, and a failing node prunes its subtree. mb.visited dedups
+// nodes with several parents across all of one event's frontier roots;
+// with the stack in mb too, the walk allocates nothing once the pooled
+// buffer has grown. Caller holds the read lock.
 func (b *Broker) enqueueCovered(mb *matchBuf, root *dag.Node, ev event.Event) int {
 	n := 0
 	mb.stack = append(mb.stack[:0], root.Children()...)
@@ -566,23 +562,17 @@ func (b *Broker) enqueueCovered(mb *matchBuf, root *dag.Node, ev event.Event) in
 		if !c.Expr().Eval(ev) {
 			continue
 		}
-		n += b.enqueue(c.Data.(*filterGroup), ev)
+		n += b.enqueue(c.Data.(*Subscription), ev)
 		mb.stack = append(mb.stack, c.Children()...)
 	}
 	return n
 }
 
-// PublishBatch matches and enqueues a batch of events, amortising the
-// per-event envelope: the broker's read lock is taken once for the whole
-// batch, every event is matched into one pooled buffer, and every event's
-// matches are then enqueued from it. Subscribe and Unsubscribe take the
-// broker's write lock before they touch the engine, so the held read lock
-// is what makes every event of a batch see one store state.
-//
-// It returns the per-event matched-subscriber counts, aligned with evs;
-// counts[i] equals what Publish(evs[i]) would have returned. Like Publish
-// it never blocks on slow consumers: events beyond a subscriber's queue
-// are dropped and counted (Subscription.Dropped, Stats.Dropped), and
+// PublishBatch matches and enqueues a batch of events under one read lock,
+// so every event sees one store state: all are matched into one pooled
+// buffer, then each one's matches are enqueued from it. It returns the
+// per-event counts Publish would have returned, aligned with evs; like
+// Publish it drops and counts what a full sink refuses, and
 // Stats.Published grows by len(evs).
 //
 //nclint:hotpath
@@ -604,10 +594,7 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 	b.batches.Inc()
 	// The batch's matches go back to back into one buffer; until delivery
 	// overwrites it, counts[i] is where event i's matches end.
-	mb, _ := b.matchPool.Get().(*matchBuf)
-	if mb == nil {
-		mb = &matchBuf{}
-	}
+	mb := b.matchPool.Get().(*matchBuf)
 	mb.ids = mb.ids[:0]
 	for i, ev := range evs {
 		mb.ids = b.eng.MatchInto(ev, mb.ids)
@@ -623,9 +610,7 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 		if hi == lo {
 			continue
 		}
-		// Like Publish: a borrowed event must own its strings before a
-		// sink queues it. Only matched events pay even the check.
-		if b.keepers > 0 {
+		if b.keepers > 0 { // as in Publish; only matched events pay the check
 			ev = ev.Retain()
 		}
 		counts[i] = b.deliverMatched(mb, ev, mb.ids[lo:hi])
@@ -633,20 +618,16 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 	}
 	b.matchPool.Put(mb)
 	if b.timed {
-		// One observation per batch call: batch latency is the quantity a
-		// batch-tuning operator wants, and per-event division is done better
-		// by the reader than by the hot path.
+		// One observation per batch: the reader divides by the batch size.
 		b.publishLatency.Observe(time.Since(start))
 	}
 	return counts, nil
 }
 
-// Congested reports whether the broker as a whole is backed up: at least
-// one sink is congested and the subscriptions on congested sinks are at
-// least half the live population. One slow subscriber among many is its own
-// problem (its events drop, others flow); when congestion is the norm the
-// broker is oversubscribed and publishers should back off — frontends
-// (netbroker) translate this into a busy/retry-after reply.
+// Congested reports whether the broker as a whole is backed up: the
+// subscriptions on congested sinks are at least half the live population
+// (and not none). One slow subscriber's events just drop; when congestion
+// is the norm, publishers should back off (netbroker's busy reply).
 func (b *Broker) Congested() bool {
 	c := b.congestedSubs.Value()
 	if c == 0 {
@@ -702,10 +683,14 @@ type Stats struct {
 // Stats returns a snapshot of broker activity.
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
-	subs, frontier, covered := b.nsubs, len(b.groups), b.covered
-	distinct := frontier
-	if b.dag != nil {
-		distinct = b.dag.Len()
+	subs, covered := b.nsubs, b.covered
+	frontier, distinct := 0, 0
+	if !b.closed {
+		frontier = b.eng.NumSubscriptions()
+		distinct = frontier
+		if b.dag != nil {
+			distinct = b.dag.Len()
+		}
 	}
 	b.mu.RUnlock()
 	// Effects before causes: delivered/dropped are read before published,
@@ -736,31 +721,30 @@ func (b *Broker) Close() error {
 		return nil
 	}
 	b.closed = true
-	var remaining []*Subscription
-	for _, g := range b.groups {
-		remaining = append(remaining, g.members...)
-	}
-	// Covered subscribers hold no engine entry and therefore no groups
-	// slot; collect them off the poset (frontier nodes are already in).
-	if b.dag != nil {
-		for _, n := range b.dag.Nodes() {
-			if g, ok := n.Data.(*filterGroup); ok && !n.Frontier() {
-				remaining = append(remaining, g.members...)
-			}
-		}
-	}
-	// Publish is locked out for good (closed flag), so the groups can go;
-	// in-flight Unsubscribe calls see the closed flag and no-op.
-	b.groups = make(map[matcher.SubID]*filterGroup)
-	if b.dag != nil {
-		b.dag = dag.New()
-	}
 	b.nsubs, b.keepers, b.covered = 0, 0, 0
 	b.mu.Unlock()
 
-	for _, s := range remaining {
-		s.cancelOnce.Do(s.detach)
+	// The chains are fixed from here on (Subscribe and Unsubscribe see the
+	// closed flag); with Aggregate every chain hangs off a poset node.
+	if b.dag != nil {
+		for _, n := range b.dag.Nodes() {
+			head, _ := n.Data.(*Subscription)
+			cancelChain(head)
+		}
+	} else {
+		for _, s := range b.subs {
+			cancelChain(s)
+		}
 	}
 	b.wg.Wait()
 	return nil
+}
+
+// cancelChain detaches each subscriber from head on that none claimed yet.
+func cancelChain(head *Subscription) {
+	for s := head; s != nil; s = s.next {
+		if s.cancelled.CompareAndSwap(false, true) {
+			s.detach()
+		}
+	}
 }

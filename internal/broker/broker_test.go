@@ -2,6 +2,7 @@ package broker
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +23,15 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal(msg)
+}
+
+// TestSubscriptionSize: a Subscription stays in the 48-byte size class; it
+// is all a plain subscription allocates in the broker, beside one word of
+// the fan-out table.
+func TestSubscriptionSize(t *testing.T) {
+	if size := reflect.TypeFor[Subscription]().Size(); size > 48 {
+		t.Fatalf("Subscription is %d bytes, want ≤ 48", size)
+	}
 }
 
 func TestSubscribeHandlerDelivery(t *testing.T) {

@@ -9,6 +9,10 @@
 //
 // Each connection is also one broker.Sink with one writer at a time: see
 // conn.
+//
+// Handles (MsgSubscribed) are opaque and unique on a connection for its
+// lifetime: slot numbers 1, 2, …, n until an Unsubscribe vacates a slot,
+// which the next Subscribe reuses with a generation in the high 32 bits.
 package netbroker
 
 import (
@@ -214,16 +218,18 @@ type conn struct {
 	writers sync.WaitGroup // started writers
 	kick    func()         // bound once, so starting a writer allocates nothing
 
-	// Reader-loop state, touched only by serve's goroutine.
-	nextSub uint64 // connection-local subscription handle source
-	subs    map[uint64]*broker.Subscription
+	// Reader-loop state, touched only by serve's goroutine. Handle h names
+	// subs[uint32(h)-1]; free holds each vacated slot's next handle, its
+	// generation one higher (wrapping after 2^32 reuses).
+	subs    []*broker.Subscription
+	free    []uint64
 	rbuf    []byte // reused frame buffer
 	rep     []byte // reply scratch
 	evBatch []event.Event
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, readBuffer), subs: make(map[uint64]*broker.Subscription)}
+	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, readBuffer)}
 	c.sink = s.br.Attach(c)
 	c.kick = func() { c.flush(); c.writers.Done() }
 	return c
@@ -255,6 +261,9 @@ func (c *conn) serve() {
 func (c *conn) cleanup() {
 	c.nc.Close()
 	for _, sub := range c.subs {
+		if sub == nil {
+			continue
+		}
 		if err := sub.Unsubscribe(); err != nil {
 			c.srv.opts.Logf("netbroker: cleanup unsubscribe: %v", err)
 		}
@@ -412,18 +421,23 @@ func (c *conn) handleSubscribe(reqID uint32, rest []byte) {
 		c.replyError(reqID, err.Error())
 		return
 	}
-	// Subscriptions are identified on the wire by a connection-local
-	// handle, never by the engine ID: with broker aggregation two
-	// identical filters on one connection share an engine entry, and the
-	// handle keeps them separately addressable.
-	c.nextSub++
-	sub, err := c.sink.Subscribe(expr, c.nextSub)
+	// The wire names a subscription by its connection-local handle, never
+	// by the engine ID, which aggregated identical filters share.
+	h := uint64(len(c.subs)) + 1
+	if n := len(c.free); n > 0 {
+		h = c.free[n-1]
+	}
+	sub, err := c.sink.Subscribe(expr, h)
 	if err != nil {
 		c.replyError(reqID, err.Error())
 		return
 	}
-	c.subs[c.nextSub] = sub
-	c.reply(wire.MsgSubscribed, wire.AppendU64(wire.AppendU32(c.rep, reqID), c.nextSub))
+	if i := int(uint32(h)) - 1; i < len(c.subs) {
+		c.subs[i], c.free = sub, c.free[:len(c.free)-1]
+	} else {
+		c.subs = append(c.subs, sub)
+	}
+	c.reply(wire.MsgSubscribed, wire.AppendU64(wire.AppendU32(c.rep, reqID), h))
 }
 
 func (c *conn) handleUnsubscribe(reqID uint32, rest []byte) {
@@ -432,12 +446,14 @@ func (c *conn) handleUnsubscribe(reqID uint32, rest []byte) {
 		c.replyError(reqID, "malformed unsubscribe: "+err.Error())
 		return
 	}
-	sub, ok := c.subs[id]
-	if !ok {
+	i := int(uint32(id)) - 1
+	if i < 0 || i >= len(c.subs) || c.subs[i] == nil || c.subs[i].Handle() != id {
 		c.replyError(reqID, fmt.Sprintf("unknown subscription %d", id))
 		return
 	}
-	delete(c.subs, id)
+	sub := c.subs[i]
+	c.subs[i] = nil
+	c.free = append(c.free, id+1<<32)
 	if err := sub.Unsubscribe(); err != nil {
 		c.replyError(reqID, err.Error())
 		return

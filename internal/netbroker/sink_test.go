@@ -65,7 +65,7 @@ func sinkConn(t testing.TB, srv *Server, nc net.Conn, subs int) *conn {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.subs[h] = sub
+		c.subs = append(c.subs, sub)
 	}
 	return c
 }

@@ -45,7 +45,12 @@ const MaxFrameSize = 1 << 20
 const (
 	// MsgSubscribe: u32 reqID, subscription text.
 	MsgSubscribe byte = iota + 1
-	// MsgSubscribed: u32 reqID, u64 subID.
+	// MsgSubscribed: u32 reqID, u64 subID. The subID is the subscription's
+	// handle on this connection: opaque, and unique on the connection for
+	// its lifetime. A fresh connection's handles run 1, 2, …, n until a
+	// subscription is removed; a handle that reuses a removed one's slot
+	// carries a generation in its high 32 bits, so it differs from every
+	// earlier handle.
 	MsgSubscribed
 	// MsgUnsubscribe: u32 reqID, u64 subID.
 	MsgUnsubscribe
