@@ -42,30 +42,12 @@ type BrokerOption func(*brokerConfig)
 
 type brokerConfig struct {
 	queueSize int
-	aggregate bool
 	metrics   *obs.Registry
 }
 
 // WithQueueSize sets the per-subscription delivery queue capacity.
 func WithQueueSize(n int) BrokerOption {
 	return func(c *brokerConfig) { c.queueSize = n }
-}
-
-// WithBrokerAggregation shares engine entries between subscribers: live
-// filters are arranged in an incrementally maintained covering poset
-// (internal/cover/dag). Identical filters (modulo operand/operator-order
-// normalisation, see internal/cover) share one entry, and only the
-// frontier — filters no other live filter provably covers — occupies
-// engine entries. A subscription whose filter is covered attaches beneath
-// its coverer with no engine mutation at all; matched events descend from
-// frontier entries through covered filters, re-evaluating each, so
-// delivery semantics are unchanged. Unsubscribing a frontier filter's last
-// subscriber promotes newly uncovered descendants into the engine before
-// the dying entry is retracted, so matching never gaps. Engine size — and
-// matching cost — then tracks the covering frontier rather than the number
-// of subscribers (see BrokerStats.FrontierFilters).
-func WithBrokerAggregation() BrokerOption {
-	return func(c *brokerConfig) { c.aggregate = true }
 }
 
 // WithBrokerMetrics registers the broker's instruments — publish and
@@ -85,7 +67,6 @@ func NewBroker(opts ...BrokerOption) *Broker {
 	}
 	return &Broker{b: broker.New(broker.Options{
 		QueueSize: cfg.queueSize,
-		Aggregate: cfg.aggregate,
 		Metrics:   cfg.metrics,
 	})}
 }

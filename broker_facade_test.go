@@ -118,86 +118,52 @@ func TestBrokerPublishBatch(t *testing.T) {
 	}
 }
 
-func TestBrokerAggregation(t *testing.T) {
-	br := noncanon.NewBroker(noncanon.WithBrokerAggregation())
+// TestBrokerDuplicateFilters: subscribers of one filter, written in
+// textual variants, are separate engine entries, and each one receives
+// every matching event; unsubscribing them all empties the engine.
+func TestBrokerDuplicateFilters(t *testing.T) {
+	br := noncanon.NewBroker()
 	defer br.Close()
 
-	var got atomic.Int64
 	subs := make([]*noncanon.BrokerSubscription, 0, 6)
+	chans := make([]<-chan noncanon.Event, 0, 6)
 	for i := 0; i < 6; i++ {
-		// Textual variants of the same filter must intern onto one engine
-		// entry (commuted conjuncts, 3 vs 3.0).
 		text := `price < 10 and cat = 3`
 		if i%2 == 1 {
 			text = `cat = 3.0 and price < 10`
 		}
-		s, err := br.Subscribe(text, func(noncanon.Event) { got.Add(1) })
+		s, ch, err := br.SubscribeChan(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs = append(subs, s)
+		subs, chans = append(subs, s), append(chans, ch)
 	}
-	st := br.Stats()
-	if st.Subscriptions != 6 || st.DistinctFilters != 1 || st.AggregatedSubscribers != 5 {
-		t.Fatalf("stats = %+v, want 6 subscribers over 1 distinct filter (5 aggregated)", st)
+	if st := br.Stats(); st.Subscriptions != 6 || st.EngineEntries != 6 {
+		t.Fatalf("stats = %+v, want 6 subscriptions on 6 engine entries", st)
 	}
-	if n, err := br.Publish(noncanon.NewEvent().Set("price", 5).Set("cat", 3)); err != nil || n != 6 {
-		t.Fatalf("Publish = %d, %v; want 6", n, err)
+	for k := 0; k < 2; k++ {
+		if n, err := br.Publish(noncanon.NewEvent().Set("price", 5).Set("cat", 3)); err != nil || n != 6 {
+			t.Fatalf("Publish = %d, %v; want 6", n, err)
+		}
+	}
+	// Publish sends to a channel subscription before it returns.
+	for i, ch := range chans {
+		if len(ch) != 2 {
+			t.Fatalf("subscriber %d holds %d events, want 2", i, len(ch))
+		}
 	}
 	for _, s := range subs[:5] {
 		if err := s.Unsubscribe(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := br.Stats(); st.Subscriptions != 1 || st.DistinctFilters != 1 {
+	if st := br.Stats(); st.Subscriptions != 1 || st.EngineEntries != 1 {
 		t.Fatalf("after partial unsubscribe: %+v", st)
 	}
 	if err := subs[5].Unsubscribe(); err != nil {
 		t.Fatal(err)
 	}
-	if st := br.Stats(); st.Subscriptions != 0 || st.DistinctFilters != 0 {
+	if st := br.Stats(); st.Subscriptions != 0 || st.EngineEntries != 0 {
 		t.Fatalf("after full unsubscribe: %+v", st)
-	}
-}
-
-func TestBrokerDAGAggregation(t *testing.T) {
-	br := noncanon.NewBroker(noncanon.WithBrokerAggregation(), noncanon.WithQueueSize(16))
-	defer br.Close()
-
-	var got atomic.Int64
-	// A nested covering chain: the widest band provably covers the others,
-	// so only it occupies an engine entry.
-	texts := []string{
-		`cat = 3 and price < 10`,
-		`cat = 3 and price < 100`,
-		`cat = 3 and price < 1000`,
-	}
-	subs := make([]*noncanon.BrokerSubscription, 0, len(texts))
-	for _, text := range texts {
-		s, err := br.Subscribe(text, func(noncanon.Event) { got.Add(1) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		subs = append(subs, s)
-	}
-	st := br.Stats()
-	if st.Subscriptions != 3 || st.DistinctFilters != 3 || st.FrontierFilters != 1 || st.CoveredSubscribers != 2 {
-		t.Fatalf("stats = %+v, want 3 distinct filters on a 1-entry frontier (2 covered)", st)
-	}
-	// price 50 fulfils the two wider bands but not the narrowest: the
-	// frontier walk must re-evaluate covered filters, not blanket-deliver.
-	if n, err := br.Publish(noncanon.NewEvent().Set("cat", 3).Set("price", 50)); err != nil || n != 2 {
-		t.Fatalf("Publish = %d, %v; want 2", n, err)
-	}
-	// Dropping the frontier filter promotes the mid band; matching must not
-	// gap.
-	if err := subs[2].Unsubscribe(); err != nil {
-		t.Fatal(err)
-	}
-	if st := br.Stats(); st.Subscriptions != 2 || st.FrontierFilters != 1 || st.CoveredSubscribers != 1 {
-		t.Fatalf("after frontier unsubscribe: %+v", st)
-	}
-	if n, err := br.Publish(noncanon.NewEvent().Set("cat", 3).Set("price", 50)); err != nil || n != 1 {
-		t.Fatalf("Publish after promotion = %d, %v; want 1", n, err)
 	}
 }

@@ -87,8 +87,7 @@ func TestRunBatchTiny(t *testing.T) {
 }
 
 func TestRunCoverTiny(t *testing.T) {
-	// Smoke the C1 experiment (broker aggregation + overlay covering) at
-	// tiny parameters.
+	// Smoke the C1 experiment (overlay covering) at tiny parameters.
 	var buf bytes.Buffer
 	args := []string{"-exp", "cover", "-scale", "0.004", "-trials", "1"}
 	if err := run(args, &buf); err != nil {

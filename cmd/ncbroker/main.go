@@ -4,17 +4,9 @@
 // broker's non-canonical engine, which the broker builds itself: commands
 // never configure an engine.
 //
-// With -aggregate, subscribers share engine entries (see
-// internal/cover/dag): identical filters intern to one entry, only the
-// covering frontier occupies engine entries, covered filters attach
-// beneath their coverers and are re-evaluated during delivery, and the
-// shutdown report shows the distinct and frontier filter counts and how
-// many subscribers rode along covered.
-//
 // Usage:
 //
 //	ncbroker -addr :7070
-//	ncbroker -addr :7070 -aggregate
 //	ncbroker -addr :7070 -metrics-addr 127.0.0.1:9090
 //
 // With -metrics-addr, an operational endpoint serves Prometheus text on
@@ -51,12 +43,11 @@ func parseArgs(args []string, errOut io.Writer) (config, error) {
 	fs := flag.NewFlagSet("ncbroker", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	var (
-		addr      = fs.String("addr", ":7070", "listen address")
-		queue     = fs.Int("queue", broker.DefaultQueueSize, "undelivered events held per subscription: a connection with n subscriptions buffers up to n times this many before dropping")
-		aggregate = fs.Bool("aggregate", false, "share engine entries: one per covering-frontier filter, identical and covered filters attach beneath it (see internal/cover/dag)")
-		retry     = fs.Duration("retry-after", 0, "reply Busy with this retry hint instead of accepting publishes while most subscription queues are backed up (0 disables)")
-		metrics   = fs.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address (also enables latency histograms)")
-		quiet     = fs.Bool("quiet", false, "suppress connection diagnostics")
+		addr    = fs.String("addr", ":7070", "listen address")
+		queue   = fs.Int("queue", broker.DefaultQueueSize, "undelivered events held per subscription: a connection with n subscriptions buffers up to n times this many before dropping")
+		retry   = fs.Duration("retry-after", 0, "reply Busy with this retry hint instead of accepting publishes while most subscription queues are backed up (0 disables)")
+		metrics = fs.String("metrics-addr", "", "serve /metrics, /vars and /debug/pprof on this address (also enables latency histograms)")
+		quiet   = fs.Bool("quiet", false, "suppress connection diagnostics")
 	)
 	if err := fs.Parse(args); err != nil {
 		return config{}, err
@@ -72,10 +63,7 @@ func parseArgs(args []string, errOut io.Writer) (config, error) {
 		metricsAddr: *metrics,
 		opts: netbroker.ServerOptions{
 			RetryAfter: *retry,
-			Broker: broker.Options{
-				QueueSize: *queue,
-				Aggregate: *aggregate,
-			},
+			Broker:     broker.Options{QueueSize: *queue},
 		},
 	}
 	if !*quiet {
@@ -123,15 +111,10 @@ func main() {
 	}
 }
 
-// logStats reports final broker activity, making aggregation observable:
-// DistinctFilters counts distinct live canonical filters,
-// AggregatedSubscribers the subscribes deduplicated onto an existing
-// filter, FrontierFilters the engine entry count (equal to
-// DistinctFilters unless covering shrinks the frontier below it),
-// and CoveredSubscribers the subscribers attached beneath a covering
-// filter with no engine entry of their own.
+// logStats reports final broker activity. engine_entries is the engine's
+// own count, one per subscription; a difference from subscriptions is a
+// leaked entry.
 func logStats(st broker.Stats) {
-	log.Printf("ncbroker: stats: subscriptions=%d distinct_filters=%d frontier_filters=%d aggregated_subscribers=%d covered_subscribers=%d published=%d delivered=%d dropped=%d",
-		st.Subscriptions, st.DistinctFilters, st.FrontierFilters, st.AggregatedSubscribers, st.CoveredSubscribers,
-		st.Published, st.Delivered, st.Dropped)
+	log.Printf("ncbroker: stats: subscriptions=%d engine_entries=%d published=%d delivered=%d dropped=%d",
+		st.Subscriptions, st.EngineEntries, st.Published, st.Delivered, st.Dropped)
 }

@@ -21,9 +21,6 @@ func TestParseArgsDefaults(t *testing.T) {
 	if cfg.opts.Broker.QueueSize != broker.DefaultQueueSize {
 		t.Errorf("queue = %d, want %d", cfg.opts.Broker.QueueSize, broker.DefaultQueueSize)
 	}
-	if cfg.opts.Broker.Aggregate {
-		t.Error("aggregation on by default")
-	}
 	if cfg.opts.RetryAfter != 0 {
 		t.Errorf("retry-after = %v, want disabled", cfg.opts.RetryAfter)
 	}
@@ -34,7 +31,7 @@ func TestParseArgsDefaults(t *testing.T) {
 
 func TestParseArgsFlags(t *testing.T) {
 	var errOut bytes.Buffer
-	cfg, err := parseArgs([]string{"-addr", ":9000", "-queue", "128", "-aggregate", "-retry-after", "250ms", "-quiet"}, &errOut)
+	cfg, err := parseArgs([]string{"-addr", ":9000", "-queue", "128", "-retry-after", "250ms", "-quiet"}, &errOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +40,6 @@ func TestParseArgsFlags(t *testing.T) {
 	}
 	if cfg.opts.Broker.QueueSize != 128 {
 		t.Errorf("queue = %d", cfg.opts.Broker.QueueSize)
-	}
-	if !cfg.opts.Broker.Aggregate {
-		t.Error("-aggregate not set")
 	}
 	if cfg.opts.RetryAfter != 250*time.Millisecond {
 		t.Errorf("retry-after = %v, want 250ms", cfg.opts.RetryAfter)
@@ -75,7 +69,7 @@ func TestParseArgsHelp(t *testing.T) {
 	if err == nil {
 		t.Fatal("-h should return flag.ErrHelp")
 	}
-	for _, flagName := range []string{"-addr", "-queue", "-aggregate", "-retry-after", "-metrics-addr", "-quiet"} {
+	for _, flagName := range []string{"-addr", "-queue", "-retry-after", "-metrics-addr", "-quiet"} {
 		if !strings.Contains(errOut.String(), flagName) {
 			t.Errorf("help output missing %s: %q", flagName, errOut.String())
 		}

@@ -101,8 +101,8 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 		Allow: []string{"internal/boolexpr", "internal/predicate", "internal/value"}},
 	// The covering poset is pure subsumption bookkeeping over expressions:
 	// it must stay compute-only (no net/os) and must not know about
-	// engines, events or links — the broker maps its frontier onto engine
-	// entries, the router onto the filters each federation link carries.
+	// engines, events or links — the router maps it onto the filters each
+	// federation link carries.
 	"internal/cover/dag": {Layer: "expr", ForbidStd: pureStd,
 		Allow: []string{"internal/boolexpr", "internal/cover"}},
 	"internal/sublang": {Layer: "expr", ForbidStd: pureStd,
@@ -127,7 +127,11 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 
 	// --- service ---
 	"internal/broker": {Layer: "service", ForbidStd: []string{"net"},
-		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/cover/dag", "internal/event", "internal/index", "internal/matcher", "internal/obs", "internal/predicate"}},
+		Allow: []string{"internal/boolexpr", "internal/core", "internal/event", "internal/index", "internal/matcher", "internal/obs", "internal/predicate"},
+		Deny: map[string]string{
+			"internal/cover":     "covering serves forwarding (internal/router); the broker keeps one engine entry per subscription",
+			"internal/cover/dag": "covering serves forwarding (internal/router); the broker keeps one engine entry per subscription",
+		}},
 	"internal/router": {Layer: "service", ForbidStd: []string{"net"},
 		Allow: []string{"internal/boolexpr", "internal/broker", "internal/cover", "internal/cover/dag", "internal/event", "internal/obs"},
 		Deny: map[string]string{

@@ -22,7 +22,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	wantIDs := []string{
 		"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f",
 		"memory", "crossover", "ablation-reorder", "ablation-encoding",
-		"ablation-access", "batch", "cover", "million", "federate", "chaos",
+		"ablation-access", "batch", "cover", "federate", "chaos",
 		"obs",
 	}
 	if len(exps) != len(wantIDs) {
@@ -468,8 +468,7 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 		"ablation-encoding": "encoding,tree_bytes,time_s",
 		"ablation-access":   "preds_per_sub,listing,phase1_preds_per_event,candidates_per_event,leaves_per_event,assoc_entries_per_sub",
 		"batch":             "batch,quiet_ev_s,quiet_p50_s,quiet_p99_s,churn_ev_s,churn_p50_s,churn_p99_s,churn_ops_s",
-		"cover":             "skew,engine_off,engine_on,subs_s_off,subs_s_on,pub_p50_off_s,pub_p99_off_s,pub_p50_on_s,pub_p99_on_s,flood_off,flood_on,suppressed",
-		"million":           "subs,skew,flat_engine,dag_engine,dag_covered,subs_s,pub_p50_s,pub_p99_s,heap_bytes",
+		"cover":             "skew,flood_off,flood_on,suppressed",
 		"federate":          "nodes,events_s_off,events_s_on,flood_off,flood_on,suppressed,delivered",
 		"chaos":             "phase,events,expected,delivered,missing,duplicated,shed,spilled_bytes,peak_queued_bytes,evicted,heap_delta_bytes",
 		"obs":               "subs,base_ev_s,metrics_ev_s,delta_pct,match_p50_us,match_p99_us,publish_p99_us",

@@ -5,30 +5,23 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"noncanon/internal/boolexpr"
-	"noncanon/internal/broker"
 	"noncanon/internal/event"
-	"noncanon/internal/memmodel"
 	"noncanon/internal/netoverlay"
 	"noncanon/internal/predicate"
 )
 
-// CoverPoint is one popularity-skew setting of the covering/aggregation
-// sweep (experiment C1). A skew of 0 draws filters uniformly from the
-// pool; larger values draw by a power law with that exponent (popular
-// filters are both frequent and broad).
+// CoverPoint is one popularity-skew setting of the covering sweep
+// (experiment C1). A skew of 0 draws filters uniformly from the pool;
+// larger values draw by a power law with that exponent (popular filters
+// are both frequent and broad).
 type CoverPoint struct {
 	Skew float64
 
-	// The same draw registered into a broker without and with
-	// Options.Aggregate (covering aggregation).
-	Plain, Aggregated BrokerRun
-
 	// Overlay flood with and without netoverlay.Options.Cover:
-	// subscription link messages for the same registration sequence, and how many forwards
-	// covering pruned.
+	// subscription link messages for the same registration sequence, and
+	// how many forwards covering pruned.
 	FloodMsgsOff uint64
 	FloodMsgsOn  uint64
 	Suppressed   uint64
@@ -43,7 +36,7 @@ type CoverResult struct {
 }
 
 // coverOverlayCap caps C1's overlay registrations: flooding is
-// O(subs × nodes), so the sweep stays proportionate to the broker side.
+// O(subs × nodes), so the sweep stays small at any scale.
 const coverOverlayCap = 4096
 
 // coverCategories is the number of filter categories in the pool; filters
@@ -71,7 +64,7 @@ func coverEvent(rng *rand.Rand, pool int) event.Event {
 		Set("price", int64(rng.Intn(10*levels)))
 }
 
-// coverPool is the number of distinct filters C1, M1 and F1 draw from for
+// coverPool is the number of distinct filters C1 and F1 draw from for
 // subs subscribers.
 func coverPool(subs int) int { return max(subs/16, coverCategories) }
 
@@ -93,75 +86,17 @@ func powerRanks(rng *rand.Rand, skew float64, n, pool int) []int {
 	return ranks
 }
 
-// BrokerRun is what one registration of drawn filters into a fresh broker
-// measures (experiments C1 and M1).
-type BrokerRun struct {
-	// Distinct is the number of distinct live filters: the engine entries
-	// identical-filter interning alone would hold.
-	Distinct int
-	// Engine is the broker's engine entries: the covering frontier under
-	// Options.Aggregate, one per subscription otherwise.
-	Engine  int
-	Covered int // subscribers attached beneath a coverer
-	// SubsPerSec is the registration rate; Heap the live heap after it.
-	SubsPerSec float64
-	Heap       int
-	// P50 and P99 are Publish latencies over 64 × Trials random events.
-	P50, P99 time.Duration
-}
-
-// runBroker registers the drawn filters into a fresh broker and measures
-// engine entries, subscribe throughput, live heap and publish latency.
-func runBroker(cfg Config, opts broker.Options, ranks []int, pool int) (BrokerRun, error) {
-	br := broker.New(opts)
-	defer br.Close()
-	noop := func(event.Event) {}
-
-	var run BrokerRun
-	t0 := time.Now()
-	for _, r := range ranks {
-		if _, err := br.Subscribe(coverFilter(r, pool), noop); err != nil {
-			return run, fmt.Errorf("bench: broker subscribe: %w", err)
-		}
-	}
-	run.SubsPerSec = float64(len(ranks)) / max(time.Since(t0), time.Nanosecond).Seconds()
-	st := br.Stats()
-	run.Distinct, run.Engine, run.Covered = st.DistinctFilters, st.FrontierFilters, st.CoveredSubscribers
-	run.Heap = memmodel.HeapInuseBytes()
-
-	rng := rand.New(rand.NewSource(cfg.Seed + 77))
-	durs := make([]time.Duration, 64*cfg.Trials)
-	if _, err := br.Publish(coverEvent(rng, pool)); err != nil { // warmup
-		return run, err
-	}
-	for i := range durs {
-		ev := coverEvent(rng, pool)
-		c0 := time.Now()
-		if _, err := br.Publish(ev); err != nil {
-			return run, err
-		}
-		durs[i] = time.Since(c0)
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	run.P50, run.P99 = percentile(durs, 50), percentile(durs, 99)
-	return run, nil
-}
-
 // coverSkews returns the swept skew settings.
 func coverSkews() []float64 { return []float64{0, 1.1, 1.5, 2.0} }
 
-// MeasureCover measures what subscription aggregation and covering buy
-// under filter-popularity skew: N subscribers draw from a pool of distinct
-// filters by a power law, and the same draw is registered into an
-// aggregating and a non-aggregating broker (engine size, subscribe
-// throughput, publish latency) and flooded through a covering and a plain
-// overlay (subscription link messages).
+// MeasureCover measures what covering buys a federation under
+// filter-popularity skew: N subscribers draw from a pool of distinct
+// filters by a power law, and the same draw is flooded through a covering
+// and a plain overlay (subscription link messages).
 //
-// The headline effects: with aggregation the engine grows with the
-// covering frontier of the filters drawn, not with the subscriber count,
-// and with covering the overlay forwards a fraction of the subscription
-// messages — both improving as the skew concentrates popularity on broad
-// filters.
+// The headline effect: with covering the overlay forwards a fraction of
+// the subscription messages, the more so as the skew concentrates
+// popularity on broad filters.
 func MeasureCover(cfg Config) (CoverResult, error) {
 	cfg = cfg.withDefaults()
 	subs := scaleCount(200_000, cfg.Scale)
@@ -172,13 +107,6 @@ func MeasureCover(cfg Config) (CoverResult, error) {
 
 		pt := CoverPoint{Skew: skew}
 		var err error
-		if pt.Plain, err = runBroker(cfg, broker.Options{QueueSize: 1024}, ranks, res.Pool); err != nil {
-			return CoverResult{}, err
-		}
-		if pt.Aggregated, err = runBroker(cfg, broker.Options{QueueSize: 1024, Aggregate: true}, ranks, res.Pool); err != nil {
-			return CoverResult{}, err
-		}
-
 		// Overlay flood: same draw spread over the tree's nodes. The plain
 		// network floods every subscription across all links; the covering
 		// one prunes forwards shadowed by broader filters.
@@ -226,18 +154,13 @@ func coverTable(cfg Config) (*Table, error) {
 		Notes: []string{
 			fmt.Sprintf("%d subscribers over %d distinct filters (%d categories of nested bands); skew 0 = uniform draw",
 				res.Subscribers, res.Pool, coverCategories),
-			"_off/_on: broker without/with aggregation, or overlay without/with covering;",
-			fmt.Sprintf("overlay: %d-node binary tree, first %d registrations", res.OverlayNodes, min(res.Subscribers, coverOverlayCap)),
+			fmt.Sprintf("_off/_on: %d-node binary tree overlay without/with covering, first %d registrations",
+				res.OverlayNodes, min(res.Subscribers, coverOverlayCap)),
 		},
-		Columns: []Column{{"skew", "%.2f"}, {"engine_off", "%d"}, {"engine_on", "%d"}, {"subs_s_off", "%.1f"}, {"subs_s_on", "%.1f"},
-			{"pub_p50_off_s", "%.9f"}, {"pub_p99_off_s", "%.9f"}, {"pub_p50_on_s", "%.9f"}, {"pub_p99_on_s", "%.9f"},
-			{"flood_off", "%d"}, {"flood_on", "%d"}, {"suppressed", "%d"}},
+		Columns: []Column{{"skew", "%.2f"}, {"flood_off", "%d"}, {"flood_on", "%d"}, {"suppressed", "%d"}},
 	}
 	for _, p := range res.Points {
-		off, on := p.Plain, p.Aggregated
-		t.Rows = append(t.Rows, []any{p.Skew, off.Engine, on.Engine, off.SubsPerSec, on.SubsPerSec,
-			off.P50.Seconds(), off.P99.Seconds(), on.P50.Seconds(), on.P99.Seconds(),
-			p.FloodMsgsOff, p.FloodMsgsOn, p.Suppressed})
+		t.Rows = append(t.Rows, []any{p.Skew, p.FloodMsgsOff, p.FloodMsgsOn, p.Suppressed})
 	}
 	return t, nil
 }

@@ -54,24 +54,20 @@ func warmedBrokerOpts(tb testing.TB, opts Options, nsubs int) (*Broker, event.Ev
 // allocation. The match-result slice is pooled (matchBuf + MatchInto) and
 // Retain on an owned event is free, so the budget is pure headroom for
 // the runtime's occasional channel-send bookkeeping (sudog reuse makes
-// steady-state sends allocation-free). The rows add the covered-descendant
-// walk of an aggregating broker, and a handler sink that reclaims its
-// delivered prefix because its handler runs one event behind. The
-// walk reaches descendants with several parents at this shape; its stack
-// and visited set live in the pooled matchBuf, so it too allocates nothing.
+// steady-state sends allocation-free). The second row adds a handler sink
+// that reclaims its delivered prefix because its handler runs one event
+// behind.
 func TestPublishAllocBudget(t *testing.T) {
 	for _, row := range []struct {
 		name   string
-		opts   Options
 		behind bool // add a subscriber whose handler waits for each step
 		budget float64
 	}{
-		{"no-op handlers", Options{}, false, 1},
-		{"aggregate", Options{Aggregate: true}, false, 1},
-		{"handler one event behind", Options{}, true, 1},
+		{"no-op handlers", false, 1},
+		{"handler one event behind", true, 1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			b, ev := warmedBrokerOpts(t, row.opts, 100)
+			b, ev := warmedBroker(t, 100)
 			step := func() {}
 			if row.behind {
 				gate := make(chan struct{})
@@ -191,8 +187,8 @@ func selectiveText(i int) string {
 // and without parsing the filter's text first. Parsing is Parse's budget
 // (internal/sublang); compiling allocates the tree's distinct predicates,
 // their leaf map, its Code and its PredIDs; the rest is the index's
-// bookkeeping and the broker's one Subscription (no group, no member
-// array, no map entry).
+// bookkeeping and the broker's one Subscription, whose fan-out slot is
+// the engine ID's (no map entry).
 func TestOutletSubscribeAllocBudget(t *testing.T) {
 	b := New(Options{})
 	defer b.Close()

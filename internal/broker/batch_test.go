@@ -10,8 +10,8 @@ import (
 	"noncanon/internal/event"
 )
 
-// The batched-publish differential property: over any workload — in
-// every broker mode, with subscribe/unsubscribe churn interleaved —
+// The batched-publish differential property: over any workload — with
+// subscribe/unsubscribe churn interleaved —
 // PublishBatch delivers exactly the same multiset of (subscriber, event)
 // pairs as sequential Publish, and returns the same per-event counts.
 //
@@ -19,16 +19,6 @@ import (
 // queues are sized so nothing is dropped (drops are timing-dependent and
 // would make the multisets incomparable), and the zero-drop assumption is
 // asserted at the end.
-
-// brokerModes is every broker configuration the differentials run
-// against.
-var brokerModes = []struct {
-	name string
-	opts Options
-}{
-	{"plain", Options{}},
-	{"aggregate", Options{Aggregate: true}},
-}
 
 // delivery is one delivered (logical subscriber, event sequence) pair.
 type delivery struct {
@@ -45,8 +35,9 @@ type recordingBroker struct {
 	subs []*Subscription // by logical index; nil after unsubscribe
 }
 
-func newRecordingBroker(opts Options) *recordingBroker {
-	return &recordingBroker{b: New(opts), got: map[delivery]int{}}
+// newRecordingBroker builds a broker with room for every delivery.
+func newRecordingBroker() *recordingBroker {
+	return &recordingBroker{b: New(Options{QueueSize: 4096}), got: map[delivery]int{}}
 }
 
 // subscribe registers expression x as the next logical subscriber.
@@ -140,134 +131,127 @@ func compare(t *testing.T, batched, single *recordingBroker) {
 // PublishBatch on one broker and sequential Publish on another, and
 // requires identical per-event counts and identical delivered multisets.
 func TestPublishBatchDifferential(t *testing.T) {
-	for _, mode := range brokerModes {
-		for _, seed := range []int64{1, 2} {
-			mode, seed := mode, seed
-			t.Run(fmt.Sprintf("%s/seed=%d", mode.name, seed), func(t *testing.T) {
-				t.Parallel()
-				opts := mode.opts
-				opts.QueueSize = 4096
-				batched := newRecordingBroker(opts)
-				single := newRecordingBroker(opts)
-				rng := rand.New(rand.NewSource(seed))
-				cfg := boolexpr.RandomConfig{MaxDepth: 3, MaxFanout: 3, AllowNot: true}
-
-				var seq int64
-				const rounds, subsPerRound = 6, 15
-				for r := 0; r < rounds; r++ {
-					for i := 0; i < subsPerRound; i++ {
-						x := boolexpr.RandomExpr(rng, cfg)
-						batched.subscribe(t, x)
-						single.subscribe(t, x)
-					}
-					// Churn: retire ~1/4 of the live population in both brokers.
-					for i := range batched.subs {
-						if batched.subs[i] != nil && rng.Intn(4) == 0 {
-							batched.unsubscribe(t, i)
-							single.unsubscribe(t, i)
-						}
-					}
-					// A few batches of varying size; 0 and 1 are always hit.
-					for _, size := range []int{0, 1, rng.Intn(7), 8 + rng.Intn(25)} {
-						evs := make([]event.Event, size)
-						for i := range evs {
-							seq++
-							evs[i] = diffEvent(rng, seq)
-						}
-						counts, err := batched.b.PublishBatch(evs)
-						if err != nil {
-							t.Fatalf("PublishBatch: %v", err)
-						}
-						if len(counts) != len(evs) {
-							t.Fatalf("PublishBatch returned %d counts for %d events", len(counts), len(evs))
-						}
-						for i, ev := range evs {
-							n, err := single.b.Publish(ev)
-							if err != nil {
-								t.Fatalf("Publish: %v", err)
-							}
-							if n != counts[i] {
-								t.Fatalf("round %d event %d: batch count %d, single count %d", r, i, counts[i], n)
-							}
-						}
-					}
-				}
-				if got := batched.b.Stats().Batches; got == 0 {
-					t.Error("Stats.Batches not counted")
-				}
-				compare(t, batched, single)
-			})
-		}
-	}
-}
-
-// TestPublishBatchConcurrentDifferential runs the same property, in every
-// broker mode, with several goroutines batching concurrently (the store
-// quiescent during the publish phase, so counts stay comparable): every
-// goroutine's batches go through PublishBatch on one broker and sequential
-// Publish on the other, under -race.
-func TestPublishBatchConcurrentDifferential(t *testing.T) {
-	for _, mode := range brokerModes {
-		t.Run(mode.name, func(t *testing.T) {
-			opts := mode.opts
-			opts.QueueSize = 4096
-			batched := newRecordingBroker(opts)
-			single := newRecordingBroker(opts)
-			rng := rand.New(rand.NewSource(7))
+	for _, seed := range []int64{1, 2} {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			batched := newRecordingBroker()
+			single := newRecordingBroker()
+			rng := rand.New(rand.NewSource(seed))
 			cfg := boolexpr.RandomConfig{MaxDepth: 3, MaxFanout: 3, AllowNot: true}
-			for i := 0; i < 50; i++ {
-				x := boolexpr.RandomExpr(rng, cfg)
-				batched.subscribe(t, x)
-				single.subscribe(t, x)
-			}
 
-			const workers, batchesPerWorker, batchSize = 4, 12, 16
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(100 + int64(w)))
-					for bi := 0; bi < batchesPerWorker; bi++ {
-						evs := make([]event.Event, batchSize)
-						for i := range evs {
-							// Disjoint per-worker sequence spaces keep seqs unique.
-							seq := int64(w)*1_000_000 + int64(bi)*batchSize + int64(i)
-							evs[i] = diffEvent(rng, seq)
-						}
-						counts, err := batched.b.PublishBatch(evs)
+			var seq int64
+			const rounds, subsPerRound = 6, 15
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < subsPerRound; i++ {
+					x := boolexpr.RandomExpr(rng, cfg)
+					batched.subscribe(t, x)
+					single.subscribe(t, x)
+				}
+				// Churn: retire ~1/4 of the live population in both brokers.
+				for i := range batched.subs {
+					if batched.subs[i] != nil && rng.Intn(4) == 0 {
+						batched.unsubscribe(t, i)
+						single.unsubscribe(t, i)
+					}
+				}
+				// A few batches of varying size; 0 and 1 are always hit.
+				for _, size := range []int{0, 1, rng.Intn(7), 8 + rng.Intn(25)} {
+					evs := make([]event.Event, size)
+					for i := range evs {
+						seq++
+						evs[i] = diffEvent(rng, seq)
+					}
+					counts, err := batched.b.PublishBatch(evs)
+					if err != nil {
+						t.Fatalf("PublishBatch: %v", err)
+					}
+					if len(counts) != len(evs) {
+						t.Fatalf("PublishBatch returned %d counts for %d events", len(counts), len(evs))
+					}
+					for i, ev := range evs {
+						n, err := single.b.Publish(ev)
 						if err != nil {
-							t.Errorf("worker %d: PublishBatch: %v", w, err)
-							return
+							t.Fatalf("Publish: %v", err)
 						}
-						for i, ev := range evs {
-							n, err := single.b.Publish(ev)
-							if err != nil {
-								t.Errorf("worker %d: Publish: %v", w, err)
-								return
-							}
-							if n != counts[i] {
-								t.Errorf("worker %d batch %d event %d: batch count %d, single %d", w, bi, i, counts[i], n)
-								return
-							}
+						if n != counts[i] {
+							t.Fatalf("round %d event %d: batch count %d, single count %d", r, i, counts[i], n)
 						}
 					}
-				}(w)
+				}
 			}
-			wg.Wait()
+			if got := batched.b.Stats().Batches; got == 0 {
+				t.Error("Stats.Batches not counted")
+			}
 			compare(t, batched, single)
 		})
 	}
 }
 
+// TestPublishBatchConcurrentDifferential runs the same property with
+// several goroutines batching concurrently (the store quiescent during the
+// publish phase, so counts stay comparable): every goroutine's batches go
+// through PublishBatch on one broker and sequential Publish on the other,
+// under -race.
+func TestPublishBatchConcurrentDifferential(t *testing.T) {
+	// "plain" is the default-Options broker, the one mode there is.
+	t.Run("plain", func(t *testing.T) {
+		batched := newRecordingBroker()
+		single := newRecordingBroker()
+		rng := rand.New(rand.NewSource(7))
+		cfg := boolexpr.RandomConfig{MaxDepth: 3, MaxFanout: 3, AllowNot: true}
+		for i := 0; i < 50; i++ {
+			x := boolexpr.RandomExpr(rng, cfg)
+			batched.subscribe(t, x)
+			single.subscribe(t, x)
+		}
+
+		const workers, batchesPerWorker, batchSize = 4, 12, 16
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(100 + int64(w)))
+				for bi := 0; bi < batchesPerWorker; bi++ {
+					evs := make([]event.Event, batchSize)
+					for i := range evs {
+						// Disjoint per-worker sequence spaces keep seqs unique.
+						seq := int64(w)*1_000_000 + int64(bi)*batchSize + int64(i)
+						evs[i] = diffEvent(rng, seq)
+					}
+					counts, err := batched.b.PublishBatch(evs)
+					if err != nil {
+						t.Errorf("worker %d: PublishBatch: %v", w, err)
+						return
+					}
+					for i, ev := range evs {
+						n, err := single.b.Publish(ev)
+						if err != nil {
+							t.Errorf("worker %d: Publish: %v", w, err)
+							return
+						}
+						if n != counts[i] {
+							t.Errorf("worker %d batch %d event %d: batch count %d, single %d", w, bi, i, counts[i], n)
+							return
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		compare(t, batched, single)
+	})
+}
+
 // TestPublishBatchUnderChurnRace exercises PublishBatch racing real
-// Subscribe/Unsubscribe churn and plain Publish on the same aggregating
-// broker, so poset mutation races the batch's delivery walk too. With
-// a mutating store no exact multiset is defined; the test pins the parts
-// that are: per-batch result shape, monotone bookkeeping, and (via -race)
-// the absence of data races on the coalesced enqueue path.
+// Subscribe/Unsubscribe churn and plain Publish on the same broker, so
+// fan-out table mutation races the batch's delivery. With a mutating
+// store no exact multiset is defined; the test pins the parts that are:
+// per-batch result shape, monotone bookkeeping, and (via -race) the
+// absence of data races on the coalesced enqueue path.
 func TestPublishBatchUnderChurnRace(t *testing.T) {
-	b := New(Options{QueueSize: 64, Aggregate: true})
+	b := New(Options{QueueSize: 64})
 	defer b.Close()
 	rng := rand.New(rand.NewSource(3))
 	cfg := boolexpr.RandomConfig{MaxDepth: 3, MaxFanout: 3, AllowNot: true}

@@ -13,26 +13,14 @@
 // handler subscription owns neither goroutine nor queue; Close stops intake
 // and waits for the handler goroutines still draining.
 //
-// Fan-out: a slice indexed by the engine's dense IDs heads each entry's
-// chain of subscribers, linked through the Subscriptions themselves; a
-// plain subscription costs the broker one Subscription and one slot word.
+// Fan-out: every subscription is its own engine entry, and a slice indexed
+// by the engine's dense IDs holds each entry's Subscription, so a
+// subscription costs the broker one Subscription and one slot word.
 //
 // Concurrency: Publish holds only read locks end to end — the broker's
 // fan-out table and the engine's subscription store are both
 // RWMutex-guarded — so concurrent publishers match and enqueue in parallel;
 // Subscribe/Unsubscribe briefly exclude them while mutating the store.
-//
-// Aggregation: with Options.Aggregate the broker maintains the covering
-// poset of live filters (internal/cover/dag). Subscribers whose filters
-// intern to one canonical key (cover.Key) chain off one poset node, and a
-// node whose filter is provably covered by a live one (cover.Covers)
-// attaches beneath it without touching the engine, so engine size tracks
-// the covering *frontier*, not the number of subscribers. Delivery stays
-// exact: a frontier match is re-checked against each covered descendant's
-// own filter (an event that fails a filter fails everything it covers).
-// When a frontier filter's last subscriber leaves, its orphaned
-// descendants enter the engine *before* the dying entry is retracted, so
-// matching never gaps. Stats' filter and subscriber counts show the saving.
 package broker
 
 import (
@@ -45,8 +33,6 @@ import (
 
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/core"
-	"noncanon/internal/cover"
-	"noncanon/internal/cover/dag"
 	"noncanon/internal/event"
 	"noncanon/internal/index"
 	"noncanon/internal/matcher"
@@ -74,10 +60,6 @@ type Options struct {
 	// holds QueueSize events and a TCP connection with n subscriptions
 	// QueueSize × n deliveries (default DefaultQueueSize).
 	QueueSize int
-	// Aggregate keeps only the covering frontier of live filters in the
-	// engine (see the package comment). Delivery is unchanged: every
-	// subscriber receives every matching event through its own sink.
-	Aggregate bool
 	// Metrics, when set, is the obs registry the broker's instruments live
 	// in (counters, live gauges, and the match/publish latency
 	// histograms). Nil keeps a private registry: Stats still works, a
@@ -90,12 +72,6 @@ type Options struct {
 // match-result storage at all.
 type matchBuf struct {
 	ids []matcher.SubID
-	// stack and visited are enqueueCovered's walk: the covered nodes still
-	// to visit, and the nodes with several parents the event has reached.
-	// visited is emptied after each event but keeps its buckets, so a
-	// steady-state walk inserts into it without allocating.
-	stack   []*dag.Node
-	visited map[*dag.Node]struct{}
 }
 
 // Broker routes published events to matching subscribers.
@@ -103,32 +79,23 @@ type Broker struct {
 	opts Options
 	eng  *core.Engine
 
-	mu   sync.RWMutex
-	subs []*Subscription // subs[id-1] heads engine entry id's chain
-	dag  *dag.DAG        // covering poset (Aggregate only)
-	// filters holds a slot per live poset node (Aggregate only), free the
-	// vacated ones.
-	filters []filter
-	free    []uint32
-	nsubs   int // live subscriber count
+	mu    sync.RWMutex
+	subs  []*Subscription // subs[id-1] is engine entry id's subscription
+	nsubs int             // live subscriber count
 	// keepers is the number of live subscriptions whose sink queues the
 	// event itself (handlers, channels): while it is non-zero Publish must
 	// Retain a borrowed event once, before the first of them sees it.
 	keepers int
-	// covered is the number of live subscribers attached to non-frontier
-	// poset nodes (Aggregate only); guarded by mu.
-	covered int
 	closed  bool
 
 	wg sync.WaitGroup
 
 	// Activity instruments (internal/obs handles; a private registry when
 	// Options.Metrics is nil, so incrementing costs one atomic either way).
-	published  *obs.Counter
-	batches    *obs.Counter
-	delivered  *obs.Counter
-	dropped    *obs.Counter
-	aggregated *obs.Counter // subscribes deduped onto an existing filter
+	published *obs.Counter
+	batches   *obs.Counter
+	delivered *obs.Counter
+	dropped   *obs.Counter
 
 	// congestedSubs gauges how many live subscriptions sit on a congested
 	// sink (one that refused a delivery and has not yet drained); Congested
@@ -153,33 +120,21 @@ type Broker struct {
 // must be a power of two (the hot path masks, not divides).
 const latencySampleEvery = 8
 
-// filter is the slot of one covering-poset node (Aggregate only): the
-// node, whose Data heads its subscribers' chain, and its engine entry while
-// the node is on the covering frontier (0 while it is covered).
-type filter struct {
-	node *dag.Node
-	id   matcher.SubID
-}
-
 // Subscription is a live registration: a filter in the engine and the
 // (sink, handle) pair its matches are delivered to.
 type Subscription struct {
 	out     *Outlet // out.b is the broker
 	handle  uint64  // the sink's name for this subscription
 	dropped atomic.Uint64
-	// next and prev chain the subscribers of one filter, guarded by the
-	// broker's mu: removal is O(1) however many share a hot filter.
-	next, prev *Subscription
-	// ref is its engine entry's ID, or with Aggregate its node's filter
-	// slot (guarded by mu); 32 bits hold any store that fits in memory
-	// and keep the struct at 48 bytes.
+	// ref is its engine entry's ID, fixed before Subscribe returns; 32 bits
+	// hold any store that fits in memory and keep the struct at 32 bytes.
 	ref       uint32
 	cancelled atomic.Bool // Unsubscribe or Close has begun detaching it
 }
 
-// detach runs once the subscription has left its chain, when no publisher
-// can reach it any more: its share of the sink's capacity goes, and a
-// SubscribeChan channel closes behind its last event.
+// detach runs once the subscription has left the fan-out table, when no
+// publisher can reach it any more: its share of the sink's capacity goes,
+// and a SubscribeChan channel closes behind its last event.
 func (s *Subscription) detach() {
 	s.out.adjust(-1)
 	if c, ok := s.out.sink.(*chanSink); ok {
@@ -197,9 +152,6 @@ func New(opts Options) *Broker {
 		eng:       core.New(predicate.NewRegistry(), index.New(), core.Options{}),
 		matchPool: sync.Pool{New: func() any { return new(matchBuf) }},
 	}
-	if opts.Aggregate {
-		b.dag = dag.New()
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -209,7 +161,6 @@ func New(opts Options) *Broker {
 	// show a delivery whose publication it missed.
 	b.published = reg.Counter("broker_published_total")
 	b.batches = reg.Counter("broker_batches_total")
-	b.aggregated = reg.Counter("broker_aggregated_total")
 	b.delivered = reg.Counter("broker_delivered_total")
 	b.dropped = reg.Counter("broker_dropped_total")
 	b.congestedSubs = reg.Gauge("broker_congested_subscriptions")
@@ -224,7 +175,7 @@ func New(opts Options) *Broker {
 			return int64(b.NumSubscriptions())
 		})
 		reg.GaugeFunc("broker_engine_entries", func() int64 {
-			return int64(b.Stats().FrontierFilters)
+			return int64(b.Stats().EngineEntries)
 		})
 	}
 	return b
@@ -256,46 +207,25 @@ func (b *Broker) SubscribeChan(expr boolexpr.Expr) (*Subscription, <-chan event.
 
 // subscribe registers expr for delivery through out's sink as handle.
 func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Subscription, error) {
-	// Everything that walks the expression without touching shared state
-	// happens before the lock that publishers wait on. With Aggregate, a
-	// filter whose key is live joins that filter's node and is never
-	// registered, so it is not prepared either.
-	var key string
-	known := false
-	if b.opts.Aggregate {
-		key = cover.Key(expr)
-		b.mu.RLock()
-		known = b.dag.Lookup(key) != nil
-		b.mu.RUnlock()
-	}
-	var prep core.Prepared
-	if !known {
-		var err error
-		if prep, err = b.eng.Prepare(expr); err != nil {
-			return nil, err
-		}
+	// Preparing walks the expression without touching shared state, so it
+	// happens before the lock that publishers wait on.
+	prep, err := b.eng.Prepare(expr)
+	if err != nil {
+		return nil, err
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return nil, ErrClosed
 	}
-	if known && b.dag.Lookup(key) == nil {
-		// Its last subscriber left between the look and the lock.
-		var err error
-		if prep, err = b.eng.Prepare(expr); err != nil {
-			return nil, err
-		}
-	}
 	s := &Subscription{out: out, handle: handle}
 	out.adjust(1) // capacity before the first publisher can find s
-	if b.dag != nil {
-		b.subscribeDAG(key, expr, prep, s)
-	} else {
-		id := b.eng.Register(prep)
-		s.ref = uint32(id)
-		*b.slot(id) = s
+	id := b.eng.Register(prep)
+	s.ref = uint32(id)
+	for len(b.subs) < int(id) {
+		b.subs = append(b.subs, nil)
 	}
+	b.subs[id-1] = s
 	b.nsubs++
 	if out.keeps {
 		b.keepers++
@@ -303,77 +233,8 @@ func (b *Broker) subscribe(expr boolexpr.Expr, out *Outlet, handle uint64) (*Sub
 	return s, nil
 }
 
-// subscribeDAG interns the filter into the covering poset, chains s to its
-// node and keeps the engine equal to the frontier, registering prep if the
-// filter is a new frontier entry. Caller holds the write lock. Ordering: a
-// brand-new frontier filter enters the engine before any entries it
-// demotes are retracted, so matching never gaps.
-func (b *Broker) subscribeDAG(key string, expr boolexpr.Expr, prep core.Prepared, s *Subscription) {
-	res := b.dag.AddKeyed(key, expr)
-	head, _ := res.Node.Data.(*Subscription)
-	if res.New {
-		s.ref = uint32(len(b.filters))
-		if n := len(b.free); n > 0 {
-			s.ref, b.free = b.free[n-1], b.free[:n-1]
-			b.filters[s.ref] = filter{node: res.Node}
-		} else {
-			b.filters = append(b.filters, filter{node: res.Node})
-		}
-		if res.Frontier {
-			b.filters[s.ref].id = b.eng.Register(prep)
-		}
-	} else {
-		s.ref = head.ref
-		b.aggregated.Inc()
-	}
-	if s.next = head; head != nil {
-		head.prev = s
-	}
-	b.setHead(&b.filters[s.ref], s)
-	if !res.Frontier {
-		b.covered++
-	}
-	for _, n := range res.Demoted {
-		f := &b.filters[n.Data.(*Subscription).ref]
-		b.subs[f.id-1] = nil
-		_ = b.eng.Unsubscribe(f.id)
-		f.id = 0
-		b.covered += n.Refs()
-	}
-}
-
-// setHead makes s the head of f's chain, in the node and, while f holds an
-// engine entry, in the fan-out table. Caller holds the write lock.
-func (b *Broker) setHead(f *filter, s *Subscription) {
-	f.node.Data = s
-	if f.id != 0 {
-		*b.slot(f.id) = s
-	}
-}
-
-// slot returns engine entry id's fan-out slot, growing the table to reach
-// it. Caller holds the write lock.
-func (b *Broker) slot(id matcher.SubID) **Subscription {
-	for len(b.subs) < int(id) {
-		b.subs = append(b.subs, nil)
-	}
-	return &b.subs[id-1]
-}
-
-// ID returns the engine subscription ID. With Options.Aggregate,
-// subscribers sharing a filter share the ID — it names the engine entry,
-// not the subscriber — and a covered subscription has no engine entry of
-// its own: ID reports 0 until (if ever) its filter is promoted to the
-// covering frontier.
-func (s *Subscription) ID() matcher.SubID {
-	b := s.out.b
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	if b.dag != nil {
-		return b.filters[s.ref].id
-	}
-	return matcher.SubID(s.ref)
-}
+// ID returns the subscription's engine entry ID.
+func (s *Subscription) ID() matcher.SubID { return matcher.SubID(s.ref) }
 
 // Handle returns the name the subscription's sink knows it by.
 func (s *Subscription) Handle() uint64 { return s.handle }
@@ -383,10 +244,7 @@ func (s *Subscription) Handle() uint64 { return s.handle }
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
 // Unsubscribe removes the subscription; events its sink already holds are
-// still delivered. Under aggregation the shared engine entry is detached
-// only when the last attached subscriber unsubscribes, and a dying
-// frontier filter first promotes its orphaned covered descendants into the
-// engine, then retracts, so matching never gaps. It is idempotent.
+// still delivered. It is idempotent.
 func (s *Subscription) Unsubscribe() error {
 	if !s.cancelled.CompareAndSwap(false, true) {
 		return nil
@@ -401,63 +259,13 @@ func (s *Subscription) Unsubscribe() error {
 		if s.out.keeps {
 			b.keepers--
 		}
-		if b.dag != nil {
-			err = b.unsubscribeDAG(s)
-		} else { // s was its entry's only subscriber
-			b.subs[s.ref-1] = nil
-			err = b.eng.Unsubscribe(matcher.SubID(s.ref))
-		}
+		b.subs[s.ref-1] = nil
+		err = b.eng.Unsubscribe(matcher.SubID(s.ref))
 	}
 	b.mu.Unlock()
 	// No publisher can be inside the sink on s's behalf once it has left
-	// its chain (Publish delivers under the read lock).
+	// the fan-out table (Publish delivers under the read lock).
 	s.detach()
-	return err
-}
-
-// unsubscribeDAG unchains s and releases one reference on its poset node.
-// When the node dies, children orphaned by its departure are subscribed
-// (promoted to the frontier) *before* the dying entry is retracted. Caller
-// holds the write lock.
-func (b *Broker) unsubscribeDAG(s *Subscription) error {
-	f := &b.filters[s.ref]
-	if s.prev != nil {
-		s.prev.next = s.next
-	} else {
-		b.setHead(f, s.next)
-	}
-	if s.next != nil {
-		s.next.prev = s.prev
-	}
-	node, id := f.node, f.id
-	if !node.Frontier() {
-		b.covered--
-	}
-	res := b.dag.Release(node)
-	if !res.Died {
-		return nil
-	}
-	var err error
-	for _, c := range res.Promoted {
-		cid, serr := b.eng.Subscribe(c.Expr())
-		if serr != nil {
-			err = serr
-			continue
-		}
-		head := c.Data.(*Subscription)
-		b.filters[head.ref].id = cid
-		*b.slot(cid) = head
-		b.covered -= c.Refs()
-	}
-	if res.WasFrontier {
-		b.subs[id-1] = nil
-		if uerr := b.eng.Unsubscribe(id); uerr != nil && err == nil {
-			err = uerr
-		}
-	}
-	node.Data = nil
-	b.filters[s.ref] = filter{}
-	b.free = append(b.free, s.ref)
 	return err
 }
 
@@ -491,7 +299,7 @@ func (b *Broker) Publish(ev event.Event) (int, error) {
 	if timed {
 		b.matchLatency.Observe(time.Since(start))
 	}
-	n := b.deliverMatched(mb, ev, mb.ids)
+	n := b.deliver(ev, mb.ids)
 	b.matchPool.Put(mb)
 	if timed {
 		b.publishLatency.Observe(time.Since(start))
@@ -499,73 +307,21 @@ func (b *Broker) Publish(ev event.Event) (int, error) {
 	return n, nil
 }
 
-// deliverMatched fans one event out to each matched engine entry's chain,
-// then to the matching covered descendants of its poset node, and returns
-// how many subscribers that is. Caller holds the read lock.
+// deliver offers ev to the sink of each matched engine entry's
+// subscription and returns their count; a refusal drops the event for that
+// subscriber (the sink has marked itself congested). Caller holds the read
+// lock.
 //
 //nclint:hotpath
-func (b *Broker) deliverMatched(mb *matchBuf, ev event.Event, ids []matcher.SubID) int {
-	n := 0
+func (b *Broker) deliver(ev event.Event, ids []matcher.SubID) int {
 	for _, id := range ids {
-		head := b.subs[id-1]
-		n += b.enqueue(head, ev)
-		if b.dag != nil && head != nil {
-			if node := b.filters[head.ref].node; len(node.Children()) > 0 {
-				n += b.enqueueCovered(mb, node, ev)
-			}
-		}
-	}
-	clear(mb.visited) // per event; a pooled buffer must not keep released nodes alive
-	return n
-}
-
-// enqueue offers ev to the sink of every subscriber chained from head and
-// returns their count; a refusal drops the event for that subscriber (the
-// sink has marked itself congested). Caller holds the read lock.
-//
-//nclint:hotpath
-func (b *Broker) enqueue(head *Subscription, ev event.Event) int {
-	n := 0
-	for s := head; s != nil; s = s.next {
+		s := b.subs[id-1]
 		if !s.out.sink.Deliver(s.handle, ev) {
 			s.dropped.Add(1)
 			b.dropped.Inc()
 		}
-		n++
 	}
-	return n
-}
-
-// enqueueCovered fans a frontier match out to the covered descendants of
-// root that match too: coverage is one-way, so each is re-checked against
-// its own filter, and a failing node prunes its subtree. mb.visited dedups
-// nodes with several parents across all of one event's frontier roots;
-// with the stack in mb too, the walk allocates nothing once the pooled
-// buffer has grown. Caller holds the read lock.
-func (b *Broker) enqueueCovered(mb *matchBuf, root *dag.Node, ev event.Event) int {
-	n := 0
-	mb.stack = append(mb.stack[:0], root.Children()...)
-	for len(mb.stack) > 0 {
-		last := len(mb.stack) - 1
-		c := mb.stack[last]
-		mb.stack[last] = nil
-		mb.stack = mb.stack[:last]
-		if len(c.Parents()) > 1 {
-			if _, seen := mb.visited[c]; seen {
-				continue
-			}
-			if mb.visited == nil {
-				mb.visited = make(map[*dag.Node]struct{})
-			}
-			mb.visited[c] = struct{}{}
-		}
-		if !c.Expr().Eval(ev) {
-			continue
-		}
-		n += b.enqueue(c.Data.(*Subscription), ev)
-		mb.stack = append(mb.stack, c.Children()...)
-	}
-	return n
+	return len(ids)
 }
 
 // PublishBatch matches and enqueues a batch of events under one read lock,
@@ -613,7 +369,7 @@ func (b *Broker) PublishBatch(evs []event.Event) ([]int, error) {
 		if b.keepers > 0 { // as in Publish; only matched events pay the check
 			ev = ev.Retain()
 		}
-		counts[i] = b.deliverMatched(mb, ev, mb.ids[lo:hi])
+		counts[i] = b.deliver(ev, mb.ids[lo:hi])
 		lo = hi
 	}
 	b.matchPool.Put(mb)
@@ -639,8 +395,7 @@ func (b *Broker) Congested() bool {
 	return 2*c >= int64(n)
 }
 
-// NumSubscriptions returns the live subscriber count (not the engine entry
-// count; see Stats.FrontierFilters for that).
+// NumSubscriptions returns the live subscriber count.
 func (b *Broker) NumSubscriptions() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -652,29 +407,16 @@ func (b *Broker) NumSubscriptions() int {
 // deliveries a sink refused, from both publish paths, and deliveries a sink
 // still held when its consumer went away.
 //
-// The two filter gauges answer different questions and coincide only
-// without aggregation, where both equal Subscriptions:
-//
-//   - DistinctFilters counts live canonically-distinct filters (one per
-//     cover.Key class, with provably-equivalent classes merged).
-//   - FrontierFilters counts live engine entries. Under aggregation that
-//     is only the covering frontier, and DistinctFilters − FrontierFilters
-//     is the number of distinct filters riding covered beneath it.
-//
-// AggregatedSubscribers counts Subscribe calls over the broker's lifetime
-// that were deduplicated onto an already-live filter (identical or
-// provably equivalent). CoveredSubscribers is the current number of
-// subscribers attached to covered (non-frontier) filters.
+// EngineEntries is the engine's own live entry count. Each subscription is
+// one entry, so it equals Subscriptions while the broker is open; a
+// difference is an entry the broker lost track of.
 type Stats struct {
-	Subscriptions         int
-	DistinctFilters       int
-	FrontierFilters       int
-	CoveredSubscribers    int
-	AggregatedSubscribers uint64
-	Published             uint64
-	Batches               uint64
-	Delivered             uint64
-	Dropped               uint64
+	Subscriptions int
+	EngineEntries int
+	Published     uint64
+	Batches       uint64
+	Delivered     uint64
+	Dropped       uint64
 	// CongestedSubscribers is the current number of subscriptions whose
 	// sink refused a delivery and has not yet drained; see Broker.Congested.
 	CongestedSubscribers int
@@ -683,14 +425,9 @@ type Stats struct {
 // Stats returns a snapshot of broker activity.
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
-	subs, covered := b.nsubs, b.covered
-	frontier, distinct := 0, 0
+	subs, entries := b.nsubs, 0
 	if !b.closed {
-		frontier = b.eng.NumSubscriptions()
-		distinct = frontier
-		if b.dag != nil {
-			distinct = b.dag.Len()
-		}
+		entries = b.eng.NumSubscriptions()
 	}
 	b.mu.RUnlock()
 	// Effects before causes: delivered/dropped are read before published,
@@ -698,14 +435,11 @@ func (b *Broker) Stats() Stats {
 	// publications that produced them.
 	st := Stats{
 		Subscriptions:        subs,
-		DistinctFilters:      distinct,
-		FrontierFilters:      frontier,
-		CoveredSubscribers:   covered,
+		EngineEntries:        entries,
 		CongestedSubscribers: int(b.congestedSubs.Value()),
 	}
 	st.Delivered = b.delivered.Value()
 	st.Dropped = b.dropped.Value()
-	st.AggregatedSubscribers = b.aggregated.Value()
 	st.Batches = b.batches.Value()
 	st.Published = b.published.Value()
 	return st
@@ -721,30 +455,16 @@ func (b *Broker) Close() error {
 		return nil
 	}
 	b.closed = true
-	b.nsubs, b.keepers, b.covered = 0, 0, 0
+	b.nsubs, b.keepers = 0, 0
 	b.mu.Unlock()
 
-	// The chains are fixed from here on (Subscribe and Unsubscribe see the
-	// closed flag); with Aggregate every chain hangs off a poset node.
-	if b.dag != nil {
-		for _, n := range b.dag.Nodes() {
-			head, _ := n.Data.(*Subscription)
-			cancelChain(head)
-		}
-	} else {
-		for _, s := range b.subs {
-			cancelChain(s)
+	// The table is fixed from here on (Subscribe and Unsubscribe see the
+	// closed flag): detach each subscription no Unsubscribe claimed yet.
+	for _, s := range b.subs {
+		if s != nil && s.cancelled.CompareAndSwap(false, true) {
+			s.detach()
 		}
 	}
 	b.wg.Wait()
 	return nil
-}
-
-// cancelChain detaches each subscriber from head on that none claimed yet.
-func cancelChain(head *Subscription) {
-	for s := head; s != nil; s = s.next {
-		if s.cancelled.CompareAndSwap(false, true) {
-			s.detach()
-		}
-	}
 }

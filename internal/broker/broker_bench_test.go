@@ -123,43 +123,3 @@ func BenchmarkPublishBatch(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkPublishCoveredGrid measures the covered walk of an aggregating
-// broker on a dense poset: a 32×32 grid of filters x < 10(i+1) and
-// y < 10(j+1), subscribed broadest first so that most nodes record
-// several parents, and an event that matches every filter. One publish
-// visits every covered node once, so its cost should grow linearly in the
-// grid's size.
-func BenchmarkPublishCoveredGrid(b *testing.B) {
-	const side = 32
-	br := New(Options{QueueSize: 1, Aggregate: true})
-	defer br.Close()
-	for i := side - 1; i >= 0; i-- {
-		for j := side - 1; j >= 0; j-- {
-			expr := boolexpr.NewAnd(
-				boolexpr.Pred("x", predicate.Lt, 10*(i+1)),
-				boolexpr.Pred("y", predicate.Lt, 10*(j+1)),
-			)
-			if _, _, err := br.SubscribeChan(expr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	multi := 0
-	for _, n := range br.dag.Nodes() {
-		if len(n.Parents()) > 1 {
-			multi++
-		}
-	}
-	ev := event.New().Set("x", 0).Set("y", 0)
-	if n, err := br.Publish(ev); err != nil || n != side*side {
-		b.Fatalf("warm-up publish reached %d subscribers (%v), want %d", n, err, side*side)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := br.Publish(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(multi), "multi-parent-nodes")
-}

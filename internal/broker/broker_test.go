@@ -25,12 +25,12 @@ func waitFor(t *testing.T, cond func() bool, msg string) {
 	t.Fatal(msg)
 }
 
-// TestSubscriptionSize: a Subscription stays in the 48-byte size class; it
-// is all a plain subscription allocates in the broker, beside one word of
-// the fan-out table.
+// TestSubscriptionSize: a Subscription stays in the 32-byte size class; it
+// is all a subscription allocates in the broker, beside one word of the
+// fan-out table.
 func TestSubscriptionSize(t *testing.T) {
-	if size := reflect.TypeFor[Subscription]().Size(); size > 48 {
-		t.Fatalf("Subscription is %d bytes, want ≤ 48", size)
+	if size := reflect.TypeFor[Subscription]().Size(); size > 32 {
+		t.Fatalf("Subscription is %d bytes, want ≤ 32", size)
 	}
 }
 
@@ -275,7 +275,8 @@ func TestSubscribeValidation(t *testing.T) {
 func TestStats(t *testing.T) {
 	b := New(Options{})
 	defer b.Close()
-	_, ch, err := b.SubscribeChan(boolexpr.Pred("a", predicate.Gt, 0))
+	x := boolexpr.Pred("a", predicate.Gt, 0)
+	_, ch, err := b.SubscribeChan(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +287,75 @@ func TestStats(t *testing.T) {
 		<-ch
 	}
 	st := b.Stats()
-	if st.Published != 5 || st.Delivered != 4 || st.Subscriptions != 1 {
+	if st.Published != 5 || st.Delivered != 4 || st.Subscriptions != 1 || st.EngineEntries != 1 {
 		t.Errorf("Stats = %+v", st)
 	}
+	// The same filter again is an engine entry of its own; unsubscribing
+	// and closing return both counts to zero.
+	s, _, err := b.SubscribeChan(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Subscriptions != 2 || st.EngineEntries != 2 {
+		t.Errorf("same filter twice: Stats = %+v", st)
+	}
+	if err := s.Unsubscribe(); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Subscriptions != 1 || st.EngineEntries != 1 {
+		t.Errorf("after Unsubscribe: Stats = %+v", st)
+	}
+	b.Close()
+	if st := b.Stats(); st.Subscriptions != 0 || st.EngineEntries != 0 {
+		t.Errorf("after Close: Stats = %+v", st)
+	}
+}
+
+// repeatedFilter is a non-canonical filter (an AND over an OR) that the
+// accounting tests below subscribe several times over.
+func repeatedFilter() boolexpr.Expr {
+	return boolexpr.NewAnd(
+		boolexpr.Pred("cat", predicate.Eq, int64(1)),
+		boolexpr.NewOr(
+			boolexpr.Pred("price", predicate.Lt, int64(20)),
+			boolexpr.Pred("price", predicate.Gt, int64(90)),
+		),
+	)
+}
+
+// TestStatsWithoutAggregation: subscribers of one filter are not merged;
+// each holds an engine entry of its own.
+func TestStatsWithoutAggregation(t *testing.T) {
+	b := New(Options{})
+	defer b.Close()
+	for i := 0; i < 4; i++ {
+		if _, err := b.Subscribe(repeatedFilter(), func(event.Event) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := b.Stats()
+	if st.Subscriptions != 4 || st.EngineEntries != 4 {
+		t.Errorf("Stats = %+v, want Subscriptions=EngineEntries=4 (one engine entry per subscriber)", st)
+	}
+}
+
+// TestStatsFilterAccountingSplit pins the filter accounting of the
+// default broker: the engine entry count equals the subscriber count,
+// also when every subscriber repeats one filter.
+func TestStatsFilterAccountingSplit(t *testing.T) {
+	t.Run("off", func(t *testing.T) {
+		b := New(Options{})
+		defer b.Close()
+		for i := 0; i < 3; i++ {
+			if _, err := b.Subscribe(repeatedFilter(), func(event.Event) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := b.Stats()
+		if st.Subscriptions != 3 || st.EngineEntries != 3 {
+			t.Errorf("off: %+v, want Subscriptions=EngineEntries=3", st)
+		}
+	})
 }
 
 func TestConcurrentPublishSubscribe(t *testing.T) {

@@ -5,8 +5,8 @@
 // Two facilities are provided:
 //
 //   - Covers(a, b): a sound-but-incomplete covering test — true means every
-//     event matching b also matches a, so a broker (or overlay link) that
-//     already carries a need not process b separately. The test recurses
+//     event matching b also matches a, so an overlay link that already
+//     carries a need not carry b too. The test recurses
 //     through And/Or/Not directly on the expression trees, never expanding
 //     to DNF, and reasons about leaves via a per-attribute abstract domain
 //     (intervals for the ordered operators, excluded points for !=,
@@ -17,14 +17,13 @@
 //   - Key(e): a canonical interning key for exact-duplicate detection.
 //     Key(a) == Key(b) implies a and b match exactly the same events
 //     (children of And/Or are sorted and deduplicated, double negation is
-//     collapsed, numerically equal Int/Float operands unify), so engine
-//     entries can be shared between subscribers with identical filters.
+//     collapsed, numerically equal Int/Float operands unify), so one
+//     poset node can stand for every filter written in either form.
 //
-// Both are used by the broker's aggregation layer (internal/broker,
-// Options.Aggregate) and the federation's covering-based subscription
-// forwarding (internal/router, netoverlay.Options.Cover) — the
-// SIENA-style pruning that stops flooding a subscription past a link that
-// already carries a covering one.
+// Both serve the federation's covering-based subscription forwarding
+// (internal/router, netoverlay.Options.Cover) — the SIENA-style pruning
+// that stops flooding a subscription past a link that already carries a
+// covering one.
 //
 // Complexity: Covers explores pairs of subtrees, worst-case product of the
 // two tree sizes per And/Or level; subscription trees are small (the

@@ -4,11 +4,11 @@
 // plus merged provably-equivalent classes), edges record proven coverage:
 // an edge parent→child means cover.Covers(parent, child) — every event the
 // child matches, the parent matches too. The *frontier* is the set of
-// uncovered-maximal nodes; it is exactly the set of filters a broker needs
-// to register with its matching engine, because every covered node is
-// reachable from some frontier node and soundness of each stored edge
-// chains by transitivity of ⊆ (even where the prover could not prove the
-// composite implication directly).
+// uncovered-maximal nodes; it is exactly the set of filters a federation
+// link needs to carry, because every covered node is reachable from some
+// frontier node and soundness of each stored edge chains by transitivity
+// of ⊆ (even where the prover could not prove the composite implication
+// directly).
 //
 // Inserts do not scan all live nodes. cover.RequiredPins/ProvablePins/
 // SelfUnsat/Tautology bound which pairs the prover could possibly relate,
@@ -17,13 +17,12 @@
 // prover (see internal/cover/probe.go); dag's differential tests hold it
 // against a scan-everything oracle.
 //
-// Two packages drive it: internal/broker maps the frontier onto engine
-// entries (covering aggregation), and internal/router keeps one poset per
-// federation link, whose far side holds the poset's sent nodes, the
-// frontier among them (covering-pruned flooding).
+// internal/router drives it: it keeps one poset per federation link, whose
+// far side holds the poset's sent nodes, the frontier among them
+// (covering-pruned flooding).
 //
-// The structure is not safe for concurrent use; callers guard it with
-// their own lock (the broker) or own it from one goroutine (the router).
+// The structure is not safe for concurrent use; its caller owns it from
+// one goroutine (the router's).
 package dag
 
 import (
@@ -57,9 +56,8 @@ type Node struct {
 	provPins  []cover.Pin
 	absorbing bool // cover.SelfUnsat: covered by everything
 
-	// Data is an arbitrary caller payload (the broker hangs its fan-out
-	// group here so delivery needs no map lookups; the router, what the
-	// far side of the link knows about the node).
+	// Data is an arbitrary caller payload (the router hangs what the far
+	// side of the link knows about the node here).
 	Data any
 }
 
@@ -70,21 +68,8 @@ func (n *Node) Expr() boolexpr.Expr { return n.expr }
 // inserted under; equivalence merges alias further keys to the node).
 func (n *Node) Key() string { return n.keys[0] }
 
-// Frontier reports whether the node is uncovered-maximal (holds an engine
-// entry when driven by the broker).
+// Frontier reports whether the node is uncovered-maximal.
 func (n *Node) Frontier() bool { return n.frontier }
-
-// Refs returns the node's live subscription count.
-func (n *Node) Refs() int { return n.refs }
-
-// Children returns the node's covered children. The slice is the DAG's
-// internal storage: callers may iterate (the broker's delivery DFS does,
-// under its read lock) but must not mutate or retain it across DAG ops.
-func (n *Node) Children() []*Node { return n.children }
-
-// Parents returns the node's recorded proven coverers (internal storage;
-// same caveats as Children). Empty iff the node is frontier.
-func (n *Node) Parents() []*Node { return n.parents }
 
 // AddResult describes the effect of an Add on the frontier.
 type AddResult struct {
@@ -93,13 +78,9 @@ type AddResult struct {
 	// filter class); false when the key or a proven-equivalent node was
 	// already live and only its refcount grew.
 	New bool
-	// Frontier is the node's status after the insert. A caller keeping an
-	// engine in sync subscribes the node's expr iff New && Frontier.
+	// Frontier is the node's status after the insert. A caller keeping a
+	// far side in sync sends the node's expr iff New && Frontier.
 	Frontier bool
-	// Demoted lists previously-frontier nodes now covered (by the new
-	// node); their engine entries must be retracted *after* any new entry
-	// is added so matching never gaps.
-	Demoted []*Node
 }
 
 // ReleaseResult describes the effect of a Release on the frontier.
@@ -107,9 +88,6 @@ type ReleaseResult struct {
 	// Died is true when the last reference was released and the node left
 	// the poset.
 	Died bool
-	// WasFrontier is true when the dying node held frontier status (its
-	// engine entry must be retracted *after* subscribing Promoted).
-	WasFrontier bool
 	// Promoted lists children orphaned by the death that rejoined the
 	// frontier (no other proven parent survives).
 	Promoted []*Node
@@ -146,9 +124,6 @@ func (d *DAG) Len() int { return len(d.nodes) }
 // FrontierLen returns the number of frontier nodes (engine entries).
 func (d *DAG) FrontierLen() int { return d.front }
 
-// Refs returns the total live subscription count across all nodes.
-func (d *DAG) Refs() int { return d.refs }
-
 // Nodes returns the live nodes in insertion order (fresh slice).
 func (d *DAG) Nodes() []*Node { return append([]*Node(nil), d.nodes...) }
 
@@ -157,19 +132,13 @@ func (d *DAG) Lookup(key string) *Node {
 	return d.byKey[key]
 }
 
-// Add interns expr under its cover.Key and returns the resulting node and
-// frontier effects. Equivalent to AddKeyed(cover.Key(expr), expr).
+// Add interns expr under its cover.Key and increments the node's
+// refcount. If the key is unknown, the poset is updated: the new node
+// either merges into a proven-equivalent live node, attaches under proven
+// coverers, or joins the frontier, demoting any frontier nodes it provably
+// covers.
 func (d *DAG) Add(expr boolexpr.Expr) AddResult {
-	return d.AddKeyed(cover.Key(expr), expr)
-}
-
-// AddKeyed interns expr under key (which must be cover.Key(expr), computed
-// by the caller — typically outside its broker lock) and increments the
-// node's refcount. If the key is unknown, the poset is updated: the new
-// node either merges into a proven-equivalent live node, attaches under
-// proven coverers, or joins the frontier, demoting any frontier nodes it
-// provably covers.
-func (d *DAG) AddKeyed(key string, expr boolexpr.Expr) AddResult {
+	key := cover.Key(expr)
 	if n, ok := d.byKey[key]; ok {
 		n.refs++
 		d.refs++
@@ -230,7 +199,6 @@ func (d *DAG) AddKeyed(key string, expr boolexpr.Expr) AddResult {
 	// violate frontier minimality. The reachability guard skips the edge
 	// in the degenerate case where proof asymmetry around a semantically
 	// equal cycle would close a loop (see addEdge).
-	var demoted []*Node
 	for _, f := range d.frontierCandidates(n) {
 		if f == n || !f.frontier || !cover.Covers(expr, f.expr) {
 			continue
@@ -240,17 +208,15 @@ func (d *DAG) AddKeyed(key string, expr boolexpr.Expr) AddResult {
 		}
 		f.frontier = false
 		d.front--
-		demoted = append(demoted, f)
 	}
-	return AddResult{Node: n, New: true, Frontier: n.frontier, Demoted: demoted}
+	return AddResult{Node: n, New: true, Frontier: n.frontier}
 }
 
 // Release decrements n's refcount. When the last reference goes, the node
 // leaves the poset: children that lose their only recorded parent are
 // re-scanned for surviving coverers and promoted to the frontier if none
-// remain — the returned ordering contract (subscribe Promoted before
-// retracting the dead node's entry) mirrors the overlay's
-// re-flood-before-retract rule so matching never gaps.
+// remain; the caller announces Promoted before it retracts the dead node
+// (the overlay's re-flood-before-retract rule), so matching never gaps.
 func (d *DAG) Release(n *Node) ReleaseResult {
 	if n.refs <= 0 {
 		panic("dag: Release of dead node")
@@ -271,7 +237,7 @@ func (d *DAG) Release(n *Node) ReleaseResult {
 		removeNode(&p.children, n)
 	}
 
-	res := ReleaseResult{Died: true, WasFrontier: n.frontier}
+	res := ReleaseResult{Died: true}
 	if n.frontier {
 		d.front--
 	}

@@ -38,8 +38,8 @@ func TestNestedBandsTrackFrontier(t *testing.T) {
 
 	// A broader band demotes the current frontier entry.
 	broadest := d.Add(bandFilter(1, 1000))
-	if !broadest.Frontier || len(broadest.Demoted) != 1 || broadest.Demoted[0] != broad.Node {
-		t.Fatalf("broadest insert: Frontier=%v Demoted=%v", broadest.Frontier, broadest.Demoted)
+	if !broadest.Frontier || broad.Node.Frontier() {
+		t.Fatalf("broadest insert: Frontier=%v, old frontier still Frontier=%v", broadest.Frontier, broad.Node.Frontier())
 	}
 	if got := d.FrontierLen(); got != 1 {
 		t.Fatalf("FrontierLen after demotion = %d, want 1", got)
@@ -55,7 +55,7 @@ func TestNestedBandsTrackFrontier(t *testing.T) {
 	// parent chain root) back into the frontier before the caller
 	// retracts the dying entry.
 	rel := d.Release(broadest.Node)
-	if !rel.Died || !rel.WasFrontier {
+	if !rel.Died {
 		t.Fatalf("release broadest: %+v", rel)
 	}
 	if len(rel.Promoted) == 0 {
@@ -79,7 +79,7 @@ func TestInterningAndRefcounts(t *testing.T) {
 	if r := d.Release(a.Node); r.Died {
 		t.Fatal("node died with a live reference")
 	}
-	if r := d.Release(a.Node); !r.Died || !r.WasFrontier {
+	if r := d.Release(a.Node); !r.Died {
 		t.Fatal("last release did not retire the node")
 	}
 	if d.Len() != 0 || d.Refs() != 0 {
@@ -152,8 +152,8 @@ func churnEvent(rng *rand.Rand) event.Event {
 	return ev
 }
 
-// dagMatch computes the matched node set the broker's delivery walk would
-// produce: frontier nodes that match expand into children, a failing node
+// dagMatch computes the matched node set of a walk down from the
+// frontier: frontier nodes that match expand into children, a failing node
 // prunes its subtree.
 func dagMatch(d *dag.DAG, ev event.Event) map[*dag.Node]bool {
 	out := make(map[*dag.Node]bool)

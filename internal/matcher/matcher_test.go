@@ -32,7 +32,6 @@ func engines() map[string]matcher.Matcher {
 		"nc-paper-assoc":   newNC(core.Options{PaperAssociation: true}),
 		"counting":         newCnt(counting.Classic),
 		"counting-variant": newCnt(counting.Variant),
-		"dag-aggregated":   newDAGEngine(),
 	}
 }
 

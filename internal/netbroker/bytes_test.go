@@ -54,10 +54,10 @@ func TestBytesPerSubscription(t *testing.T) {
 				1000+i%2500, a, a-50000, v, i%4)
 		}, 360},
 	}
-	// The serving layers' budget: a 48-byte Subscription, an 8-byte slot in
+	// The serving layers' budget: a 32-byte Subscription, an 8-byte slot in
 	// the broker's fan-out table and one in the connection's handle table,
 	// each table with its append headroom.
-	const servingBudget = 82
+	const servingBudget = 66
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			texts := make([]string, n)

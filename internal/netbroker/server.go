@@ -422,7 +422,8 @@ func (c *conn) handleSubscribe(reqID uint32, rest []byte) {
 		return
 	}
 	// The wire names a subscription by its connection-local handle, never
-	// by the engine ID, which aggregated identical filters share.
+	// by the engine ID, which the broker shares among all connections and
+	// reuses once an entry is freed.
 	h := uint64(len(c.subs)) + 1
 	if n := len(c.free); n > 0 {
 		h = c.free[n-1]

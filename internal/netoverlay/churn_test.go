@@ -165,8 +165,8 @@ func TestChurnUnsubscribeDuringFlood(t *testing.T) {
 				if n := nd.rt.NumRoutes(); n != 0 {
 					t.Fatalf("node %d still holds %d routes after churn", id, n)
 				}
-				if n, frontier := nd.bk.NumSubscriptions(), nd.bk.Stats().FrontierFilters; n != 0 || frontier != 0 {
-					t.Fatalf("node %d broker still holds %d subscriptions (%d filters)", id, n, frontier)
+				if n, entries := nd.bk.NumSubscriptions(), nd.bk.Stats().EngineEntries; n != 0 || entries != 0 {
+					t.Fatalf("node %d broker still holds %d subscriptions (%d engine entries)", id, n, entries)
 				}
 				if coverOn {
 					for i := 0; i < nd.rt.NumLinks(); i++ {

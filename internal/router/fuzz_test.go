@@ -367,7 +367,7 @@ func runCoverScript(t *testing.T, data []byte, coverOn bool, pool []boolexpr.Exp
 			t.Fatalf("cover=%v: drained, but link %d's poset holds %d filters (%d frontier)", coverOn, i, filters, frontier)
 		}
 	}
-	if n, frontier := b.NumSubscriptions(), b.Stats().FrontierFilters; n != 0 || frontier != 0 {
-		t.Fatalf("cover=%v: drained, but the broker holds %d subscriptions (%d filters)", coverOn, n, frontier)
+	if n, entries := b.NumSubscriptions(), b.Stats().EngineEntries; n != 0 || entries != 0 {
+		t.Fatalf("cover=%v: drained, but the broker holds %d subscriptions (%d engine entries)", coverOn, n, entries)
 	}
 }
