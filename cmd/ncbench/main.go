@@ -7,8 +7,8 @@
 //	ncbench -exp fig3b -swap                # with the paper's 512 MB swap model (M2)
 //	ncbench -exp fig3a -csv > fig3a.csv     # machine-readable series
 //	ncbench -exp batch                      # publish events/s vs batch size over TCP (B1)
-//	ncbench -exp cover                      # covering flood pruning vs popularity skew (C1)
 //	ncbench -exp federate                   # TCP-federated broker tree vs node count (F1)
+//	ncbench -exp obs                        # metrics overhead on the broker publish path (O1)
 //	ncbench -exp table1 -json               # any experiment's table as JSON
 //	ncbench -list                           # experiment inventory
 //

@@ -86,21 +86,9 @@ func TestRunBatchTiny(t *testing.T) {
 	}
 }
 
-func TestRunCoverTiny(t *testing.T) {
-	// Smoke the C1 experiment (overlay covering) at tiny parameters.
-	var buf bytes.Buffer
-	args := []string{"-exp", "cover", "-scale", "0.004", "-trials", "1"}
-	if err := run(args, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "C1:") || !strings.Contains(buf.String(), "skew") {
-		t.Errorf("cover output:\n%s", buf.String())
-	}
-}
-
 func TestRunJSONOutput(t *testing.T) {
 	var buf bytes.Buffer
-	args := []string{"-exp", "cover", "-scale", "0.004", "-trials", "1", "-json"}
+	args := []string{"-exp", "federate", "-scale", "0.004", "-trials", "1", "-json"}
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +99,7 @@ func TestRunJSONOutput(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("-json output is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if doc.Experiment != "cover" || len(doc.Points) == 0 {
+	if doc.Experiment != "federate" || len(doc.Points) == 0 {
 		t.Errorf("unexpected JSON document: %+v", doc)
 	}
 }

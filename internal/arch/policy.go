@@ -158,9 +158,9 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	// --- app: commands reach internals only through their declared
 	// service entry points (or the facade); engine guts are off limits ---
 	"internal/bench": {Layer: "app",
-		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/predicate", "internal/subtree", "internal/workload"}},
-	// Fault-injection plumbing (stallable TCP relay + delivery oracle) for
-	// chaos experiments and transport tests; pure stdlib, no module deps.
+		Allow: []string{"internal/boolexpr", "internal/broker", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/predicate", "internal/subtree", "internal/workload"}},
+	// Fault-injection plumbing (a stallable TCP relay) for transport tests;
+	// pure stdlib, no module deps.
 	"internal/chaos": {Layer: "app"},
 	"cmd/ncbroker": {Layer: "app",
 		Allow: []string{"internal/broker", "internal/netbroker", "internal/obs"},

@@ -111,9 +111,7 @@ func Experiments() []Experiment {
 		Experiment{ID: "ablation-encoding", Title: "A2: paper vs compact tree encoding", table: encodingTable},
 		Experiment{ID: "ablation-access", Title: "A3: access-clause vs paper candidacy (counted work)", table: accessTable},
 		Experiment{ID: "batch", Title: "B1: batched publish events/s and p50/p99 vs batch size over TCP (± churn)", table: batchTable},
-		Experiment{ID: "cover", Title: "C1: covering flood pruning vs popularity skew", table: coverTable},
 		Experiment{ID: "federate", Title: "F1: federated broker tree over loopback TCP — events/s and flood msgs vs node count (± cover)", table: federateTable},
-		Experiment{ID: "chaos", Title: "FC1: chaos federation — bounded spill queues, shedding and slow-peer eviction under a stalled link", table: chaosTable},
 		Experiment{ID: "obs", Title: "O1: metrics overhead on the broker publish path (base vs instrumented, latency quantiles)", table: obsTable},
 	)
 }

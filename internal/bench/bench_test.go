@@ -2,13 +2,17 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"noncanon/internal/counting"
+	"noncanon/internal/event"
 	"noncanon/internal/memmodel"
+	"noncanon/internal/netoverlay"
 	"noncanon/internal/predicate"
 )
 
@@ -22,8 +26,7 @@ func TestExperimentsRegistry(t *testing.T) {
 	wantIDs := []string{
 		"table1", "fig3a", "fig3b", "fig3c", "fig3d", "fig3e", "fig3f",
 		"memory", "crossover", "ablation-reorder", "ablation-encoding",
-		"ablation-access", "batch", "cover", "federate", "chaos",
-		"obs",
+		"ablation-access", "batch", "federate", "obs",
 	}
 	if len(exps) != len(wantIDs) {
 		t.Fatalf("%d experiments, want %d", len(exps), len(wantIDs))
@@ -142,6 +145,52 @@ func TestTablePrinterGolden(t *testing.T) {
 		if buf.String() != tt.want {
 			t.Errorf("%s:\n%s\nwant:\n%s", tt.format, buf.String(), tt.want)
 		}
+	}
+}
+
+// TestRunJSON runs experiments end to end as `ncbench -json` does: one
+// point per table row, numeric cells as JSON numbers, text cells as
+// strings.
+func TestRunJSON(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := Config{Out: &buf, Scale: 0.0005, Trials: 1, Seed: 7}
+	e, ok := Lookup("memory")
+	if !ok {
+		t.Fatal("memory experiment not registered")
+	}
+	if err := RunJSON(e, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var res JSONResult
+	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
+	}
+	if res.Experiment != "memory" {
+		t.Errorf("experiment = %q", res.Experiment)
+	}
+	if len(res.Points) != 3 {
+		t.Fatalf("%d points, want |p| = 6, 8, 10", len(res.Points))
+	}
+	for _, key := range []string{"preds", "nc_bytes_per_sub", "counting_bytes_per_sub", "ratio"} {
+		if _, ok := res.Points[0][key]; !ok {
+			t.Errorf("point missing %q: %v", key, res.Points[0])
+		}
+	}
+	if _, isNum := res.Points[0]["nc_bytes_per_sub"].(float64); !isNum {
+		t.Errorf("nc_bytes_per_sub not numeric: %T", res.Points[0]["nc_bytes_per_sub"])
+	}
+
+	// Every experiment emits JSON, table1's parameter rows included.
+	buf.Reset()
+	table1, _ := Lookup("table1")
+	if err := RunJSON(table1, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
+		t.Fatalf("table1 JSON: %v\n%s", err, buf.String())
+	}
+	if len(res.Points) != 5 || res.Points[3]["value"] != "AND, OR" {
+		t.Errorf("table1 JSON points: %v", res.Points)
 	}
 }
 
@@ -383,6 +432,65 @@ func TestPaperClaims(t *testing.T) {
 	}
 }
 
+// TestCoverPrunesFlood is C1's claim on counted link messages: 800
+// subscribers draw nested price bands by a power law and register at
+// random nodes of a 15-node binary tree, once without and once with
+// netoverlay.Options.Cover. Without covering every subscription crosses
+// all 14 links. With it, forwards shadowed by a broader filter on the
+// same link are suppressed, the more so as the skew concentrates
+// popularity on broad filters. Which registration meets which at a node
+// depends on scheduling, so the covered count is bounded, not pinned.
+func TestCoverPrunesFlood(t *testing.T) {
+	const subs, nodes = 800, 15
+	pool := coverPool(subs)
+	flood := func(t *testing.T, ranks []int, cover bool) netoverlay.Stats {
+		nw, err := netoverlay.NewNetwork(nodes, netoverlay.TreeEdges(nodes, 2), netoverlay.Options{Cover: cover})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nw.Close()
+		rng := rand.New(rand.NewSource(108))
+		for _, r := range ranks {
+			if _, err := nw.Node(rng.Intn(nodes)).Subscribe(coverFilter(r, pool), func(event.Event) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nw.Flush()
+		return nw.Stats()
+	}
+	floodOn := map[float64]uint64{}
+	// maxOn is about 1.2× the largest flood_on of 120 runs (race and not,
+	// GOMAXPROCS 1, 2 and 4), which read 776–823, 540–587 and 402–418.
+	for _, c := range []struct {
+		skew  float64
+		maxOn uint64
+	}{
+		{0, 1000},
+		{1.1, 720},
+		{2.0, 520},
+	} {
+		t.Run(fmt.Sprintf("skew=%.1f", c.skew), func(t *testing.T) {
+			ranks := powerRanks(rand.New(rand.NewSource(7+int64(c.skew*1000))), c.skew, subs, pool)
+			off, on := flood(t, ranks, false), flood(t, ranks, true)
+			if off.SubscriptionMsgs != subs*(nodes-1) {
+				t.Errorf("flood_off = %d, want %d: every subscription over every link", off.SubscriptionMsgs, subs*(nodes-1))
+			}
+			if on.CoverSuppressed == 0 {
+				t.Errorf("covering suppressed nothing (flood_on %d)", on.SubscriptionMsgs)
+			}
+			if on.SubscriptionMsgs > c.maxOn {
+				t.Errorf("flood_on = %d, want <= %d", on.SubscriptionMsgs, c.maxOn)
+			}
+			t.Logf("flood_off %d flood_on %d suppressed %d", off.SubscriptionMsgs, on.SubscriptionMsgs, on.CoverSuppressed)
+			floodOn[c.skew] = on.SubscriptionMsgs
+		})
+	}
+	uniform, skewed := floodOn[0], floodOn[2.0]
+	if uniform > 0 && skewed > 0 && skewed >= uniform {
+		t.Errorf("flood_on %d at skew 2.0, want below %d at skew 0: skew should concentrate on broad filters", skewed, uniform)
+	}
+}
+
 // fig3Ordering checks Fig. 3's ordering for one subplot at two sweep sizes:
 // per event, the non-canonical engine's phase-two work (candidate
 // evaluations plus leaves inspected) is below the counting variant's
@@ -468,13 +576,14 @@ func TestAllExperimentsRunTiny(t *testing.T) {
 		"ablation-encoding": "encoding,tree_bytes,time_s",
 		"ablation-access":   "preds_per_sub,listing,phase1_preds_per_event,candidates_per_event,leaves_per_event,assoc_entries_per_sub",
 		"batch":             "batch,quiet_ev_s,quiet_p50_s,quiet_p99_s,churn_ev_s,churn_p50_s,churn_p99_s,churn_ops_s",
-		"cover":             "skew,flood_off,flood_on,suppressed",
 		"federate":          "nodes,events_s_off,events_s_on,flood_off,flood_on,suppressed,delivered",
-		"chaos":             "phase,events,expected,delivered,missing,duplicated,shed,spilled_bytes,peak_queued_bytes,evicted,heap_delta_bytes",
 		"obs":               "subs,base_ev_s,metrics_ev_s,delta_pct,match_p50_us,match_p99_us,publish_p99_us",
 	}
 	for _, v := range Fig3Variants() {
 		headers[v.ID] = headers["crossover"]
+	}
+	if n := len(Experiments()); n != len(headers) {
+		t.Errorf("%d experiments registered, %d headers pinned", n, len(headers))
 	}
 	for _, exp := range Experiments() {
 		exp := exp

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,30 +20,7 @@ func TestCoverFilterPool(t *testing.T) {
 	}
 }
 
-func TestMeasureCover(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := Config{Out: &buf, Scale: 0.004, Trials: 1, Seed: 7}
-	res, err := MeasureCover(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != len(coverSkews()) {
-		t.Fatalf("%d points, want %d", len(res.Points), len(coverSkews()))
-	}
-	for _, p := range res.Points {
-		// The headline claim of C1, at every skew setting: covering prunes
-		// the subscription flood.
-		if p.FloodMsgsOn >= p.FloodMsgsOff {
-			t.Errorf("skew %.2f: covering did not prune the flood (%d vs %d)",
-				p.Skew, p.FloodMsgsOn, p.FloodMsgsOff)
-		}
-		if p.Suppressed == 0 {
-			t.Errorf("skew %.2f: no suppressions recorded", p.Skew)
-		}
-	}
-}
-
-// TestPowerRanksLaw checks the shared C1/F1 sampler: ranks stay in the
+// TestPowerRanksLaw checks the sampler F1 and TestCoverPrunesFlood share: ranks stay in the
 // pool, skew 0 is uniform, and a skew above 1 concentrates draws on the
 // low (broad) ranks as 1/(r+1)^skew does.
 func TestPowerRanksLaw(t *testing.T) {
@@ -68,48 +43,5 @@ func TestPowerRanksLaw(t *testing.T) {
 				t.Errorf("skew %.1f: rank %d drawn %d times, want ≈ %.0f", skew, r, c, want)
 			}
 		}
-	}
-}
-
-func TestRunJSON(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := Config{Out: &buf, Scale: 0.0005, Trials: 1, Seed: 7}
-	e, ok := Lookup("cover")
-	if !ok {
-		t.Fatal("cover experiment not registered")
-	}
-	if err := RunJSON(e, cfg); err != nil {
-		t.Fatal(err)
-	}
-	var res JSONResult
-	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if res.Experiment != "cover" {
-		t.Errorf("experiment = %q", res.Experiment)
-	}
-	if len(res.Points) != len(coverSkews()) {
-		t.Fatalf("%d points, want %d", len(res.Points), len(coverSkews()))
-	}
-	for _, key := range []string{"skew", "flood_off", "flood_on", "suppressed"} {
-		if _, ok := res.Points[0][key]; !ok {
-			t.Errorf("point missing %q: %v", key, res.Points[0])
-		}
-	}
-	if _, isNum := res.Points[0]["flood_on"].(float64); !isNum {
-		t.Errorf("flood_on not numeric: %T", res.Points[0]["flood_on"])
-	}
-
-	// Every experiment emits JSON, table1's parameter rows included.
-	buf.Reset()
-	table1, _ := Lookup("table1")
-	if err := RunJSON(table1, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
-		t.Fatalf("table1 JSON: %v\n%s", err, buf.String())
-	}
-	if len(res.Points) != 5 || res.Points[3]["value"] != "AND, OR" {
-		t.Errorf("table1 JSON points: %v", res.Points)
 	}
 }

@@ -48,7 +48,7 @@ func federateNodeCounts() []int { return []int{3, 7, 15} }
 // MeasureFederate measures what broker federation costs and covering buys
 // when the brokers are genuinely distributed: N netoverlay brokers in one
 // process, linked into a binary tree over real loopback TCP sockets,
-// carrying the C1 workload (power-law-popular nested band filters). For every
+// carrying power-law-popular nested band filters (coverFilter). For every
 // point the measured deliveries are checked against a naive evaluation
 // oracle — every matching (subscriber, event) pair exactly once, federation
 // wide — so the experiment doubles as an end-to-end correctness smoke.
@@ -114,7 +114,7 @@ func federateRun(cfg Config, nodes, subs, events, pool int, coverOn bool) (event
 		}
 	}
 
-	// Registration: the C1 draw, homed round the tree. counts[s][e] tracks
+	// Registration: the power-law draw, homed round the tree. counts[s][e] tracks
 	// exactly-once delivery per (subscriber, event) pair.
 	rng := rand.New(rand.NewSource(cfg.Seed + 211))
 	ranks := powerRanks(rng, 1.1, subs, pool)

@@ -1,7 +1,5 @@
-// Package chaos provides fault-injection plumbing for federation
-// experiments: a stallable TCP proxy that simulates slow, frozen and
-// half-open peers, and a delivery oracle that checks exactly-once delivery
-// under faults.
+// Package chaos provides fault-injection plumbing for transport tests: a
+// stallable TCP proxy that simulates slow, frozen and half-open peers.
 //
 // The proxy is deliberately dumb — it relays bytes and, when stalled,
 // simply stops, keeping both TCP connections open but silent. That is
@@ -11,7 +9,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -184,72 +181,4 @@ func (p *Proxy) Close() error {
 	p.Sever()
 	p.wg.Wait()
 	return err
-}
-
-// Oracle tracks per-sequence delivery counts so chaos runs can distinguish
-// the acceptable fault losses (shed while congested, down while detached)
-// from the unacceptable ones: duplicate delivery, or loss while healthy.
-type Oracle struct {
-	mu     sync.Mutex
-	counts map[uint64]int
-}
-
-// NewOracle builds an empty oracle.
-func NewOracle() *Oracle {
-	return &Oracle{counts: make(map[uint64]int)}
-}
-
-// Record notes one delivery of the sequence number.
-func (o *Oracle) Record(seq uint64) {
-	o.mu.Lock()
-	o.counts[seq]++
-	o.mu.Unlock()
-}
-
-// Deliveries returns how often seq was delivered.
-func (o *Oracle) Deliveries(seq uint64) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.counts[seq]
-}
-
-// Verdict summarises an exactly-once check over a sequence range.
-type Verdict struct {
-	Expected   int // sequence numbers checked
-	Delivered  int // delivered exactly once
-	Missing    int // never delivered
-	Duplicated int // delivered more than once
-}
-
-// Err returns nil for a clean exactly-once verdict and a descriptive error
-// otherwise.
-func (v Verdict) Err() error {
-	if v.Missing == 0 && v.Duplicated == 0 {
-		return nil
-	}
-	return errors.New(v.String())
-}
-
-func (v Verdict) String() string {
-	return fmt.Sprintf("chaos: of %d expected events %d delivered once, %d missing, %d duplicated",
-		v.Expected, v.Delivered, v.Missing, v.Duplicated)
-}
-
-// Verify checks that every sequence number in [from, to) was delivered
-// exactly once.
-func (o *Oracle) Verify(from, to uint64) Verdict {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	v := Verdict{Expected: int(to - from)}
-	for seq := from; seq < to; seq++ {
-		switch n := o.counts[seq]; {
-		case n == 0:
-			v.Missing++
-		case n == 1:
-			v.Delivered++
-		default:
-			v.Duplicated++
-		}
-	}
-	return v
 }

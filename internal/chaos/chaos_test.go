@@ -92,25 +92,3 @@ func TestProxyRelayStallResume(t *testing.T) {
 		t.Fatalf("echo after sever: %v", err)
 	}
 }
-
-func TestOracleVerdicts(t *testing.T) {
-	o := NewOracle()
-	for seq := uint64(0); seq < 10; seq++ {
-		o.Record(seq)
-	}
-	o.Record(3) // duplicate
-	// 10..14 never delivered.
-	v := o.Verify(0, 15)
-	if v.Expected != 15 || v.Delivered != 9 || v.Missing != 5 || v.Duplicated != 1 {
-		t.Fatalf("verdict = %+v", v)
-	}
-	if err := v.Err(); err == nil {
-		t.Fatal("dirty verdict has nil Err")
-	}
-	if err := o.Verify(0, 3).Err(); err != nil {
-		t.Fatalf("clean verdict Err = %v", err)
-	}
-	if n := o.Deliveries(3); n != 2 {
-		t.Fatalf("Deliveries(3) = %d", n)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,7 +245,8 @@ func TestStatsReadsPeersAfterEvictions(t *testing.T) {
 // stalled peer's spill queue stops growing at the watermark (events shed
 // and counted, queue bytes bounded), and once congested past the deadline
 // the peer is evicted with full route retraction while a healthy peer's
-// deliveries continue.
+// deliveries continue. A replacement broker under the evicted node ID then
+// rejoins and gets every new event exactly once.
 func TestSlowPeerShedsThenEvicted(t *testing.T) { stormStalledPeers(t, 1) }
 
 // TestLinkClocksEvictOnlyTheirLinks runs the storm against two stalled
@@ -254,20 +254,36 @@ func TestSlowPeerShedsThenEvicted(t *testing.T) { stormStalledPeers(t, 1) }
 // once, and the healthy link is left alone.
 func TestLinkClocksEvictOnlyTheirLinks(t *testing.T) { stormStalledPeers(t, 2) }
 
-// stormStalledPeers links a hub to `stalled` peers behind stalled relays
+// stormStalledPeers runs the storm with covering off and on. With covering
+// on, two stalled peers' identical wide bands share one node of the hub's
+// poset for the healthy link; evicting the peer whose ID names that node
+// re-announces it under the survivor's ID before retracting the old name.
+func stormStalledPeers(t *testing.T, stalled int) {
+	for _, cover := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cover=%v", cover), func(t *testing.T) { stormStalledCover(t, stalled, cover) })
+	}
+}
+
+// stormStalledCover links a hub to `stalled` peers behind stalled relays
 // and one healthy peer, storms events only the stalled peers want until
 // every stalled link is evicted, and checks shedding, the queue bound and
-// that the healthy peer still gets exactly its events.
-func stormStalledPeers(t *testing.T, stalled int) {
+// that the healthy peer gets each of its events exactly once: heartbeats
+// during the storm, and a fresh subscription's events after eviction. With
+// one stalled peer, a replacement under the evicted node ID then rejoins.
+func stormStalledCover(t *testing.T, stalled int, cover bool) {
 	const highWater = 32 << 10
 	hub := startBrokerOpts(t, Options{
 		NodeID:             1,
+		Cover:              cover,
 		LinkHighWater:      highWater,
 		CongestionDeadline: 150 * time.Millisecond,
 		PingInterval:       -1,
 		ReadIdleTimeout:    -1, // isolate eviction: only congestion may kill links here
 		Logf:               t.Logf,
 	})
+	quiet := func(id uint32) Options {
+		return Options{NodeID: id, Cover: cover, PingInterval: -1, ReadIdleTimeout: -1, Logf: t.Logf}
+	}
 	var proxies []*chaos.Proxy
 	brokers := []*Broker{hub}
 	for i := 0; i < stalled; i++ {
@@ -276,7 +292,7 @@ func stormStalledPeers(t *testing.T, stalled int) {
 			t.Fatal(err)
 		}
 		defer proxy.Close()
-		slow := startBrokerOpts(t, Options{NodeID: uint32(2 + i), PingInterval: -1, ReadIdleTimeout: -1, Logf: t.Logf})
+		slow := startBrokerOpts(t, quiet(uint32(2+i)))
 		if err := slow.Connect(proxy.Addr()); err != nil {
 			t.Fatal(err)
 		}
@@ -286,14 +302,12 @@ func stormStalledPeers(t *testing.T, stalled int) {
 		}
 		proxies, brokers = append(proxies, proxy), append(brokers, slow)
 	}
-	healthy := startBrokerOpts(t, Options{NodeID: 100, PingInterval: -1, ReadIdleTimeout: -1, Logf: t.Logf})
+	healthy := startBrokerOpts(t, quiet(100))
 	if err := healthy.Connect(hub.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
-	var healthyGot atomic.Uint64
-	if _, err := healthy.Subscribe(band(1, 10), func(event.Event) {
-		healthyGot.Add(1)
-	}); err != nil {
+	got := newRecorder()
+	if _, err := healthy.Subscribe(band(1, 10), got.handler("heartbeat")); err != nil {
 		t.Fatal(err)
 	}
 	Flush(append(brokers, healthy)...)
@@ -305,16 +319,25 @@ func stormStalledPeers(t *testing.T, stalled int) {
 	// fixed event count or a first-shed stop would pass on an unbounded
 	// queue too. The storm events (price 500) match only the slow peers'
 	// wide filter, so the queue-byte bound is the stalled links' alone.
+	// Every tenth storm event is followed by an unpadded heartbeat
+	// (price 5) that the healthy peer's band matches too.
 	for _, p := range proxies {
 		p.Stall()
 	}
 	pad := strings.Repeat("x", 8<<10)
 	var st Stats
 	var maxQueued uint64
+	heartbeats := 0
 	for i := 0; i < 20000; i++ {
 		ev := bandEvent(1, 500).Set("pad", pad).Set("seq", int64(i))
 		if err := hub.Publish(ev); err != nil {
 			t.Fatal(err)
+		}
+		if i%10 == 0 {
+			if err := hub.Publish(bandEvent(1, 5).Set("seq", int64(heartbeats))); err != nil {
+				t.Fatal(err)
+			}
+			heartbeats++
 		}
 		st = hub.Stats()
 		if st.QueuedBytes > maxQueued {
@@ -331,12 +354,6 @@ func stormStalledPeers(t *testing.T, stalled int) {
 	if st.Evicted != uint64(stalled) {
 		t.Fatalf("Evicted = %d after storm, want %d: %+v", st.Evicted, stalled, st)
 	}
-	for _, b := range brokers[1:] {
-		name := peerInstrument("netoverlay_peer_evicted_total", b.NodeID())
-		if s, ok := hub.Metrics().Get(name); !ok || s.Value != 1 {
-			t.Errorf("%s = %+v (%v), want 1: each stalled link evicted once", name, s, ok)
-		}
-	}
 	if st.Shed == 0 {
 		t.Errorf("Shed = 0 after a storm into a stalled peer: %+v", st)
 	}
@@ -351,19 +368,102 @@ func stormStalledPeers(t *testing.T, stalled int) {
 	if st.Peers != 1 {
 		t.Fatalf("Peers = %d after eviction, want 1 (healthy only)", st.Peers)
 	}
-
-	// Post-eviction, a matching event forwards only to the healthy peer and
-	// still arrives there.
+	t.Logf("storm: %d heartbeats, %d shed, peak queue %d B", heartbeats, st.Shed, maxQueued)
 	Flush(hub, healthy)
-	before, healthyBefore := hub.Stats().Forwarded, healthyGot.Load()
-	if err := hub.Publish(bandEvent(1, 5).Set("seq", int64(90001))); err != nil {
+	checkOnce(t, "storm heartbeats", got.snapshot()["heartbeat"], heartbeats)
+
+	// Post-eviction, a fresh subscription at the healthy peer gets each
+	// of its events exactly once, and each event forwards to that peer
+	// alone. Price 15 is outside the healthy peer's first band but inside
+	// the new one and the evicted peers' wide bands, so a route the
+	// eviction left behind would add forwards.
+	if _, err := healthy.Subscribe(band(1, 20), got.handler("fresh")); err != nil {
 		t.Fatal(err)
 	}
 	Flush(hub, healthy)
-	if d := hub.Stats().Forwarded - before; d != 1 {
-		t.Errorf("hub forwarded %d copies after eviction, want 1 (healthy peer only)", d)
+	const freshEvents = 50
+	before := hub.Stats().Forwarded
+	for i := 0; i < freshEvents; i++ {
+		if err := hub.Publish(bandEvent(1, 15).Set("seq", int64(i))); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if healthyGot.Load() != healthyBefore+1 {
-		t.Errorf("healthy subscriber deliveries = %d, want %d", healthyGot.Load(), healthyBefore+1)
+	Flush(hub, healthy)
+	if d := hub.Stats().Forwarded - before; d != freshEvents {
+		t.Errorf("hub forwarded %d copies of %d events after eviction, want one each (healthy peer only)", d, freshEvents)
+	}
+	checkOnce(t, "post-eviction subscription", got.snapshot()["fresh"], freshEvents)
+
+	if stalled == 1 {
+		// The evicted broker dies, and a replacement under its node ID
+		// connects directly and re-subscribes. It and a wide subscription
+		// at the healthy peer each get every new event exactly once.
+		brokers[1].Close()
+		proxies[0].Close()
+		reborn := startBrokerOpts(t, quiet(brokers[1].NodeID()))
+		if err := reborn.Connect(hub.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reborn.Subscribe(band(1, 1000), got.handler("reborn")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := healthy.Subscribe(band(1, 1000), got.handler("wide")); err != nil {
+			t.Fatal(err)
+		}
+		Flush(hub, healthy, reborn)
+		const recoverEvents = 100
+		for i := 0; i < recoverEvents; i++ {
+			if err := hub.Publish(bandEvent(1, 900).Set("seq", int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		Flush(hub, healthy, reborn)
+		seen := got.snapshot()
+		checkOnce(t, "replacement broker", seen["reborn"], recoverEvents)
+		checkOnce(t, "healthy peer after recovery", seen["wide"], recoverEvents)
+		brokers = append(brokers, reborn)
+	}
+	for _, b := range append(brokers, healthy) {
+		if bst := b.Stats(); bst.HopDropped != 0 || bst.InstallErrors != 0 {
+			t.Errorf("node %d: %d hop drops, %d install errors, want none", b.NodeID(), bst.HopDropped, bst.InstallErrors)
+		}
+	}
+
+	// A link clock counts its eviction after the broker-wide counter the
+	// storm loop watched, so the per-link counters are read only once
+	// Close has waited for every clock: each stalled link was evicted
+	// once, by its own clock, and a replacement under its ID never was.
+	hub.Close()
+	for id := uint32(2); id < uint32(2+stalled); id++ {
+		name := peerInstrument("netoverlay_peer_evicted_total", id)
+		if s, ok := hub.Metrics().Get(name); !ok || s.Value != 1 {
+			t.Errorf("%s = %+v (%v), want 1: each stalled link evicted once", name, s, ok)
+		}
+	}
+}
+
+// checkOnce fails unless seqs holds each of 0 … n-1 exactly once.
+func checkOnce(t *testing.T, what string, seqs []int64, n int) {
+	t.Helper()
+	counts := make([]int, n)
+	stray := 0
+	for _, s := range seqs {
+		if s < 0 || s >= int64(n) {
+			stray++
+			continue
+		}
+		counts[s]++
+	}
+	missing, duplicated := 0, 0
+	for _, c := range counts {
+		switch {
+		case c == 0:
+			missing++
+		case c > 1:
+			duplicated++
+		}
+	}
+	if missing+duplicated+stray > 0 {
+		t.Errorf("%s: of %d events %d missing, %d duplicated, %d unexpected", what, n, missing, duplicated, stray)
 	}
 }
