@@ -19,10 +19,12 @@
 //     testing.AllocsPerRun budgets beside the annotated functions gate
 //     allocation, by measuring it.
 //
-// The suite is built on go/parser, go/ast, go/types and `go list -json`
-// only. TestRepositoryIsClean runs every rule over the real tree, which
-// must be clean, and the other tests run each rule against checked-in
-// violation fixtures under testdata.
+// The suite is built on go/parser, go/ast, go/types and `go list -export
+// -json` only: Load (load.go) typechecks module sources against the
+// compiler's export data for their imports, standard library included.
+// TestRepositoryIsClean runs every rule over the real tree, which must
+// be clean, and the other tests run each rule against checked-in
+// fixtures under testdata, loaded by the same Load.
 package arch
 
 import (

@@ -1,7 +1,6 @@
 package arch
 
 import (
-	"go/token"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,58 +9,20 @@ import (
 	"testing"
 )
 
-// loadFixture loads testdata/src/<name> as a single-package module named
-// "fixture", parsed and typechecked exactly like the real loader (stdlib
-// from GOROOT source). Fixtures live under testdata so the go tool — and
-// therefore TestRepositoryIsClean's whole-module load — never sees them.
+// loadFixture loads testdata/src/<name> through Load, exactly as
+// TestRepositoryIsClean loads the real tree, and returns its one package.
+// Fixtures live under testdata so that ./... never matches them; go list
+// still lists a testdata directory named explicitly.
 func loadFixture(t *testing.T, name string) (*Module, *Package) {
 	t.Helper()
-	mod := newFixtureModule(t, "fixture")
-	p := addFixturePackage(t, mod, "fixture/"+name, name)
-	mod.typecheck()
-	requireTypechecked(t, mod)
-	return mod, p
-}
-
-func newFixtureModule(t *testing.T, path string) *Module {
-	t.Helper()
-	return &Module{Path: path, Fset: token.NewFileSet(), byPath: map[string]*Package{}}
-}
-
-func addFixturePackage(t *testing.T, mod *Module, importPath, subdir string) *Package {
-	t.Helper()
-	dir, err := filepath.Abs(filepath.Join("testdata", "src", subdir))
+	mod, err := Load(".", "./testdata/src/"+name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if len(mod.Packages) != 1 {
+		t.Fatalf("fixture %s loaded %d module packages, want 1", name, len(mod.Packages))
 	}
-	p := &Package{ImportPath: importPath, Dir: dir}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".go") {
-			p.GoFiles = append(p.GoFiles, e.Name())
-		}
-	}
-	if len(p.GoFiles) == 0 {
-		t.Fatalf("no fixture sources in %s", dir)
-	}
-	if err := p.parse(mod.Fset); err != nil {
-		t.Fatal(err)
-	}
-	mod.Packages = append(mod.Packages, p)
-	mod.byPath[importPath] = p
-	return p
-}
-
-func requireTypechecked(t *testing.T, mod *Module) {
-	t.Helper()
-	for _, p := range mod.Packages {
-		for _, err := range p.TypeErrs {
-			t.Fatalf("fixture %s does not typecheck: %v", p.ImportPath, err)
-		}
-	}
+	return mod, mod.Packages[0]
 }
 
 // fixtureLine returns the 1-based line in the package's (single) source

@@ -57,9 +57,6 @@ func hasHotpathDirective(fd *ast.FuncDecl) bool {
 
 // isMapType reports whether the expression's type is (underlying) a map.
 func isMapType(p *Package, e ast.Expr) bool {
-	if p.Info == nil {
-		return false
-	}
 	tv, ok := p.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false

@@ -10,12 +10,9 @@ import (
 // syntheticModule builds an in-memory module (no files on disk) for the
 // layering checker, which only needs import paths and the module path.
 func syntheticModule(pkgs map[string][]string) *Module {
-	mod := &Module{Path: "example.com/m", Fset: token.NewFileSet(), byPath: map[string]*Package{}}
+	mod := &Module{Path: "example.com/m", Fset: token.NewFileSet()}
 	for rel, imports := range pkgs {
-		path := "example.com/m/" + rel
-		p := &Package{ImportPath: path, Imports: imports}
-		mod.Packages = append(mod.Packages, p)
-		mod.byPath[path] = p
+		mod.Packages = append(mod.Packages, &Package{ImportPath: "example.com/m/" + rel, Imports: imports})
 	}
 	return mod
 }

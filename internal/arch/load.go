@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
 )
@@ -21,99 +21,47 @@ type Package struct {
 	ImportPath string
 	// Dir is the package directory on disk.
 	Dir string
-	// Name is the package name ("main" for commands).
-	Name string
 	// GoFiles are the non-test Go source files (base names).
 	GoFiles []string
 	// Imports are the direct non-test imports.
 	Imports []string
 	// Files are the parsed sources, aligned with GoFiles.
 	Files []*ast.File
-	// Types is the typechecked package; nil when typechecking failed.
-	Types *types.Package
-	// Info carries use/selection/type facts for the rule passes.
+	// Info carries the use and type facts the rule passes read.
 	Info *types.Info
-	// TypeErrs collects typechecking errors (empty on a building tree).
-	TypeErrs []error
 }
 
 // Module is a loaded set of packages sharing one FileSet.
 type Module struct {
 	// Path is the module path (e.g. noncanon).
 	Path string
-	// Dir is the module root directory.
-	Dir string
 	// Packages are the loaded packages, in go list order.
 	Packages []*Package
 	// Fset positions every parsed file.
 	Fset *token.FileSet
-
-	byPath map[string]*Package
 }
 
-// Pkg returns the package with the given import path, or nil.
-func (m *Module) Pkg(path string) *Package { return m.byPath[path] }
-
-// listJSON mirrors the `go list -json` fields the loader consumes.
+// listJSON is one package of `go list -json` output.
 type listJSON struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	Imports    []string
-	Standard   bool
-	Module     *struct{ Path string }
+	Package
+	Name     string
+	Export   string // compiled export data; empty for unsafe
+	Standard bool
+	Module   *struct{ Path string }
 }
 
-// Load runs `go list -json patterns...` in dir, parses every listed module
-// package and typechecks them in dependency order. Standard-library
-// imports are typechecked from GOROOT source (no compiled export data or
-// third-party loader needed), so Load works with exactly the toolchain
-// that builds the tree.
+// Load runs `go list -export -deps -json patterns...` in dir, parses every
+// module package it lists and typechecks each one against the compiler's
+// export data for its imports: the files go list names in Export, which
+// building them leaves in the build cache. Load fails if go list fails,
+// which it does on a package that does not compile, or on any parse or
+// type error, so every returned Package has its Info.
 func Load(dir string, patterns ...string) (*Module, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	metas, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-
-	mod := &Module{Dir: dir, Fset: token.NewFileSet(), byPath: map[string]*Package{}}
-	for _, m := range metas {
-		if m.Standard || m.Name == "" {
-			continue
-		}
-		if mod.Path == "" && m.Module != nil {
-			mod.Path = m.Module.Path
-		}
-		p := &Package{
-			ImportPath: m.ImportPath,
-			Dir:        m.Dir,
-			Name:       m.Name,
-			GoFiles:    m.GoFiles,
-			Imports:    m.Imports,
-		}
-		mod.Packages = append(mod.Packages, p)
-		mod.byPath[p.ImportPath] = p
-	}
-	if mod.Path == "" {
-		return nil, fmt.Errorf("arch: no module packages matched %v in %s", patterns, dir)
-	}
-
-	for _, p := range mod.Packages {
-		if err := p.parse(mod.Fset); err != nil {
-			return nil, err
-		}
-	}
-	mod.typecheck()
-	return mod, nil
-}
-
-// goList shells out to the go tool and decodes its JSON stream.
-func goList(dir string, patterns []string) ([]listJSON, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append([]string{"list", "-export", "-deps",
+		"-json=ImportPath,Dir,Name,GoFiles,Imports,Export,Standard,Module"}, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -121,22 +69,44 @@ func goList(dir string, patterns []string) ([]listJSON, error) {
 	if err != nil {
 		return nil, fmt.Errorf("arch: go list %v: %v\n%s", patterns, err, stderr.String())
 	}
-	var metas []listJSON
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var m listJSON
-		if err := dec.Decode(&m); err == io.EOF {
-			break
-		} else if err != nil {
+
+	mod := &Module{Fset: token.NewFileSet()}
+	export := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		m := new(listJSON)
+		if err := dec.Decode(m); err != nil {
 			return nil, fmt.Errorf("arch: decode go list output: %v", err)
 		}
-		metas = append(metas, m)
+		export[m.ImportPath] = m.Export
+		if m.Standard || m.Name == "" {
+			continue
+		}
+		if mod.Path == "" && m.Module != nil {
+			mod.Path = m.Module.Path
+		}
+		mod.Packages = append(mod.Packages, &m.Package)
 	}
-	return metas, nil
+	if mod.Path == "" {
+		return nil, fmt.Errorf("arch: no module packages matched %v in %s", patterns, dir)
+	}
+
+	imp := importer.ForCompiler(mod.Fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("arch: no export data for %s", path)
+		}
+		return os.Open(export[path])
+	})
+	for _, p := range mod.Packages {
+		if err := p.check(mod.Fset, imp); err != nil {
+			return nil, err
+		}
+	}
+	return mod, nil
 }
 
-// parse reads the package's sources with comments.
-func (p *Package) parse(fset *token.FileSet) error {
+// check parses the package's sources with comments and typechecks them,
+// failing on the first parse or type error.
+func (p *Package) check(fset *token.FileSet, imp types.Importer) error {
 	for _, name := range p.GoFiles {
 		path := filepath.Join(p.Dir, name)
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -145,73 +115,10 @@ func (p *Package) parse(fset *token.FileSet) error {
 		}
 		p.Files = append(p.Files, f)
 	}
+	p.Info = &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: imp}
+	if _, err := conf.Check(p.ImportPath, fset, p.Files, p.Info); err != nil {
+		return fmt.Errorf("arch: typecheck %s: %v", p.ImportPath, err)
+	}
 	return nil
-}
-
-// typecheck checks every package in dependency order over a shared source
-// importer, recording errors rather than failing: a tree that builds has
-// none, and the rule passes degrade gracefully on one that does not.
-func (m *Module) typecheck() {
-	// The source importer compiles stdlib dependencies from GOROOT source;
-	// disable cgo so packages like net resolve through their pure-Go paths.
-	build.Default.CgoEnabled = false
-	std := importer.ForCompiler(m.Fset, "source", nil)
-	imp := &moduleImporter{mod: m, std: std}
-
-	var check func(p *Package)
-	seen := map[*Package]bool{}
-	check = func(p *Package) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		for _, dep := range p.Imports {
-			if d := m.byPath[dep]; d != nil {
-				check(d)
-			}
-		}
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		conf := types.Config{
-			Importer: imp,
-			Error:    func(err error) { p.TypeErrs = append(p.TypeErrs, err) },
-		}
-		tp, _ := conf.Check(p.ImportPath, m.Fset, p.Files, info)
-		p.Types = tp
-		p.Info = info
-	}
-	for _, p := range m.Packages {
-		check(p)
-	}
-}
-
-// moduleImporter resolves module-internal imports from the loaded set and
-// everything else through the stdlib source importer.
-type moduleImporter struct {
-	mod *Module
-	std types.Importer
-}
-
-func (mi *moduleImporter) Import(path string) (*types.Package, error) {
-	if p := mi.mod.byPath[path]; p != nil {
-		if p.Types == nil {
-			return nil, fmt.Errorf("arch: import cycle or unchecked package %s", path)
-		}
-		return p.Types, nil
-	}
-	return mi.std.Import(path)
-}
-
-func (mi *moduleImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if p := mi.mod.byPath[path]; p != nil {
-		return mi.Import(path)
-	}
-	if from, ok := mi.std.(types.ImporterFrom); ok {
-		return from.ImportFrom(path, dir, mode)
-	}
-	return mi.std.Import(path)
 }

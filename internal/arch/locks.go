@@ -212,11 +212,9 @@ func collectLockEvents(p *Package, body *ast.BlockStmt) []lockEv {
 				evs = append(evs, lockEv{pos: x.Pos(), end: x.End(), kind: evBlocking, desc: "blocking select (no default case)"})
 			}
 		case *ast.RangeStmt:
-			if p.Info != nil {
-				if tv, ok := p.Info.Types[x.X]; ok {
-					if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-						evs = append(evs, lockEv{pos: x.Pos(), end: x.X.End(), kind: evBlocking, desc: "blocking range over channel"})
-					}
+			if tv, ok := p.Info.Types[x.X]; ok {
+				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
+					evs = append(evs, lockEv{pos: x.Pos(), end: x.X.End(), kind: evBlocking, desc: "blocking range over channel"})
 				}
 			}
 		}
@@ -270,9 +268,6 @@ func classifyBlockingCall(p *Package, call *ast.CallExpr) (string, bool) {
 // isSyncMethod reports whether the selector resolves to a method of the
 // named sync type.
 func isSyncMethod(p *Package, sel *ast.SelectorExpr, typeName string) bool {
-	if p.Info == nil {
-		return false
-	}
 	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return false
@@ -292,9 +287,6 @@ func isSyncMethod(p *Package, sel *ast.SelectorExpr, typeName string) bool {
 // usesPackage reports whether the selector's identifier resolves into the
 // given package.
 func usesPackage(p *Package, sel *ast.SelectorExpr, pkgPath string) bool {
-	if p.Info == nil {
-		return false
-	}
 	obj := p.Info.Uses[sel.Sel]
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }

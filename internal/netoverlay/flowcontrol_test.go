@@ -354,6 +354,9 @@ func stormStalledCover(t *testing.T, stalled int, cover bool) {
 	if st.Evicted != uint64(stalled) {
 		t.Fatalf("Evicted = %d after storm, want %d: %+v", st.Evicted, stalled, st)
 	}
+	// A link clock counts its eviction per peer before broker-wide, so
+	// once Evicted reaches stalled every stalled link's own count is in.
+	checkPeerEvictions(t, hub, stalled, "after the storm")
 	if st.Shed == 0 {
 		t.Errorf("Shed = 0 after a storm into a stalled peer: %+v", st)
 	}
@@ -429,15 +432,20 @@ func stormStalledCover(t *testing.T, stalled int, cover bool) {
 		}
 	}
 
-	// A link clock counts its eviction after the broker-wide counter the
-	// storm loop watched, so the per-link counters are read only once
-	// Close has waited for every clock: each stalled link was evicted
-	// once, by its own clock, and a replacement under its ID never was.
+	// Once Close has waited for every link clock, each stalled link still
+	// reads one eviction: a replacement under its ID never was evicted.
 	hub.Close()
+	checkPeerEvictions(t, hub, stalled, "after Close")
+}
+
+// checkPeerEvictions fails unless each stalled peer's (node IDs 2 …
+// stalled+1) netoverlay_peer_evicted_total on hub reads exactly 1.
+func checkPeerEvictions(t *testing.T, hub *Broker, stalled int, when string) {
+	t.Helper()
 	for id := uint32(2); id < uint32(2+stalled); id++ {
 		name := peerInstrument("netoverlay_peer_evicted_total", id)
 		if s, ok := hub.Metrics().Get(name); !ok || s.Value != 1 {
-			t.Errorf("%s = %+v (%v), want 1: each stalled link evicted once", name, s, ok)
+			t.Errorf("%s: %s = %+v (%v), want 1: each stalled link evicted once", when, name, s, ok)
 		}
 	}
 }

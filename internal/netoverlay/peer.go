@@ -406,11 +406,13 @@ func (p *peer) clock() {
 				p.detach(fmt.Errorf("netoverlay: peer %d congested past %v, evicting (queue %+v)",
 					p.nodeID, deadline, p.out.Stats()))
 				// Counted after detach so an observed eviction implies the
-				// peer is already out of the peer table. The per-peer
-				// counter survives the detach (it is history, not a view),
-				// and continues counting if the same peer relinks.
-				p.b.evicted.Inc()
+				// peer is already out of the peer table, and per peer
+				// first so an eviction seen in Stats().Evicted implies its
+				// per-peer count. The per-peer counter survives the detach
+				// (it is history, not a view), and continues counting if
+				// the same peer relinks.
 				p.b.reg.Counter(peerInstrument("netoverlay_peer_evicted_total", p.nodeID)).Inc()
+				p.b.evicted.Inc()
 				return
 			}
 		case <-p.done:
