@@ -3,6 +3,7 @@ package netbroker
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -371,5 +372,36 @@ func TestClientOverPipe(t *testing.T) {
 	defer cli.Close()
 	if err := cli.Ping(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLargeFrameBufferNotKept: one large request grows the connection's
+// frame buffer, and the next frame's read does not keep it, so a single
+// 512 KB publish does not pin 512 KB for the life of the connection.
+func TestLargeFrameBufferNotKept(t *testing.T) {
+	srv := NewServer(ServerOptions{})
+	defer srv.Close()
+	near, far := net.Pipe()
+	c := newConn(srv, near)
+	done := make(chan struct{})
+	go func() { defer close(done); c.serve() }()
+	defer func() { far.Close(); <-done }()
+
+	publish := func(reqID uint32, pad int) {
+		t.Helper()
+		ev := event.New().Set("pad", strings.Repeat("x", pad))
+		if err := wire.WriteFrame(far, wire.MsgPublish, wire.AppendEvent(wire.AppendU32(nil, reqID), ev)); err != nil {
+			t.Fatal(err)
+		}
+		// The reply leaves after serve stored the frame buffer: reading it
+		// orders this goroutine's look at c.rbuf behind that store.
+		if typ, _, err := wire.ReadFrame(far); err != nil || typ != wire.MsgPublished {
+			t.Fatalf("reply to publish %d: type 0x%02x, %v", reqID, typ, err)
+		}
+	}
+	publish(1, 512<<10)
+	publish(2, 16)
+	if n := cap(c.rbuf); n > 64<<10 {
+		t.Errorf("frame buffer holds %d B after a small frame, want <= %d", n, 64<<10)
 	}
 }

@@ -371,8 +371,13 @@ func stormStalledCover(t *testing.T, stalled int, cover bool) {
 	if st.Peers != 1 {
 		t.Fatalf("Peers = %d after eviction, want 1 (healthy only)", st.Peers)
 	}
-	t.Logf("storm: %d heartbeats, %d shed, peak queue %d B", heartbeats, st.Shed, maxQueued)
 	Flush(hub, healthy)
+	// The healthy link has the same watermark: a heartbeat missing below
+	// shows here as shed by design (that link's queue filled while its
+	// writer was starved), or as lost if this reads 0.
+	healthyShed, _ := hub.Metrics().Get(peerInstrument("netoverlay_peer_shed_total", healthy.NodeID()))
+	t.Logf("storm: %d heartbeats, %d shed (%d on the healthy link), %d delivered at the healthy peer, peak queue %d B",
+		heartbeats, st.Shed, healthyShed.Value, healthy.Stats().Delivered, maxQueued)
 	checkOnce(t, "storm heartbeats", got.snapshot()["heartbeat"], heartbeats)
 
 	// Post-eviction, a fresh subscription at the healthy peer gets each

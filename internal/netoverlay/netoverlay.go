@@ -223,14 +223,16 @@ type Broker struct {
 	ln      net.Listener
 	peers   map[uint32]*peer // by peer node ID
 	pending map[net.Conn]struct{}
+	// localSubs holds the IDs Subscribe handed out and Unsubscribe has not
+	// taken back, for Unsubscribe validation.
+	localSubs map[uint64]struct{}
 	// Cumulative queue accounting folded in when peers detach, so Stats
 	// keeps counting what evicted links shed.
 	detachedShed    uint64
 	detachedSpilled uint64
 
-	nextSub   atomic.Uint64
-	localSubs sync.Map // sub id → struct{}, for Unsubscribe validation
-	traceSeq  atomic.Uint64
+	nextSub  atomic.Uint64
+	traceSeq atomic.Uint64
 
 	enq, handled atomic.Uint64 // inbox counts for Flush (see quiescent)
 
@@ -278,11 +280,12 @@ func newBroker(opts Options, inboxSize int) *Broker {
 		opts.Logf = func(string, ...any) {}
 	}
 	b := &Broker{
-		opts:    opts,
-		quit:    make(chan struct{}),
-		inbox:   make(chan inMsg, inboxSize),
-		peers:   make(map[uint32]*peer),
-		pending: make(map[net.Conn]struct{}),
+		opts:      opts,
+		quit:      make(chan struct{}),
+		inbox:     make(chan inMsg, inboxSize),
+		peers:     make(map[uint32]*peer),
+		pending:   make(map[net.Conn]struct{}),
+		localSubs: make(map[uint64]struct{}),
 	}
 	b.reg = opts.Metrics
 	if b.reg == nil {
@@ -462,9 +465,13 @@ func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (SubRef, error) {
 		return SubRef{}, fmt.Errorf("netoverlay: filter changes meaning across the wire text form: %s", expr)
 	}
 	id := uint64(b.opts.NodeID)<<32 | (b.nextSub.Add(1) & 0xffffffff)
-	b.localSubs.Store(id, struct{}{})
+	b.mu.Lock()
+	b.localSubs[id] = struct{}{}
+	b.mu.Unlock()
 	if !b.enqueue(inMsg{m: router.Msg{Kind: router.Sub, SubID: id, Expr: expr}, from: -1, h: h}) {
-		b.localSubs.Delete(id)
+		b.mu.Lock()
+		delete(b.localSubs, id)
+		b.mu.Unlock()
 		return SubRef{}, ErrClosed
 	}
 	return SubRef{id: id}, nil
@@ -475,7 +482,11 @@ func (b *Broker) Unsubscribe(ref SubRef) error {
 	if b.closed.Load() {
 		return ErrClosed
 	}
-	if _, ok := b.localSubs.LoadAndDelete(ref.id); !ok {
+	b.mu.Lock()
+	_, ok := b.localSubs[ref.id]
+	delete(b.localSubs, ref.id)
+	b.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownSub, ref.id)
 	}
 	if !b.enqueue(inMsg{m: router.Msg{Kind: router.Unsub, SubID: ref.id}, from: -1}) {

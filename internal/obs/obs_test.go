@@ -239,8 +239,13 @@ func TestTraceRingWrap(t *testing.T) {
 	if ring.Total() != 5 {
 		t.Errorf("Total = %d, want 5", ring.Total())
 	}
-	if NewTraceRing(0).buf == nil {
-		t.Error("clamped ring has nil buffer")
+	// Capacity 0 clamps to 1: the ring keeps the newest record.
+	one := NewTraceRing(0)
+	for i := 1; i <= 3; i++ {
+		one.Record(TraceRecord{TraceID: uint64(i)})
+	}
+	if got := one.Recent(); len(got) != 1 || got[0].TraceID != 3 {
+		t.Errorf("capacity-0 ring holds %+v, want only record 3", got)
 	}
 }
 

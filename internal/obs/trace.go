@@ -20,24 +20,25 @@ type TraceRecord struct {
 // N events), so the ring is off the hot path by construction and clarity
 // wins over cleverness here.
 type TraceRing struct {
-	mu    sync.Mutex
-	buf   []TraceRecord
-	next  int
-	total uint64
+	mu       sync.Mutex
+	capacity int
+	buf      []TraceRecord // allocated by the first Record
+	next     int
+	total    uint64
 }
 
 // NewTraceRing builds a ring holding up to capacity records; capacity
-// is clamped to at least 1.
+// is clamped to at least 1. A ring nothing records into holds no buffer.
 func NewTraceRing(capacity int) *TraceRing {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &TraceRing{buf: make([]TraceRecord, 0, capacity)}
+	return &TraceRing{capacity: max(capacity, 1)}
 }
 
 // Record appends one hop record, evicting the oldest when full.
 func (t *TraceRing) Record(rec TraceRecord) {
 	t.mu.Lock()
+	if t.buf == nil {
+		t.buf = make([]TraceRecord, 0, t.capacity)
+	}
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, rec)
 	} else {

@@ -25,7 +25,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byKey: make(map[Key]ID, 1024)}
+	return &Registry{byKey: make(map[Key]ID)}
 }
 
 // Intern registers p (or finds the existing identical predicate), increments

@@ -55,6 +55,12 @@ type Queue[T any] struct {
 	spilledBytes uint64
 }
 
+// maxIdleRing is the largest ring a drained queue keeps. A burst grows the
+// ring to its peak; emptied, a larger ring is dropped and the next push
+// starts over from 8 slots, so a link pins its burst peak only while the
+// burst lasts. Steady traffic stays far below it and never regrows.
+const maxIdleRing = 1024
+
 // slot is one ring entry: an item and the size it was accounted at.
 type slot[T any] struct {
 	item T
@@ -167,7 +173,8 @@ func (q *Queue[T]) TryPop() (item T, ok bool) {
 	return q.popLocked()
 }
 
-// popLocked removes the oldest item, if any, and returns its credit.
+// popLocked removes the oldest item, if any, and returns its credit. The
+// pop that empties a ring larger than maxIdleRing drops it.
 func (q *Queue[T]) popLocked() (item T, ok bool) {
 	if q.n == 0 || q.closed {
 		return item, false
@@ -176,6 +183,9 @@ func (q *Queue[T]) popLocked() (item T, ok bool) {
 	q.buf[q.head] = slot[T]{}
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--
+	if q.n == 0 && len(q.buf) > maxIdleRing {
+		q.buf, q.head = nil, 0
+	}
 	q.bytes -= s.size
 	if q.congested && q.bytes < q.low {
 		q.congested = false

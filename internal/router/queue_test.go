@@ -146,6 +146,35 @@ func TestQueueRingWrapsFIFO(t *testing.T) {
 	}
 }
 
+// TestQueueDropsDrainedBurstRing: a burst grows the ring, and draining it
+// gives the memory back, so a link does not keep its peak for life.
+func TestQueueDropsDrainedBurstRing(t *testing.T) {
+	q := flowQueue(0, 0) // Push only: never shed
+	for i := 0; i < 10000; i++ {
+		q.Push(1)
+	}
+	if n := len(q.buf); n < 10000 {
+		t.Fatalf("ring holds %d slots with 10000 queued", n)
+	}
+	for i := 0; i < 10000; i++ {
+		if v, ok := q.TryPop(); !ok || v != 1 {
+			t.Fatalf("TryPop %d = %d, %v", i, v, ok)
+		}
+	}
+	if n := len(q.buf); n > maxIdleRing {
+		t.Errorf("drained ring holds %d slots, want <= %d", n, maxIdleRing)
+	}
+	// The queue works on after the drop: FIFO from a regrown ring.
+	q.Push(7)
+	q.Push(8)
+	if v, _ := q.Pop(); v != 7 {
+		t.Errorf("Pop after regrow = %d, want 7", v)
+	}
+	if st := q.Stats(); st.Items != 1 || st.Bytes != 8 {
+		t.Errorf("Stats after regrow = %+v, want 1 item of 8 bytes", st)
+	}
+}
+
 func TestEstimateMsgBytes(t *testing.T) {
 	ev := bandEvent(1, 10)
 	if got := EstimateMsgBytes(Msg{Kind: Event, Ev: ev}); got <= msgOverheadBytes {

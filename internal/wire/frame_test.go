@@ -31,7 +31,7 @@ func TestWriteFrameIsOneWrite(t *testing.T) {
 		nil,
 		{0x2a},
 		AppendEvent(AppendU64(nil, 7), event.New().Set("price", 150).Set("sym", "ACME")),
-		bytes.Repeat([]byte{0xab}, maxPooledFrame+1), // scratch too large to pool
+		bytes.Repeat([]byte{0xab}, maxKeptFrame+1), // scratch too large to pool
 	}
 	var w countingWriter
 	var want []byte

@@ -131,10 +131,13 @@ func EndFrame(b []byte, at int) ([]byte, error) {
 
 // framePool recycles WriteFrame's scratch, so a frame costs no allocation
 // and an idle writer retains no buffer of its own. Scratch a large frame
-// grew past maxPooledFrame is left to the collector.
+// grew past maxKeptFrame is left to the collector.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
-const maxPooledFrame = 64 << 10
+// maxKeptFrame is the largest frame buffer kept for the next frame, in
+// WriteFrame's pool and in the buffer ReadFrameInto returns: one large
+// frame must not pin its size for the life of a connection.
+const maxKeptFrame = 64 << 10
 
 // WriteFrame writes one frame in one Write: with TCP_NODELAY a header
 // written apart from its payload is a system call and a segment of its own.
@@ -144,7 +147,7 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if err == nil {
 		_, err = w.Write(b)
 	}
-	if cap(b) <= maxPooledFrame {
+	if cap(b) <= maxKeptFrame {
 		*bp = b[:0]
 	}
 	framePool.Put(bp)
@@ -163,18 +166,24 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 }
 
 // ReadFrameInto reads one frame into buf, growing it as needed, and
-// returns the (possibly reallocated) buffer for the next call. payload
-// aliases buf and is valid only until buf's next reuse: callers that keep
-// any part of it — or any borrowed event decoded from it — past that
-// point must copy (for events, Event.Retain). The steady state of a
-// reader loop is zero allocations per frame once buf has grown to the
-// connection's working frame size.
+// returns the (possibly reallocated) buffer for the next call, or nil once
+// the frame grew it past 64 KB, so that the large buffer lives only as
+// long as the payload aliasing it. payload aliases buf and is valid only
+// until buf's next reuse: callers that keep any part of it — or any
+// borrowed event decoded from it — past that point must copy (for events,
+// Event.Retain). The steady state of a reader loop is zero allocations
+// per frame once buf has grown to the connection's working frame size.
 func ReadFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, bufOut []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into buf itself: a local array would escape
+	// through io.Reader and cost an allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, buf, err // io.EOF passes through for clean shutdown
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
 		return 0, nil, buf, fmt.Errorf("%w: empty frame", ErrMalformed)
 	}
@@ -187,6 +196,9 @@ func ReadFrameInto(r io.Reader, buf []byte) (typ byte, payload []byte, bufOut []
 	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return 0, nil, buf, fmt.Errorf("wire: read payload: %w", err)
+	}
+	if cap(buf) > maxKeptFrame {
+		return buf[0], buf[1:], nil, nil
 	}
 	return buf[0], buf[1:], buf, nil
 }
